@@ -204,35 +204,6 @@ class PolynomialFit:
                 total += coeff
         return total
 
-    def __getstate__(self) -> dict:
-        """Pickle only the defining data, not the derived evaluators.
-
-        The compiled scalar ``predict`` (an ``exec``-generated function)
-        and the ``partial_curve`` closures cannot be pickled; both are
-        deterministic functions of the coefficients, so unpickling
-        re-derives them and query results stay bit-identical. This is
-        what lets a whole :class:`~repro.charlib.library.DelaySlewLibrary`
-        ship to merge-routing worker processes.
-        """
-        return {
-            "exponents": self.exponents,
-            "coeffs": self.coeffs,
-            "lo": self.lo,
-            "hi": self.hi,
-            "quality": self.quality,
-            "var_names": self.var_names,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["exponents"],
-            state["coeffs"],
-            state["lo"],
-            state["hi"],
-            state["quality"],
-            state["var_names"],
-        )
-
     def partial_curve(self, x0: float):
         """Vectorized evaluator over the second variable with the first fixed.
 

@@ -43,39 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--hstructure", choices=["reestimate", "correct"])
     synth.add_argument("--router", choices=["profile", "maze"], default="profile")
     synth.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool workers for per-pair merge routing (0 = serial;"
-        " results are bit-identical either way)",
-    )
-    synth.add_argument(
         "--no-batch-commit",
         action="store_true",
         help="commit merges with scalar timing queries instead of the"
         " lockstep batched scheduler (bit-identical, for debugging/timing)",
-    )
-    synth.add_argument(
-        "--no-shared-windows",
-        action="store_true",
-        help="route every merge over a private per-pair maze window instead"
-        " of the level-scoped shared grid-tile cache (bit-identical, for"
-        " debugging/timing)",
-    )
-    synth.add_argument(
-        "--no-batch-expansion",
-        action="store_true",
-        help="expand delay profiles pair by pair with lazy table"
-        " evaluation instead of the lockstep level scheduler"
-        " (bit-identical, for debugging/timing)",
-    )
-    synth.add_argument(
-        "--no-batch-route-finish",
-        action="store_true",
-        help="finish shared-window maze routes pair by pair instead of"
-        " through the level-wide ranking/materialization kernel"
-        " (bit-identical, for debugging/timing)",
     )
     synth.add_argument(
         "--no-soa-commit",
@@ -103,14 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " to an uninterrupted run",
     )
     synth.add_argument(
-        "--pool-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-batch worker-pool gather timeout before the supervision"
-        " ladder engages (0 waits forever)",
-    )
-    synth.add_argument(
         "--fault-plan",
         metavar="PLAN",
         help="deterministic fault-injection plan, site:index:mode,..."
@@ -131,35 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scale", type=int, default=40, help="sinks per instance")
     bench.add_argument("--full", action="store_true", help="published sizes")
     bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool workers for per-pair merge routing (0 = serial)",
-    )
-    bench.add_argument(
         "--no-batch-commit",
         action="store_true",
         help="commit merges with scalar timing queries instead of the"
         " lockstep batched scheduler",
-    )
-    bench.add_argument(
-        "--no-shared-windows",
-        action="store_true",
-        help="route merges over private per-pair maze windows instead of"
-        " the level-scoped shared grid-tile cache",
-    )
-    bench.add_argument(
-        "--no-batch-expansion",
-        action="store_true",
-        help="expand delay profiles pair by pair with lazy table"
-        " evaluation instead of the lockstep level scheduler",
-    )
-    bench.add_argument(
-        "--no-batch-route-finish",
-        action="store_true",
-        help="finish shared-window maze routes pair by pair instead of"
-        " through the level-wide ranking/materialization kernel",
     )
     bench.add_argument(
         "--no-soa-commit",
@@ -268,16 +206,11 @@ def _cmd_synthesize(args) -> int:
         slew_limit=args.slew_limit * 1e-12,
         hstructure=args.hstructure,
         router=args.router,
-        **({} if args.workers is None else {"workers": args.workers}),
         **({"batch_commit": False} if args.no_batch_commit else {}),
-        **({"shared_windows": False} if args.no_shared_windows else {}),
-        **({"batch_expansion": False} if args.no_batch_expansion else {}),
-        **({"batch_route_finish": False} if args.no_batch_route_finish else {}),
         **({"soa_commit": False} if args.no_soa_commit else {}),
         **({"strict": True} if args.strict else {}),
         **({} if args.checkpoint_dir is None else {"checkpoint_dir": args.checkpoint_dir}),
         **({} if args.resume_from is None else {"resume_from": args.resume_from}),
-        **({} if args.pool_timeout is None else {"pool_timeout": args.pool_timeout}),
         **({} if args.fault_plan is None else {"fault_plan": args.fault_plan}),
     )
     cts = AggressiveBufferedCTS(options=options, blockages=inst.blockages or None)
@@ -333,11 +266,7 @@ def _cmd_bench(args) -> int:
 
     full = True if args.full else False
     options = CTSOptions(
-        **({} if args.workers is None else {"workers": args.workers}),
         **({"batch_commit": False} if args.no_batch_commit else {}),
-        **({"shared_windows": False} if args.no_shared_windows else {}),
-        **({"batch_expansion": False} if args.no_batch_expansion else {}),
-        **({"batch_route_finish": False} if args.no_batch_route_finish else {}),
         **({"soa_commit": False} if args.no_soa_commit else {}),
     )
     if args.table == "5.1":
@@ -355,7 +284,7 @@ def _cmd_bench(args) -> int:
     else:
         print(
             render_table_5_3(
-                table_5_3_rows(full=full, scale=args.scale, workers=options.workers)
+                table_5_3_rows(full=full, scale=args.scale)
             )
         )
     return 0

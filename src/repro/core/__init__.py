@@ -19,8 +19,7 @@ from repro.core.topology import (
     select_seed,
     select_seed_index,
 )
-from repro.core.merge_routing import MergePlan, MergeRouter, MergeStats, route_pair
-from repro.core.parallel_merge import ParallelMergeExecutor, WorkerContext
+from repro.core.merge_routing import MergePlan, MergeRouter, MergeStats
 from repro.core.segment_builder import PathBuilder, PathState, PlacedBuffer, SegmentTables
 from repro.core.routing_common import (
     RouteTerminal,
@@ -69,9 +68,6 @@ __all__ = [
     "MergePlan",
     "MergeRouter",
     "MergeStats",
-    "route_pair",
-    "ParallelMergeExecutor",
-    "WorkerContext",
     "PathBuilder",
     "PathState",
     "PlacedBuffer",

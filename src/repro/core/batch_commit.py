@@ -143,10 +143,6 @@ class PairCommitState:
         if plan.coincident:
             self.root = router._merge_coincident(plan.root1, plan.root2)
             return
-        # ``route`` may come from another process with detached
-        # terminals; the plan's terminals hold the live nodes.
-        route.left.terminal = plan.term1
-        route.right.terminal = plan.term2
         self.v1, arc1 = router._materialize_chain(route.left)
         self.v2, arc2 = router._materialize_chain(route.right)
         self.span = route.left.polyline.subpath(

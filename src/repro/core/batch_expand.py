@@ -28,17 +28,13 @@ rounds instead:
    (``PathBuilder._commit_buffer``) — the same two halves the scalar
    path runs back to back.
 
-Bit-identity with the per-pair fallback: a primed table is byte-equal
-to a lazily built one (clip + Horner are element-wise; see
+Bit-identity with the single-pair lazy expansion: a primed table is
+byte-equal to a lazily built one (clip + Horner are element-wise; see
 :meth:`SegmentTables.prime`), and every decision/mutation runs through
 the *same* ``PathBuilder`` methods over those tables — the scheduler
 only regroups the evaluations, so profiles, buffer placements and run
 records are identical, and results are invariant to how a level is
-split into worker batches.
-
-Degradation: ``route_level`` guards the scheduler; on an unexpected
-exception the partially primed tables are harmless (identical values)
-and the level replays through the retained per-pair lazy expansion.
+split into batches.
 """
 
 from __future__ import annotations
@@ -74,8 +70,7 @@ class _Lane:
 class LevelExpansionScheduler:
     """Advance many ``PathBuilder`` expansions through shared rounds.
 
-    One scheduler serves one ``route_level`` call (serial: the whole
-    level; pooled: one worker batch — stats merge commutatively). Lanes
+    One scheduler serves one ``route_level`` call (the whole level). Lanes
     are registered via :meth:`expand`, which returns the fully expanded
     builders in request order.
     """
@@ -356,8 +351,8 @@ def expand_level(primed, library, options, stats) -> list[list[PathBuilder]]:
 
     ``primed`` is ``route_level``'s (search job, tables) list; returns
     one ``[builder1, builder2]`` per entry, expanded through the
-    tables' top step — what ``_finish_level`` (or the per-pair
-    ``finish_maze_route``) would otherwise build and expand itself.
+    tables' top step — the profiles the single-pair
+    ``finish_maze_route`` expands lazily for itself.
     """
     requests: list[tuple[SegmentTables, float, str, int]] = []
     for job, tables in primed:

@@ -28,10 +28,10 @@ better than naive object pickles would.
 
 Compatibility is enforced by two digests: ``options_digest`` covers the
 **result-affecting** options only (resilience/performance knobs like
-``workers``, ``batch_commit`` or ``strict`` are excluded — every fast
-path is bit-identical to its fallback, so a checkpoint written by a
-parallel batched run may be resumed by a serial scalar one and vice
-versa), and ``sinks_digest`` covers the sink instance. A mismatch of
+``batch_commit``, ``soa_commit`` or ``strict`` are excluded — every
+fast path is bit-identical to its fallback, so a checkpoint written by a
+batched run may be resumed by a scalar one and vice versa), and
+``sinks_digest`` covers the sink instance. A mismatch of
 either fails loudly with what differed.
 
 Tree encoding walks each subtree in child-order-preserving preorder
@@ -117,16 +117,9 @@ _RESULT_FIELDS = (
 #: in neither list, and :func:`options_digest` refuses to run on an
 #: incomplete partition.
 _EXECUTION_FIELDS = (
-    "workers",
-    "merge_batch_size",
-    "parallel_min_level_size",
     "batch_commit",
     "batch_commit_min_pairs",
-    "shared_windows",
-    "batch_expansion",
-    "batch_route_finish",
     "strict",
-    "pool_timeout",
     "fault_plan",
     "checkpoint_dir",
     "resume_from",

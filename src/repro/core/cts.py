@@ -108,8 +108,6 @@ class AggressiveBufferedCTS:
             blockages,
         )
         self._cost = EdgeCost(self.options, self.router._delay_per_unit)
-        #: Why the parallel path was disabled, if it was (see _make_executor).
-        self.parallel_fallback_reason: str | None = None
 
     # ------------------------------------------------------------------
 
@@ -164,7 +162,6 @@ class AggressiveBufferedCTS:
             center = centroid([s.point for s in level])
             n_flips = 0
             n_levels = 0
-        executor = self._make_executor()
         try:
             while len(level) > 1:
                 n_levels += 1
@@ -172,28 +169,22 @@ class AggressiveBufferedCTS:
                 self.router.reset_grid_cache()
                 pairs, seed = greedy_matching(level, center, self._cost)
                 next_level: list[SubTree] = [seed] if seed else []
-                use_pool = (
-                    executor is not None
-                    and len(pairs) >= self.options.parallel_min_level_size
-                )
                 use_batch = (
                     self.options.batch_commit
                     and len(pairs) >= self.options.batch_commit_min_pairs
                 )
-                # Shared-window routing pays from the first co-routed
-                # maze pair (one curve round either way), so any level
-                # with two routable pairs sweeps; deliberately not
-                # coupled to the commit-batching threshold. Profile-only
-                # runs have no windows to share and stay on the cheap
-                # serial loop.
-                use_shared = (
-                    self.options.shared_windows
-                    and len(pairs) >= 2
-                    and uses_maze_router(self.options, self.router.blockages)
+                # Level routing pays from the first co-routed maze pair
+                # (one curve round either way), so any level with two
+                # routable pairs sweeps; deliberately not coupled to the
+                # commit-batching threshold. Profile-only runs have no
+                # windows to share and stay on the cheap serial loop,
+                # as do one-pair maze levels.
+                use_level_route = len(pairs) >= 2 and uses_maze_router(
+                    self.options, self.router.blockages
                 )
-                if use_pool or use_batch or use_shared:
+                if use_batch or use_level_route:
                     merged_level, level_flips = self._merge_level_swept(
-                        executor if use_pool else None, pairs, use_batch
+                        pairs, use_batch
                     )
                     n_flips += level_flips
                     next_level.extend(merged_level)
@@ -209,10 +200,6 @@ class AggressiveBufferedCTS:
                     )
                 self._level_pulse(n_levels)
         finally:
-            if executor is not None:
-                if executor.fallback_reason is not None:
-                    self.parallel_fallback_reason = executor.fallback_reason
-                executor.close()
             resilience.level = 0
         root = level[0].root
         if source_location is None:
@@ -326,34 +313,11 @@ class AggressiveBufferedCTS:
         )
 
     # ------------------------------------------------------------------
-    # Parallel level routing
+    # Level routing
     # ------------------------------------------------------------------
-
-    def _make_executor(self):
-        """A :class:`ParallelMergeExecutor`, or None for the serial flow.
-
-        Falls back to serial (recording why) when the routing context
-        cannot cross a process boundary — e.g. a hand-built library with
-        unpicklable members.
-        """
-        self.parallel_fallback_reason = None
-        if self.options.workers < 2:
-            return None
-        from repro.core.parallel_merge import ParallelMergeExecutor
-
-        try:
-            return ParallelMergeExecutor(
-                self.router, self.options.workers, self.options.merge_batch_size
-            )
-        except MemoryError:
-            raise
-        except Exception as exc:  # unpicklable context, exhausted fds, ...
-            self.parallel_fallback_reason = f"{type(exc).__name__}: {exc}"
-            return None
 
     def _merge_level_swept(
         self,
-        executor,
         pairs: list[tuple[SubTree, SubTree]],
         batch_commit: bool,
     ) -> tuple[list[SubTree], int]:
@@ -362,14 +326,13 @@ class AggressiveBufferedCTS:
         Three sweeps, each in pair order: (1) the stateful prepare phase
         (H-structure pairs take the full serial path here, since their
         re-pairing decisions interleave routing); (2) the pure route
-        phase — fanned out to the worker pool when ``executor`` is given,
-        in-process through :meth:`MergeRouter.route_level` otherwise
-        (which batches the level through the shared-window subsystem
-        when ``shared_windows``); (3) the stateful commit phase — every
-        pair's commit state machine advanced in lockstep by the batched
-        scheduler when ``batch_commit``, scalar pair by pair otherwise.
-        Afterwards the level's nodes are renumbered into serial creation
-        order so the result is bit-identical to the fully serial flow.
+        phase, the whole level at once through
+        :meth:`MergeRouter.route_level`; (3) the stateful commit phase —
+        every pair's commit state machine advanced in lockstep by the
+        batched scheduler when ``batch_commit``, scalar pair by pair
+        otherwise. Afterwards the level's nodes are renumbered into
+        serial creation order so the result is bit-identical to the
+        fully serial flow.
         """
         from repro.core.parallel_merge import (
             renumber_subtrees,
@@ -394,12 +357,7 @@ class AggressiveBufferedCTS:
             payload[2] if kind == "plan" else None
             for kind, payload in prepared
         ]
-        if executor is not None:
-            t0 = time.perf_counter()
-            routes = executor.route_plans(plans)
-            self.router.phase_seconds["route"] += time.perf_counter() - t0
-        else:
-            routes = self.router.route_level(plans)
+        routes = self.router.route_level(plans)
 
         if batch_commit:
             roots = self._commit_level_batched(prepared, routes, spans)
@@ -486,8 +444,8 @@ class AggressiveBufferedCTS:
     def _is_hstructure_pair(self, a: SubTree, b: SubTree) -> bool:
         """Whether this pair goes through H-structure re-pairing.
 
-        Shared by the serial and parallel level paths — the parallel path
-        must route exactly the pairs the serial flow would, or the
+        Shared by the pair-by-pair and swept level paths — the swept path
+        must route exactly the pairs the pair-by-pair flow would, or the
         bit-identical guarantee breaks.
         """
         return bool(self.options.hstructure and a.parts and b.parts)

@@ -7,46 +7,45 @@ work across the level instead of throwing it away per pair:
 - :class:`GridCache` owns the level's **grid tiles**: each distinct
   (window bbox, resolved pitch) key is rasterized and blocked exactly
   once — through the same :func:`~repro.core.routing_common.build_window`
-  arithmetic as the per-pair fallback, with the pitch-coarsening decision
-  resolved by :func:`~repro.core.routing_common.coarsen_pitch` before any
-  allocation — and every later request for the key is served the cached
-  tile (mask, axes and the lazily built CSR adjacency included). Repeat
-  requests are real in the flow: H-structure correction routes the same
-  pair once per candidate pairing, and re-estimation re-routes flipped
-  pairs. Reuse, pitch-bucket and rasterization counters are kept in
-  :class:`SharingStats`.
+  arithmetic as a private per-pair window, with the pitch-coarsening
+  decision resolved by :func:`~repro.core.routing_common.coarsen_pitch`
+  before any allocation — and every later request for the key is served
+  the cached tile (mask, axes and the lazily built CSR adjacency
+  included). Repeat requests are real in the flow: H-structure
+  correction routes the same pair once per candidate pairing, and
+  re-estimation re-routes flipped pairs. Reuse, pitch-bucket and
+  rasterization counters are kept in :class:`SharingStats`.
 
 - :func:`route_level` is the **cross-pair batcher**: it advances every
   pair of a level through the window-expansion search in lockstep rounds
   (round = one windowing + BFS attempt for all still-unrouted pairs,
   answered by the consolidated
-  :class:`~repro.core.maze_router.BfsEngine`), then primes every pair's
-  :class:`~repro.core.segment_builder.SegmentTables` with **one
-  vectorized curve round per level**: the (drive, load, fn) fit curves
-  every pair's profile expansion will ask for are evaluated over the
-  concatenation of all pairs' length grids and split back — one
-  ``partial_curve`` call per distinct triple instead of one per pair per
-  triple.
+  :class:`~repro.core.maze_router.BfsEngine`), then expands every pair's
+  delay profiles through the lockstep scheduler
+  (:func:`repro.core.batch_expand.expand_level`), whose grouped curve
+  rounds evaluate the (drive, load, fn) fit curves over the
+  concatenation of all pairs' length grids — one ``partial_curve`` call
+  per distinct triple instead of one per pair per triple.
 
-- :func:`_finish_level` is the **route-finishing kernel**
-  (``CTSOptions.batch_route_finish``, default on): every pair's
+- :func:`_finish_level` is the **route-finishing kernel**: every pair's
   co-reached candidate set goes into structure-of-arrays buffers, the
   level's merge cells are picked by one segmented ranking pass
   (:func:`~repro.core.routing_common.rank_level_cells`, scalar-identical
   tie order), and all winning paths on blocked grids materialize through
   one lockstep batched distance-field descent
-  (:func:`~repro.core.maze_router.descend_many`). The per-pair
-  :func:`~repro.core.maze_router.finish_maze_route` loop is retained as
-  the bit-identical fallback (``batch_route_finish=False``).
+  (:func:`~repro.core.maze_router.descend_many`).
 
 Bit-identity contract
 ---------------------
 
-Shared-window results are byte-identical to the per-pair fallback
-(``shared_windows=False``), serial or pooled:
+A level routed here is byte-identical to routing its pairs one at a time
+through :func:`~repro.core.maze_router.route_maze` (search,
+:class:`~repro.core.segment_builder.PathBuilder` lazy expansion,
+:func:`~repro.core.maze_router.finish_maze_route`), the single-pair path
+the flow keeps for H-structure pairs and one-pair levels:
 
 - window geometry, pitch coarsening, blockage masking and terminal
-  snapping run through the exact same functions as the fallback;
+  snapping run through the exact same functions;
 - BFS answers are per-grid engine calls either way (stacking windows
   into one block-diagonal csgraph call was measured and rejected — see
   :class:`~repro.core.maze_router.BfsEngine`), and path geometry is a
@@ -57,9 +56,7 @@ Shared-window results are byte-identical to the per-pair fallback
 
 Because every per-pair computation is replicated exactly and the batch
 axis only regroups element-wise work, results are also invariant to how
-pairs are split into batches — which is what makes the PR 2 worker pool
-compose: each worker batch-routes its task slice through a worker-local
-cache and the gathered level is still identical to the serial flow.
+pairs are split into batches; a batch of one is the single-pair path.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ from repro.core.maze_router import (
     both_reached,
     cells_polylines_many,
     descend_many,
-    finish_maze_route,
     plan_maze_window,
     staircase_arrays_many,
 )
@@ -107,10 +103,9 @@ class SharingStats:
     bucket k holds windows whose pitch was coarsened 1.5x k times by the
     ``MAX_WINDOW_CELLS`` budget (bucket 0 = the span-derived base pitch).
 
-    Every counter is an integer total, so :meth:`merge` (field-wise sum)
-    is order-independent — which is what lets the worker pool ship each
-    batch's stats back to the parent and sum them on gather without the
-    result depending on worker scheduling. The per-pair counters
+    Every counter is an integer total, so :meth:`merge` (field-wise sum,
+    used when a resumed run folds in its checkpoint's counters) is
+    order-independent. The per-pair counters
     (``windows_served``, ``pairs_routed``, ``cells_ranked``,
     ``descent_sides``, ``descent_cells``, ``curve_points``,
     ``expansion_lanes``, ``expansion_runs``, ``expansion_insertions``)
@@ -295,11 +290,9 @@ def _search_rounds(
 
 def _finish_level(
     primed: list[tuple[_PairSearch, SegmentTables]],
-    library: DelaySlewLibrary,
-    options: CTSOptions,
+    builders_by_pair: list[list[PathBuilder]],
     stats: SharingStats,
     results: list[RouteResult | None],
-    builders_by_pair: list[list[PathBuilder]] | None = None,
 ) -> None:
     """The level-wide route-finishing kernel (one ranking pass, batched
     descent).
@@ -318,10 +311,9 @@ def _finish_level(
 
     ``builders_by_pair`` (from the lockstep expansion scheduler,
     :func:`repro.core.batch_expand.expand_level`) supplies each pair's
-    two already-expanded profile builders; ``None`` builds and expands
-    them here, pair by pair — the same states either way.
+    two already-expanded profile builders.
 
-    Bit-identity with the per-pair fallback: profile evaluation runs the
+    Bit-identity with per-pair finishing: profile evaluation runs the
     same :class:`PathBuilder` state machines over the same primed tables;
     the ranking keys are gathers and element-wise maps of the same
     floats; the refinement compares (never combines) them; the descent
@@ -331,8 +323,6 @@ def _finish_level(
     """
     if not primed:
         return
-    virtual = options.virtual_drive or library.buffer_names[-1]
-    builders: list[list[PathBuilder]] = []
     cand_list: list[np.ndarray] = []
     k1_list: list[np.ndarray] = []
     k2_list: list[np.ndarray] = []
@@ -340,25 +330,10 @@ def _finish_level(
     prof2_list: list[np.ndarray] = []
     for pos, (job, tables) in enumerate(primed):
         dist1, dist2 = job.search.dists
-        if builders_by_pair is not None:
-            pair_builders = builders_by_pair[pos]
-        else:
-            pair_builders = [
-                PathBuilder(
-                    tables,
-                    term.base_delay,
-                    term.load_name,
-                    options.target_slew,
-                    library.buffer_names,
-                    virtual,
-                    options.sizing_lookahead,
-                )
-                for term in (job.term1, job.term2)
-            ]
+        pair_builders = builders_by_pair[pos]
         max_k = tables.n_steps - 1
         prof1_list.append(pair_builders[0].delays_view(max_k))
         prof2_list.append(pair_builders[1].delays_view(max_k))
-        builders.append(pair_builders)
         cand = np.flatnonzero(job.both.ravel())
         cand_list.append(cand)
         k1_list.append(dist1.ravel()[cand])
@@ -458,7 +433,7 @@ def _finish_level(
     lines = iter(polylines)
     for (job, _), pair_builders, cell, k1s, k2s, e1, e2, left_pts, right_pts in zip(
         primed,
-        builders,
+        builders_by_pair,
         cells,
         kk1.tolist(),
         kk2.tolist(),
@@ -501,9 +476,7 @@ def route_level(
     options: CTSOptions,
     stage_length: float,
     blockages: list[BBox],
-    cache: GridCache | None = None,
-    stats: SharingStats | None = None,
-    resilience=None,
+    cache: GridCache,
 ) -> list[RouteResult | None]:
     """Route one topology level's merge pairs through shared windows.
 
@@ -513,30 +486,12 @@ def route_level(
     unchanged; the maze path runs the lockstep search rounds, the
     lockstep profile-expansion scheduler
     (:func:`repro.core.batch_expand.expand_level` — grouped curve
-    rounds + masked insertion sub-rounds; ``batch_expansion=False``
-    falls back to per-pair lazy expansion), then the level-wide
-    finishing kernel (:func:`_finish_level`) — or, with
-    ``batch_route_finish=False``, the retained per-pair ranking and
-    materialization (reusing the scheduler's builders when it ran).
-
-    ``resilience`` (a :class:`~repro.core.resilience.ResilienceLog`)
-    arms both kernels' degradation guards: on an unexpected exception
-    the level's pairs re-expand/re-finish one by one (bit-identical —
-    the kernels only regroup the per-pair work) and one
-    ``batch_expansion`` / ``batch_route_finish`` degradation is noted.
-    With ``None`` (pool workers) the exception propagates to the
-    supervised gather instead.
+    rounds + masked insertion sub-rounds), then the level-wide finishing
+    kernel (:func:`_finish_level`). Each kernel replicates the per-pair
+    computation of :func:`~repro.core.maze_router.route_maze` exactly,
+    so a level of one pair routes to the same result as that function.
     """
-    if cache is None:
-        cache = GridCache(blockages)
-    if stats is None:
-        stats = cache.stats
-    plan = None
-    if options.fault_plan:
-        from repro.evalx.faultinject import active_plan
-
-        plan = active_plan(options.fault_plan)
-        plan.consult("shared_windows")
+    stats = cache.stats
     results: list[RouteResult | None] = [None] * len(pairs)
     if not uses_maze_router(options, blockages):
         from repro.core.profile_router import route_profile
@@ -570,52 +525,6 @@ def route_level(
         )
         primed.append((job, tables))
 
-    builders_by_pair: list[list[PathBuilder]] | None = None
-    if options.batch_expansion:
-        try:
-            if plan is not None:
-                plan.consult("batch_expansion")
-            builders_by_pair = expand_level(primed, library, options, stats)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            if resilience is None:
-                raise
-            resilience.note("batch_expansion", exc)
-            # Replay per pair: the scheduler's partially primed tables
-            # hold byte-identical values (priming only regroups the
-            # evaluations), so lazy per-pair expansion — here or inside
-            # the finish below — completes them to the same profiles.
-            builders_by_pair = None
-
-    if options.batch_route_finish:
-        try:
-            if plan is not None:
-                plan.consult("route_finish")
-            _finish_level(
-                primed, library, options, stats, results, builders_by_pair
-            )
-            return results
-        except MemoryError:
-            raise
-        except Exception as exc:
-            if resilience is None:
-                raise
-            resilience.note("batch_route_finish", exc)
-            # Replay the level per pair: the kernel had not touched
-            # ``results`` for any pair it did not fully finish, and
-            # per-pair finishing recomputes every slot from the intact
-            # search state anyway.
-    for pos, (job, tables) in enumerate(primed):
-        results[job.index] = finish_maze_route(
-            job.search,
-            job.term1,
-            job.term2,
-            library,
-            options,
-            tables,
-            both=job.both,
-            builders=None if builders_by_pair is None else builders_by_pair[pos],
-        )
-        stats.pairs_routed += 1
+    builders_by_pair = expand_level(primed, library, options, stats)
+    _finish_level(primed, builders_by_pair, stats, results)
     return results

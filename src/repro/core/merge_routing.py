@@ -84,8 +84,7 @@ class MergePlan:
     ``root1``/``root2`` are the (possibly re-rooted by balance snaking)
     sub-tree roots the commit phase will join. For non-coincident pairs
     the terminals carry everything the side-effect-free route phase
-    needs; their :meth:`~repro.core.routing_common.RouteTerminal.detached`
-    copies are what crosses a process boundary.
+    needs.
     """
 
     root1: TreeNode
@@ -99,37 +98,6 @@ class MergePlan:
     #: pair-ordered in every execution mode.
     n_snaked: int = 0
     snaked_delay: float = 0.0
-
-
-def route_pair(
-    term1: RouteTerminal,
-    term2: RouteTerminal,
-    library: DelaySlewLibrary,
-    options: CTSOptions,
-    stage_length: float,
-    blockages: list[BBox],
-    grid_provider=None,
-) -> RouteResult:
-    """The pure route phase of one merge: terminals in, route out.
-
-    Deterministic in its arguments, touches no shared state, and needs
-    only the scalar terminal fields — this is the function parallel
-    workers execute (:mod:`repro.core.parallel_merge`). ``grid_provider``
-    optionally serves maze windows from a shared tile cache
-    (:class:`repro.core.grid_cache.GridCache`); results are identical
-    with or without it.
-    """
-    if uses_maze_router(options, blockages):
-        return route_maze(
-            term1,
-            term2,
-            library,
-            options,
-            stage_length,
-            blockages,
-            grid_provider=grid_provider,
-        )
-    return route_profile(term1, term2, library, options, stage_length)
 
 
 class MergeRouter:
@@ -171,20 +139,11 @@ class MergeRouter:
         self.resilience = ResilienceLog(strict=options.strict)
         #: Wall-clock spent in the route and commit phases.
         self.phase_seconds = {"route": 0.0, "commit": 0.0}
-        #: Shared-window / route-finishing counters. Pool workers route
-        #: through batch-local caches and ship their batch's counters
-        #: back with the results; the executor sums them in here on
-        #: gather (commutative integer sums, so the totals are
-        #: independent of worker scheduling and the pair-level counters
-        #: equal the serial flow's).
+        #: Shared-window / route-finishing counters of the level router.
         from repro.core.grid_cache import GridCache, SharingStats
 
         self.route_sharing = SharingStats()
-        self._grid_cache = (
-            GridCache(self.blockages, stats=self.route_sharing)
-            if options.shared_windows
-            else None
-        )
+        self._grid_cache = GridCache(self.blockages, stats=self.route_sharing)
         # Blockage bounds as columns: one vectorized containment test
         # gates the (rarely entered) sequential nudge loop.
         if self.blockages:
@@ -251,7 +210,8 @@ class MergeRouter:
 
         Everything that mutates the tree or the stats before routing
         happens here, so the route phase between :meth:`prepare` and
-        :meth:`commit` is side-effect-free and can run out of process.
+        :meth:`commit` is side-effect-free and can route a whole level
+        at once.
         """
         self.stats.n_merges += 1
         if root1.location.manhattan_to(root2.location) <= 1e-9:
@@ -268,37 +228,42 @@ class MergeRouter:
         )
 
     def reset_grid_cache(self) -> None:
-        """Start a new topology level's tile scope (no-op per-pair mode).
+        """Start a new topology level's tile scope.
 
-        Called by the flow once per level — regardless of whether the
-        level routes in-process, through the batcher, or in the worker
-        pool — so tiles cached by ``route_plan``'s provider (H-structure
-        candidate routing, small levels) never accumulate across levels.
+        Called by the flow once per level, whichever path routes it, so
+        tiles cached by ``route_plan``'s provider (H-structure candidate
+        routing, small levels) never accumulate across levels.
         """
-        if self._grid_cache is not None:
-            self._grid_cache.reset()
+        self._grid_cache.reset()
 
     def route_plan(self, plan: MergePlan) -> RouteResult | None:
-        """Route a prepared merge in-process (None for coincident pairs).
+        """Route one prepared merge (None for coincident pairs).
 
-        With ``shared_windows`` the window comes from the router's tile
-        cache (H-structure candidate routing re-requests the same window
-        up to three times per pair); results are identical either way.
+        The single-pair path: H-structure pairs, one-pair maze levels and
+        the profile router come through here. Maze windows come from the
+        router's tile cache (H-structure candidate routing re-requests
+        the same window up to three times per pair).
         """
         if plan.coincident:
             return None
         t0 = time.perf_counter()
         try:
-            return route_pair(
+            if uses_maze_router(self.options, self.blockages):
+                return route_maze(
+                    plan.term1,
+                    plan.term2,
+                    self.library,
+                    self.options,
+                    self.stage_length,
+                    self.blockages,
+                    grid_provider=self._grid_cache.provider(),
+                )
+            return route_profile(
                 plan.term1,
                 plan.term2,
                 self.library,
                 self.options,
                 self.stage_length,
-                self.blockages,
-                grid_provider=(
-                    self._grid_cache.provider() if self._grid_cache else None
-                ),
             )
         finally:
             self.phase_seconds["route"] += time.perf_counter() - t0
@@ -306,70 +271,39 @@ class MergeRouter:
     def route_level(
         self, plans: list[MergePlan | None]
     ) -> list[RouteResult | None]:
-        """Route a swept level's plans in-process, sharing windows.
+        """Route a swept level's plans together through the level router.
 
-        The shared-window path (``CTSOptions.shared_windows``, the
-        default) routes the whole level through the cross-pair batcher
-        over a fresh level scope of the tile cache; the per-pair fallback
-        routes plan by plan. Both produce byte-identical results — the
-        knob only changes how much work is shared, which is also what
-        makes the degradation guard safe: an exception in the batcher
-        (routing is pure, nothing was mutated) is noted on the resilience
-        log and the level replays per pair.
+        Maze levels run the lockstep window search, the lockstep profile
+        expansion and the level-wide finishing kernel over the tile
+        cache's level scope (:func:`repro.core.grid_cache.route_level`);
+        profile levels route pair by pair. A kernel exception propagates:
+        routing is pure, so there is nothing to recover.
         """
-        if self._grid_cache is None:
-            return [
-                None if plan is None else self.route_plan(plan)
-                for plan in plans
-            ]
-        from repro.core.grid_cache import route_level as shared_route_level
+        from repro.core.grid_cache import route_level
 
         t0 = time.perf_counter()
         try:
-            pairs = [
-                None if plan is None or plan.coincident else (plan.term1, plan.term2)
-                for plan in plans
-            ]
-            try:
-                return shared_route_level(
-                    pairs,
-                    self.library,
-                    self.options,
-                    self.stage_length,
-                    self.blockages,
-                    cache=self._grid_cache,
-                    resilience=self.resilience,
-                )
-            except MemoryError:
-                # Never degrade past an OOM: the jobs watchdog must see
-                # it, not a silently slower per-pair retry.
-                raise
-            except Exception as exc:
-                self.resilience.note("shared_windows", exc)
-                return [
+            return route_level(
+                [
                     None
-                    if pair is None
-                    else route_pair(
-                        pair[0],
-                        pair[1],
-                        self.library,
-                        self.options,
-                        self.stage_length,
-                        self.blockages,
-                    )
-                    for pair in pairs
-                ]
+                    if plan is None or plan.coincident
+                    else (plan.term1, plan.term2)
+                    for plan in plans
+                ],
+                self.library,
+                self.options,
+                self.stage_length,
+                self.blockages,
+                self._grid_cache,
+            )
         finally:
             self.phase_seconds["route"] += time.perf_counter() - t0
 
     def commit(self, plan: MergePlan, route: RouteResult | None) -> TreeNode:
         """Stateful post-route phase: materialize, search, repair.
 
-        ``route`` may come from another process with detached terminals;
-        the plan's terminals (which hold the live nodes) are re-bound
-        before materialization. This scalar driver and the lockstep
-        batched driver walk the same state machine, so their results are
-        bit-identical.
+        This scalar driver and the lockstep batched driver walk the same
+        state machine, so their results are bit-identical.
         """
         t0 = time.perf_counter()
         try:

@@ -6,44 +6,9 @@ import os
 from dataclasses import dataclass, field
 
 
-def _default_workers() -> int:
-    """Honor ``REPRO_WORKERS`` so CI can run whole suites in parallel mode."""
-    return int(os.environ.get("REPRO_WORKERS", "0") or 0)
-
-
 def _default_batch_commit() -> bool:
     """Honor ``REPRO_BATCH_COMMIT`` so CI can exercise the scalar fallback."""
     return os.environ.get("REPRO_BATCH_COMMIT", "1").lower() not in (
-        "0",
-        "false",
-        "no",
-    )
-
-
-def _default_shared_windows() -> bool:
-    """Honor ``REPRO_SHARED_WINDOWS`` so CI can exercise the per-pair
-    window fallback."""
-    return os.environ.get("REPRO_SHARED_WINDOWS", "1").lower() not in (
-        "0",
-        "false",
-        "no",
-    )
-
-
-def _default_batch_route_finish() -> bool:
-    """Honor ``REPRO_BATCH_ROUTE_FINISH`` so CI can exercise the
-    per-pair route-finishing fallback."""
-    return os.environ.get("REPRO_BATCH_ROUTE_FINISH", "1").lower() not in (
-        "0",
-        "false",
-        "no",
-    )
-
-
-def _default_batch_expansion() -> bool:
-    """Honor ``REPRO_BATCH_EXPANSION`` so CI can exercise the per-pair
-    profile-expansion fallback."""
-    return os.environ.get("REPRO_BATCH_EXPANSION", "1").lower() not in (
         "0",
         "false",
         "no",
@@ -70,12 +35,6 @@ def _default_fault_plan() -> str:
     """Honor ``REPRO_FAULT_PLAN`` (``site:index:mode,...`` — see
     :mod:`repro.evalx.faultinject`) so CI can run a chaos leg."""
     return os.environ.get("REPRO_FAULT_PLAN", "")
-
-
-def _default_pool_timeout() -> float:
-    """Honor ``REPRO_POOL_TIMEOUT`` (seconds per gathered worker batch;
-    0 waits forever)."""
-    return float(os.environ.get("REPRO_POOL_TIMEOUT", "60") or 0.0)
 
 
 @dataclass
@@ -115,13 +74,6 @@ class CTSOptions:
     max_unbuffered_cap_ratio: float = 2.0  # force a buffer at a merge whose
     #   collapsed stage cap exceeds ratio * (largest buffer input cap), so
     #   every stage load stays within the library's characterized range
-    # --- parallel merge routing ------------------------------------------
-    workers: int = field(default_factory=_default_workers)  # process-pool
-    #   workers for per-pair merge routing; 0 or 1 = serial flow
-    merge_batch_size: int = 0  # route tasks shipped per worker call;
-    #   0 = auto (level pairs spread over ~4 batches per worker)
-    parallel_min_level_size: int = 8  # smallest pair count per topology
-    #   level worth the IPC of the parallel path; smaller levels run serial
     # --- batched commit phase --------------------------------------------
     batch_commit: bool = field(default_factory=_default_batch_commit)
     #   advance a level's merge commits in lockstep, answering each step's
@@ -129,25 +81,6 @@ class CTSOptions:
     #   the scalar fallback; env REPRO_BATCH_COMMIT=0 disables the default)
     batch_commit_min_pairs: int = 4  # smallest pair count per topology
     #   level worth the lockstep bookkeeping; smaller levels commit scalar
-    # --- shared-window routing -------------------------------------------
-    shared_windows: bool = field(default_factory=_default_shared_windows)
-    #   route each topology level through the level-scoped grid-tile cache
-    #   and cross-pair batcher (repro.core.grid_cache) instead of private
-    #   per-pair maze windows (bit-identical to the per-pair fallback; env
-    #   REPRO_SHARED_WINDOWS=0 disables the default)
-    batch_route_finish: bool = field(default_factory=_default_batch_route_finish)
-    #   finish a shared-window level's maze routes through the level-wide
-    #   ranking/materialization kernel (structure-of-arrays candidate
-    #   ranking + lockstep batched distance-field descent) instead of pair
-    #   by pair (bit-identical to the per-pair finish; only engages under
-    #   shared_windows; env REPRO_BATCH_ROUTE_FINISH=0 disables the default)
-    batch_expansion: bool = field(default_factory=_default_batch_expansion)
-    #   expand a shared-window level's delay profiles through the lockstep
-    #   scheduler (repro.core.batch_expand): grouped per-load curve rounds
-    #   answer every pair's PathBuilder run extension and buffer insertion
-    #   in shared sub-rounds instead of pair-by-pair lazy table evaluation
-    #   (bit-identical to the per-pair expansion; only engages under
-    #   shared_windows; env REPRO_BATCH_EXPANSION=0 disables the default)
     soa_commit: bool = field(default_factory=_default_soa_commit)
     #   mirror the in-flight tree into flat structure-of-arrays columns
     #   (repro.core.soa_tree) and drive the commit phase's bounds-bucket
@@ -160,13 +93,9 @@ class CTSOptions:
     #   re-raise fast-path exceptions instead of degrading to the
     #   bit-identical scalar fallbacks — CI equivalence legs must fail
     #   loudly, never pass on a silently degraded run (env REPRO_STRICT=1)
-    pool_timeout: float = field(default_factory=_default_pool_timeout)
-    #   seconds to wait for one gathered worker batch before the
-    #   supervision ladder engages (backoff retry, then in-process
-    #   re-route); 0 waits forever (env REPRO_POOL_TIMEOUT)
     fault_plan: str = field(default_factory=_default_fault_plan)
-    #   deterministic fault-injection plan consulted by pool workers and
-    #   kernel guards ("site:index:mode,..." — repro.evalx.faultinject);
+    #   deterministic fault-injection plan consulted by the kernel guards
+    #   and level-loop sites ("site:index:mode,..." — repro.evalx.faultinject);
     #   empty = no injected faults (env REPRO_FAULT_PLAN)
     checkpoint_dir: str | None = None  # write a resumable snapshot after
     #   each topology level (repro.core.checkpoint); None disables
@@ -190,16 +119,8 @@ class CTSOptions:
             raise ValueError(f"unknown hstructure mode {self.hstructure!r}")
         if self.grid_resolution < 4:
             raise ValueError("grid_resolution must be >= 4")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if self.merge_batch_size < 0:
-            raise ValueError("merge_batch_size must be >= 0")
-        if self.parallel_min_level_size < 1:
-            raise ValueError("parallel_min_level_size must be >= 1")
         if self.batch_commit_min_pairs < 1:
             raise ValueError("batch_commit_min_pairs must be >= 1")
-        if self.pool_timeout < 0:
-            raise ValueError("pool_timeout must be >= 0 (0 waits forever)")
         if self.checkpoint_dir is not None and not self.checkpoint_dir:
             raise ValueError("checkpoint_dir must be a path or None")
         if self.resume_from is not None and not self.resume_from:

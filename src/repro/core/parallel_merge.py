@@ -1,443 +1,20 @@
-"""Parallel per-pair merge routing over a deterministic process pool.
+"""Serial-identical node numbering for the swept level path.
 
-Within one topology level every matched pair routes independently (grid
-build + two BFS passes + profile evaluation), so the route phase is
-embarrassingly parallel. This module runs it on a
-:class:`concurrent.futures.ProcessPoolExecutor`:
-
-- each worker is initialized **once** with a pickled
-  :class:`WorkerContext` (library, options, blockages, stage length) —
-  tasks themselves carry only two node-free
-  :class:`~repro.core.routing_common.RouteTerminal` copies;
-- pairs are shipped in **batches** (``CTSOptions.merge_batch_size``, or
-  an automatic split into ~4 batches per worker) to amortize IPC now
-  that the vectorized engine made a single route cheap;
-- results are gathered **in submission order** and indexed back to their
-  pair, so the main process commits them in exactly the serial
-  sequence regardless of worker scheduling — either scalar pair by pair
-  or, with ``CTSOptions.batch_commit``, through the lockstep batched
-  commit scheduler (:mod:`repro.core.batch_commit`): route in the pool,
-  commit batched in the parent;
-- each batch ships its :class:`~repro.core.grid_cache.SharingStats`
-  back with the results and the executor sums them into the router's
-  route-phase counters — integer sums commute, so pooled stats are
-  order-independent (and their pair-level counters equal the serial
-  flow's), which is what lets tests assert stats equality under the
-  pool.
-
-Routing is a pure function of its inputs (`route_pair`), and the library
-pickle round-trip re-derives its compiled evaluators from identical
-coefficients, so a worker's :class:`RouteResult` is bit-identical to the
-in-process one.
-
-Serial-identical node numbering
--------------------------------
-
-The phases still create nodes in a different *order* than the serial
-flow (all prepares, then all commits, instead of prepare+commit per
-pair), which would leak into auto-generated node ids and names. The
-executor therefore records the id range each phase call consumed and
-renumbers the level's nodes afterwards into the serial creation order —
-a bijection on the level's id block — and remaps the timing engine's
-memoized bounds keys to follow. The synthesized tree (including node
-names) is then bit-identical to the serial flow's.
+The swept level path (:meth:`repro.core.cts.AggressiveBufferedCTS.
+_merge_level_swept`) creates nodes in a different *order* than merging
+pair by pair would (all prepares, then all commits, instead of
+prepare+commit per pair), which would leak into auto-generated node ids
+and names. The flow therefore records the id range each phase call
+consumed and renumbers the level's nodes afterwards into the pair-by-pair
+creation order — a bijection on the level's id block — and remaps the
+timing engine's memoized bounds keys to follow. The synthesized tree
+(including node names) is then bit-identical either way.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
-import pickle
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-
-from repro.charlib.library import DelaySlewLibrary
-from repro.core.grid_cache import SharingStats
-from repro.core.merge_routing import MergePlan, MergeRouter, route_pair
-from repro.core.options import CTSOptions
-from repro.core.routing_common import RouteResult, RouteTerminal
-from repro.geom.bbox import BBox
 from repro.timing.analysis import LibraryTimingEngine
 from repro.tree.nodes import TreeNode
-
-
-@dataclass
-class WorkerContext:
-    """Everything a worker needs to route any pair of this synthesis."""
-
-    library: DelaySlewLibrary
-    options: CTSOptions
-    blockages: list[BBox]
-    stage_length: float
-
-
-_CTX: WorkerContext | None = None
-
-
-def _init_worker(ctx_bytes: bytes) -> None:
-    """Build the per-worker context once (not per task)."""
-    global _CTX
-    _CTX = pickle.loads(ctx_bytes)
-
-
-def _route_tasks(
-    ctx: "WorkerContext",
-    tasks: list[tuple[int, RouteTerminal, RouteTerminal]],
-    resilience=None,
-) -> tuple[list[tuple[int, RouteResult]], "SharingStats"]:
-    """Route one batch of (pair index, terminal, terminal) tasks.
-
-    With ``shared_windows`` the batch routes through the cross-pair
-    batcher (including the level-batched finishing kernel when
-    ``batch_route_finish`` — workers and the serial flow share one
-    kernel) over a batch-local tile cache: the pairs of one worker batch
-    share tiles, lockstep search rounds, the curve round and the finish
-    kernel among themselves instead of each rebuilding private windows.
-    Because the shared path replicates every per-pair computation exactly
-    (batching only regroups element-wise work), results are invariant to
-    the batch split and identical to the serial flow — shipping
-    parent-built tiles instead was measured as a wash, since window keys
-    are pair-unique and a pickled tile costs about as much as rasterizing
-    it.
-
-    Returns the routed results plus the batch's
-    :class:`~repro.core.grid_cache.SharingStats`, so the gather side can
-    sum every batch's counters into the router's stats (integer sums
-    commute, making the totals independent of worker scheduling).
-
-    ``resilience`` is forwarded to the shared route kernels: the parent's
-    in-process fallback passes its log (kernel failures degrade in place),
-    workers pass None (a worker exception propagates to the supervised
-    gather, which handles it as a pool degradation).
-    """
-    if ctx.options.shared_windows:
-        from repro.core.grid_cache import GridCache, route_level
-
-        cache = GridCache(ctx.blockages)
-        routes = route_level(
-            [(term1, term2) for _, term1, term2 in tasks],
-            ctx.library,
-            ctx.options,
-            ctx.stage_length,
-            ctx.blockages,
-            cache=cache,
-            resilience=resilience,
-        )
-        routed = [(index, route) for (index, _, _), route in zip(tasks, routes)]
-        return routed, cache.stats
-    routed = [
-        (
-            index,
-            route_pair(
-                term1,
-                term2,
-                ctx.library,
-                ctx.options,
-                ctx.stage_length,
-                ctx.blockages,
-            ),
-        )
-        for index, term1, term2 in tasks
-    ]
-    return routed, SharingStats()
-
-
-def _route_batch(
-    ordinal: int,
-    tasks: list[tuple[int, RouteTerminal, RouteTerminal]],
-) -> tuple[list[tuple[int, RouteResult]], "SharingStats"]:
-    """Worker entry point: route one shipped batch with the worker ctx.
-
-    ``ordinal`` is the batch's global submission number, assigned by the
-    parent — the fault-injection key that makes worker faults
-    deterministic regardless of which worker picks the batch up. Only
-    this entry point consults the plan, never :func:`_route_tasks`, so
-    the in-process recovery of a failed batch cannot re-fire its fault.
-    """
-    ctx = _CTX
-    if ctx is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("merge-routing worker used before initialization")
-    if ctx.options.fault_plan:
-        from repro.evalx.faultinject import active_plan
-
-        active_plan(ctx.options.fault_plan).consult(
-            "worker_batch",
-            ordinal,
-            sleep_s=4.0 * max(ctx.options.pool_timeout, 0.05),
-        )
-    return _route_tasks(ctx, tasks)
-
-
-def _pool_context():
-    """Prefer fork (cheap, POSIX) but survive platforms without it."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-#: A broken pool is respawned at most this many times; one more break
-#: degrades routing to in-process permanently (recording why).
-MAX_POOL_RESPAWNS = 1
-
-
-class ParallelMergeExecutor:
-    """A process pool that routes prepared merge plans deterministically.
-
-    Construction pickles the routing context up front — raising
-    immediately (rather than mid-level) when a custom library or
-    blockage set cannot cross a process boundary — but the pool itself
-    is spawned lazily on the first routed level.
-
-    Gathering is supervised (see :meth:`route_plans`): a timed-out batch
-    is retried once with a doubled timeout, a broken pool is shut down
-    and respawned at most :data:`MAX_POOL_RESPAWNS` times, and any batch
-    the pool fails to deliver is re-routed through the in-process
-    :func:`_route_tasks` fallback — bit-identical by construction, since
-    results are indexed by pair and gathered in submission order.
-    """
-
-    def __init__(
-        self,
-        router: MergeRouter,
-        workers: int,
-        batch_size: int = 0,
-    ):
-        if workers < 2:
-            raise ValueError("parallel merge routing needs workers >= 2")
-        self.workers = workers
-        self.batch_size = batch_size
-        self.timeout = router.options.pool_timeout
-        context = WorkerContext(
-            router.library,
-            router.options,
-            list(router.blockages),
-            router.stage_length,
-        )
-        self._ctx_bytes = pickle.dumps(
-            context, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        self._pool: ProcessPoolExecutor | None = None
-        self._fallback_ctx: WorkerContext | None = None
-        #: Why routing dropped to in-process execution, if it did.
-        self.fallback_reason: str | None = None
-        #: Where pool degradations are recorded (the router's log).
-        self._resilience = router.resilience
-        self._respawns = 0
-        #: Global batch submission counter — the deterministic key worker
-        #: fault injection fires on, and the label degradations carry.
-        self._batch_ordinal = 0
-        #: Where batch SharingStats land on gather (the router's
-        #: route-phase counters): each batch's counts are summed in, in
-        #: submission order, so pooled totals match repeated runs exactly
-        #: and the pair-level counters match the serial flow.
-        self._stats_sink = router.route_sharing
-
-    # ------------------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor | None:
-        """The pool, spawned on first use; None if spawning failed.
-
-        A host at its process/fd limit fails here, not at construction;
-        routing then runs in-process through the exact same task path
-        (bit-identical results, just no parallelism) instead of aborting
-        a synthesis the serial flow could finish.
-        """
-        if self._pool is None and self.fallback_reason is None:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=_pool_context(),
-                    initializer=_init_worker,
-                    initargs=(self._ctx_bytes,),
-                )
-            except OSError as exc:
-                self.fallback_reason = f"{type(exc).__name__}: {exc}"
-        return self._pool
-
-    def _batch_size_for(self, n_tasks: int) -> int:
-        if self.batch_size > 0:
-            return self.batch_size
-        # ~4 batches per worker: coarse enough to amortize IPC, fine
-        # enough that an unlucky slow batch cannot idle the pool.
-        return max(1, math.ceil(n_tasks / (4 * self.workers)))
-
-    def route_plans(
-        self, plans: list[MergePlan | None]
-    ) -> list[RouteResult | None]:
-        """Route every routable plan; results indexed like ``plans``.
-
-        ``None`` entries (pairs merged by another path) and coincident
-        plans come back as ``None``. Batches are gathered in submission
-        order, so the output — and hence the commit sequence — does not
-        depend on worker scheduling.
-        """
-        tasks = [
-            (i, plan.term1.detached(), plan.term2.detached())
-            for i, plan in enumerate(plans)
-            if plan is not None and not plan.coincident
-        ]
-        results: list[RouteResult | None] = [None] * len(plans)
-        if not tasks:
-            return results
-        pool = self._ensure_pool()
-        if pool is None:
-            routed, stats = self._route_in_process(tasks)
-            for index, route in routed:
-                results[index] = route
-            self._stats_sink.merge(stats)
-            return results
-        size = self._batch_size_for(len(tasks))
-        submitted = []
-        try:
-            for k in range(0, len(tasks), size):
-                batch = tasks[k : k + size]
-                ordinal = self._batch_ordinal
-                self._batch_ordinal += 1
-                submitted.append((pool.submit(_route_batch, ordinal, batch), batch, ordinal))
-            for future, batch, ordinal in submitted:
-                gathered = self._gather(future, batch, ordinal)
-                if gathered is None:
-                    gathered = self._route_in_process(batch)
-                routed, stats = gathered
-                for index, route in routed:
-                    results[index] = route
-                self._stats_sink.merge(stats)
-        except BaseException:
-            # Satellite: a failed level must not leak workers. Strict
-            # mode (or an unexpected gather error) unwinds through here —
-            # cancel what has not started, kill what has, and re-raise.
-            for future, _, _ in submitted:
-                future.cancel()
-            self._shutdown_pool(cancel=True)
-            raise
-        return results
-
-    # ------------------------------------------------------------------
-    # Supervision ladder
-    # ------------------------------------------------------------------
-
-    def _gather(
-        self, future, batch, ordinal: int
-    ) -> tuple[list[tuple[int, "RouteResult"]], "SharingStats"] | None:
-        """One supervised gather; None means "re-route this in-process".
-
-        The ladder: a worker exception degrades just that batch; a
-        timeout gets one backoff retry at double the timeout; a broken
-        or cancelled pool is shut down and (at most once) respawned. A
-        degraded batch is recovered bit-identically by the caller, since
-        results are keyed by pair index, not by which path routed them.
-        """
-        timeout = self.timeout if self.timeout and self.timeout > 0 else None
-        try:
-            return future.result(timeout)
-        except (BrokenProcessPool, CancelledError) as exc:
-            # Once one future breaks the pool, every later future fails
-            # the same way; note the first cause only.
-            self._note_broken(exc, ordinal)
-            return None
-        except FuturesTimeout:
-            return self._retry(batch, ordinal, timeout)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            # The worker raised routing this batch (injected or real):
-            # the pool is still healthy, only this batch degrades.
-            self._resilience.note(
-                "pool", f"worker batch {ordinal} failed: {type(exc).__name__}: {exc}"
-            )
-            return None
-
-    def _retry(
-        self, batch, ordinal: int, timeout: float | None
-    ) -> tuple[list[tuple[int, "RouteResult"]], "SharingStats"] | None:
-        """Backoff retry of one timed-out batch (double the timeout)."""
-        pool = self._pool
-        if pool is None or timeout is None:  # pragma: no cover - guard
-            return None
-        try:
-            result = pool.submit(_route_batch, ordinal, batch).result(2 * timeout)
-        except FuturesTimeout:
-            # Twice over budget: assume the pool is wedged, not slow.
-            self._mark_broken(
-                f"batch {ordinal} timed out twice "
-                f"(pool_timeout={timeout:.3g}s, retry at {2 * timeout:.3g}s)"
-            )
-            return None
-        except (BrokenProcessPool, CancelledError) as exc:
-            self._note_broken(exc, ordinal)
-            return None
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self._resilience.note(
-                "pool",
-                f"worker batch {ordinal} failed on retry: "
-                f"{type(exc).__name__}: {exc}",
-            )
-            return None
-        self._resilience.note(
-            "pool",
-            f"batch {ordinal} timed out after {timeout:.3g}s; "
-            "backoff retry succeeded",
-        )
-        return result
-
-    def _note_broken(self, exc: BaseException, ordinal: int) -> None:
-        """Record a broken pool once; cascading failures stay silent."""
-        if self._pool is not None:
-            self._mark_broken(
-                f"{type(exc).__name__} gathering batch {ordinal}: {exc}"
-            )
-
-    def _mark_broken(self, reason: str) -> None:
-        """Shut the broken pool down; respawn budget decides permanence.
-
-        ``_ensure_pool`` respawns on the next level while the respawn
-        budget lasts; past it, ``fallback_reason`` pins routing
-        in-process for the rest of the synthesis.
-        """
-        self._shutdown_pool(cancel=True)
-        self._respawns += 1
-        if self._respawns > MAX_POOL_RESPAWNS:
-            self.fallback_reason = (
-                f"pool degraded permanently after {self._respawns} breaks: "
-                f"{reason}"
-            )
-        self._resilience.note("pool", reason)
-
-    def _shutdown_pool(self, cancel: bool = False) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=not cancel, cancel_futures=cancel)
-
-    def _route_in_process(
-        self, tasks
-    ) -> tuple[list[tuple[int, "RouteResult"]], "SharingStats"]:
-        """The bit-identical in-process fallback for undelivered tasks."""
-        if self._fallback_ctx is None:
-            self._fallback_ctx = pickle.loads(self._ctx_bytes)
-        return _route_tasks(self._fallback_ctx, tasks, resilience=self._resilience)
-
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "ParallelMergeExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# Serial-identical renumbering
-# ----------------------------------------------------------------------
 
 
 def serial_id_mapping(

@@ -1,13 +1,16 @@
 """Structured degradation events for the fault-tolerant synthesis flow.
 
-Every fast path of the flow (worker pool, lockstep batched commit,
-shared-window routing, level-batched route finishing) retains a
-bit-identical scalar fallback. The guards around those paths call
-:meth:`ResilienceLog.note` when the fast path fails: in strict mode the
-triggering exception is re-raised (CI equivalence legs must never pass
-on a silently degraded run); otherwise a :class:`Degradation` is
-recorded and the caller replays the failed work through its fallback —
-the synthesized tree is the same either way, only slower.
+Two commit-phase fast paths (the lockstep batched commit and the
+structure-of-arrays tree mirror) retain a bit-identical scalar
+fallback. The guards around those paths call :meth:`ResilienceLog.note`
+when the fast path fails: in strict mode the triggering exception is
+re-raised (CI equivalence legs must never pass on a silently degraded
+run); otherwise a :class:`Degradation` is recorded and the caller
+replays the failed work through its fallback — the synthesized tree is
+the same either way, only slower.
+
+The route phase has one path and no guard: a routing exception
+propagates out of the synthesis and is never recorded here.
 """
 
 from __future__ import annotations
@@ -19,14 +22,9 @@ from dataclasses import dataclass
 class Degradation:
     """One recovery: ``component`` fell back during topology ``level``.
 
-    Components match the knobs they degrade: ``pool`` (worker-pool
-    routing to in-process), ``batch_commit`` (vectorized commit rounds
-    to scalar probes), ``shared_windows`` (the cross-pair batcher to
-    per-pair windows), ``batch_expansion`` (the lockstep profile
-    expansion scheduler to per-pair lazy expansion),
-    ``batch_route_finish`` (the level finishing kernel to per-pair
-    finishing), ``soa_commit`` (the structure-of-arrays tree mirror's
-    kernels to per-node object walks).
+    Components match the knobs they degrade: ``batch_commit``
+    (vectorized commit rounds to scalar probes) and ``soa_commit`` (the
+    structure-of-arrays tree mirror's kernels to per-node object walks).
     """
 
     component: str

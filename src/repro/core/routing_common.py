@@ -22,14 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAX_WINDOW_CELLS = 80_000
 
 #: Window-expansion attempts before terminals count as disconnected —
-#: one retry budget shared by the per-pair search loop and the
-#: shared-window level batcher (they must agree or bit-identity breaks).
+#: one retry budget shared by the single-pair search loop and the level
+#: batcher (they must agree or bit-identity breaks).
 MAX_SEARCH_ATTEMPTS = 4
 
 
 def uses_maze_router(options, blockages) -> bool:
     """Whether a merge routes through the maze router (vs the profile
-    router) — the one dispatch predicate shared by ``route_pair``, the
+    router) — the one dispatch predicate shared by ``route_plan``, the
     level batcher and the flow's sweep gating."""
     return options.router == "maze" or bool(blockages)
 
@@ -40,9 +40,7 @@ class RouteTerminal:
 
     Routing itself only reads the scalar fields (point, delays, load
     type); ``node`` is carried along so the commit phase can materialize
-    the buffer chain onto the right sub-tree. :meth:`detached` drops the
-    node reference, which is what makes a terminal cheap to pickle across
-    a process boundary.
+    the buffer chain onto the right sub-tree.
     """
 
     node: TreeNode | None
@@ -50,12 +48,6 @@ class RouteTerminal:
     base_delay: float  # max delay from this point to the sub-tree's sinks
     min_delay: float  # min delay (for skew bookkeeping)
     load_name: str  # library load type approximating the root's stage cap
-
-    def detached(self) -> "RouteTerminal":
-        """Node-free copy (everything the pure route phase needs)."""
-        return RouteTerminal(
-            None, self.point, self.base_delay, self.min_delay, self.load_name
-        )
 
 
 @dataclass

@@ -3,22 +3,15 @@
 A fault plan is a comma list of ``site:index:mode`` specs (env
 ``REPRO_FAULT_PLAN``, or ``CTSOptions.fault_plan``), e.g.::
 
-    worker_batch:2:crash,batch_commit:1:raise,route_finish:0:timeout
+    batch_commit:1:raise,soa_commit:0:raise,checkpoint:2:halt
 
-Sites are the supervised/guarded points of the synthesis flow:
+Sites are the guarded points of the synthesis flow and the level-loop
+points a job supervisor watches:
 
 ==================  ====================================================
-``worker_batch``    a pool worker about to route one shipped batch;
-                    ``index`` is the batch's global submission ordinal
-                    (assigned by the parent), so firing is deterministic
-                    regardless of worker scheduling — and a retried
-                    batch deterministically fails again
 ``batch_commit``    one vectorized lockstep commit round; ``index``
                     counts vectorized rounds per process
-``shared_windows``  one shared-window (maze) ``route_level`` call
-``batch_expansion``  one lockstep profile-expansion scheduler call
-                    (the level's batched ``PathBuilder`` expansion)
-``route_finish``    one level-batched route-finishing kernel call
+``soa_commit``      one structure-of-arrays commit kernel call
 ``checkpoint``      one per-level checkpoint write (``halt`` here
                     simulates a kill at a level boundary)
 ``job_hang``        the level-loop heartbeat pulse; ``hang`` here stops
@@ -34,21 +27,18 @@ Sites are the supervised/guarded points of the synthesis flow:
 ==================  ====================================================
 
 Modes: ``raise`` throws :class:`FaultInjected`; ``crash`` kills the
-process with ``os._exit`` (the parent sees ``BrokenProcessPool``);
-``timeout`` sleeps long enough that both the supervised gather *and*
-its doubled backoff retry give up (then proceeds normally — the stale
-result is never read); ``halt`` throws :class:`SynthesisHalted`;
+process with ``os._exit`` (a job supervisor sees the child die);
+``halt`` throws :class:`SynthesisHalted`;
 ``hang`` parks the process in a very long sleep (only an external
 watchdog ends it); ``balloon`` allocates :data:`BALLOON_BYTES` of
 touched memory and then hangs holding it; ``torn`` raises nothing —
 :meth:`FaultPlan.consult` returns the mode string and the *call site*
-implements the corruption (only the checkpoint writer does).
+implements the corruption (only the checkpoint writer does);
+``oom`` raises :class:`MemoryError`, which no guard may swallow.
 
-Counter sites fire each spec at most once per process; explicit-ordinal
-sites (``worker_batch``) re-fire on every visit with the matching
-ordinal. Plans are per-process singletons keyed by their text
-(:func:`active_plan`), so a fork-spawned worker starts from the parent's
-state at fork time but counts its own visits afterwards.
+Each site numbers its visits per process, and each spec fires at most
+once. Plans are per-process singletons keyed by their text
+(:func:`active_plan`).
 
 This module deliberately imports nothing from the rest of the package:
 the kernel guards import it lazily (and only when a plan is set), so the
@@ -62,18 +52,14 @@ import time
 from dataclasses import dataclass
 
 SITES = (
-    "worker_batch",
     "batch_commit",
-    "shared_windows",
-    "batch_expansion",
-    "route_finish",
     "checkpoint",
     "job_hang",
     "job_oom",
     "checkpoint_torn",
     "soa_commit",
 )
-MODES = ("crash", "raise", "timeout", "halt", "hang", "balloon", "torn", "oom")
+MODES = ("crash", "raise", "halt", "hang", "balloon", "torn", "oom")
 
 #: ``hang``/``balloon`` park the process this long; supervised runs are
 #: SIGKILLed by their watchdog long before the sleep ends, and SIGKILL
@@ -155,45 +141,30 @@ class FaultPlan:
             specs.append(FaultSpec(site, index, mode))
         return cls(tuple(specs))
 
-    def consult(
-        self, site: str, ordinal: int | None = None, sleep_s: float = 1.0
-    ) -> str | None:
+    def consult(self, site: str) -> str | None:
         """Fire any spec matching this visit of ``site``.
 
-        Counter sites (``ordinal`` None) number their visits per process
-        and fire each spec at most once; explicit-ordinal sites pass the
-        visit number in and re-fire on every matching visit. Returns the
-        mode of a fired *effect* spec (``timeout``/``hang``/``balloon``
-        after their sleep, ``torn`` immediately) so the call site can
-        implement corruption modes itself; raising/exiting modes never
-        return.
+        Sites number their visits per process and fire each spec at most
+        once. Returns the mode of a fired *effect* spec
+        (``hang``/``balloon`` after their sleep, ``torn`` immediately) so
+        the call site can implement corruption modes itself;
+        raising/exiting modes never return.
         """
-        if ordinal is None:
-            n = self._counts.get(site, 0)
-            self._counts[site] = n + 1
-        else:
-            n = ordinal
+        n = self._counts.get(site, 0)
+        self._counts[site] = n + 1
         fired: str | None = None
         for spec in self.specs:
-            if spec.site != site or spec.index != n:
+            if spec.site != site or spec.index != n or spec in self._fired:
                 continue
-            if ordinal is None:
-                if spec in self._fired:
-                    continue
-                self._fired.add(spec)
-            fired = self._trigger(spec, sleep_s) or fired
+            self._fired.add(spec)
+            fired = self._trigger(spec) or fired
         return fired
 
     @staticmethod
-    def _trigger(spec: FaultSpec, sleep_s: float) -> str | None:
+    def _trigger(spec: FaultSpec) -> str | None:
         global _ballast
         if spec.mode == "crash":
             os._exit(17)
-        if spec.mode == "timeout":
-            # Sleep past the gather timeout AND the doubled backoff
-            # retry, then return normally; the parent stopped listening.
-            time.sleep(sleep_s)
-            return "timeout"
         if spec.mode == "hang":
             # Stop making progress (and stamping heartbeats) without
             # exiting: only a supervisor's kill ends this.

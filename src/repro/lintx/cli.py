@@ -44,8 +44,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-contracts",
         action="store_true",
-        help="skip the whole-program contract/picklability passes and"
-        " run only the per-file determinism rules",
+        help="skip the whole-program contract passes and run only the"
+        " per-file determinism rules",
     )
     parser.add_argument(
         "--list-rules",

@@ -26,8 +26,7 @@ live tree. Adding a new kernel knob without declaring its rails fails
 here, at analysis time — not at 3 a.m. when the first degraded
 production run needs the fallback that was never wired.
 
-The table is deliberately declarative: the *next* kernel (lockstep
-profile expansion, the SoA commit kernel) adds one
+The table is deliberately declarative: a new knob-gated kernel adds one
 :class:`KernelContract` row, and every rule below starts enforcing its
 rails for free. ``tests/test_lintx_contracts.py`` asserts the table
 matches the shipped tree (self-check) and that each rule fires on a
@@ -57,7 +56,6 @@ class KernelContract:
     component: str  # Degradation component the guard records
     fault_site: str  # faultinject.SITES entry + .consult() literal
     cli_flag: str  # documented flag in cli.py
-    fast_when: str = "truthy"  # env value semantics: "truthy"|"nonzero"
 
 
 @dataclass(frozen=True)
@@ -73,45 +71,12 @@ class FlowContract:
 
 KERNEL_CONTRACTS = (
     KernelContract(
-        knob="workers",
-        env="REPRO_WORKERS",
-        module=os.path.join("core", "parallel_merge.py"),
-        component="pool",
-        fault_site="worker_batch",
-        cli_flag="--workers",
-        fast_when="nonzero",
-    ),
-    KernelContract(
         knob="batch_commit",
         env="REPRO_BATCH_COMMIT",
         module=os.path.join("core", "batch_commit.py"),
         component="batch_commit",
         fault_site="batch_commit",
         cli_flag="--no-batch-commit",
-    ),
-    KernelContract(
-        knob="shared_windows",
-        env="REPRO_SHARED_WINDOWS",
-        module=os.path.join("core", "merge_routing.py"),
-        component="shared_windows",
-        fault_site="shared_windows",
-        cli_flag="--no-shared-windows",
-    ),
-    KernelContract(
-        knob="batch_expansion",
-        env="REPRO_BATCH_EXPANSION",
-        module=os.path.join("core", "grid_cache.py"),
-        component="batch_expansion",
-        fault_site="batch_expansion",
-        cli_flag="--no-batch-expansion",
-    ),
-    KernelContract(
-        knob="batch_route_finish",
-        env="REPRO_BATCH_ROUTE_FINISH",
-        module=os.path.join("core", "grid_cache.py"),
-        component="batch_route_finish",
-        fault_site="route_finish",
-        cli_flag="--no-batch-route-finish",
     ),
     KernelContract(
         knob="soa_commit",
@@ -125,7 +90,6 @@ KERNEL_CONTRACTS = (
 
 FLOW_CONTRACTS = (
     FlowContract("strict", "REPRO_STRICT", "--strict"),
-    FlowContract("pool_timeout", "REPRO_POOL_TIMEOUT", "--pool-timeout"),
     FlowContract("fault_plan", "REPRO_FAULT_PLAN", "--fault-plan"),
 )
 
@@ -394,12 +358,7 @@ def leg_env_value(workflow: CIWorkflow, leg: dict[str, str], env_var: str) -> st
     return leg.get(key, "") or default
 
 
-def is_fast(value: str, fast_when: str) -> bool:
-    if fast_when == "nonzero":
-        try:
-            return int(value or "0") != 0
-        except ValueError:
-            return False
+def is_fast(value: str) -> bool:
     return value.lower() not in ("0", "false", "no")
 
 
@@ -652,7 +611,7 @@ class CIMatrixRule(_ContractRule):
                 leg_env_value(workflow, leg, contract.env)
                 for leg in workflow.legs
             ]
-            fast = [is_fast(v, contract.fast_when) for v in values]
+            fast = [is_fast(v) for v in values]
             if not any(fast):
                 yield self.finding(
                     workflow.path,

@@ -11,11 +11,10 @@ this codebase (see ANALYSIS.md):
   site, CI fallback leg, checkpoint-digest classification, documented
   CLI flag), checked against the live tree, not against convention.
 
-Rules come in three families, each in its own module:
+Rules come in three families:
 
 ==========  ==========================================================
 ``DET1xx``  per-file AST determinism rules (:mod:`.rules_determinism`)
-``PIK2xx``  pool-picklability rules (:mod:`.rules_pickle`)
 ``CON3xx``  whole-program contract cross-checks (:mod:`.contracts`)
 ``LNT0xx``  the analyzer's own hygiene (suppression grammar)
 ==========  ==========================================================
@@ -264,7 +263,7 @@ def all_rules() -> list[Rule]:
 def _load_rule_modules() -> None:
     # Deferred so `import repro.lintx.core` never cycles with the rule
     # modules (they import `register` from here).
-    from repro.lintx import contracts, rules_determinism, rules_pickle  # noqa: F401
+    from repro.lintx import contracts, rules_determinism  # noqa: F401
 
 
 def iter_python_files(paths: list[str]) -> list[str]:
@@ -318,7 +317,7 @@ def run_lint(
 ) -> LintResult:
     """Scan ``paths`` and return every unsuppressed finding.
 
-    ``contracts=False`` skips the whole-program ``CON``/``PIK`` passes
+    ``contracts=False`` skips the whole-program ``CON`` passes
     (used by the warn-only tests/benchmarks scan, where there is no
     options registry to cross-check).
     """
@@ -353,9 +352,7 @@ def run_lint(
     suppressed = 0
     for finding in raw:
         source = by_path.get(finding.path)
-        if source is not None and finding.rule.startswith(
-            ("DET", "PIK", "CON")
-        ):
+        if source is not None and finding.rule.startswith(("DET", "CON")):
             if source.suppresses(finding):
                 suppressed += 1
                 continue

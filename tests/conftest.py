@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
 from repro.charlib import load_default_library
+from repro.core.cts import AggressiveBufferedCTS
+from repro.core.options import CTSOptions
+from repro.evalx.perfstats import route_pair_by_pair
 from repro.geom import Point
 from repro.tech import cts_buffer_library, default_technology
 from repro.timing.analysis import LibraryTimingEngine
+from repro.tree.export import tree_signature
+from repro.tree.nodes import peek_node_id
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +60,27 @@ def make_sink_pairs(n: int, area: float, seed: int = 0) -> list[tuple[Point, flo
 @pytest.fixture()
 def small_sinks():
     return make_sink_pairs(8, 18000.0, seed=3)
+
+
+def synthesize_signature(sinks, source, blockages, pair_by_pair=False, **option_kwargs):
+    """One synthesis run plus the rebased signature of its tree.
+
+    ``pair_by_pair`` replaces this run's level router with
+    :func:`route_pair_by_pair`, so every level routes through the
+    retained single-pair functions instead of the level kernels: the
+    comparison side of the level-kernel equivalence tests.
+    """
+    option_kwargs.setdefault("fault_plan", "")
+    option_kwargs.setdefault("strict", False)
+    cts = AggressiveBufferedCTS(
+        options=CTSOptions(**option_kwargs),
+        blockages=blockages or None,
+    )
+    if pair_by_pair:
+        cts.router.route_level = types.MethodType(route_pair_by_pair, cts.router)
+    base = peek_node_id()
+    result = cts.synthesize(sinks, source)
+    return tree_signature(result.tree, base), result
 
 
 # ----------------------------------------------------------------------

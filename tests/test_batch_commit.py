@@ -29,7 +29,6 @@ from tests.conftest import make_sink_pairs
 def synth(sinks, batch_commit, blockages=None, **option_overrides):
     """One synthesis run plus the rebased signature of its tree."""
     options = CTSOptions(
-        workers=option_overrides.pop("workers", 0),
         batch_commit=batch_commit,
         batch_commit_min_pairs=1,
         **option_overrides,
@@ -87,20 +86,10 @@ class TestBatchedMatchesScalar:
         scalar, __ = self._assert_identical(sinks)
         assert scalar.merge_stats.n_snaked > 0  # the scenario did snake
 
-    def test_with_worker_pool(self):
-        """Pool-routed levels commit batched and still match scalar serial."""
-        sinks = make_sink_pairs(18, 30000.0, seed=24)
-        scalar_sig, scalar = synth(sinks, False)
-        pooled_sig, pooled = synth(
-            sinks, True, workers=2, parallel_min_level_size=1
-        )
-        assert scalar_sig == pooled_sig
-        assert scalar.merge_stats == pooled.merge_stats
-
     def test_small_levels_fall_back_to_scalar(self):
         """Below ``batch_commit_min_pairs`` no lockstep round is spent."""
         sinks = make_sink_pairs(10, 20000.0, seed=25)
-        options = CTSOptions(workers=0, batch_commit=True, batch_commit_min_pairs=64)
+        options = CTSOptions(batch_commit=True, batch_commit_min_pairs=64)
         cts = AggressiveBufferedCTS(options=options)
         result = cts.synthesize(sinks)
         assert result.commit_queries["batched_rounds"] == 0

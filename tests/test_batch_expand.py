@@ -1,8 +1,7 @@
 """Lockstep batched profile expansion: equivalence, splits, rails.
 
 The contract of the level expansion scheduler
-(:class:`repro.core.batch_expand.LevelExpansionScheduler`,
-``CTSOptions.batch_expansion``):
+(:class:`repro.core.batch_expand.LevelExpansionScheduler`):
 
 - every builder the scheduler returns is bit-identical to a scalar
   lazily-evaluated :class:`~repro.core.segment_builder.PathBuilder`
@@ -13,14 +12,12 @@ The contract of the level expansion scheduler
   tested over random pitches spanning buffer-free, insertion-heavy,
   forced-buffer-at-step-0 and infeasible cases);
 - infeasible lanes raise the identical RuntimeError through both paths;
-- results are invariant to how lanes are grouped into ``expand`` calls
-  (the worker-pool batch split), and the pair-level SharingStats
-  counters (``expansion_lanes``/``expansion_runs``/
-  ``expansion_insertions``) are split-invariant sums;
-- synthesis through the scheduler is byte-identical to the per-pair
-  lazy expansion, serial and under the worker pool, and degrades to it
-  (bit-identically) on an injected ``batch_expansion`` fault — strict
-  mode re-raises instead;
+- results are invariant to how lanes are grouped into ``expand`` calls,
+  and the pair-level SharingStats counters (``expansion_lanes``/
+  ``expansion_runs``/``expansion_insertions``) are split-invariant sums;
+- synthesis through the scheduler is byte-identical to the single-pair
+  lazy expansion in the same test run, and a scheduler exception
+  propagates out of the synthesis;
 - the binding-level memoization the scheduler pre-installs
   (:meth:`SegmentTables.any_feasible` / ``clamped_wire_delays``) is
   observable: re-binding to a seen load is a cache hit, never a
@@ -31,8 +28,8 @@ The contract of the level expansion scheduler
 import numpy as np
 import pytest
 
+import repro.core.grid_cache as grid_cache
 from repro.core.batch_expand import LevelExpansionScheduler
-from repro.core.cts import AggressiveBufferedCTS
 from repro.core.grid_cache import SharingStats
 from repro.core.options import CTSOptions
 from repro.core.segment_builder import (
@@ -41,11 +38,8 @@ from repro.core.segment_builder import (
     SegmentTables,
     SegmentTablesReference,
 )
-from repro.evalx.faultinject import FaultInjected, reset_plans
 from repro.evalx.perfstats import scaling_scenario
-from repro.tree.export import tree_signature
-from repro.tree.nodes import peek_node_id
-from tests.conftest import random_expansion_case
+from tests.conftest import random_expansion_case, synthesize_signature
 
 N_CASES = 48
 
@@ -97,7 +91,7 @@ def _reference_expand(library, options, case):
 
 def _scheduler_expand(library, options, cases, stats=None, chunks=1):
     """Expand ``cases`` through the lockstep scheduler, optionally split
-    into ``chunks`` separate ``expand`` calls (the worker-batch shape)."""
+    into ``chunks`` separate ``expand`` calls."""
     scheduler = LevelExpansionScheduler(library, options, stats)
     requests = []
     for step, n_steps, load, base_delay, target_k in cases:
@@ -127,7 +121,7 @@ class TestSchedulerEquivalence:
     """Property: lockstep expansion == scalar lazy expansion == seed."""
 
     def test_scheduler_matches_scalar_and_reference(self, library):
-        options = CTSOptions(workers=0)
+        options = CTSOptions()
         feasible, infeasible = _partition_cases(
             library, options, _cases(library)
         )
@@ -168,7 +162,7 @@ class TestSchedulerEquivalence:
                 assert s.delay == pytest.approx(r.delay, rel=1e-9, abs=1e-18)
 
     def test_infeasible_cases_raise_identically(self, library):
-        options = CTSOptions(workers=0)
+        options = CTSOptions()
         __, infeasible = _partition_cases(library, options, _cases(library))
         assert infeasible
         for case, message in infeasible:
@@ -182,7 +176,7 @@ class TestSchedulerEquivalence:
     def test_batch_split_invariance(self, library):
         """One expand call, three, or one per lane: same builders, same
         pair-level counters."""
-        options = CTSOptions(workers=0)
+        options = CTSOptions()
         feasible, __ = _partition_cases(library, options, _cases(library))
         cases = [case for case, _ in feasible]
         results, stats_list = [], []
@@ -227,7 +221,7 @@ class TestBindingMemoization:
     def test_scheduler_preinstall_feeds_bind_load(self, library):
         """After a scheduler round, constructing a fresh PathBuilder on
         the same (tables, load) binds entirely from cache."""
-        options = CTSOptions(workers=0)
+        options = CTSOptions()
         case = (300.0, 60, "BUF20X", 0.0, 40)
         scheduler = LevelExpansionScheduler(library, options)
         tables = SegmentTables(library, 300.0, 60, options.target_slew)
@@ -271,100 +265,36 @@ class TestDelaysView:
         assert np.array_equal(builder.delays_view(55)[:51], view)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_fault_plans():
-    reset_plans()
-    yield
-    reset_plans()
-
-
-def synthesize_signature(sinks, source, blockages, **option_kwargs):
-    option_kwargs.setdefault("fault_plan", "")
-    option_kwargs.setdefault("strict", False)
-    cts = AggressiveBufferedCTS(
-        options=CTSOptions(**option_kwargs),
-        blockages=blockages or None,
-    )
-    base = peek_node_id()
-    result = cts.synthesize(sinks, source)
-    return tree_signature(result.tree, base), result
-
-
 class TestEndToEnd:
     def test_blockage_scenario_serial(self):
         sinks, source, blockages = scaling_scenario(120, True)
-        batched_sig, batched = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=True
-        )
+        batched_sig, batched = synthesize_signature(sinks, source, blockages)
         per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=False
+            sinks, source, blockages, pair_by_pair=True
         )
         assert batched_sig == per_pair_sig
         assert batched.merge_stats == per_pair.merge_stats
         assert batched.levels == per_pair.levels
-        # The scheduler actually engaged (and the fallback did not).
+        # The scheduler actually engaged (and the comparison side did not).
         assert batched.route_sharing["expansion_lanes"] > 0
         assert batched.route_sharing["expansion_runs"] > 0
         assert batched.route_sharing["curve_points"] > 0
         assert per_pair.route_sharing["expansion_lanes"] == 0
         assert per_pair.route_sharing["curve_points"] == 0
-        # Both sides routed the same pairs through the same windows.
-        for key in ("pairs_routed", "windows_served"):
-            assert batched.route_sharing[key] == per_pair.route_sharing[key]
+        # Both sides routed through the same windows.
+        assert (
+            batched.route_sharing["windows_served"]
+            == per_pair.route_sharing["windows_served"]
+        )
 
-    def test_blockage_scenario_pooled(self):
-        """Lockstep expansion under the worker pool: each worker batch
-        runs its own scheduler, stats ship back and sum — identical to
-        serial batched and to the serial per-pair fallback."""
-        sinks, source, blockages = scaling_scenario(120, True)
-        pooled_sig, pooled = synthesize_signature(
-            sinks, source, blockages, workers=2, batch_expansion=True
-        )
-        serial_sig, serial = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=True
-        )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=False
-        )
-        assert pooled_sig == serial_sig == per_pair_sig
-        assert pooled.merge_stats == per_pair.merge_stats
-        assert pooled.levels == per_pair.levels
-        # Pair-level counters are batch-split invariant: the pooled sum
-        # equals the serial whole-level scheduler's exactly.
-        for key in PAIR_LEVEL_COUNTERS + ("curve_points",):
-            assert pooled.route_sharing[key] == serial.route_sharing[key], key
+    def test_strict_mode_reraises(self, monkeypatch):
+        """A scheduler exception is a kernel bug: it propagates out of
+        the synthesis (strict or not; see test_resilience)."""
 
-    def test_fault_degrades_to_per_pair(self):
+        def broken(*args, **kwargs):
+            raise RuntimeError("expansion kernel bug")
+
+        monkeypatch.setattr(grid_cache, "expand_level", broken)
         sinks, source, blockages = scaling_scenario(60, True)
-        clean_sig, clean = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=True
-        )
-        assert clean.degradations == []
-        reset_plans()
-        faulted_sig, faulted = synthesize_signature(
-            sinks,
-            source,
-            blockages,
-            workers=0,
-            batch_expansion=True,
-            fault_plan="batch_expansion:0:raise",
-            strict=False,
-        )
-        assert faulted_sig == clean_sig
-        assert faulted.merge_stats == clean.merge_stats
-        assert [d.component for d in faulted.degradations] == [
-            "batch_expansion"
-        ]
-
-    def test_strict_mode_reraises(self):
-        sinks, source, blockages = scaling_scenario(60, True)
-        with pytest.raises(FaultInjected):
-            synthesize_signature(
-                sinks,
-                source,
-                blockages,
-                workers=0,
-                batch_expansion=True,
-                fault_plan="batch_expansion:0:raise",
-                strict=True,
-            )
+        with pytest.raises(RuntimeError, match="expansion kernel bug"):
+            synthesize_signature(sinks, source, blockages, strict=True)

@@ -1,30 +1,26 @@
 """Level-batched route finishing: equivalence, properties, descent.
 
 The contract of the route-finishing kernel
-(:func:`repro.core.grid_cache._finish_level`,
-``CTSOptions.batch_route_finish``):
+(:func:`repro.core.grid_cache._finish_level`):
 
 - synthesis through the level-batched kernel (one structure-of-arrays
   ranking pass per level + lockstep batched descent) is byte-identical —
-  tree signature and merge stats — to the per-pair finish, on blockage,
-  H-structure and snaking scenarios, serial and under the worker pool;
+  tree signature and merge stats — to finishing every pair through the
+  retained single-pair :func:`repro.core.maze_router.finish_maze_route`
+  in the same test run, on blockage, H-structure and snaking scenarios;
 - results are invariant to how a level is split into batches;
 - the batched ranking picks the same argmin cell as the scalar loop
   under ties (property-tested over random tie-rich cases);
 - :func:`repro.core.maze_router.descend_many` walks every distance
   field exactly like scalar :meth:`MazeGrid.descend` (the documented
-  +x/-x/+y/-y priority), including degenerate windows;
-- route-phase counters (:class:`repro.core.grid_cache.SharingStats`)
-  are order-independent under the worker pool — batch stats are summed
-  on gather — so stats equality is asserted here instead of skipped.
+  +x/-x/+y/-y priority), including degenerate windows.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.cts import AggressiveBufferedCTS
 from repro.core.grid_cache import GridCache, route_level
-from repro.core.maze_router import MazeGrid, descend_many, rank_candidates
+from repro.core.maze_router import MazeGrid, descend_many, rank_candidates, route_maze
 from repro.core.options import CTSOptions
 from repro.core.routing_common import (
     RouteTerminal,
@@ -34,121 +30,45 @@ from repro.core.routing_common import (
 from repro.evalx.perfstats import scaling_scenario
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
-from repro.tree.export import tree_signature
-from repro.tree.nodes import peek_node_id
 from tests.conftest import (
     random_blocked_grid,
     random_descent_case,
     random_ranking_case,
+    synthesize_signature,
 )
-
-#: The pair-level SharingStats counters that are invariant to the batch
-#: split (sums over pairs), and hence must agree between the serial flow
-#: and the worker pool's summed batch stats.
-PAIR_LEVEL_COUNTERS = (
-    "pairs_routed",
-    "windows_served",
-    "cells_ranked",
-    "descent_sides",
-    "descent_cells",
-    "curve_points",
-)
-
-
-def synthesize_signature(sinks, source, blockages, **option_kwargs):
-    cts = AggressiveBufferedCTS(
-        options=CTSOptions(**option_kwargs),
-        blockages=blockages or None,
-    )
-    base = peek_node_id()
-    result = cts.synthesize(sinks, source)
-    return tree_signature(result.tree, base), result
-
-
-def snaking_scenario():
-    """A tight cluster plus one far-flung sink: the top merge's delay
-    imbalance exceeds what routing absorbs, forcing balance snaking."""
-    gen = np.random.default_rng(7)
-    sinks = [
-        (Point(float(x), float(y)), 8e-15)
-        for x, y in gen.uniform(0, 3000, (24, 2))
-    ]
-    sinks.append((Point(42000.0, 38000.0), 8e-15))
-    blockages = [BBox(15000, 5000, 22000, 30000)]
-    return sinks, Point(2000.0, 2000.0), blockages
+from tests.test_grid_cache import snaking_scenario
 
 
 class TestBatchedEqualsPerPair:
     def test_blockage_scenario_serial(self):
         sinks, source, blockages = scaling_scenario(120, True)
-        batched_sig, batched = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=True
-        )
+        batched_sig, batched = synthesize_signature(sinks, source, blockages)
         per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=False
+            sinks, source, blockages, pair_by_pair=True
         )
         assert batched_sig == per_pair_sig
         assert batched.merge_stats == per_pair.merge_stats
         assert batched.levels == per_pair.levels
-        # the kernel actually engaged (and the fallback did not)
+        # the kernel actually engaged (and the comparison side did not)
         assert batched.route_sharing["finish_batches"] > 0
         assert batched.route_sharing["cells_ranked"] > 0
         assert batched.route_sharing["descent_sides"] > 0
         assert per_pair.route_sharing["finish_batches"] == 0
-        # both sides routed the same pairs through the same windows
-        for key in ("pairs_routed", "windows_served", "curve_points"):
-            assert batched.route_sharing[key] == per_pair.route_sharing[key]
-
-    def test_blockage_scenario_pooled(self):
-        """Batched finishing under the PR 2 worker pool: worker batches
-        run the same kernel over batch-local caches, still identical to
-        the serial per-pair finish — and the route-phase counters are
-        shipped back and summed, so stats are asserted, not skipped."""
-        sinks, source, blockages = scaling_scenario(120, True)
-        pooled_sig, pooled = synthesize_signature(
-            sinks, source, blockages, workers=2, batch_route_finish=True
+        # both sides routed through the same windows
+        assert (
+            batched.route_sharing["windows_served"]
+            == per_pair.route_sharing["windows_served"]
         )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=False
-        )
-        serial_sig, serial = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=True
-        )
-        assert pooled_sig == per_pair_sig == serial_sig
-        assert pooled.merge_stats == per_pair.merge_stats
-        assert pooled.levels == per_pair.levels
-        # Pooled counters are the sum of the worker batches' stats: the
-        # pair-level counters equal the serial flow's exactly.
-        assert pooled.route_sharing["finish_batches"] > 0
-        for key in PAIR_LEVEL_COUNTERS:
-            assert pooled.route_sharing[key] == serial.route_sharing[key], key
-        # And pooled runs are deterministic end to end (summing batch
-        # stats on gather is order-independent).
-        again_sig, again = synthesize_signature(
-            sinks, source, blockages, workers=2, batch_route_finish=True
-        )
-        assert again_sig == pooled_sig
-        assert again.route_sharing == pooled.route_sharing
 
     def test_hstructure_scenario(self):
         """H-structure correction interleaves per-pair re-routing with
         swept levels — both finishing paths must agree through it."""
         sinks, source, blockages = scaling_scenario(60, True)
         batched_sig, batched = synthesize_signature(
-            sinks,
-            source,
-            blockages,
-            workers=0,
-            batch_route_finish=True,
-            hstructure="correct",
+            sinks, source, blockages, hstructure="correct"
         )
         per_pair_sig, per_pair = synthesize_signature(
-            sinks,
-            source,
-            blockages,
-            workers=0,
-            batch_route_finish=False,
-            hstructure="correct",
+            sinks, source, blockages, pair_by_pair=True, hstructure="correct"
         )
         assert batched_sig == per_pair_sig
         assert batched.merge_stats == per_pair.merge_stats
@@ -156,11 +76,9 @@ class TestBatchedEqualsPerPair:
 
     def test_snaking_scenario(self):
         sinks, source, blockages = snaking_scenario()
-        batched_sig, batched = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=True
-        )
+        batched_sig, batched = synthesize_signature(sinks, source, blockages)
         per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=False
+            sinks, source, blockages, pair_by_pair=True
         )
         assert batched.merge_stats.n_snaked > 0, "scenario must exercise snaking"
         assert batched_sig == per_pair_sig
@@ -172,7 +90,7 @@ class TestBatchSplitInvariance:
 
     @pytest.fixture(scope="class")
     def routed(self, library):
-        options = CTSOptions(router="maze", batch_route_finish=True)
+        options = CTSOptions(router="maze")
         stage_length = slew_limited_length(library, options.target_slew)
         blockages = [
             BBox(4000, -2000, 5000, 1200),
@@ -213,10 +131,8 @@ class TestBatchSplitInvariance:
             split.extend(
                 self._route(chunk, library, options, stage_length, blockages)
             )
-        from repro.core.merge_routing import route_pair
-
         single = [
-            route_pair(t1, t2, library, options, stage_length, blockages)
+            route_maze(t1, t2, library, options, stage_length, blockages)
             for t1, t2 in pairs
         ]
         for a, b, c in zip(whole, split, single):

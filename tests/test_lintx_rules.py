@@ -1,6 +1,6 @@
 """Per-rule unit tests for repro-lint (inline code fixtures).
 
-Each determinism/picklability rule is exercised on minimal snippets:
+Each determinism rule is exercised on minimal snippets:
 one that must fire (with the expected location) and near-miss variants
 that must stay silent — the rules are only useful if `repro lint src/`
 can be kept at zero findings without drowning real code in
@@ -17,7 +17,6 @@ import pytest
 
 from repro.lintx.core import (
     NEVER,
-    Project,
     SourceFile,
     all_rules,
     run_lint,
@@ -289,99 +288,6 @@ class TestArbitraryRemoval:
                 lst = list(items)
                 lst.remove(chosen)       # removing a bound name, not a computed value
                 return a, b
-            """
-        )
-
-
-# ---------------------------------------------------------------------
-# PIK201 — pool picklability
-# ---------------------------------------------------------------------
-
-
-def project_findings(code: str):
-    source = SourceFile.parse("probe.py", textwrap.dedent(code))
-    project = Project(files=[source], paths=["probe.py"])
-    found = []
-    for rule in all_rules():
-        found.extend(rule.check_project(project))
-    return found
-
-
-class TestPicklability:
-    def test_fires_on_reachable_lambda_handle_local_fn_and_capture(self):
-        found = [
-            f
-            for f in project_findings(
-                """
-                from dataclasses import dataclass
-
-                _REGISTRY = {}
-
-                @dataclass
-                class WorkerContext:
-                    payload: "Payload"
-
-                class Payload:
-                    def __init__(self):
-                        self.cb = lambda x: x
-                        self.fh = open("log.txt")
-                        self.shared = _REGISTRY
-                        def helper():
-                            return 1
-                        self.helper = helper
-                """
-            )
-            if f.rule == "PIK201"
-        ]
-        assert len(found) == 4
-        assert all("Payload" in f.message for f in found)
-
-    def test_getstate_exempts_and_unreachable_ignored(self):
-        assert not project_findings(
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class WorkerContext:
-                fit: "CompiledFit"
-
-            class CompiledFit:
-                def __init__(self):
-                    self._eval = lambda x: x  # re-derived on unpickle
-                def __getstate__(self):
-                    return {}
-
-            class NeverPooled:
-                def __init__(self):
-                    self.cb = lambda x: x
-            """
-        )
-
-    def test_route_pair_annotations_seed_reachability(self):
-        found = project_findings(
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class WorkerContext:
-                n: int
-
-            class RouteResult:
-                def __init__(self):
-                    self.on_commit = lambda t: t
-
-            def route_pair(a, b) -> "RouteResult":
-                return RouteResult()
-            """
-        )
-        assert [f.rule for f in found] == ["PIK201"]
-
-    def test_no_pool_boundary_no_findings(self):
-        assert not project_findings(
-            """
-            class Anything:
-                def __init__(self):
-                    self.cb = lambda x: x
             """
         )
 

@@ -1,143 +1,20 @@
-"""Parallel merge routing equals the serial flow, bit for bit.
+"""Serial-identical renumbering of the swept level path, plus the
+merge-diagnostic sums and seed tie-breaks it relies on.
 
-The contract under test: with ``workers >= 2`` the route phase of every
-topology level runs on a process pool, yet the synthesized tree —
-topology, geometry, wire lengths, buffer types, and (after the serial
-renumbering pass) even auto-generated node names — is identical to the
-serial flow's, and the merge diagnostics aggregate to the same totals.
+The swept level path creates a level's nodes phase by phase (all
+prepares, then all commits); :func:`serial_id_mapping` maps those ids
+back onto pair-by-pair creation order so auto-generated node names do
+not depend on which path merged a level.
 """
 
 from __future__ import annotations
 
-import pickle
-
-import pytest
-
-from repro.core import AggressiveBufferedCTS, CTSOptions, MergeStats
-from repro.core.parallel_merge import (
-    ParallelMergeExecutor,
-    serial_id_mapping,
-)
+from repro.core import MergeStats
+from repro.core.parallel_merge import serial_id_mapping
 from repro.core.topology import SubTree, greedy_matching, select_seed
-from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.timing.analysis import SubtreeBounds
-from repro.tree.export import tree_signature
-from repro.tree.nodes import make_sink, peek_node_id
-
-from tests.conftest import make_sink_pairs
-
-
-def synth(sinks, workers, blockages=None, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree."""
-    options = CTSOptions(
-        workers=workers,
-        parallel_min_level_size=1,
-        merge_batch_size=2,
-        **option_overrides,
-    )
-    cts = AggressiveBufferedCTS(options=options, blockages=blockages)
-    base = peek_node_id()
-    result = cts.synthesize(sinks)
-    return tree_signature(result.tree, base), result
-
-
-class TestParallelMatchesSerial:
-    def _assert_identical(self, sinks, blockages=None, **overrides):
-        serial_sig, serial = synth(sinks, 0, blockages, **overrides)
-        parallel_sig, parallel = synth(sinks, 2, blockages, **overrides)
-        assert serial_sig == parallel_sig
-        assert serial.merge_stats == parallel.merge_stats
-        assert serial.levels == parallel.levels
-        assert serial.n_flippings == parallel.n_flippings
-
-    def test_even_level_sizes(self):
-        self._assert_identical(make_sink_pairs(16, 30000.0, seed=11))
-
-    def test_odd_level_sizes_promote_seed(self):
-        self._assert_identical(make_sink_pairs(9, 30000.0, seed=12))
-
-    def test_with_blockages_maze_router(self):
-        blockages = [
-            BBox(8000.0, 8000.0, 16000.0, 16000.0),
-            BBox(20000.0, 2000.0, 26000.0, 12000.0),
-        ]
-        clear = [bbox.expanded(1200.0) for bbox in blockages]
-        sinks = [
-            (p, c)
-            for p, c in make_sink_pairs(18, 30000.0, seed=13)
-            if not any(region.contains(p) for region in clear)
-        ]
-        assert len(sinks) >= 10
-        self._assert_identical(sinks, blockages=blockages)
-
-    def test_with_hstructure_correction(self):
-        self._assert_identical(
-            make_sink_pairs(8, 26000.0, seed=14), hstructure="correct"
-        )
-
-    def test_with_hstructure_reestimation(self):
-        self._assert_identical(
-            make_sink_pairs(12, 26000.0, seed=15), hstructure="reestimate"
-        )
-
-    def test_small_levels_fall_back_to_serial(self):
-        """Below ``parallel_min_level_size`` no pool is ever spawned."""
-        sinks = make_sink_pairs(6, 20000.0, seed=16)
-        options = CTSOptions(workers=2, parallel_min_level_size=64)
-        cts = AggressiveBufferedCTS(options=options)
-        result = cts.synthesize(sinks)
-        assert len(result.tree.sinks()) == len(sinks)
-
-
-class TestExecutor:
-    def test_rejects_single_worker(self, library):
-        cts = AggressiveBufferedCTS(options=CTSOptions())
-        with pytest.raises(ValueError):
-            ParallelMergeExecutor(cts.router, workers=1)
-
-    def test_context_pickles_before_pool_spawn(self):
-        """Construction validates picklability without starting workers."""
-        cts = AggressiveBufferedCTS(options=CTSOptions())
-        executor = ParallelMergeExecutor(cts.router, workers=2)
-        assert executor._pool is None
-        executor.close()
-
-    def test_pool_spawn_failure_routes_in_process(self, monkeypatch):
-        """A host that cannot fork still finishes with identical results."""
-        import repro.core.parallel_merge as pm
-
-        def refuse(*args, **kwargs):
-            raise OSError("Resource temporarily unavailable")
-
-        sinks = make_sink_pairs(10, 24000.0, seed=17)
-        serial_sig, _ = synth(sinks, 0)
-        monkeypatch.setattr(pm, "ProcessPoolExecutor", refuse)
-        options = CTSOptions(workers=2, parallel_min_level_size=1)
-        cts = AggressiveBufferedCTS(options=options)
-        base = peek_node_id()
-        result = cts.synthesize(sinks)
-        assert tree_signature(result.tree, base) == serial_sig
-        assert "OSError" in cts.parallel_fallback_reason
-
-    def test_unpicklable_context_falls_back_to_serial(self):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(workers=2, parallel_min_level_size=1)
-        )
-        cts.router.blockages = [lambda: None]  # poison: unpicklable
-        assert cts._make_executor() is None
-        assert "PicklingError" in cts.parallel_fallback_reason or "Error" in (
-            cts.parallel_fallback_reason or ""
-        )
-
-    def test_library_pickle_round_trip_is_exact(self, library):
-        clone = pickle.loads(pickle.dumps(library))
-        name = library.buffer_names[0]
-        fit = library.single[(name, name)]["wire_slew"]
-        fit_clone = clone.single[(name, name)]["wire_slew"]
-        probe = (60.0e-12, 1500.0)
-        assert fit.predict(*probe) == fit_clone.predict(*probe)
-        assert (fit.coeffs == fit_clone.coeffs).all()
+from repro.tree.nodes import make_sink
 
 
 class TestSerialIdMapping:

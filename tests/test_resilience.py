@@ -1,11 +1,12 @@
 """Fault-tolerant synthesis: degradation, checkpoint/resume, fault plans.
 
-The contract under test: every fast path of the flow (worker pool,
-lockstep batched commit, shared-window routing, level-batched route
-finishing) degrades on failure to its retained scalar fallback with a
-bit-identical tree and exactly one recorded ``Degradation`` per cause;
-strict mode re-raises instead; and a synthesis killed at a level
-boundary resumes from its checkpoint bit-identically.
+The contract under test: the commit-phase fast paths (lockstep batched
+commit, structure-of-arrays mirror) degrade on failure to their retained
+scalar fallbacks with a bit-identical tree and exactly one recorded
+``Degradation`` per cause; strict mode re-raises instead; a route kernel
+failure is never absorbed — it propagates and records nothing; and a
+synthesis killed at a level boundary resumes from its checkpoint
+bit-identically.
 
 Deterministic faults come from :mod:`repro.evalx.faultinject`
 (``site:index:mode`` plans); every test compares against a clean run's
@@ -18,6 +19,8 @@ import os
 
 import pytest
 
+import repro.core.grid_cache as grid_cache
+import repro.core.merge_routing as merge_routing
 from repro.core import AggressiveBufferedCTS, CTSOptions
 from repro.core.checkpoint import (
     CorruptCheckpointError,
@@ -56,15 +59,11 @@ def synth(sinks, blockages=None, **option_overrides):
     """
     option_overrides.setdefault("fault_plan", "")
     option_overrides.setdefault("strict", False)
-    option_overrides.setdefault("workers", 0)
     options = CTSOptions(**option_overrides)
     cts = AggressiveBufferedCTS(options=options, blockages=blockages)
     base = peek_node_id()
     result = cts.synthesize(sinks)
     return tree_signature(result.tree, base), result, cts
-
-
-POOL = dict(workers=2, parallel_min_level_size=1, merge_batch_size=2)
 
 
 def blocked_sinks(n, seed):
@@ -81,9 +80,9 @@ def blocked_sinks(n, seed):
 
 class TestFaultPlanGrammar:
     def test_parse(self):
-        plan = FaultPlan.parse("worker_batch:2:crash, batch_commit:1:raise")
+        plan = FaultPlan.parse("checkpoint:2:crash, batch_commit:1:raise")
         assert [(s.site, s.index, s.mode) for s in plan.specs] == [
-            ("worker_batch", 2, "crash"),
+            ("checkpoint", 2, "crash"),
             ("batch_commit", 1, "raise"),
         ]
 
@@ -111,75 +110,6 @@ class TestFaultPlanGrammar:
             plan.consult("batch_commit")  # visit 1 fires
         plan.consult("batch_commit")  # never re-fires
 
-    def test_ordinal_site_refires(self):
-        plan = FaultPlan.parse("worker_batch:3:raise")
-        plan.consult("worker_batch", 2)
-        with pytest.raises(FaultInjected):
-            plan.consult("worker_batch", 3)
-        with pytest.raises(FaultInjected):
-            plan.consult("worker_batch", 3)  # a retried batch fails again
-
-
-class TestPoolDegradation:
-    def _clean_and_faulted(self, fault_plan, n=16, **overrides):
-        sinks = make_sink_pairs(n, 30000.0, seed=21)
-        clean_sig, clean, _ = synth(sinks)
-        reset_plans()
-        sig, result, cts = synth(
-            sinks, fault_plan=fault_plan, **{**POOL, **overrides}
-        )
-        assert sig == clean_sig
-        return result, cts
-
-    def test_worker_exception_degrades_one_batch(self):
-        result, cts = self._clean_and_faulted("worker_batch:1:raise")
-        assert [d.component for d in result.degradations] == ["pool"]
-        assert "worker batch 1 failed" in result.degradations[0].reason
-        assert cts.parallel_fallback_reason is None
-
-    def test_worker_crash_respawns_pool(self):
-        result, cts = self._clean_and_faulted("worker_batch:2:crash")
-        assert [d.component for d in result.degradations] == ["pool"]
-        # One break is within the respawn budget: not permanent.
-        assert cts.parallel_fallback_reason is None
-
-    def test_second_crash_degrades_permanently(self):
-        result, cts = self._clean_and_faulted(
-            "worker_batch:0:crash,worker_batch:6:crash"
-        )
-        assert [d.component for d in result.degradations] == ["pool", "pool"]
-        assert cts.parallel_fallback_reason is not None
-        assert "permanently" in cts.parallel_fallback_reason
-
-    def test_timeout_backoff_then_degrade(self):
-        # The injected timeout sleeps past the retry's doubled budget,
-        # so the ladder concludes the pool is wedged and replaces it.
-        result, __ = self._clean_and_faulted(
-            "worker_batch:2:timeout", pool_timeout=0.2
-        )
-        assert [d.component for d in result.degradations] == ["pool"]
-        assert "timed out twice" in result.degradations[0].reason
-
-    def test_strict_mode_reraises_and_cleans_up(self, monkeypatch):
-        import repro.core.cts as cts_mod
-
-        captured = []
-        original = cts_mod.AggressiveBufferedCTS._make_executor
-
-        def capture(self):
-            executor = original(self)
-            captured.append(executor)
-            return executor
-
-        monkeypatch.setattr(
-            cts_mod.AggressiveBufferedCTS, "_make_executor", capture
-        )
-        sinks = make_sink_pairs(16, 30000.0, seed=21)
-        with pytest.raises(RuntimeError, match="strict mode"):
-            synth(sinks, fault_plan="worker_batch:1:raise", strict=True, **POOL)
-        # The failed level released its pool (no leaked workers).
-        assert captured and captured[0]._pool is None
-
 
 class TestKernelDegradation:
     def _clean_and_faulted(self, fault_plan, **overrides):
@@ -202,31 +132,46 @@ class TestKernelDegradation:
         assert [d.component for d in result.degradations] == ["batch_commit"]
         assert result.degradations[0].level >= 1
 
-    def test_shared_windows_degrades_per_pair(self):
-        result = self._clean_and_faulted("shared_windows:1:raise")
-        assert [d.component for d in result.degradations] == ["shared_windows"]
+    def test_strict_mode_reraises_kernel_fault(self, monkeypatch):
+        import repro.core.batch_commit as bc
 
-    def test_batch_expansion_degrades_per_pair(self):
-        result = self._clean_and_faulted("batch_expansion:0:raise")
-        assert [d.component for d in result.degradations] == [
-            "batch_expansion"
-        ]
-
-    def test_route_finish_degrades_per_pair(self):
-        result = self._clean_and_faulted("route_finish:0:raise")
-        assert [d.component for d in result.degradations] == [
-            "batch_route_finish"
-        ]
-
-    def test_strict_mode_reraises_kernel_fault(self):
+        monkeypatch.setattr(bc, "SCALAR_ROUND_ROWS", 1)
         sinks = blocked_sinks(18, seed=22)
         with pytest.raises(FaultInjected):
             synth(
                 sinks,
                 blockages=BLOCKAGES,
-                fault_plan="route_finish:0:raise",
+                fault_plan="batch_commit:1:raise",
                 strict=True,
             )
+
+
+class TestRouteFailuresAreLoud:
+    """The route phase has one path and no fallback: a kernel exception
+    propagates out of ``synthesize()`` even in non-strict runs and is
+    never recorded as a ``Degradation``."""
+
+    @pytest.mark.parametrize(
+        "module, kernel",
+        [
+            (grid_cache, "_search_rounds"),
+            (grid_cache, "expand_level"),
+            (grid_cache, "_finish_level"),
+            (merge_routing, "route_maze"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_kernel_exception_propagates(self, monkeypatch, module, kernel):
+        def broken(*args, **kwargs):
+            raise RuntimeError("route kernel bug")
+
+        monkeypatch.setattr(module, kernel, broken)
+        cts = AggressiveBufferedCTS(
+            options=CTSOptions(fault_plan="", strict=False), blockages=BLOCKAGES
+        )
+        with pytest.raises(RuntimeError, match="route kernel bug"):
+            cts.synthesize(blocked_sinks(18, seed=22))
+        assert cts.router.resilience.events == []
 
 
 class TestMemoryErrorPropagation:
@@ -243,9 +188,7 @@ class TestMemoryErrorPropagation:
         "fault_plan",
         [
             "batch_commit:1:oom",
-            "shared_windows:1:oom",
-            "batch_expansion:0:oom",
-            "route_finish:0:oom",
+            "soa_commit:0:oom",
         ],
     )
     def test_oom_surfaces_in_non_strict_runs(self, fault_plan, monkeypatch):
@@ -308,7 +251,7 @@ class TestCheckpointResume:
             blockages=BLOCKAGES,
             resume_from=ckpt_dir,
             batch_commit=False,
-            shared_windows=False,
+            soa_commit=False,
         )
         assert resumed.resumed_from == 1
         assert tree_signature(resumed.tree, base) == clean_sig
@@ -441,10 +384,8 @@ class TestCheckpointResume:
 
     def test_digests_are_mode_independent(self):
         sinks = self._sinks()
-        a = CTSOptions(workers=0, batch_commit=True, strict=False)
-        b = CTSOptions(
-            workers=4, batch_commit=False, strict=True, pool_timeout=5.0
-        )
+        a = CTSOptions(batch_commit=True, soa_commit=True, strict=False)
+        b = CTSOptions(batch_commit=False, soa_commit=False, strict=True)
         assert options_digest(a) == options_digest(b)
         assert options_digest(a) != options_digest(
             CTSOptions(grid_resolution=50)

@@ -51,7 +51,6 @@ def synth(sinks, blockages=None, **option_overrides):
     """One synthesis run plus the rebased signature of its tree."""
     option_overrides.setdefault("fault_plan", "")
     option_overrides.setdefault("strict", False)
-    option_overrides.setdefault("workers", 0)
     options = CTSOptions(**option_overrides)
     cts = AggressiveBufferedCTS(options=options, blockages=blockages)
     base = peek_node_id()
@@ -307,7 +306,7 @@ class TestQuantumBoundary:
 
 
 class TestEndToEnd:
-    """SoA on/off/pooled/resumed: identical trees, stats and queries."""
+    """SoA on/off/resumed: identical trees, stats and queries."""
 
     def test_serial_identical(self):
         eq = soa_commit_equivalence(n_sinks=80, with_blockages=True, seed=7)
@@ -315,16 +314,6 @@ class TestEndToEnd:
         assert eq["soa_stats"] == eq["object_stats"]
         assert eq["soa_levels"] == eq["object_levels"]
         assert eq["soa_queries"] == eq["object_queries"]
-
-    def test_pooled_identical(self):
-        # workers=2 renumbers node ids level by level; the mirror must
-        # follow the remap and still answer bit-identically.
-        eq = soa_commit_equivalence(
-            n_sinks=60, with_blockages=True, workers=2, seed=9
-        )
-        assert eq["soa_tree"] == eq["object_tree"]
-        assert eq["soa_stats"] == eq["object_stats"]
-        assert eq["soa_levels"] == eq["object_levels"]
 
     def test_resumed_identical(self):
         # Checkpoint frames are encoded from the columns (SoA default
