@@ -43,25 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--hstructure", choices=["reestimate", "correct"])
     synth.add_argument("--router", choices=["profile", "maze"], default="profile")
     synth.add_argument(
-        "--no-batch-commit",
-        action="store_true",
-        help="commit merges with scalar timing queries instead of the"
-        " lockstep batched scheduler (bit-identical, for debugging/timing)",
-    )
-    synth.add_argument(
-        "--no-soa-commit",
-        action="store_true",
-        help="run the commit phase on per-node object walks instead of"
-        " the structure-of-arrays tree mirror (bit-identical, for"
-        " debugging/timing)",
-    )
-    synth.add_argument(
-        "--strict",
-        action="store_true",
-        help="re-raise fast-path failures instead of degrading to the"
-        " bit-identical scalar fallbacks (CI equivalence runs)",
-    )
-    synth.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         help="write a resumable snapshot after each topology level",
@@ -77,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fault-plan",
         metavar="PLAN",
         help="deterministic fault-injection plan, site:index:mode,..."
-        " (testing the degradation ladder; see repro.evalx.faultinject)",
+        " (testing checkpoint resume; see repro.evalx.faultinject)",
     )
     synth.add_argument("--eval-dt", type=float, default=1.0, help="sim step (ps)")
     synth.add_argument("--json", metavar="PATH", help="save tree as JSON")
@@ -93,18 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--table", choices=["5.1", "5.2", "5.3"], required=True)
     bench.add_argument("--scale", type=int, default=40, help="sinks per instance")
     bench.add_argument("--full", action="store_true", help="published sizes")
-    bench.add_argument(
-        "--no-batch-commit",
-        action="store_true",
-        help="commit merges with scalar timing queries instead of the"
-        " lockstep batched scheduler",
-    )
-    bench.add_argument(
-        "--no-soa-commit",
-        action="store_true",
-        help="run the commit phase on per-node object walks instead of"
-        " the structure-of-arrays tree mirror",
-    )
 
     batch = sub.add_parser(
         "run-batch",
@@ -206,9 +175,6 @@ def _cmd_synthesize(args) -> int:
         slew_limit=args.slew_limit * 1e-12,
         hstructure=args.hstructure,
         router=args.router,
-        **({"batch_commit": False} if args.no_batch_commit else {}),
-        **({"soa_commit": False} if args.no_soa_commit else {}),
-        **({"strict": True} if args.strict else {}),
         **({} if args.checkpoint_dir is None else {"checkpoint_dir": args.checkpoint_dir}),
         **({} if args.resume_from is None else {"resume_from": args.resume_from}),
         **({} if args.fault_plan is None else {"fault_plan": args.fault_plan}),
@@ -254,7 +220,6 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.core import CTSOptions
     from repro.evalx.harness import (
         render_table_5_1,
         render_table_5_2,
@@ -265,20 +230,16 @@ def _cmd_bench(args) -> int:
     )
 
     full = True if args.full else False
-    options = CTSOptions(
-        **({"batch_commit": False} if args.no_batch_commit else {}),
-        **({"soa_commit": False} if args.no_soa_commit else {}),
-    )
     if args.table == "5.1":
         print(
             render_table_5_1(
-                table_5_1_rows(full=full, scale=args.scale, options=options)
+                table_5_1_rows(full=full, scale=args.scale)
             )
         )
     elif args.table == "5.2":
         print(
             render_table_5_2(
-                table_5_2_rows(full=full, scale=args.scale, options=options)
+                table_5_2_rows(full=full, scale=args.scale)
             )
         )
     else:

@@ -42,7 +42,7 @@ from repro.core.binary_search import (
     ProbeRequest,
 )
 from repro.core.balance import snake_delay, SnakeResult
-from repro.core.resilience import Degradation, ResilienceLog
+from repro.core.resilience import Degradation
 from repro.core.checkpoint import (
     CheckpointState,
     load_checkpoint,
@@ -94,7 +94,6 @@ __all__ = [
     "snake_delay",
     "SnakeResult",
     "Degradation",
-    "ResilienceLog",
     "CheckpointState",
     "load_checkpoint",
     "write_checkpoint",

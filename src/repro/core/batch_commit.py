@@ -26,8 +26,9 @@ Bit-identity with the scalar flow rests on three facts:
   per pair as the pair had node-creating steps).
 
 ``PairCommitState`` is the single implementation of the commit loop:
-the scalar flow (``MergeRouter.commit``) drives it probe by probe, the
-batched flow drives many machines through ``BatchCommitScheduler``.
+the single-pair path (``MergeRouter.commit``, which H-structure merges
+take) drives it probe by probe, every topology level drives its
+machines through ``BatchCommitScheduler``.
 """
 
 from __future__ import annotations
@@ -132,12 +133,13 @@ class PairCommitState:
         self._n_snaked = plan.n_snaked
         self._snaked_delay = plan.snaked_delay
         self._finished = False
-        #: Set by the lockstep scheduler (never in scalar runs): park in
-        #: phase "stage" instead of forcing the stage buffer inline, so
-        #: a whole round's forced-stage decisions batch through the SoA
-        #: kernel. The pair's node-creating order is unchanged — the
-        #: stage buffer is always its last created node — so the serial
-        #: renumbering sees identical per-pair span sequences.
+        #: Set by the lockstep scheduler when a SoA mirror is installed:
+        #: park in phase "stage" instead of forcing the stage buffer
+        #: inline, so a whole round's forced-stage decisions batch
+        #: through the SoA kernel. The pair's node-creating order is
+        #: unchanged — the stage buffer is always its last created node —
+        #: so the serial renumbering sees identical per-pair span
+        #: sequences.
         self.defer_stage = False
         self._pending_stage_merge: TreeNode | None = None
         if plan.coincident:
@@ -379,39 +381,31 @@ class BatchCommitScheduler:
     Each round: gather every active pair's pending probes, answer all
     "diff" rows with one vectorized branch-component evaluation plus one
     grouped subtree-bounds lookup, all "slews" rows with one vectorized
-    branch-slews evaluation, then advance the machines in pair order.
+    branch-slews evaluation (rounds under :data:`SCALAR_ROUND_ROWS` rows
+    answer scalar), then advance the machines in pair order.
     Node-creating advances record the id span they consumed into
-    ``spans`` (when given) so the caller can renumber the level into
-    serial creation order.
+    ``spans`` so the caller can renumber the level into serial creation
+    order. A kernel exception propagates: there is no fallback path.
     """
 
     def __init__(self, router) -> None:
         self.router = router
-        #: Set once a vectorized round fails; every later round of this
-        #: scheduler answers scalar (one degradation event per cause).
-        self._degraded = False
-        self._plan = None
-        if router.options.fault_plan:
-            from repro.evalx.faultinject import active_plan
-
-            self._plan = active_plan(router.options.fault_plan)
 
     def run(
         self,
         states: list[PairCommitState],
-        spans: list[list[tuple[int, int]]] | None = None,
+        spans: list[list[tuple[int, int]]],
     ) -> None:
         router = self.router
         stats = router.commit_queries
         drive = router._virtual
         input_slew = router.options.target_slew
-        soa = getattr(router.engine, "_soa", None)
-        if soa is not None and spans is not None:
+        soa = router.engine._soa
+        if soa is not None:
             # Stage-buffer forcing parks in phase "stage" and resolves
-            # level-wide through the SoA kernel after each advance round
-            # (scalar per merge once the mirror degrades). Only when
-            # spans are recorded: the deferral regroups actual creation
-            # order across pairs, which the serial renumbering undoes.
+            # level-wide through the SoA kernel after each advance round.
+            # The deferral regroups actual creation order across pairs,
+            # which the serial renumbering undoes.
             for state in states:
                 state.defer_stage = True
         active = [i for i, state in enumerate(states) if not state.done]
@@ -430,47 +424,22 @@ class BatchCommitScheduler:
                         slew_rows.append(row)
             results = {i: [None] * len(probes) for i, probes in gathered}
             n_rows = len(diff_rows) + len(slew_rows)
-            answered = False
-            if n_rows >= SCALAR_ROUND_ROWS and not self._degraded:
-                try:
-                    if self._plan is not None:
-                        self._plan.consult("batch_commit")
-                    if diff_rows:
-                        self._answer_diff_rows(
-                            diff_rows, results, drive, input_slew
-                        )
-                    if slew_rows:
-                        self._answer_slew_rows(
-                            slew_rows, results, drive, input_slew
-                        )
-                    stats.batched_rounds += 1
-                    stats.batched_rows += n_rows
-                    answered = True
-                except MemoryError:
-                    # Never degrade past an OOM: the jobs watchdog must
-                    # see it, not a silently slower scalar retry.
-                    raise
-                except Exception as exc:
-                    # Re-answering a partially scattered round scalar is
-                    # safe: the scalar evaluator recomputes every row
-                    # from the probe alone, overwriting any batched
-                    # answers with bit-identical values. ``requests()``
-                    # ran exactly once, so probe counters stay serial.
-                    self.router.resilience.note("batch_commit", exc)
-                    self._degraded = True
-            if not answered:
+            if n_rows >= SCALAR_ROUND_ROWS:
+                if diff_rows:
+                    self._answer_diff_rows(diff_rows, results, drive, input_slew)
+                if slew_rows:
+                    self._answer_slew_rows(slew_rows, results, drive, input_slew)
+                stats.batched_rounds += 1
+                stats.batched_rows += n_rows
+            else:
                 for i, slot, probe in diff_rows + slew_rows:
                     results[i][slot] = states[i]._evaluate_scalar(probe)
             for i, __ in gathered:
-                state = states[i]
-                if spans is None:
-                    state.advance(results[i])
-                else:
-                    start = peek_node_id()
-                    state.advance(results[i])
-                    end = peek_node_id()
-                    if end > start:
-                        spans[i].append((start, end))
+                start = peek_node_id()
+                states[i].advance(results[i])
+                end = peek_node_id()
+                if end > start:
+                    spans[i].append((start, end))
             staged = [i for i, __ in gathered if states[i].phase == "stage"]
             if staged:
                 self._finish_stage_states(states, staged, spans)
@@ -486,22 +455,16 @@ class BatchCommitScheduler:
         is exactly the inline flow's.
         """
         router = self.router
-        soa = getattr(router.engine, "_soa", None)
         merges = [states[i]._pending_stage_merge for i in staged]
-        drivers = soa.stage_drivers(router, merges) if soa is not None else None
+        drivers = router.engine._soa.stage_drivers(router, merges)
         for pos, i in enumerate(staged):
             state = states[i]
-            merge = state._pending_stage_merge
             state._pending_stage_merge = None
             start = peek_node_id()
-            if drivers is None:
-                root = router._maybe_force_stage_buffer(merge)
-            else:
-                root = router._apply_stage_driver(merge, drivers[pos])
+            state.root = router._apply_stage_driver(merges[pos], drivers[pos])
             end = peek_node_id()
-            if spans is not None and end > start:
+            if end > start:
                 spans[i].append((start, end))
-            state.root = root
             state.phase = "done"
 
     # ------------------------------------------------------------------

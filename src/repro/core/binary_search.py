@@ -298,7 +298,7 @@ def _load_cap(engine: LibraryTimingEngine, node: TreeNode) -> float:
     if soa is not None:
         # Collapsed cap folded from the byte-cached buffer codes —
         # bit-identical to the object walk, and O(depth) instead of
-        # O(subtree) on cache misses. None → object fallback.
+        # O(subtree) on cache misses. None for BUFFER/SINK roots.
         cap = soa.load_cap(engine, node)
         if cap is not None:
             return cap

@@ -27,10 +27,9 @@ objects, so checkpoints survive refactors of the in-memory classes
 better than naive object pickles would.
 
 Compatibility is enforced by two digests: ``options_digest`` covers the
-**result-affecting** options only (resilience/performance knobs like
-``batch_commit``, ``soa_commit`` or ``strict`` are excluded — every
-fast path is bit-identical to its fallback, so a checkpoint written by a
-batched run may be resumed by a scalar one and vice versa), and
+**result-affecting** options only (execution plumbing like
+``fault_plan``, ``checkpoint_dir`` or ``validate_every_merge`` is
+excluded — it changes how a run is carried out, never its tree), and
 ``sinks_digest`` covers the sink instance. A mismatch of
 either fails loudly with what differed.
 
@@ -82,9 +81,9 @@ class CorruptCheckpointError(ValueError):
     """
 
 #: The options that change the synthesized tree. Everything else —
-#: parallelism, batching, resilience, validation — only changes how the
-#: same tree is computed, so it is deliberately outside the digest:
-#: checkpoints stay portable across execution modes.
+#: fault injection, checkpoint/heartbeat paths, validation — only
+#: changes how the same tree is computed, so it is deliberately outside
+#: the digest.
 _RESULT_FIELDS = (
     "slew_limit",
     "slew_margin",
@@ -109,23 +108,18 @@ _RESULT_FIELDS = (
     "seed",
 )
 
-#: The options deliberately *excluded* from the digest: execution-mode
-#: knobs whose every fast path is bit-identical to its fallback, plus
-#: the resilience plumbing itself. The split is explicit (not "whatever
+#: The options deliberately *excluded* from the digest: the resilience
+#: and supervision plumbing plus the validation switch. The split is explicit (not "whatever
 #: is left over") so that a new knob must be classified on day one —
 #: repro-lint rule CON305 fails the build if a ``CTSOptions`` field is
 #: in neither list, and :func:`options_digest` refuses to run on an
 #: incomplete partition.
 _EXECUTION_FIELDS = (
-    "batch_commit",
-    "batch_commit_min_pairs",
-    "strict",
     "fault_plan",
     "checkpoint_dir",
     "resume_from",
     "heartbeat_file",
     "validate_every_merge",
-    "soa_commit",
 )
 
 
@@ -184,27 +178,21 @@ def _iter_preorder(root: TreeNode):
         stack.extend(reversed(node.children))
 
 
-def _encode_subtree(subtree: SubTree, soa=None) -> dict:
-    nodes = None
-    if soa is not None:
-        # Row-identical to the object walk below (same preorder, same
-        # fields); returns None when the mirror has degraded.
-        nodes = soa.checkpoint_rows(subtree.root)
-    if nodes is None:
-        nodes = [
-            (
-                node.id,
-                node.kind.value,
-                node.name,
-                node.location.x,
-                node.location.y,
-                node.wire_to_parent,
-                node.cap,
-                node.buffer.name if node.buffer is not None else None,
-                node.parent.id if node.parent is not None else None,
-            )
-            for node in _iter_preorder(subtree.root)
-        ]
+def _encode_subtree(subtree: SubTree) -> dict:
+    nodes = [
+        (
+            node.id,
+            node.kind.value,
+            node.name,
+            node.location.x,
+            node.location.y,
+            node.wire_to_parent,
+            node.cap,
+            node.buffer.name if node.buffer is not None else None,
+            node.parent.id if node.parent is not None else None,
+        )
+        for node in _iter_preorder(subtree.root)
+    ]
     return {
         "root": subtree.root.id,
         "bounds": tuple(subtree.bounds),
@@ -269,7 +257,6 @@ def write_checkpoint(
     commit_queries: CommitQueryStats,
     route_sharing: SharingStats,
     degradations: list[Degradation],
-    soa=None,
 ) -> str:
     """Atomically snapshot the flow state after topology ``level``."""
     payload = {
@@ -280,7 +267,7 @@ def write_checkpoint(
         "n_flips": n_flips,
         "next_node_id": next_node_id,
         "center": (center.x, center.y),
-        "subtrees": [_encode_subtree(s, soa) for s in subtrees],
+        "subtrees": [_encode_subtree(s) for s in subtrees],
         "merge_stats": _stats_dict(merge_stats),
         "commit_queries": _stats_dict(commit_queries),
         "route_sharing": _stats_dict(route_sharing),
@@ -415,7 +402,7 @@ def load_checkpoint(
     if payload["options_digest"] != options_digest(options):
         raise ValueError(
             f"checkpoint {path!r} was written with different "
-            "result-affecting options (performance and resilience knobs "
+            "result-affecting options (resilience and supervision knobs "
             "are exempt; topology/routing/timing knobs must match)"
         )
     route_sharing = SharingStats(**payload["route_sharing"])

@@ -6,6 +6,14 @@ optionally running H-structure re-estimation/correction on pairs of
 merge-rooted sub-trees; odd levels promote a max-latency seed node. The
 loop ends when one sub-tree remains, which becomes the network under the
 clock SOURCE.
+
+Every level runs one pipeline (:meth:`AggressiveBufferedCTS._merge_level`):
+prepare in pair order, route the level at once, commit it in lockstep
+through :class:`repro.core.batch_commit.BatchCommitScheduler` with the
+structure-of-arrays tree mirror (:mod:`repro.core.soa_tree`) installed,
+then renumber the level's nodes into serial creation order. H-structure
+pairs merge serially inside it. There is no fallback path: a route or
+commit kernel exception propagates out of :meth:`synthesize`.
 """
 
 from __future__ import annotations
@@ -15,10 +23,11 @@ from dataclasses import dataclass, field
 
 from repro.charlib.build import load_default_library
 from repro.charlib.library import DelaySlewLibrary
+from repro.core.batch_commit import BatchCommitScheduler
 from repro.core.hstructure import correct_pairing, reestimate_pairing
 from repro.core.merge_routing import MergeRouter, MergeStats
 from repro.core.options import CTSOptions
-from repro.core.routing_common import uses_maze_router
+from repro.core.soa_tree import SoaTree
 from repro.core.topology import EdgeCost, SubTree, greedy_matching
 from repro.geom.bbox import BBox
 from repro.geom.point import Point, centroid
@@ -53,9 +62,8 @@ class SynthesisResult:
     phase_seconds: dict = field(default_factory=dict)
     commit_queries: dict = field(default_factory=dict)
     route_sharing: dict = field(default_factory=dict)
-    #: Degradation events of this run (fast paths that fell back to their
-    #: bit-identical scalar twins mid-synthesis; see repro.core.resilience).
-    #: A resumed run carries the interrupted run's events forward.
+    #: Degradation records carried forward from a resumed checkpoint; a
+    #: run itself produces none (see repro.core.resilience).
     degradations: list = field(default_factory=list)
     #: The completed topology level this run restarted after, when it
     #: resumed from a checkpoint; None for a fresh synthesis.
@@ -73,11 +81,6 @@ class SynthesisResult:
         ]
         if self.resumed_from is not None:
             lines.append(f"resumed from checkpoint after level {self.resumed_from}")
-        for event in self.degradations:
-            lines.append(
-                f"degraded: {event.component} at level {event.level}"
-                f" ({event.reason})"
-            )
         return "\n".join(lines)
 
 
@@ -107,6 +110,7 @@ class AggressiveBufferedCTS:
             self.options,
             blockages,
         )
+        self.scheduler = BatchCommitScheduler(self.router)
         self._cost = EdgeCost(self.options, self.router._delay_per_unit)
 
     # ------------------------------------------------------------------
@@ -118,25 +122,14 @@ class AggressiveBufferedCTS:
     ) -> SynthesisResult:
         """Synthesize a clock tree over ``(location, capacitance)`` sinks.
 
-        Under ``options.soa_commit`` the run executes with a
-        structure-of-arrays mirror of the in-flight tree installed
-        (:class:`repro.core.soa_tree.SoaTree`): every node creation /
-        attach / detach is echoed into flat numpy columns, and the
-        commit phase's bounds-bucket prefill, forced-stage-buffer
-        decisions and checkpoint frames read the columns instead of
-        walking node objects — bit-identical to the object walks, which
-        remain the degradation fallback.
+        The run executes with a structure-of-arrays mirror of the
+        in-flight tree installed (:class:`repro.core.soa_tree.SoaTree`):
+        every node creation / attach / detach is echoed into flat numpy
+        columns, and the commit phase's bounds-bucket prefill, collapsed
+        stage caps and forced-stage-buffer decisions read the columns
+        instead of walking node objects.
         """
-        if len(sinks) < 1:
-            raise ValueError("need at least one sink")
-        if not self.options.soa_commit:
-            return self._synthesize(sinks, source_location)
-        from repro.core.soa_tree import SoaTree
-
-        soa = SoaTree(
-            resilience=self.router.resilience,
-            fault_plan=self.options.fault_plan,
-        )
+        soa = SoaTree()
         previous = set_tree_recorder(soa)
         self.engine.attach_soa(soa)
         try:
@@ -150,57 +143,31 @@ class AggressiveBufferedCTS:
         sinks: list[tuple[Point, float]],
         source_location: Point | None = None,
     ) -> SynthesisResult:
+        if len(sinks) < 1:
+            raise ValueError("need at least one sink")
         t0 = time.perf_counter()
-        resilience = self.router.resilience
-        resilience.events.clear()
         resumed_from: int | None = None
         if self.options.resume_from is not None:
-            level, center, n_flips, n_levels = self._resume(sinks)
+            level, center, n_flips, n_levels, degradations = self._resume(sinks)
             resumed_from = n_levels
         else:
             level = [self._leaf(pt, cap, i) for i, (pt, cap) in enumerate(sinks)]
             center = centroid([s.point for s in level])
             n_flips = 0
             n_levels = 0
-        try:
-            while len(level) > 1:
-                n_levels += 1
-                resilience.level = n_levels
-                self.router.reset_grid_cache()
-                pairs, seed = greedy_matching(level, center, self._cost)
-                next_level: list[SubTree] = [seed] if seed else []
-                use_batch = (
-                    self.options.batch_commit
-                    and len(pairs) >= self.options.batch_commit_min_pairs
+            degradations = []
+        while len(level) > 1:
+            n_levels += 1
+            self.router.reset_grid_cache()
+            pairs, seed = greedy_matching(level, center, self._cost)
+            merged_level, level_flips = self._merge_level(pairs)
+            n_flips += level_flips
+            level = ([seed] if seed else []) + merged_level
+            if self.options.checkpoint_dir is not None:
+                self._write_checkpoint(
+                    n_levels, level, n_flips, center, sinks, degradations
                 )
-                # Level routing pays from the first co-routed maze pair
-                # (one curve round either way), so any level with two
-                # routable pairs sweeps; deliberately not coupled to the
-                # commit-batching threshold. Profile-only runs have no
-                # windows to share and stay on the cheap serial loop,
-                # as do one-pair maze levels.
-                use_level_route = len(pairs) >= 2 and uses_maze_router(
-                    self.options, self.router.blockages
-                )
-                if use_batch or use_level_route:
-                    merged_level, level_flips = self._merge_level_swept(
-                        pairs, use_batch
-                    )
-                    n_flips += level_flips
-                    next_level.extend(merged_level)
-                else:
-                    for a, b in pairs:
-                        merged = self._merge_pair(a, b)
-                        n_flips += merged[1]
-                        next_level.extend(merged[0])
-                level = next_level
-                if self.options.checkpoint_dir is not None:
-                    self._write_checkpoint(
-                        n_levels, level, n_flips, center, sinks
-                    )
-                self._level_pulse(n_levels)
-        finally:
-            resilience.level = 0
+            self._level_pulse(n_levels)
         root = level[0].root
         if source_location is None:
             source_location = root.location
@@ -218,7 +185,7 @@ class AggressiveBufferedCTS:
             phase_seconds=dict(self.router.phase_seconds),
             commit_queries=self.router.commit_queries.as_dict(),
             route_sharing=self.router.route_sharing.as_dict(),
-            degradations=list(resilience.events),
+            degradations=list(degradations),
             resumed_from=resumed_from,
         )
 
@@ -233,6 +200,7 @@ class AggressiveBufferedCTS:
         n_flips: int,
         center: Point,
         sinks: list[tuple[Point, float]],
+        degradations: list,
     ) -> None:
         """Snapshot the flow after one completed topology level."""
         from repro.core.checkpoint import write_checkpoint
@@ -249,15 +217,14 @@ class AggressiveBufferedCTS:
             merge_stats=self.router.stats,
             commit_queries=self.router.commit_queries,
             route_sharing=self.router.route_sharing,
-            degradations=self.router.resilience.events,
-            soa=self.engine._soa,
+            degradations=degradations,
         )
         if self.options.fault_plan:
             from repro.evalx.faultinject import active_plan
 
             # ``checkpoint:N:halt`` simulates a kill right after the N-th
-            # snapshot landed; SynthesisHalted is a BaseException, so it
-            # unwinds straight through every degradation guard.
+            # snapshot landed; SynthesisHalted is a BaseException, so no
+            # ``except Exception`` on the way out can absorb it.
             active_plan(self.options.fault_plan).consult("checkpoint")
 
     def _level_pulse(self, n_levels: int) -> None:
@@ -284,7 +251,7 @@ class AggressiveBufferedCTS:
 
     def _resume(
         self, sinks: list[tuple[Point, float]]
-    ) -> tuple[list[SubTree], Point, int, int]:
+    ) -> tuple[list[SubTree], Point, int, int, list]:
         """Rebuild the level-loop state from ``options.resume_from``.
 
         The node-id counter is restored so post-resume nodes get the ids
@@ -304,35 +271,32 @@ class AggressiveBufferedCTS:
         # ``route_sharing`` is aliased by the router's grid cache — merge
         # the saved counters in rather than swapping the object out.
         self.router.route_sharing.merge(state.route_sharing)
-        self.router.resilience.events.extend(state.degradations)
         return (
             state.subtrees,
             Point(*state.center),
             state.n_flips,
             state.levels_done,
+            state.degradations,
         )
 
     # ------------------------------------------------------------------
     # Level routing
     # ------------------------------------------------------------------
 
-    def _merge_level_swept(
-        self,
-        pairs: list[tuple[SubTree, SubTree]],
-        batch_commit: bool,
+    def _merge_level(
+        self, pairs: list[tuple[SubTree, SubTree]]
     ) -> tuple[list[SubTree], int]:
-        """Merge one level in phase sweeps instead of pair by pair.
+        """Merge one topology level in phase sweeps.
 
-        Three sweeps, each in pair order: (1) the stateful prepare phase
+        Four sweeps, each in pair order: (1) the stateful prepare phase
         (H-structure pairs take the full serial path here, since their
         re-pairing decisions interleave routing); (2) the pure route
         phase, the whole level at once through
-        :meth:`MergeRouter.route_level`; (3) the stateful commit phase —
+        :meth:`MergeRouter.route_level`; (3) the stateful commit phase,
         every pair's commit state machine advanced in lockstep by the
-        batched scheduler when ``batch_commit``, scalar pair by pair
-        otherwise. Afterwards the level's nodes are renumbered into
-        serial creation order so the result is bit-identical to the
-        fully serial flow.
+        batched scheduler; (4) the level's nodes are renumbered into
+        serial creation order, so the tree is the one a pair-by-pair
+        merge would build.
         """
         from repro.core.parallel_merge import (
             renumber_subtrees,
@@ -358,11 +322,7 @@ class AggressiveBufferedCTS:
             for kind, payload in prepared
         ]
         routes = self.router.route_level(plans)
-
-        if batch_commit:
-            roots = self._commit_level_batched(prepared, routes, spans)
-        else:
-            roots = self._commit_level_scalar(prepared, routes, spans)
+        roots = self._commit_level(prepared, routes, spans)
 
         merged_level: list[SubTree] = []
         level_roots: list[TreeNode] = []
@@ -380,33 +340,17 @@ class AggressiveBufferedCTS:
         )
         return merged_level, n_flips
 
-    def _commit_level_scalar(
+    def _commit_level(
         self, prepared, routes, spans
     ) -> dict[int, TreeNode]:
-        """Commit a swept level pair by pair (the PR 2 protocol)."""
-        roots: dict[int, TreeNode] = {}
-        for i, (kind, payload) in enumerate(prepared):
-            if kind != "plan":
-                continue
-            start = peek_node_id()
-            __, __, plan = payload
-            roots[i] = self.router.commit(plan, routes[i])
-            spans[i].append((start, peek_node_id()))
-        return roots
-
-    def _commit_level_batched(
-        self, prepared, routes, spans
-    ) -> dict[int, TreeNode]:
-        """Commit a swept level in lockstep through the batched scheduler.
+        """Commit a level in lockstep through the batched scheduler.
 
         Chain materialization (``commit_prepare``) happens in pair order;
         the scheduler then advances all state machines together, one
-        vectorized library round per step, recording the id span every
+        library round per step, recording the id span every
         node-creating advance consumed so the serial renumbering covers
         the interleaved creation order.
         """
-        from repro.core.batch_commit import BatchCommitScheduler
-
         t0 = time.perf_counter()
         states: list = []
         order: list[int] = []
@@ -420,9 +364,7 @@ class AggressiveBufferedCTS:
             if end > start:
                 spans[i].append((start, end))
             order.append(i)
-        BatchCommitScheduler(self.router).run(
-            states, spans=[spans[i] for i in order]
-        )
+        self.scheduler.run(states, [spans[i] for i in order])
         roots = {
             i: self.router.commit_finish(states[pos])
             for pos, i in enumerate(order)
@@ -442,30 +384,22 @@ class AggressiveBufferedCTS:
         return SubTree(root, self.router.subtree_bounds(root), parts)
 
     def _is_hstructure_pair(self, a: SubTree, b: SubTree) -> bool:
-        """Whether this pair goes through H-structure re-pairing.
-
-        Shared by the pair-by-pair and swept level paths — the swept path
-        must route exactly the pairs the pair-by-pair flow would, or the
-        bit-identical guarantee breaks.
-        """
+        """Whether this pair goes through H-structure re-pairing."""
         return bool(self.options.hstructure and a.parts and b.parts)
 
     def _merge_pair(
         self, a: SubTree, b: SubTree
     ) -> tuple[list[SubTree], int]:
-        """Merge one matched pair; H-structure checking may split it into
-        two replacement sub-trees that are then merged normally."""
-        if self._is_hstructure_pair(a, b):
-            mode = self.options.hstructure
-            if mode == "reestimate":
-                outcome = reestimate_pairing(self.router, self._cost, a, b)
-            else:
-                outcome = correct_pairing(self.router, a, b)
-            root = self.router.merge(outcome.left_root, outcome.right_root)
-            merged = self._subtree(root, (outcome.left_root, outcome.right_root))
-            return [merged], (1 if outcome.flipped else 0)
-        root = self.router.merge(a.root, b.root)
-        return [self._subtree(root, (a.root, b.root))], 0
+        """Merge one H-structure pair serially: re-estimation or
+        correction may swap its halves, then the chosen pairing merges
+        through the single-pair path."""
+        if self.options.hstructure == "reestimate":
+            outcome = reestimate_pairing(self.router, self._cost, a, b)
+        else:
+            outcome = correct_pairing(self.router, a, b)
+        root = self.router.merge(outcome.left_root, outcome.right_root)
+        merged = self._subtree(root, (outcome.left_root, outcome.right_root))
+        return [merged], (1 if outcome.flipped else 0)
 
 
 def synthesize_clock_tree(

@@ -17,9 +17,10 @@ This module orchestrates one merge of two sub-trees:
 
 Stages 3 and 4 are implemented as a resumable per-pair state machine
 (:class:`repro.core.batch_commit.PairCommitState`): :meth:`MergeRouter.commit`
-drives one machine with scalar probes, while the top-level flow can run
+drives one machine with scalar probes (the single-pair path H-structure
+merges take), while the top-level flow runs
 :meth:`MergeRouter.commit_prepare` for every pair of a topology level and
-advance all machines in lockstep through the batched scheduler
+advances all machines in lockstep through the batched scheduler
 (:class:`repro.core.batch_commit.BatchCommitScheduler`), answering each
 step's probes with one vectorized library round.
 """
@@ -132,11 +133,6 @@ class MergeRouter:
         ) * 1.001
         #: Commit-phase query totals (scalar and batched drivers).
         self.commit_queries = CommitQueryStats()
-        #: Degradation events of this synthesis (fast paths falling back
-        #: to their bit-identical scalar twins); strict mode re-raises.
-        from repro.core.resilience import ResilienceLog
-
-        self.resilience = ResilienceLog(strict=options.strict)
         #: Wall-clock spent in the route and commit phases.
         self.phase_seconds = {"route": 0.0, "commit": 0.0}
         #: Shared-window / route-finishing counters of the level router.
@@ -230,19 +226,18 @@ class MergeRouter:
     def reset_grid_cache(self) -> None:
         """Start a new topology level's tile scope.
 
-        Called by the flow once per level, whichever path routes it, so
-        tiles cached by ``route_plan``'s provider (H-structure candidate
-        routing, small levels) never accumulate across levels.
+        Called by the flow once per level, so tiles cached by
+        ``route_plan``'s provider (H-structure candidate routing) never
+        accumulate across levels.
         """
         self._grid_cache.reset()
 
     def route_plan(self, plan: MergePlan) -> RouteResult | None:
         """Route one prepared merge (None for coincident pairs).
 
-        The single-pair path: H-structure pairs, one-pair maze levels and
-        the profile router come through here. Maze windows come from the
-        router's tile cache (H-structure candidate routing re-requests
-        the same window up to three times per pair).
+        The single-pair path, which only H-structure pairs take. Maze
+        windows come from the router's tile cache (H-structure candidate routing
+        re-requests the same window up to three times per pair).
         """
         if plan.coincident:
             return None
@@ -271,7 +266,7 @@ class MergeRouter:
     def route_level(
         self, plans: list[MergePlan | None]
     ) -> list[RouteResult | None]:
-        """Route a swept level's plans together through the level router.
+        """Route a level's plans together through the level router.
 
         Maze levels run the lockstep window search, the lockstep profile
         expansion and the level-wide finishing kernel over the tile
@@ -302,8 +297,9 @@ class MergeRouter:
     def commit(self, plan: MergePlan, route: RouteResult | None) -> TreeNode:
         """Stateful post-route phase: materialize, search, repair.
 
-        This scalar driver and the lockstep batched driver walk the same
-        state machine, so their results are bit-identical.
+        This scalar driver (the single-pair path) and the lockstep
+        batched scheduler walk the same state machine, so their results
+        are bit-identical.
         """
         t0 = time.perf_counter()
         try:
@@ -319,9 +315,9 @@ class MergeRouter:
         """Start one pair's commit: materialize chains, arm the search.
 
         The returned state machine is ready for probe-driven advancement
-        (:class:`~repro.core.batch_commit.BatchCommitScheduler` for the
-        batched level path, :meth:`PairCommitState.run_scalar` for the
-        scalar path); :meth:`commit_finish` collects the merged root.
+        (:class:`~repro.core.batch_commit.BatchCommitScheduler` for a
+        topology level, :meth:`PairCommitState.run_scalar` for the
+        single-pair path); :meth:`commit_finish` collects the merged root.
         """
         return PairCommitState(self, plan, route)
 

@@ -6,31 +6,6 @@ import os
 from dataclasses import dataclass, field
 
 
-def _default_batch_commit() -> bool:
-    """Honor ``REPRO_BATCH_COMMIT`` so CI can exercise the scalar fallback."""
-    return os.environ.get("REPRO_BATCH_COMMIT", "1").lower() not in (
-        "0",
-        "false",
-        "no",
-    )
-
-
-def _default_soa_commit() -> bool:
-    """Honor ``REPRO_SOA_COMMIT`` so CI can exercise the per-object
-    commit fallback."""
-    return os.environ.get("REPRO_SOA_COMMIT", "1").lower() not in (
-        "0",
-        "false",
-        "no",
-    )
-
-
-def _default_strict() -> bool:
-    """Honor ``REPRO_STRICT`` so CI equivalence legs re-raise fast-path
-    failures instead of silently degrading past them."""
-    return os.environ.get("REPRO_STRICT", "0").lower() in ("1", "true", "yes")
-
-
 def _default_fault_plan() -> str:
     """Honor ``REPRO_FAULT_PLAN`` (``site:index:mode,...`` — see
     :mod:`repro.evalx.faultinject`) so CI can run a chaos leg."""
@@ -74,28 +49,10 @@ class CTSOptions:
     max_unbuffered_cap_ratio: float = 2.0  # force a buffer at a merge whose
     #   collapsed stage cap exceeds ratio * (largest buffer input cap), so
     #   every stage load stays within the library's characterized range
-    # --- batched commit phase --------------------------------------------
-    batch_commit: bool = field(default_factory=_default_batch_commit)
-    #   advance a level's merge commits in lockstep, answering each step's
-    #   timing queries with one vectorized library round (bit-identical to
-    #   the scalar fallback; env REPRO_BATCH_COMMIT=0 disables the default)
-    batch_commit_min_pairs: int = 4  # smallest pair count per topology
-    #   level worth the lockstep bookkeeping; smaller levels commit scalar
-    soa_commit: bool = field(default_factory=_default_soa_commit)
-    #   mirror the in-flight tree into flat structure-of-arrays columns
-    #   (repro.core.soa_tree) and drive the commit phase's bounds-bucket
-    #   prefill, level-wide stage-buffer finish and checkpoint snapshots
-    #   from the arrays instead of walking node objects (bit-identical to
-    #   the object-walk fallback; env REPRO_SOA_COMMIT=0 disables the
-    #   default)
     # --- resilience (fault-tolerant synthesis) ---------------------------
-    strict: bool = field(default_factory=_default_strict)
-    #   re-raise fast-path exceptions instead of degrading to the
-    #   bit-identical scalar fallbacks — CI equivalence legs must fail
-    #   loudly, never pass on a silently degraded run (env REPRO_STRICT=1)
     fault_plan: str = field(default_factory=_default_fault_plan)
-    #   deterministic fault-injection plan consulted by the kernel guards
-    #   and level-loop sites ("site:index:mode,..." — repro.evalx.faultinject);
+    #   deterministic fault-injection plan consulted at the level-loop and
+    #   checkpoint sites ("site:index:mode,..." — repro.evalx.faultinject);
     #   empty = no injected faults (env REPRO_FAULT_PLAN)
     checkpoint_dir: str | None = None  # write a resumable snapshot after
     #   each topology level (repro.core.checkpoint); None disables
@@ -119,8 +76,6 @@ class CTSOptions:
             raise ValueError(f"unknown hstructure mode {self.hstructure!r}")
         if self.grid_resolution < 4:
             raise ValueError("grid_resolution must be >= 4")
-        if self.batch_commit_min_pairs < 1:
-            raise ValueError("batch_commit_min_pairs must be >= 1")
         if self.checkpoint_dir is not None and not self.checkpoint_dir:
             raise ValueError("checkpoint_dir must be a path or None")
         if self.resume_from is not None and not self.resume_from:

@@ -27,11 +27,14 @@ Three commit-phase kernels read the mirror:
   for a whole scheduler round (collapsed caps folded from per-node
   buffer-code byte sequences, drivers chosen by lockstep
   ``branch_slews_many`` rounds over the still-unresolved merges);
-- :meth:`SoaTree.checkpoint_rows` — per-level checkpoint frames encoded
-  straight from the columns in the exact preorder row format of
-  :mod:`repro.core.checkpoint`.
+- :meth:`SoaTree.load_cap` — collapsed stage caps of the binary-search
+  probes, folded from the same byte sequences.
 
-Bit-identity with the object-walk fallback rests on the established
+Checkpoint frames are encoded from the node objects
+(:mod:`repro.core.checkpoint`), which measured faster than encoding
+them from the columns.
+
+Bit-identity with the object walks rests on the established
 facts: ``predict_many``/``branch_component_many``/``branch_slews_many``
 perform the scalar evaluators' float ops element-wise; memoized bounds
 and caps are exact functions of their cache key, so fill *order* is
@@ -40,12 +43,11 @@ cap fold replays the object walk's buffer-code sequence in its exact
 order (cached per node as ``bytes`` — DFS-last-child-first sequences
 compose by concatenation), so the float sum is the object walk's sum.
 
-Every kernel is a CON3xx-guarded fast path: any exception (including a
-recorder hook having previously failed) degrades this mirror
-permanently for the run — ``resilience.note("soa_commit", exc)`` — and
-the caller falls back to the bit-identical object walk. ``MemoryError``
-is re-raised, never swallowed: an OOM must surface to the jobs
-watchdog, not morph into a silent fallback retry.
+The mirror has no fallback of its own: an exception in a recorder hook
+or a kernel propagates out of the synthesis. Engines used outside
+``AggressiveBufferedCTS.synthesize`` have no mirror installed and take
+the object walks, which the kernels also delegate unmirrored and deep
+stages to.
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ _KINDS = (
     NodeKind.STEINER,
 )
 _CODE_OF = {kind: code for code, kind in enumerate(_KINDS)}
-_KIND_VALUE = tuple(kind.value for kind in _KINDS)
-_KIND_CHAR = tuple(kind.value[0] for kind in _KINDS)
 _SOURCE, _SINK, _MERGE, _BUFFER, _STEINER = range(5)
 
 #: Flat-stage classification of the structure below a node.
@@ -135,27 +135,15 @@ class SoaTree:
 
     Install with :func:`repro.tree.nodes.set_tree_recorder` for the
     duration of one synthesis run; the recorder hooks echo every node
-    creation / attach / detach into the columns. Hook failures never
-    raise into tree surgery — they taint the mirror and the next kernel
-    boundary records one ``soa_commit`` degradation and falls back.
+    creation / attach / detach into the columns.
     """
 
-    def __init__(self, resilience=None, fault_plan: str = "") -> None:
-        self.resilience = resilience
-        self.degraded = False
-        self._hook_error: Exception | None = None
-        self._plan = None
-        if fault_plan:
-            from repro.evalx.faultinject import active_plan
-
-            self._plan = active_plan(fault_plan)
+    def __init__(self) -> None:
         self._base: int | None = None
         self._capacity = 0
         self._used = 0
         #: id -> live TreeNode (identity-checked before any fast read).
         self.nodes: list = []
-        #: id -> current node name (kept in sync for checkpoint rows).
-        self.names: list = []
         #: Buffer-type interning: code <-> (name, BufferType).
         self._buffer_names: list[str] = []
         self._buffer_types: list = []
@@ -178,7 +166,6 @@ class SoaTree:
             col.fill(fill)
             setattr(self, name, col)
         self.nodes = [None] * capacity
-        self.names = [None] * capacity
         self._capacity = capacity
 
     def _grow_back(self, need: int) -> None:
@@ -189,7 +176,6 @@ class SoaTree:
             col[: self._capacity] = getattr(self, name)
             setattr(self, name, col)
         self.nodes.extend([None] * (new_cap - self._capacity))
-        self.names.extend([None] * (new_cap - self._capacity))
         self._capacity = new_cap
 
     def _grow_front(self, shortfall: int) -> None:
@@ -206,7 +192,6 @@ class SoaTree:
             col[shift:] = getattr(self, name)
             setattr(self, name, col)
         self.nodes = [None] * shift + self.nodes
-        self.names = [None] * shift + self.names
         self._capacity = new_cap
         self._base -= shift
         self._used += shift
@@ -254,107 +239,68 @@ class SoaTree:
         return code
 
     # ------------------------------------------------------------------
-    # Recorder hooks (must never raise into tree surgery)
+    # Recorder hooks
     # ------------------------------------------------------------------
 
     def on_create(self, node) -> None:
-        if self._hook_error is not None:
-            return
-        try:
-            i = self._ensure(node.id)
-            self.kind[i] = _CODE_OF[node.kind]
-            loc = node.location
-            self.x[i] = loc.x
-            self.y[i] = loc.y
-            self.cap[i] = node.cap
-            if node.buffer is not None:
-                self.buf_code[i] = self._buffer_code(node.buffer)
-            self.names[i] = node.name
-            self.nodes[i] = node
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self._hook_error = exc
+        i = self._ensure(node.id)
+        self.kind[i] = _CODE_OF[node.kind]
+        loc = node.location
+        self.x[i] = loc.x
+        self.y[i] = loc.y
+        self.cap[i] = node.cap
+        if node.buffer is not None:
+            self.buf_code[i] = self._buffer_code(node.buffer)
+        self.nodes[i] = node
 
     def on_attach(self, parent, child) -> None:
-        if self._hook_error is not None:
-            return
-        try:
-            base = self._base
-            pi = parent.id - base
-            ci = child.id - base
-            if not (
-                0 <= pi < self._used
-                and 0 <= ci < self._used
-                and self.nodes[pi] is parent
-                and self.nodes[ci] is child
-            ):
-                raise RuntimeError("attach of a node the mirror never saw")
-            self.parent[ci] = parent.id
-            self.wire[ci] = child.wire_to_parent
-            last = int(self.last_child[pi])
-            if last < 0:
-                self.first_child[pi] = child.id
-            else:
-                self.next_sib[last - base] = child.id
-                self.prev_sib[ci] = last
-            self.last_child[pi] = child.id
-            self.n_children[pi] += 1
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self._hook_error = exc
+        base = self._base
+        pi = parent.id - base
+        ci = child.id - base
+        if not (
+            0 <= pi < self._used
+            and 0 <= ci < self._used
+            and self.nodes[pi] is parent
+            and self.nodes[ci] is child
+        ):
+            raise RuntimeError("attach of a node the mirror never saw")
+        self.parent[ci] = parent.id
+        self.wire[ci] = child.wire_to_parent
+        last = int(self.last_child[pi])
+        if last < 0:
+            self.first_child[pi] = child.id
+        else:
+            self.next_sib[last - base] = child.id
+            self.prev_sib[ci] = last
+        self.last_child[pi] = child.id
+        self.n_children[pi] += 1
 
     def on_detach(self, parent, child) -> None:
-        if self._hook_error is not None:
-            return
-        try:
-            base = self._base
-            pi = parent.id - base
-            ci = child.id - base
-            if not (
-                0 <= pi < self._used
-                and 0 <= ci < self._used
-                and self.nodes[pi] is parent
-                and self.nodes[ci] is child
-            ):
-                raise RuntimeError("detach of a node the mirror never saw")
-            prev = int(self.prev_sib[ci])
-            nxt = int(self.next_sib[ci])
-            if prev < 0:
-                self.first_child[pi] = nxt
-            else:
-                self.next_sib[prev - base] = nxt
-            if nxt < 0:
-                self.last_child[pi] = prev
-            else:
-                self.prev_sib[nxt - base] = prev
-            self.parent[ci] = -1
-            self.prev_sib[ci] = -1
-            self.next_sib[ci] = -1
-            self.wire[ci] = 0.0
-            self.n_children[pi] -= 1
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self._hook_error = exc
-
-    def seed(self, nodes) -> None:
-        """Mirror nodes that already existed before the recorder install
-        (the instance's source/sink nodes)."""
-        for node in nodes:
-            self.on_create(node)
-
-    # ------------------------------------------------------------------
-    # Kernel guard
-    # ------------------------------------------------------------------
-
-    def _enter_kernel(self) -> None:
-        """Raise inside a kernel's guarded scope if the mirror is unfit."""
-        if self._hook_error is not None:
-            raise self._hook_error
-        if self._plan is not None:
-            self._plan.consult("soa_commit")
+        base = self._base
+        pi = parent.id - base
+        ci = child.id - base
+        if not (
+            0 <= pi < self._used
+            and 0 <= ci < self._used
+            and self.nodes[pi] is parent
+            and self.nodes[ci] is child
+        ):
+            raise RuntimeError("detach of a node the mirror never saw")
+        prev = int(self.prev_sib[ci])
+        nxt = int(self.next_sib[ci])
+        if prev < 0:
+            self.first_child[pi] = nxt
+        else:
+            self.next_sib[prev - base] = nxt
+        if nxt < 0:
+            self.last_child[pi] = prev
+        else:
+            self.prev_sib[nxt - base] = prev
+        self.parent[ci] = -1
+        self.prev_sib[ci] = -1
+        self.next_sib[ci] = -1
+        self.wire[ci] = 0.0
+        self.n_children[pi] -= 1
 
     # ------------------------------------------------------------------
     # Renumbering
@@ -370,18 +316,8 @@ class SoaTree:
         keep the old id, so any later lookup fails the identity check
         and falls back, which is correct because they are never queried.
         """
-        if self.degraded or not mapping or self._base is None:
+        if not mapping or self._base is None:
             return
-        try:
-            self._remap(mapping)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-
-    def _remap(self, mapping: dict[int, int]) -> None:
         base = self._base
         used = self._used
         n = len(mapping)
@@ -403,22 +339,12 @@ class SoaTree:
             view[mask] = perm[view[mask] - base]
         oi = old - base
         ni = new - base
-        old_rows = oi.tolist()
-        new_rows = ni.tolist()
-        moved_kind = self.kind[oi].tolist()
-        moved_names = [self.names[i] for i in old_rows]
-        moved_nodes = [self.nodes[i] for i in old_rows]
+        moved_nodes = [self.nodes[i] for i in oi.tolist()]
         for name, __, __f in _COLUMNS:
             col = getattr(self, name)
             col[ni] = col[oi]
-        for k, row in enumerate(new_rows):
-            node_name = moved_names[k]
-            code = moved_kind[k]
-            old_id = old_rows[k] + base
-            if node_name == f"{_KIND_CHAR[code]}{old_id}":
-                node_name = f"{_KIND_CHAR[code]}{row + base}"
-            self.names[row] = node_name
-            self.nodes[row] = moved_nodes[k]
+        for row, node in zip(ni.tolist(), moved_nodes):
+            self.nodes[row] = node
         seq = self._bufseq
         moved = [node_id for node_id in seq if node_id in mapping]
         entries = [(node_id, seq.pop(node_id)) for node_id in moved]
@@ -511,29 +437,14 @@ class SoaTree:
     # Kernel 1: level-wide bounds-bucket prefill
     # ------------------------------------------------------------------
 
-    def prefill_bounds(self, engine, jobs) -> bool:
-        """Fill missing bounds buckets from the columns; False = fall back.
+    def prefill_bounds(self, engine, jobs) -> None:
+        """Fill missing bounds buckets from the columns.
 
         Drop-in for the miss path of ``subtree_bounds_many``: same jobs,
         same caches, bit-identical stored values. Jobs whose stage shape
         is not mirrored or not flat are delegated to the object walk, so
-        a True return always means *every* requested bucket is cached.
+        on return *every* requested bucket is cached.
         """
-        if self.degraded:
-            return False
-        try:
-            self._enter_kernel()
-            self._prefill(engine, jobs)
-            return True
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-            return False
-
-    def _prefill(self, engine, jobs) -> None:
         # Iterative wavefront: each pass groups and fit-evaluates one
         # depth of jobs, and rows ending in buffers enqueue their
         # children's missing buckets as the next pass (strictly deeper,
@@ -905,7 +816,7 @@ class SoaTree:
     # Kernel 2: batched forced-stage-buffer decisions
     # ------------------------------------------------------------------
 
-    def stage_drivers(self, router, merges) -> list | None:
+    def stage_drivers(self, router, merges) -> list:
         """Choose the stage driver (or None) for each finished merge.
 
         Batched twin of the decision half of
@@ -915,23 +826,8 @@ class SoaTree:
         byte-cached buffer-code sequences, drivers resolve in lockstep
         ``branch_slews_many`` rounds — one per buffer name over the
         still-unresolved merges, which evaluates exactly the (name,
-        merge) pairs the scalar loop would. Returns None to make the
-        caller fall back to the scalar method per merge.
+        merge) pairs the scalar loop would.
         """
-        if self.degraded:
-            return None
-        try:
-            self._enter_kernel()
-            return self._stage_drivers(router, merges)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-            return None
-
-    def _stage_drivers(self, router, merges) -> list:
         engine = router.engine
         cap_cache = engine._cap_cache
         max_cap = router.max_stage_cap
@@ -1060,98 +956,18 @@ class SoaTree:
         used by the binary-search probe evaluators: the buffer input
         caps below ``node`` fold from the byte-cached code sequence in
         the exact object ``walk()`` order, so the float sum is
-        bit-identical. Returns None (BUFFER/SINK roots, or after
-        degradation) to make the caller take the object path.
+        bit-identical. Returns None for BUFFER/SINK roots, which the
+        caller answers on the objects (trivial there; nothing to skip).
         """
-        if self.degraded:
+        kind = node.kind
+        if kind is NodeKind.BUFFER or kind is NodeKind.SINK:
             return None
-        try:
-            self._enter_kernel()
-            kind = node.kind
-            if kind is NodeKind.BUFFER or kind is NodeKind.SINK:
-                return None  # trivial on objects; nothing to skip
-            cached = engine._cap_cache.get(node.id)
-            if cached is not None:
-                return cached
-            cap = self._collapsed_cap(node, engine)
-            engine._cap_cache[node.id] = cap
-            return cap
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-            return None
-
-    # ------------------------------------------------------------------
-    # Kernel 3: checkpoint frame rows
-    # ------------------------------------------------------------------
-
-    def checkpoint_rows(self, root) -> list | None:
-        """Preorder node rows of ``root``'s subtree for a checkpoint
-        frame, identical to ``checkpoint._encode_subtree``'s rows; None
-        to make the caller encode from the objects."""
-        if self.degraded:
-            return None
-        try:
-            self._enter_kernel()
-            return self._checkpoint_rows(root)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-            return None
-
-    def _checkpoint_rows(self, root) -> list:
-        if self._index_of(root) < 0:
-            raise RuntimeError("checkpoint root is not mirrored")
-        base = self._base
-        kind = self.kind
-        parent = self.parent
-        first_child = self.first_child
-        next_sib = self.next_sib
-        x = self.x
-        y = self.y
-        wire = self.wire
-        cap = self.cap
-        buf_code = self.buf_code
-        names = self.names
-        buffer_names = self._buffer_names
-        rows: list = []
-        stack = [root.id]
-        while stack:
-            node_id = stack.pop()
-            i = node_id - base
-            code = int(kind[i])
-            if code < 0:
-                raise RuntimeError("unmirrored node in checkpoint subtree")
-            parent_id = int(parent[i])
-            buffer_code = int(buf_code[i])
-            rows.append(
-                (
-                    node_id,
-                    _KIND_VALUE[code],
-                    names[i],
-                    x[i].item(),
-                    y[i].item(),
-                    wire[i].item(),
-                    cap[i].item(),
-                    buffer_names[buffer_code] if buffer_code >= 0 else None,
-                    parent_id if parent_id >= 0 else None,
-                )
-            )
-            # Push children reversed so they pop first-child-first — the
-            # exact ``_iter_preorder`` order.
-            child = int(first_child[i])
-            children = []
-            while child >= 0:
-                children.append(child)
-                child = int(next_sib[child - base])
-            stack.extend(reversed(children))
-        return rows
+        cached = engine._cap_cache.get(node.id)
+        if cached is not None:
+            return cached
+        cap = self._collapsed_cap(node, engine)
+        engine._cap_cache[node.id] = cap
+        return cap
 
     # ------------------------------------------------------------------
     # Diagnostics (tests)
@@ -1159,7 +975,7 @@ class SoaTree:
 
     def assert_mirrors(self, root) -> None:
         """Walk ``root``'s subtree and verify the mirror agrees row by
-        row (topology links, payload and names). Test helper."""
+        row (topology links and payload). Test helper."""
         base = self._base
         for node in root.walk():
             i = node.id - base
@@ -1169,7 +985,6 @@ class SoaTree:
             assert self.y[i] == node.location.y, node
             assert self.cap[i] == node.cap, node
             assert self.wire[i] == node.wire_to_parent, node
-            assert self.names[i] == node.name, node
             expected_parent = node.parent.id if node.parent is not None else -1
             assert int(self.parent[i]) == expected_parent, node
             assert int(self.n_children[i]) == len(node.children), node

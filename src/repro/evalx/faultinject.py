@@ -3,15 +3,13 @@
 A fault plan is a comma list of ``site:index:mode`` specs (env
 ``REPRO_FAULT_PLAN``, or ``CTSOptions.fault_plan``), e.g.::
 
-    batch_commit:1:raise,soa_commit:0:raise,checkpoint:2:halt
+    checkpoint_torn:1:torn,checkpoint:1:halt
 
-Sites are the guarded points of the synthesis flow and the level-loop
-points a job supervisor watches:
+Sites are the level-loop and checkpoint points a resumed run or a job
+supervisor must survive. Synthesis kernels have no site: they have no
+fallback, so an exception there propagates and fails the run.
 
 ==================  ====================================================
-``batch_commit``    one vectorized lockstep commit round; ``index``
-                    counts vectorized rounds per process
-``soa_commit``      one structure-of-arrays commit kernel call
 ``checkpoint``      one per-level checkpoint write (``halt`` here
                     simulates a kill at a level boundary)
 ``job_hang``        the level-loop heartbeat pulse; ``hang`` here stops
@@ -34,15 +32,15 @@ watchdog ends it); ``balloon`` allocates :data:`BALLOON_BYTES` of
 touched memory and then hangs holding it; ``torn`` raises nothing —
 :meth:`FaultPlan.consult` returns the mode string and the *call site*
 implements the corruption (only the checkpoint writer does);
-``oom`` raises :class:`MemoryError`, which no guard may swallow.
+``oom`` raises :class:`MemoryError`.
 
 Each site numbers its visits per process, and each spec fires at most
 once. Plans are per-process singletons keyed by their text
 (:func:`active_plan`).
 
 This module deliberately imports nothing from the rest of the package:
-the kernel guards import it lazily (and only when a plan is set), so the
-clean path pays nothing and no import cycle can form.
+the sites import it lazily (and only when a plan is set), so the clean
+path pays nothing and no import cycle can form.
 """
 
 from __future__ import annotations
@@ -52,12 +50,10 @@ import time
 from dataclasses import dataclass
 
 SITES = (
-    "batch_commit",
     "checkpoint",
     "job_hang",
     "job_oom",
     "checkpoint_torn",
-    "soa_commit",
 )
 MODES = ("crash", "raise", "halt", "hang", "balloon", "torn", "oom")
 
@@ -83,10 +79,10 @@ class FaultInjected(RuntimeError):
 class SynthesisHalted(BaseException):
     """Raised by a ``halt`` fault to simulate a kill at a level boundary.
 
-    A ``BaseException`` on purpose: no degradation guard (they catch
-    ``Exception``) may swallow it — it must unwind the whole synthesis
-    the way SIGKILL would end the process, leaving the checkpoint
-    directory as the only survivor.
+    A ``BaseException`` on purpose: no ``except Exception`` handler may
+    swallow it — it must unwind the whole synthesis the way SIGKILL
+    would end the process, leaving the checkpoint directory as the only
+    survivor.
     """
 
 
@@ -184,9 +180,8 @@ class FaultPlan:
                 f"injected halt at {spec.site}:{spec.index}"
             )
         if spec.mode == "oom":
-            # A real allocation failure. Degradation guards must NOT
-            # swallow this — every one re-raises MemoryError, so the
-            # fault unwinds the synthesis even in non-strict runs.
+            # A real allocation failure: it unwinds the synthesis the
+            # way a genuine out-of-memory would.
             raise MemoryError(
                 f"injected oom at {spec.site}:{spec.index}"
             )

@@ -8,19 +8,8 @@ full synthesis runs with two engines:
   blocking, bucketed matching, compiled fit evaluators);
 - ``reference``: the retained seed implementations (cell-by-cell
   ``block``, queue BFS, O(n^2) matching, interpreted fit evaluation,
-  every merge routed on its own through the single-pair path) running
-  inside the same flow;
-- ``scalar-commit``: the vectorized engine with the lockstep batched
-  commit phase disabled (``batch_commit=False``) — the scalar fallback
-  the batched commit is measured against (bit-identical trees; timed at
-  sizes >= ``BATCH_COMMIT_MIN_SINKS``);
-- ``per-object-commit``: the vectorized engine with the
-  structure-of-arrays tree mirror disabled (``soa_commit=False``) —
-  bounds-bucket prefill, forced-stage-buffer decisions and checkpoint
-  frames walk node objects per pair, the fallback the SoA columns are
-  measured against (bit-identical trees; timed at sizes >=
-  ``SOA_COMMIT_MIN_SINKS``, the source of the ``soa_commit_speedups``
-  rows).
+  every merge routed and committed on its own, node objects walked
+  without the structure-of-arrays mirror) running inside the same flow.
 
 ``collect_scaling`` produces a JSON-ready payload with per-scenario
 seconds and reference/vectorized speedups; ``write_scaling_json`` emits
@@ -49,6 +38,7 @@ import repro.core.profile_router as profile_router_mod
 import repro.core.routing_common as routing_common_mod
 from repro.benchio.generator import clustered_instance
 from repro.core import topology
+from repro.core.batch_commit import BatchCommitScheduler
 from repro.core.cts import AggressiveBufferedCTS
 from repro.core.maze_router import MazeGrid
 from repro.core.options import CTSOptions
@@ -57,16 +47,10 @@ from repro.core.segment_builder import PathBuilderReference, SegmentTablesRefere
 from repro.evalx.tables import format_table
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
+from repro.tree.nodes import peek_node_id
 
 #: The canonical scaling ladder (sinks per scenario).
 SCALING_SIZES = (50, 200, 1000, 4000)
-
-#: Smallest ladder size at which batched-vs-scalar commit is timed.
-BATCH_COMMIT_MIN_SINKS = 1000
-
-#: Smallest ladder size at which SoA-vs-object commit is timed (the
-#: mirror's level-wide gathers need enough rows per level to amortize).
-SOA_COMMIT_MIN_SINKS = 1000
 
 #: Sink density: die edge grows with sqrt(n) so merge spans stay realistic.
 AREA_PER_SQRT_SINK = 1200.0
@@ -155,17 +139,40 @@ def route_pair_by_pair(router, plans):
     return [None if plan is None else router.route_plan(plan) for plan in plans]
 
 
+def commit_pair_by_pair(scheduler, states, spans):
+    """A level committed pair by pair with scalar probes.
+
+    The seed committed every merge on its own, so the reference engine
+    installs this as ``BatchCommitScheduler.run``: each prepared state
+    runs to completion in pair order and records one id span.
+    """
+    for state, pair_spans in zip(states, spans):
+        start = peek_node_id()
+        state.run_scalar()
+        end = peek_node_id()
+        if end > start:
+            pair_spans.append((start, end))
+
+
+def synthesize_without_mirror(cts, sinks, source_location=None):
+    """``AggressiveBufferedCTS.synthesize`` with no structure-of-arrays
+    mirror installed, so the commit phase walks node objects as the
+    seed did."""
+    return cts._synthesize(sinks, source_location)
+
+
 @contextmanager
 def reference_engine():
     """Swap in the retained seed implementations for baseline timing.
 
     Patches the grid kernels, the matching, the path builder/tables, the
     fit-evaluator compile flag, the partial library queries (the seed
-    always evaluated the full fit set per component) and the level
-    router (the seed routed pair by pair, so every level goes through
-    the single-pair ``route_plan``); the caller must
-    construct its CTS (and hence its library) inside this context so the
-    interpreted evaluators take effect.
+    always evaluated the full fit set per component), the level router
+    and the level committer (the seed routed and committed pair by pair,
+    so every level goes through the single-pair ``route_plan`` and
+    ``run_scalar``) and ``synthesize`` (the seed had no tree mirror);
+    the caller must construct its CTS (and hence its library) inside
+    this context so the interpreted evaluators take effect.
     """
     builder_mods = (maze_router_mod, merge_routing_mod, profile_router_mod)
     lib_partials = (
@@ -185,6 +192,8 @@ def reference_engine():
     )
     saved_covering = routing_common_mod.covering_blockages
     saved_route_level = merge_routing_mod.MergeRouter.route_level
+    saved_commit = BatchCommitScheduler.run
+    saved_synthesize = AggressiveBufferedCTS.synthesize
     saved_lib_cache = dict(charlib_build._DEFAULT_CACHE)
     MazeGrid.bfs = MazeGrid.bfs_reference
     MazeGrid.bfs_many = lambda self, starts: [self.bfs(s) for s in starts]
@@ -195,6 +204,8 @@ def reference_engine():
     routing_common_mod.covering_blockages = lambda grid, blockages: list(blockages)
     cts_mod.greedy_matching = topology.greedy_matching_reference
     merge_routing_mod.MergeRouter.route_level = route_pair_by_pair
+    BatchCommitScheduler.run = commit_pair_by_pair
+    AggressiveBufferedCTS.synthesize = synthesize_without_mirror
     fitting.COMPILE_SCALAR = False
     # The default-library cache holds fits built with compiled evaluators;
     # drop it so the baseline constructs interpreted ones.
@@ -220,6 +231,8 @@ def reference_engine():
         ) = saved
         routing_common_mod.covering_blockages = saved_covering
         merge_routing_mod.MergeRouter.route_level = saved_route_level
+        BatchCommitScheduler.run = saved_commit
+        AggressiveBufferedCTS.synthesize = saved_synthesize
         for mod, (pb, st) in zip(builder_mods, builders):
             mod.PathBuilder = pb
             mod.SegmentTables = st
@@ -227,15 +240,6 @@ def reference_engine():
             setattr(DelaySlewLibrary, name, fn)
         charlib_build._DEFAULT_CACHE.clear()
         charlib_build._DEFAULT_CACHE.update(saved_lib_cache)
-
-
-#: The commit-phase knobs each engine pins.
-ENGINE_KNOBS = {
-    "vectorized": {"batch_commit": True, "soa_commit": True},
-    "reference": {"batch_commit": False, "soa_commit": False},
-    "scalar-commit": {"batch_commit": False, "soa_commit": True},
-    "per-object-commit": {"batch_commit": True, "soa_commit": False},
-}
 
 
 def time_synthesis(
@@ -250,15 +254,10 @@ def time_synthesis(
     ``repeats`` takes the fastest of N runs (noise on shared machines is
     strictly additive, so the minimum is the honest estimate).
     """
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    # Every engine pins its knobs explicitly so REPRO_BATCH_COMMIT /
-    # REPRO_SOA_COMMIT in the environment cannot silently change what a
-    # row measures: the reference/scalar-commit/per-object-commit rows
-    # exist to measure their respective subsystem OFF, and the
-    # vectorized row to measure everything ON.
-    if engine not in ENGINE_KNOBS:
+    if engine not in ("vectorized", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
-    options = CTSOptions(**ENGINE_KNOBS[engine])
+    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
+    options = CTSOptions()
 
     def run() -> dict:
         best = None
@@ -316,43 +315,10 @@ def collect_scaling(
     cap = reference_cap if reference_cap is not None else reference_size_cap()
     samples: list[dict] = []
     speedups: list[dict] = []
-    commit_speedups: list[dict] = []
-    soa_commit_speedups: list[dict] = []
     for with_blockages in (False, True):
         for n in sizes:
             vec = time_synthesis(n, with_blockages, "vectorized", seed, repeats=2)
             samples.append(vec)
-            if n >= SOA_COMMIT_MIN_SINKS:
-                po = time_synthesis(
-                    n, with_blockages, "per-object-commit", seed, repeats=2
-                )
-                samples.append(po)
-                soa_commit_speedups.append(
-                    {
-                        "n_sinks": n,
-                        "blockages": with_blockages,
-                        "object_commit_s": po["commit_s"],
-                        "soa_commit_s": vec["commit_s"],
-                        "soa_commit_speedup": po["commit_s"] / vec["commit_s"],
-                        "commit_probes": vec["commit_probes"],
-                    }
-                )
-            if n >= BATCH_COMMIT_MIN_SINKS:
-                sc = time_synthesis(
-                    n, with_blockages, "scalar-commit", seed, repeats=2
-                )
-                samples.append(sc)
-                commit_speedups.append(
-                    {
-                        "n_sinks": n,
-                        "blockages": with_blockages,
-                        "scalar_commit_s": sc["commit_s"],
-                        "batched_commit_s": vec["commit_s"],
-                        "commit_speedup": sc["commit_s"] / vec["commit_s"],
-                        "batch_rounds": vec["commit_batch_rounds"],
-                        "mean_batch_rows": vec["commit_mean_batch_rows"],
-                    }
-                )
             if n <= cap:
                 ref = time_synthesis(n, with_blockages, "reference", seed)
                 samples.append(ref)
@@ -384,74 +350,7 @@ def collect_scaling(
         "cpus": os.cpu_count(),
         "samples": samples,
         "speedups": speedups,
-        "commit_speedups": commit_speedups,
-        "soa_commit_speedups": soa_commit_speedups,
     }
-
-
-def batched_equivalence(
-    n_sinks: int = 200,
-    with_blockages: bool = True,
-    seed: int = 5,
-) -> dict:
-    """Scalar-fallback and batched-commit runs of one scenario, reduced
-    to signatures.
-
-    The trees are canonical :func:`repro.tree.export.tree_signature`
-    dicts (auto names rebased per run), so ``scalar_tree ==
-    batched_tree`` asserts bit-identical synthesis (same bisection
-    trajectories, same tie-breaks, same node creation order after
-    renumbering).
-    """
-    from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
-
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
-    for label, batch in (("scalar", False), ("batched", True)):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(batch_commit=batch),
-            blockages=blockages or None,
-        )
-        base = peek_node_id()
-        result = cts.synthesize(sinks, source)
-        out[f"{label}_tree"] = tree_signature(result.tree, base)
-        out[f"{label}_stats"] = result.merge_stats
-        out[f"{label}_levels"] = result.levels
-        out[f"{label}_queries"] = result.commit_queries
-    return out
-
-
-def soa_commit_equivalence(
-    n_sinks: int = 200,
-    with_blockages: bool = True,
-    seed: int = 5,
-) -> dict:
-    """SoA-mirror and per-object-commit runs of one scenario, reduced to
-    signatures.
-
-    Like :func:`batched_equivalence` but for the structure-of-arrays
-    tree mirror: ``soa_tree == object_tree`` asserts bit-identical
-    synthesis (same bounds-bucket cache fills, same forced stage
-    buffers, same node creation order after renumbering).
-    """
-    from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
-
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
-    for label, soa in (("soa", True), ("object", False)):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(soa_commit=soa),
-            blockages=blockages or None,
-        )
-        base = peek_node_id()
-        result = cts.synthesize(sinks, source)
-        out[f"{label}_tree"] = tree_signature(result.tree, base)
-        out[f"{label}_stats"] = result.merge_stats
-        out[f"{label}_levels"] = result.levels
-        out[f"{label}_queries"] = result.commit_queries
-    return out
 
 
 def checkpoint_resume_equivalence(
@@ -463,8 +362,7 @@ def checkpoint_resume_equivalence(
     """Clean and halt-at-level-``halt_after``-then-resume runs of one
     scenario, reduced to signatures.
 
-    Like :func:`batched_equivalence` but for the checkpoint subsystem:
-    a synthesis is killed (injected ``checkpoint:N:halt``) right after
+    A synthesis is killed (injected ``checkpoint:N:halt``) right after
     its ``halt_after``-th per-level snapshot landed, then resumed from
     the checkpoint directory; ``clean_tree == resumed_tree`` asserts the
     restart is bit-identical, including node ids/names created before
@@ -474,13 +372,12 @@ def checkpoint_resume_equivalence(
 
     from repro.evalx.faultinject import SynthesisHalted, reset_plans
     from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
 
     sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
     out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
 
     cts = AggressiveBufferedCTS(
-        options=CTSOptions(fault_plan="", strict=False),
+        options=CTSOptions(fault_plan=""),
         blockages=blockages or None,
     )
     base = peek_node_id()
@@ -496,7 +393,6 @@ def checkpoint_resume_equivalence(
             options=CTSOptions(
                 checkpoint_dir=ckpt_dir,
                 fault_plan=f"checkpoint:{halt_after - 1}:halt",
-                strict=False,
             ),
             blockages=blockages or None,
         )
@@ -508,9 +404,7 @@ def checkpoint_resume_equivalence(
         out["checkpoints_written"] = len(os.listdir(ckpt_dir))
         reset_plans()
         resumer = AggressiveBufferedCTS(
-            options=CTSOptions(
-                resume_from=ckpt_dir, fault_plan="", strict=False
-            ),
+            options=CTSOptions(resume_from=ckpt_dir, fault_plan=""),
             blockages=blockages or None,
         )
         resumed = resumer.synthesize(sinks, source)
@@ -545,7 +439,7 @@ def render_scaling(payload: dict) -> str:
                 "-" if row["speedup"] is None else round(row["speedup"], 1),
             ]
         )
-    table = format_table(
+    return format_table(
         headers,
         body,
         title=(
@@ -553,58 +447,3 @@ def render_scaling(payload: dict) -> str:
             " reference (same flow, same scenarios)"
         ),
     )
-    if payload.get("commit_speedups"):
-        commit_body = [
-            [
-                row["n_sinks"],
-                "yes" if row["blockages"] else "no",
-                round(row["scalar_commit_s"], 3),
-                round(row["batched_commit_s"], 3),
-                round(row["commit_speedup"], 2),
-                round(row["mean_batch_rows"], 1),
-            ]
-            for row in payload["commit_speedups"]
-        ]
-        table += "\n\n" + format_table(
-            [
-                "sinks",
-                "blockages",
-                "scalar commit[s]",
-                "batched commit[s]",
-                "speedup",
-                "rows/round",
-            ],
-            commit_body,
-            title=(
-                "Commit phase — scalar fallback vs lockstep batched"
-                " timing queries (bit-identical trees)"
-            ),
-        )
-    if payload.get("soa_commit_speedups"):
-        soa_body = [
-            [
-                row["n_sinks"],
-                "yes" if row["blockages"] else "no",
-                round(row["object_commit_s"], 3),
-                round(row["soa_commit_s"], 3),
-                round(row["soa_commit_speedup"], 2),
-                row["commit_probes"],
-            ]
-            for row in payload["soa_commit_speedups"]
-        ]
-        table += "\n\n" + format_table(
-            [
-                "sinks",
-                "blockages",
-                "object commit[s]",
-                "soa commit[s]",
-                "speedup",
-                "probes",
-            ],
-            soa_body,
-            title=(
-                "Commit phase — per-object walks vs structure-of-arrays"
-                " tree mirror (bit-identical trees)"
-            ),
-        )
-    return table

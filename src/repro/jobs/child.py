@@ -43,19 +43,14 @@ def run_job(spec: dict) -> dict:
     inst = build_instance(spec["instance"])
     stamp_heartbeat(spec["heartbeat_file"], "instance-built")
     options = CTSOptions(
-        # Explicit defaults for the supervision plumbing: the child must
-        # not inherit the *parent's* env (a CI leg's REPRO_STRICT or
-        # REPRO_FAULT_PLAN would leak into every batch job).
-        strict=bool(spec["options"].get("strict", False)),
+        # The fault plan is explicit: the child must not inherit the
+        # *parent's* env (a CI leg's REPRO_FAULT_PLAN would leak into
+        # every batch job).
         fault_plan=spec.get("fault_plan", ""),
         checkpoint_dir=spec["checkpoint_dir"],
         resume_from=spec.get("resume_from"),
         heartbeat_file=spec["heartbeat_file"],
-        **{
-            k: v
-            for k, v in spec["options"].items()
-            if k not in ("strict",)
-        },
+        **spec["options"],
     )
     cts = AggressiveBufferedCTS(
         options=options, blockages=inst.blockages or None

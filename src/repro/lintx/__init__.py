@@ -1,14 +1,14 @@
-"""repro-lint: static enforcement of the bit-identical fast-path
-architecture.
+"""repro-lint: static enforcement of the determinism and contract
+rules.
 
-See ANALYSIS.md for the rule catalogue, the suppression grammar and the
-"adding a new kernel" checklist. Public API:
+See ANALYSIS.md for the rule catalogue and the suppression grammar.
+Public API:
 
 - :func:`repro.lintx.core.run_lint` — scan paths, get a
   :class:`~repro.lintx.core.LintResult`;
 - :func:`repro.lintx.core.all_rules` — the registered rule set;
-- :data:`repro.lintx.contracts.KERNEL_CONTRACTS` — the declared
-  safety-rail table every kernel knob is checked against.
+- :data:`repro.lintx.contracts.FLOW_CONTRACTS` — the declared env/CLI
+  table every ``REPRO_*``-backed option is checked against.
 """
 
 from repro.lintx.core import (

@@ -1,43 +1,37 @@
-"""Kernel-contract cross-checks (``CON3xx``).
+"""Knob- and rail-contract cross-checks (``CON3xx``).
 
-Every knob-gated fast path in this codebase ships with five safety
-rails, and until this module they were enforced purely by convention:
+Every env-backed knob and every resilience rail is enforced here at
+analysis time instead of by convention:
 
-1. a **degradation guard** in the kernel's module — an ``except``
-   handler that records a :class:`~repro.core.resilience.Degradation`
-   component via ``.note("<component>", ...)`` and falls back to the
-   bit-identical scalar path;
-2. a **fault-injection site** — the site name registered in
-   :data:`repro.evalx.faultinject.SITES` *and* a ``.consult("<site>")``
-   call at the guarded kernel, so the chaos CI leg can prove the guard
-   fires;
-3. a **CI matrix leg** exercising both sides of the knob (fast path on
-   and off) through its ``REPRO_*`` environment default;
-4. a **checkpoint-digest classification** — every ``CTSOptions`` field
+1. a **declared contract** for each ``REPRO_*``-backed ``CTSOptions``
+   field and ``JobPolicy`` field: the env variable it reads and its
+   documented CLI flag (``FLOW_CONTRACTS`` / ``JOB_CONTRACTS``);
+2. **live fault sites** — every site registered in
+   :data:`repro.evalx.faultinject.SITES` has a ``.consult("<site>")``
+   call somewhere in the tree, and every consulted literal is
+   registered, so the chaos CI leg can always fire what it names;
+3. a **checkpoint-digest classification** — every ``CTSOptions`` field
    is either result-affecting (in ``checkpoint._RESULT_FIELDS``) or
    explicitly execution-only (in ``checkpoint._EXECUTION_FIELDS``);
    a field in neither list would silently make checkpoints lie;
-5. a **documented CLI flag** in ``cli.py``.
+4. a **documented CLI flag** in ``cli.py`` for each contracted knob;
+5. a CI workflow that runs the analyzer itself.
+
+Synthesis kernels have no knob, guard or fault site: each layer has one
+path and a kernel exception fails the run.
 
 The pass extracts the knob registry from ``core/options.py`` (every
 dataclass field whose ``default_factory`` reads a ``REPRO_*`` variable)
-and cross-checks it against the declared contract table below and the
-live tree. Adding a new kernel knob without declaring its rails fails
-here, at analysis time — not at 3 a.m. when the first degraded
-production run needs the fallback that was never wired.
-
-The table is deliberately declarative: a new knob-gated kernel adds one
-:class:`KernelContract` row, and every rule below starts enforcing its
-rails for free. ``tests/test_lintx_contracts.py`` asserts the table
-matches the shipped tree (self-check) and that each rule fires on a
-mutated copy of the tree (mutation checks).
+and cross-checks it against the declared contract tables below and the
+live tree. ``tests/test_lintx_contracts.py`` asserts the tables match
+the shipped tree (self-check) and that each rule fires on a mutated
+copy of the tree (mutation checks).
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 from dataclasses import dataclass
 
 from repro.lintx.core import Finding, Project, Rule, SourceFile, register
@@ -47,49 +41,15 @@ _OPTIONS_SUFFIX = os.path.join("repro", "core", "options.py")
 
 
 @dataclass(frozen=True)
-class KernelContract:
-    """The safety rails one knob-gated kernel must ship with."""
-
-    knob: str  # CTSOptions field name
-    env: str  # REPRO_* environment default
-    module: str  # kernel module holding the degradation guard
-    component: str  # Degradation component the guard records
-    fault_site: str  # faultinject.SITES entry + .consult() literal
-    cli_flag: str  # documented flag in cli.py
-
-
-@dataclass(frozen=True)
 class FlowContract:
-    """A resilience/flow knob: env-backed and CLI-documented, but not a
-    kernel (it *is* part of the safety machinery, so it has no guard or
-    fault site of its own)."""
+    """A resilience/flow knob: env-backed and CLI-documented."""
 
     knob: str
     env: str
     cli_flag: str
 
 
-KERNEL_CONTRACTS = (
-    KernelContract(
-        knob="batch_commit",
-        env="REPRO_BATCH_COMMIT",
-        module=os.path.join("core", "batch_commit.py"),
-        component="batch_commit",
-        fault_site="batch_commit",
-        cli_flag="--no-batch-commit",
-    ),
-    KernelContract(
-        knob="soa_commit",
-        env="REPRO_SOA_COMMIT",
-        module=os.path.join("core", "soa_tree.py"),
-        component="soa_commit",
-        fault_site="soa_commit",
-        cli_flag="--no-soa-commit",
-    ),
-)
-
 FLOW_CONTRACTS = (
-    FlowContract("strict", "REPRO_STRICT", "--strict"),
     FlowContract("fault_plan", "REPRO_FAULT_PLAN", "--fault-plan"),
 )
 
@@ -201,27 +161,6 @@ def extract_string_tuple(
     return None
 
 
-def guarded_components(source: SourceFile) -> set[str]:
-    """Components recorded by ``.note("<c>", ...)`` calls lexically
-    inside ``except`` handlers of this module."""
-    assert source.tree is not None
-    components: set[str] = set()
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.ExceptHandler):
-            continue
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "note"
-                and sub.args
-                and isinstance(sub.args[0], ast.Constant)
-                and isinstance(sub.args[0].value, str)
-            ):
-                components.add(sub.args[0].value)
-    return components
-
-
 def consulted_sites(project: Project) -> set[str]:
     """Every ``.consult("<site>", ...)`` literal in the scanned tree."""
     sites: set[str] = set()
@@ -270,99 +209,6 @@ def cli_flags(source: SourceFile) -> dict[str, bool]:
 
 
 # --------------------------------------------------------------------
-# Minimal CI workflow parsing (indentation-based; no yaml dependency)
-# --------------------------------------------------------------------
-
-
-@dataclass
-class CIWorkflow:
-    """The slice of ci.yml the contract rules need."""
-
-    path: str
-    legs: list[dict[str, str]]
-    env: dict[str, tuple[str | None, str]]  # REPRO_X -> (matrix key, default)
-    include_line: int
-    text: str
-
-
-_ENV_MATRIX_RE = re.compile(
-    r"^\s*(?P<var>REPRO_[A-Z_]+):\s*"
-    r"\$\{\{\s*matrix\.(?P<key>[A-Za-z_]+)"
-    r"(?:\s*\|\|\s*'(?P<default>[^']*)')?\s*\}\}"
-)
-_ENV_LITERAL_RE = re.compile(
-    r"^\s*(?P<var>REPRO_[A-Z_]+):\s*[\"']?(?P<value>[^\"'\s]*)[\"']?\s*$"
-)
-_KV_RE = re.compile(
-    r"^(?P<indent>\s*)(?P<dash>-\s+)?(?P<key>[A-Za-z_.-]+):\s*"
-    r"[\"']?(?P<value>[^\"']*)[\"']?\s*$"
-)
-
-
-def parse_ci_workflow(path: str, text: str) -> CIWorkflow:
-    legs: list[dict[str, str]] = []
-    env: dict[str, tuple[str | None, str]] = {}
-    include_line = 1
-    in_include = False
-    include_indent = 0
-    current: dict[str, str] | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        indent = len(line) - len(line.lstrip())
-        if stripped == "include:":
-            in_include = True
-            include_indent = indent
-            include_line = lineno
-            current = None
-            continue
-        if in_include:
-            if indent <= include_indent:
-                in_include = False
-                current = None
-            else:
-                match = _KV_RE.match(line)
-                if match:
-                    if match.group("dash"):
-                        current = {}
-                        legs.append(current)
-                    if current is not None:
-                        current[match.group("key")] = match.group("value")
-                continue
-        match = _ENV_MATRIX_RE.match(line)
-        if match:
-            env[match.group("var")] = (
-                match.group("key"),
-                match.group("default") or "",
-            )
-            continue
-        match = _ENV_LITERAL_RE.match(line)
-        if match and match.group("var").startswith("REPRO_"):
-            env.setdefault(
-                match.group("var"), (None, match.group("value"))
-            )
-    return CIWorkflow(
-        path=path, legs=legs, env=env, include_line=include_line, text=text
-    )
-
-
-def leg_env_value(workflow: CIWorkflow, leg: dict[str, str], env_var: str) -> str:
-    """The effective REPRO_* value one matrix leg runs with."""
-    mapping = workflow.env.get(env_var)
-    if mapping is None:
-        return ""
-    key, default = mapping
-    if key is None:
-        return default
-    return leg.get(key, "") or default
-
-
-def is_fast(value: str) -> bool:
-    return value.lower() not in ("0", "false", "no")
-
-
-# --------------------------------------------------------------------
 # The shared index + rules
 # --------------------------------------------------------------------
 
@@ -382,10 +228,10 @@ class ContractIndex:
         if os.path.basename(os.path.normpath(root)) == "src":
             root = os.path.dirname(os.path.normpath(root))
         self.ci_path = os.path.join(root, ".github", "workflows", "ci.yml")
-        self.workflow: CIWorkflow | None = None
+        self.ci_text: str | None = None
         if os.path.exists(self.ci_path):
             with open(self.ci_path, encoding="utf-8") as fh:
-                self.workflow = parse_ci_workflow(self.ci_path, fh.read())
+                self.ci_text = fh.read()
 
     def module(self, suffix: str) -> SourceFile | None:
         """A repro module by path suffix, from the scan or from disk."""
@@ -432,12 +278,11 @@ class KnobContractDeclaredRule(_ContractRule):
     severity = "error"
     summary = (
         "every REPRO_*-backed CTSOptions knob must declare its"
-        " safety-rail contract (KernelContract/FlowContract)"
+        " contract (FlowContract)"
     )
 
     def check_contracts(self, index: ContractIndex):
-        declared = {c.knob: c.env for c in KERNEL_CONTRACTS}
-        declared.update({c.knob: c.env for c in FLOW_CONTRACTS})
+        declared = {c.knob: c.env for c in FLOW_CONTRACTS}
         for name, knob in sorted(index.knobs.items()):
             if name not in declared:
                 yield self.finding(
@@ -445,9 +290,8 @@ class KnobContractDeclaredRule(_ContractRule):
                     knob.line,
                     1,
                     f"knob {name!r} ({knob.env}) has no declared"
-                    " contract: add a KernelContract (fast-path kernel)"
-                    " or FlowContract (flow/resilience knob) row in"
-                    " repro.lintx.contracts and wire its safety rails",
+                    " contract: add a FlowContract row in"
+                    " repro.lintx.contracts and a documented CLI flag",
                 )
             elif declared[name] != knob.env:
                 yield self.finding(
@@ -478,45 +322,12 @@ class KnobContractDeclaredRule(_ContractRule):
 
 
 @register
-class DegradationGuardRule(_ContractRule):
-    id = "CON302"
-    severity = "error"
-    summary = (
-        "each kernel knob's module must contain a degradation guard:"
-        " an except handler recording its component via .note()"
-    )
-
-    def check_contracts(self, index: ContractIndex):
-        for contract in KERNEL_CONTRACTS:
-            module = index.module(contract.module)
-            if module is None or module.tree is None:
-                yield self.finding(
-                    index.options.path,
-                    index.class_line,
-                    1,
-                    f"kernel module repro/{contract.module} for knob"
-                    f" {contract.knob!r} not found",
-                )
-                continue
-            if contract.component not in guarded_components(module):
-                yield self.finding(
-                    module.path,
-                    1,
-                    1,
-                    f"knob {contract.knob!r}: no degradation guard in"
-                    f" this module — expected an except handler calling"
-                    f" .note({contract.component!r}, ...) before falling"
-                    " back to the bit-identical scalar path",
-                )
-
-
-@register
 class FaultSiteRule(_ContractRule):
     id = "CON303"
     severity = "error"
     summary = (
-        "each kernel knob needs a registered fault site (SITES) with a"
-        " live .consult() call; every registered site must be consulted"
+        "every registered fault site (SITES) must be consulted, and every"
+        " .consult() literal must be a registered site"
     )
 
     def check_contracts(self, index: ContractIndex):
@@ -541,95 +352,23 @@ class FaultSiteRule(_ContractRule):
             return
         sites, sites_line = extracted
         consulted = consulted_sites(index.project)
-        for contract in KERNEL_CONTRACTS:
-            if contract.fault_site not in sites:
-                yield self.finding(
-                    fault_mod.path,
-                    sites_line,
-                    1,
-                    f"knob {contract.knob!r}: fault site"
-                    f" {contract.fault_site!r} is not registered in"
-                    " SITES — the chaos leg cannot prove its"
-                    " degradation guard fires",
-                )
-            if contract.fault_site not in consulted:
-                yield self.finding(
-                    fault_mod.path,
-                    sites_line,
-                    1,
-                    f"knob {contract.knob!r}: no"
-                    f" .consult({contract.fault_site!r}) call anywhere"
-                    " in the tree — the registered fault site is dead",
-                )
         for site in sites:
             if site not in consulted:
-                covered = any(
-                    c.fault_site == site for c in KERNEL_CONTRACTS
+                yield self.finding(
+                    fault_mod.path,
+                    sites_line,
+                    1,
+                    f"registered fault site {site!r} has no"
+                    " .consult() call anywhere in the tree",
                 )
-                if not covered:
-                    yield self.finding(
-                        fault_mod.path,
-                        sites_line,
-                        1,
-                        f"registered fault site {site!r} has no"
-                        " .consult() call anywhere in the tree",
-                    )
-
-
-@register
-class CIMatrixRule(_ContractRule):
-    id = "CON304"
-    severity = "error"
-    summary = (
-        "each kernel knob needs CI matrix legs exercising both the fast"
-        " path and its fallback through the REPRO_* env default"
-    )
-
-    def check_contracts(self, index: ContractIndex):
-        workflow = index.workflow
-        if workflow is None:
+        for site in sorted(consulted - set(sites)):
             yield self.finding(
-                index.options.path,
-                index.class_line,
+                fault_mod.path,
+                sites_line,
                 1,
-                f"no CI workflow at {index.ci_path}: kernel knobs have"
-                " no fallback matrix legs",
+                f"fault site {site!r} is consulted but not registered in"
+                " SITES — no fault plan can name it",
             )
-            return
-        for contract in KERNEL_CONTRACTS:
-            if contract.env not in workflow.env:
-                yield self.finding(
-                    workflow.path,
-                    1,
-                    1,
-                    f"knob {contract.knob!r}: {contract.env} is not"
-                    " wired into the workflow env block, so no matrix"
-                    " leg can toggle it",
-                )
-                continue
-            values = [
-                leg_env_value(workflow, leg, contract.env)
-                for leg in workflow.legs
-            ]
-            fast = [is_fast(v) for v in values]
-            if not any(fast):
-                yield self.finding(
-                    workflow.path,
-                    workflow.include_line,
-                    1,
-                    f"knob {contract.knob!r}: no matrix leg runs with"
-                    " the fast path enabled"
-                    f" ({contract.env} always off)",
-                )
-            if all(fast):
-                yield self.finding(
-                    workflow.path,
-                    workflow.include_line,
-                    1,
-                    f"knob {contract.knob!r}: no matrix leg disables"
-                    f" the fast path ({contract.env}) — the"
-                    " bit-identical fallback is never exercised in CI",
-                )
 
 
 @register
@@ -734,9 +473,7 @@ class CLIFlagRule(_ContractRule):
             )
             return
         flags = cli_flags(cli)
-        wanted = [(c.knob, c.cli_flag) for c in KERNEL_CONTRACTS]
-        wanted += [(c.knob, c.cli_flag) for c in FLOW_CONTRACTS]
-        for knob, flag in wanted:
+        for knob, flag in ((c.knob, c.cli_flag) for c in FLOW_CONTRACTS):
             if flag not in flags:
                 yield self.finding(
                     cli.path,
@@ -846,15 +583,19 @@ class CIRunsLintRule(_ContractRule):
     summary = "the CI workflow must run repro-lint itself"
 
     def check_contracts(self, index: ContractIndex):
-        workflow = index.workflow
-        if workflow is None:
-            return  # CON304 already reports the missing workflow
-        if (
-            "repro.lintx" not in workflow.text
-            and "repro lint" not in workflow.text
-        ):
+        text = index.ci_text
+        if text is None:
             yield self.finding(
-                workflow.path,
+                index.options.path,
+                index.class_line,
+                1,
+                f"no CI workflow at {index.ci_path}: the analyzer never"
+                " runs on push",
+            )
+            return
+        if "repro.lintx" not in text and "repro lint" not in text:
+            yield self.finding(
+                index.ci_path,
                 1,
                 1,
                 "the workflow never runs the analyzer (python -m"

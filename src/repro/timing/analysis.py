@@ -139,8 +139,7 @@ class LibraryTimingEngine:
         self.bounds_cache_misses = 0
         #: Optional structure-of-arrays mirror (repro.core.soa_tree).
         #: When attached, the bounds-bucket prefill evaluates flat
-        #: stages from its columns (bit-identical; degrades back to the
-        #: object walk on any failure).
+        #: stages from its columns (bit-identical to the object walk).
         self._soa = None
 
     def attach_soa(self, soa) -> None:
@@ -523,17 +522,16 @@ class LibraryTimingEngine:
     ) -> None:
         """Fill missing bounds buckets (SoA columns when mirrored).
 
-        When a structure-of-arrays mirror is attached and healthy, the
-        flat-stage kernel answers the whole job list from its columns
-        (delegating unmirrored/deep jobs back to the object walk
-        itself); otherwise — or after the mirror degrades — every job
-        takes the object walk. Stored values are bit-identical either
-        way.
+        When a structure-of-arrays mirror is attached, the flat-stage
+        kernel answers the whole job list from its columns (delegating
+        unmirrored/deep jobs back to the object walk itself); without
+        one every job takes the object walk. Stored values are
+        bit-identical either way.
         """
-        soa = self._soa
-        if soa is not None and soa.prefill_bounds(self, jobs):
-            return
-        self._prefill_bucket_jobs_object(jobs)
+        if self._soa is not None:
+            self._soa.prefill_bounds(self, jobs)
+        else:
+            self._prefill_bucket_jobs_object(jobs)
 
     def _prefill_bucket_jobs_object(
         self, jobs: list[tuple[str, TreeNode, list[int], str]]

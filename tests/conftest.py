@@ -10,7 +10,11 @@ import pytest
 from repro.charlib import load_default_library
 from repro.core.cts import AggressiveBufferedCTS
 from repro.core.options import CTSOptions
-from repro.evalx.perfstats import route_pair_by_pair
+from repro.evalx.perfstats import (
+    commit_pair_by_pair,
+    route_pair_by_pair,
+    synthesize_without_mirror,
+)
 from repro.geom import Point
 from repro.tech import cts_buffer_library, default_technology
 from repro.timing.analysis import LibraryTimingEngine
@@ -62,24 +66,39 @@ def small_sinks():
     return make_sink_pairs(8, 18000.0, seed=3)
 
 
-def synthesize_signature(sinks, source, blockages, pair_by_pair=False, **option_kwargs):
+def synthesize_signature(
+    sinks,
+    source,
+    blockages,
+    pair_by_pair=False,
+    scalar_commit=False,
+    without_mirror=False,
+    **option_kwargs,
+):
     """One synthesis run plus the rebased signature of its tree.
 
-    ``pair_by_pair`` replaces this run's level router with
-    :func:`route_pair_by_pair`, so every level routes through the
-    retained single-pair functions instead of the level kernels: the
-    comparison side of the level-kernel equivalence tests.
+    The flags install the reference engine's swaps on this run only, so
+    a test can compare the level kernels against the retained
+    single-pair path in the same process: ``pair_by_pair`` replaces the
+    level router with :func:`route_pair_by_pair`, ``scalar_commit`` the
+    lockstep commit scheduler with :func:`commit_pair_by_pair`, and
+    ``without_mirror`` runs :func:`synthesize_without_mirror`, so the
+    commit phase walks node objects instead of the SoA columns.
     """
     option_kwargs.setdefault("fault_plan", "")
-    option_kwargs.setdefault("strict", False)
     cts = AggressiveBufferedCTS(
         options=CTSOptions(**option_kwargs),
         blockages=blockages or None,
     )
     if pair_by_pair:
         cts.router.route_level = types.MethodType(route_pair_by_pair, cts.router)
+    if scalar_commit:
+        cts.scheduler.run = types.MethodType(commit_pair_by_pair, cts.scheduler)
+    synthesize = cts.synthesize
+    if without_mirror:
+        synthesize = types.MethodType(synthesize_without_mirror, cts)
     base = peek_node_id()
-    result = cts.synthesize(sinks, source)
+    result = synthesize(sinks, source)
     return tree_signature(result.tree, base), result
 
 

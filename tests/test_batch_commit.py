@@ -1,13 +1,15 @@
-"""Lockstep batched commit equals the scalar fallback, bit for bit.
+"""Lockstep batched commit equals a pair-by-pair scalar commit, bit for bit.
 
-The contract under test: with ``batch_commit=True`` every topology
-level's merge commits advance in lockstep through the vectorized query
-engine, yet the synthesized tree — topology, geometry, wire lengths,
-buffer types, and (after the serial renumbering pass) auto-generated
-node names — is identical to the scalar fallback's, and the merge
-diagnostics (including the floating-point snake-delay sum) compare
-equal. Also unit-covers the batched query APIs against their scalar
-counterparts and the binary-search iteration accounting.
+The contract under test: every topology level's merge commits advance
+in lockstep through the vectorized query engine, yet the synthesized
+tree — topology, geometry, wire lengths, buffer types, and (after the
+serial renumbering pass) auto-generated node names — is identical to
+the one the reference engine's pair-by-pair scalar commit
+(:func:`repro.evalx.perfstats.commit_pair_by_pair`) builds in the same
+run, and the merge diagnostics (including the floating-point
+snake-delay sum) compare equal. Also unit-covers the batched query APIs
+against their scalar counterparts and the binary-search iteration
+accounting.
 """
 
 from __future__ import annotations
@@ -15,38 +17,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AggressiveBufferedCTS, CTSOptions
+from repro.core import CTSOptions
 from repro.core.binary_search import MergeSearchState, binary_search_merge
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.timing.analysis import SLEW_QUANTUM, LibraryTimingEngine
-from repro.tree.export import tree_signature
-from repro.tree.nodes import NodeKind, make_buffer, make_sink, peek_node_id
+from repro.tree.nodes import NodeKind, make_buffer, make_sink
 
-from tests.conftest import make_sink_pairs
+from tests.conftest import make_sink_pairs, synthesize_signature
 
 
-def synth(sinks, batch_commit, blockages=None, **option_overrides):
+def synth(sinks, scalar_commit, blockages=None, **option_overrides):
     """One synthesis run plus the rebased signature of its tree."""
-    options = CTSOptions(
-        batch_commit=batch_commit,
-        batch_commit_min_pairs=1,
-        **option_overrides,
+    return synthesize_signature(
+        sinks, None, blockages, scalar_commit=scalar_commit, **option_overrides
     )
-    cts = AggressiveBufferedCTS(options=options, blockages=blockages)
-    base = peek_node_id()
-    result = cts.synthesize(sinks)
-    return tree_signature(result.tree, base), result
 
 
 class TestBatchedMatchesScalar:
     def _assert_identical(self, sinks, blockages=None, **overrides):
-        scalar_sig, scalar = synth(sinks, False, blockages, **overrides)
-        batched_sig, batched = synth(sinks, True, blockages, **overrides)
+        scalar_sig, scalar = synth(sinks, True, blockages, **overrides)
+        batched_sig, batched = synth(sinks, False, blockages, **overrides)
         assert scalar_sig == batched_sig
         assert scalar.merge_stats == batched.merge_stats
         assert scalar.levels == batched.levels
         assert scalar.n_flippings == batched.n_flippings
+        assert scalar.commit_queries["batched_rounds"] == 0
         return scalar, batched
 
     def test_plain_instance(self):
@@ -87,17 +83,17 @@ class TestBatchedMatchesScalar:
         assert scalar.merge_stats.n_snaked > 0  # the scenario did snake
 
     def test_small_levels_fall_back_to_scalar(self):
-        """Below ``batch_commit_min_pairs`` no lockstep round is spent."""
+        """Rounds below ``SCALAR_ROUND_ROWS`` probe rows answer scalar,
+        so a small instance spends no vectorized round."""
         sinks = make_sink_pairs(10, 20000.0, seed=25)
-        options = CTSOptions(batch_commit=True, batch_commit_min_pairs=64)
-        cts = AggressiveBufferedCTS(options=options)
-        result = cts.synthesize(sinks)
+        __, result = synth(sinks, False)
         assert result.commit_queries["batched_rounds"] == 0
+        assert result.commit_queries["search_probes"] > 0
         assert len(result.tree.sinks()) == len(sinks)
 
     def test_batched_rounds_engage_on_large_levels(self):
         sinks = make_sink_pairs(40, 34000.0, seed=26)
-        __, result = synth(sinks, True)
+        __, result = synth(sinks, False)
         assert result.commit_queries["batched_rounds"] > 0
         assert result.commit_queries["batched_rows"] > 0
 

@@ -16,8 +16,9 @@ The contract of the level expansion scheduler
   and the pair-level SharingStats counters (``expansion_lanes``/
   ``expansion_runs``/``expansion_insertions``) are split-invariant sums;
 - synthesis through the scheduler is byte-identical to the single-pair
-  lazy expansion in the same test run, and a scheduler exception
-  propagates out of the synthesis;
+  lazy expansion in the same test run (that a scheduler exception
+  propagates out of the synthesis is checked by
+  ``tests/test_resilience.py::TestRouteFailuresAreLoud``);
 - the binding-level memoization the scheduler pre-installs
   (:meth:`SegmentTables.any_feasible` / ``clamped_wire_delays``) is
   observable: re-binding to a seen load is a cache hit, never a
@@ -28,7 +29,6 @@ The contract of the level expansion scheduler
 import numpy as np
 import pytest
 
-import repro.core.grid_cache as grid_cache
 from repro.core.batch_expand import LevelExpansionScheduler
 from repro.core.grid_cache import SharingStats
 from repro.core.options import CTSOptions
@@ -286,15 +286,3 @@ class TestEndToEnd:
             batched.route_sharing["windows_served"]
             == per_pair.route_sharing["windows_served"]
         )
-
-    def test_strict_mode_reraises(self, monkeypatch):
-        """A scheduler exception is a kernel bug: it propagates out of
-        the synthesis (strict or not; see test_resilience)."""
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("expansion kernel bug")
-
-        monkeypatch.setattr(grid_cache, "expand_level", broken)
-        sinks, source, blockages = scaling_scenario(60, True)
-        with pytest.raises(RuntimeError, match="expansion kernel bug"):
-            synthesize_signature(sinks, source, blockages, strict=True)

@@ -69,7 +69,7 @@ def _warm_library_cache(library):
 def clean_signature(instance: dict, options: dict | None = None) -> str:
     """The in-process reference signature a batch job must reproduce."""
     inst = build_instance(instance)
-    opts = CTSOptions(strict=False, fault_plan="", **(options or {}))
+    opts = CTSOptions(fault_plan="", **(options or {}))
     cts = AggressiveBufferedCTS(
         options=opts, blockages=inst.blockages or None
     )

@@ -1,12 +1,10 @@
-"""Fault-tolerant synthesis: degradation, checkpoint/resume, fault plans.
+"""Fault-tolerant synthesis: loud kernel failures, checkpoint/resume,
+fault plans.
 
-The contract under test: the commit-phase fast paths (lockstep batched
-commit, structure-of-arrays mirror) degrade on failure to their retained
-scalar fallbacks with a bit-identical tree and exactly one recorded
-``Degradation`` per cause; strict mode re-raises instead; a route kernel
-failure is never absorbed — it propagates and records nothing; and a
-synthesis killed at a level boundary resumes from its checkpoint
-bit-identically.
+The contract under test: a route or commit kernel failure is never
+absorbed — it propagates out of ``synthesize()`` and records no
+``Degradation``; and a synthesis killed at a level boundary resumes
+from its checkpoint bit-identically.
 
 Deterministic faults come from :mod:`repro.evalx.faultinject`
 (``site:index:mode`` plans); every test compares against a clean run's
@@ -19,6 +17,7 @@ import os
 
 import pytest
 
+import repro.core.batch_commit as batch_commit
 import repro.core.grid_cache as grid_cache
 import repro.core.merge_routing as merge_routing
 from repro.core import AggressiveBufferedCTS, CTSOptions
@@ -34,6 +33,7 @@ from repro.evalx.faultinject import (
     SynthesisHalted,
     reset_plans,
 )
+from repro.core.soa_tree import SoaTree
 from repro.geom.bbox import BBox
 from repro.tree.export import tree_signature
 from repro.tree.nodes import peek_node_id
@@ -54,11 +54,10 @@ def _fresh_fault_plans():
 def synth(sinks, blockages=None, **option_overrides):
     """One synthesis run plus the rebased signature of its tree.
 
-    Chaos/strict CI legs export ``REPRO_FAULT_PLAN``/``REPRO_STRICT``;
-    pin both so this module's reference runs stay clean under them.
+    A chaos CI leg may export ``REPRO_FAULT_PLAN``; pin it so this
+    module's reference runs stay clean under it.
     """
     option_overrides.setdefault("fault_plan", "")
-    option_overrides.setdefault("strict", False)
     options = CTSOptions(**option_overrides)
     cts = AggressiveBufferedCTS(options=options, blockages=blockages)
     base = peek_node_id()
@@ -80,10 +79,10 @@ def blocked_sinks(n, seed):
 
 class TestFaultPlanGrammar:
     def test_parse(self):
-        plan = FaultPlan.parse("checkpoint:2:crash, batch_commit:1:raise")
+        plan = FaultPlan.parse("checkpoint:2:crash, job_hang:1:raise")
         assert [(s.site, s.index, s.mode) for s in plan.specs] == [
             ("checkpoint", 2, "crash"),
-            ("batch_commit", 1, "raise"),
+            ("job_hang", 1, "raise"),
         ]
 
     def test_empty_plan(self):
@@ -94,9 +93,9 @@ class TestFaultPlanGrammar:
         [
             ("worker_batch:2", "expected site:index:mode"),
             ("warp_core:0:raise", "unknown site"),
-            ("batch_commit:0:explode", "unknown mode"),
-            ("batch_commit:x:raise", "index must be an integer"),
-            ("batch_commit:-1:raise", "index must be >= 0"),
+            ("checkpoint:0:explode", "unknown mode"),
+            ("checkpoint:x:raise", "index must be an integer"),
+            ("checkpoint:-1:raise", "index must be >= 0"),
         ],
     )
     def test_bad_specs_rejected(self, text, message):
@@ -104,52 +103,17 @@ class TestFaultPlanGrammar:
             FaultPlan.parse(text)
 
     def test_counter_site_fires_once(self):
-        plan = FaultPlan.parse("batch_commit:1:raise")
-        plan.consult("batch_commit")  # visit 0
+        plan = FaultPlan.parse("job_hang:1:raise")
+        plan.consult("job_hang")  # visit 0
         with pytest.raises(FaultInjected):
-            plan.consult("batch_commit")  # visit 1 fires
-        plan.consult("batch_commit")  # never re-fires
-
-
-class TestKernelDegradation:
-    def _clean_and_faulted(self, fault_plan, **overrides):
-        sinks = blocked_sinks(18, seed=22)
-        clean_sig, __, __ = synth(sinks, blockages=BLOCKAGES)
-        reset_plans()
-        sig, result, __ = synth(
-            sinks, blockages=BLOCKAGES, fault_plan=fault_plan, **overrides
-        )
-        assert sig == clean_sig
-        return result
-
-    def test_batch_commit_degrades_scalar(self, monkeypatch):
-        import repro.core.batch_commit as bc
-
-        # Small instances would answer every round scalar anyway; force
-        # the vectorized path so the guard actually runs.
-        monkeypatch.setattr(bc, "SCALAR_ROUND_ROWS", 1)
-        result = self._clean_and_faulted("batch_commit:1:raise")
-        assert [d.component for d in result.degradations] == ["batch_commit"]
-        assert result.degradations[0].level >= 1
-
-    def test_strict_mode_reraises_kernel_fault(self, monkeypatch):
-        import repro.core.batch_commit as bc
-
-        monkeypatch.setattr(bc, "SCALAR_ROUND_ROWS", 1)
-        sinks = blocked_sinks(18, seed=22)
-        with pytest.raises(FaultInjected):
-            synth(
-                sinks,
-                blockages=BLOCKAGES,
-                fault_plan="batch_commit:1:raise",
-                strict=True,
-            )
+            plan.consult("job_hang")  # visit 1 fires
+        plan.consult("job_hang")  # never re-fires
 
 
 class TestRouteFailuresAreLoud:
     """The route phase has one path and no fallback: a kernel exception
-    propagates out of ``synthesize()`` even in non-strict runs and is
-    never recorded as a ``Degradation``."""
+    propagates out of ``synthesize()`` and is never recorded as a
+    ``Degradation``."""
 
     @pytest.mark.parametrize(
         "module, kernel",
@@ -166,40 +130,44 @@ class TestRouteFailuresAreLoud:
             raise RuntimeError("route kernel bug")
 
         monkeypatch.setattr(module, kernel, broken)
+        # Every level sweeps through the level router, so only
+        # H-structure pairs reach the single-pair ``route_maze``.
+        hstructure = "correct" if kernel == "route_maze" else None
         cts = AggressiveBufferedCTS(
-            options=CTSOptions(fault_plan="", strict=False), blockages=BLOCKAGES
+            options=CTSOptions(fault_plan="", hstructure=hstructure),
+            blockages=BLOCKAGES,
         )
         with pytest.raises(RuntimeError, match="route kernel bug"):
             cts.synthesize(blocked_sinks(18, seed=22))
-        assert cts.router.resilience.events == []
 
 
-class TestMemoryErrorPropagation:
-    """Degradation guards must never swallow MemoryError.
-
-    Every kernel guard catches broad ``Exception`` to replay through its
-    bit-identical fallback, but each one re-raises ``MemoryError`` first:
-    degrading on OOM would retry the same allocation on the slow path and
-    thrash.  The ``oom`` fault mode raises a real ``MemoryError`` at the
-    consult point; it must surface even in non-strict runs.
-    """
+class TestCommitFailuresAreLoud:
+    """The commit phase has one path and no fallback: an exception in
+    the lockstep scheduler or the SoA mirror's kernels propagates out of
+    ``synthesize()`` instead of being recorded as a ``Degradation``."""
 
     @pytest.mark.parametrize(
-        "fault_plan",
+        "owner, kernel",
         [
-            "batch_commit:1:oom",
-            "soa_commit:0:oom",
+            (batch_commit.BatchCommitScheduler, "_answer_diff_rows"),
+            (SoaTree, "prefill_bounds"),
+            (SoaTree, "stage_drivers"),
         ],
+        ids=lambda v: getattr(v, "__name__", v),
     )
-    def test_oom_surfaces_in_non_strict_runs(self, fault_plan, monkeypatch):
-        import repro.core.batch_commit as bc
+    def test_kernel_exception_propagates(self, monkeypatch, owner, kernel):
+        def broken(*args, **kwargs):
+            raise RuntimeError("commit kernel bug")
 
-        # Force the vectorized commit path so its guard actually runs
-        # on this small instance (same trick as TestKernelDegradation).
-        monkeypatch.setattr(bc, "SCALAR_ROUND_ROWS", 1)
-        sinks = blocked_sinks(18, seed=22)
-        with pytest.raises(MemoryError):
-            synth(sinks, blockages=BLOCKAGES, fault_plan=fault_plan)
+        # Small instances answer every round scalar; force the
+        # vectorized rounds so the scheduler's kernel actually runs.
+        monkeypatch.setattr(batch_commit, "SCALAR_ROUND_ROWS", 1)
+        monkeypatch.setattr(owner, kernel, broken)
+        cts = AggressiveBufferedCTS(
+            options=CTSOptions(fault_plan=""), blockages=BLOCKAGES
+        )
+        with pytest.raises(RuntimeError, match="commit kernel bug"):
+            cts.synthesize(blocked_sinks(18, seed=22))
 
 
 class TestCheckpointResume:
@@ -224,37 +192,13 @@ class TestCheckpointResume:
         written = sorted(os.listdir(ckpt_dir))
         assert written == ["level_0001.ckpt", "level_0002.ckpt"]
         reset_plans()
-        options = CTSOptions(resume_from=ckpt_dir, fault_plan="", strict=False)
+        options = CTSOptions(resume_from=ckpt_dir, fault_plan="")
         cts = AggressiveBufferedCTS(options=options, blockages=BLOCKAGES)
         resumed = cts.synthesize(sinks)
         assert resumed.resumed_from == 2
         assert resumed.levels == clean.levels
         assert tree_signature(resumed.tree, base) == clean_sig
         assert resumed.merge_stats == clean.merge_stats
-
-    def test_resume_across_execution_modes(self, tmp_path):
-        """A checkpoint from a batched run resumes under scalar knobs."""
-        sinks = self._sinks()
-        clean_sig, __, __ = synth(sinks, blockages=BLOCKAGES)
-        ckpt_dir = str(tmp_path / "ckpt")
-        base = peek_node_id()
-        with pytest.raises(SynthesisHalted):
-            synth(
-                sinks,
-                blockages=BLOCKAGES,
-                checkpoint_dir=ckpt_dir,
-                fault_plan="checkpoint:0:halt",
-            )
-        reset_plans()
-        sig, resumed, __ = synth(
-            sinks,
-            blockages=BLOCKAGES,
-            resume_from=ckpt_dir,
-            batch_commit=False,
-            soa_commit=False,
-        )
-        assert resumed.resumed_from == 1
-        assert tree_signature(resumed.tree, base) == clean_sig
 
     def test_resume_rejects_different_sinks(self, tmp_path):
         sinks = self._sinks()
@@ -384,8 +328,8 @@ class TestCheckpointResume:
 
     def test_digests_are_mode_independent(self):
         sinks = self._sinks()
-        a = CTSOptions(batch_commit=True, soa_commit=True, strict=False)
-        b = CTSOptions(batch_commit=False, soa_commit=False, strict=True)
+        a = CTSOptions(fault_plan="", validate_every_merge=False)
+        b = CTSOptions(fault_plan="checkpoint:0:halt", validate_every_merge=True)
         assert options_digest(a) == options_digest(b)
         assert options_digest(a) != options_digest(
             CTSOptions(grid_resolution=50)
@@ -402,7 +346,7 @@ class TestCheckpointResume:
                 checkpoint_dir=ckpt_dir,
                 fault_plan="checkpoint:1:halt",
             )
-        options = CTSOptions(fault_plan="", strict=False)
+        options = CTSOptions(fault_plan="")
         cts = AggressiveBufferedCTS(options=options, blockages=BLOCKAGES)
         state = load_checkpoint(ckpt_dir, sinks, options, cts.buffers)
         assert state.levels_done == 2

@@ -1,11 +1,13 @@
-"""Structure-of-arrays tree mirror: round-trip, kernels, faults.
+"""Structure-of-arrays tree mirror: round-trip, kernels, end to end.
 
 The mirror (:mod:`repro.core.soa_tree`) echoes every node creation /
 attach / detach into flat numpy columns and answers the commit phase's
-bounds-bucket prefill, forced-stage-buffer decisions and checkpoint
-frames from them. Its contract is bit-identity with the object walks it
-replaces, so every test here reduces to exact equality — signatures,
-cache values, rows — never approx.
+bounds-bucket prefill, collapsed caps and forced-stage-buffer decisions
+from them. Its contract is bit-identity with the object walks it
+replaces — compared in the same run against a synthesis with no mirror
+installed (:func:`repro.evalx.perfstats.synthesize_without_mirror`) —
+so every test here reduces to exact equality — signatures, cache
+values, rows — never approx.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ from repro.core.soa_tree import SoaTree
 from repro.evalx.faultinject import reset_plans
 from repro.evalx.perfstats import (
     checkpoint_resume_equivalence,
-    soa_commit_equivalence,
+    scaling_scenario,
+    synthesize_without_mirror,
 )
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
@@ -35,7 +38,7 @@ from repro.tree.nodes import (
     set_tree_recorder,
 )
 
-from tests.conftest import make_sink_pairs
+from tests.conftest import make_sink_pairs, synthesize_signature
 
 BLOCKAGES = [BBox(8000.0, 8000.0, 16000.0, 16000.0)]
 
@@ -47,14 +50,19 @@ def _fresh_fault_plans():
     reset_plans()
 
 
-def synth(sinks, blockages=None, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree."""
-    option_overrides.setdefault("fault_plan", "")
-    option_overrides.setdefault("strict", False)
-    options = CTSOptions(**option_overrides)
-    cts = AggressiveBufferedCTS(options=options, blockages=blockages)
+def synth(sinks, blockages=None, without_mirror=False):
+    """One synthesis run plus the rebased signature of its tree.
+
+    ``without_mirror`` runs the reference engine's
+    :func:`synthesize_without_mirror`, so the commit phase walks node
+    objects: the comparison side of the kernel-equality tests.
+    """
+    cts = AggressiveBufferedCTS(
+        options=CTSOptions(fault_plan=""), blockages=blockages
+    )
+    run = synthesize_without_mirror if without_mirror else type(cts).synthesize
     base = peek_node_id()
-    result = cts.synthesize(sinks)
+    result = run(cts, sinks)
     return tree_signature(result.tree, base), result, cts
 
 
@@ -81,7 +89,7 @@ def recorded():
 
 
 def object_checkpoint_rows(root):
-    """The object-walk rows of ``checkpoint._encode_subtree``."""
+    """The node rows ``checkpoint._encode_subtree`` writes for ``root``."""
     return [
         (
             node.id,
@@ -159,12 +167,11 @@ class TestMirrorRoundTrip:
         roots = self._random_forest(rng, buffers)
         for root in roots:
             recorded.assert_mirrors(root)
-        # Round-trip: the checkpoint rows encoded from the columns are
-        # the object walk's rows, and rebuilding from them reproduces
+        # Round-trip: rebuilding from the checkpoint rows with the
+        # mirror installed (as a resumed run decodes them) reproduces
         # the tree signature exactly.
         root = max(roots, key=lambda r: len(list(r.walk())))
-        rows = recorded.checkpoint_rows(root)
-        assert rows == object_checkpoint_rows(root)
+        rows = object_checkpoint_rows(root)
         rebuilt = self._rebuild(rows, buffers)
         base = min(r[0] for r in rows)
         assert tree_signature(rebuilt, base) == tree_signature(root, base)
@@ -209,9 +216,9 @@ class TestKernelEquality:
     def test_prefill_fills_object_cache_superset(self):
         sinks = blocked_sinks(18, seed=22)
         base_soa = peek_node_id()
-        __, __r, cts_soa = synth(sinks, blockages=BLOCKAGES, soa_commit=True)
+        __, __r, cts_soa = synth(sinks, blockages=BLOCKAGES)
         base_obj = peek_node_id()
-        __, __r, cts_obj = synth(sinks, blockages=BLOCKAGES, soa_commit=False)
+        __, __r, cts_obj = synth(sinks, blockages=BLOCKAGES, without_mirror=True)
 
         def rebase(cache, base):
             return {(key[0] - base, *key[1:]): val for key, val in cache.items()}
@@ -258,15 +265,6 @@ class TestKernelEquality:
             slow = engine._load_cap_of(node)
             assert fast == slow
 
-    def test_checkpoint_rows_after_surgery(self, recorded):
-        buffers = cts_buffer_library()
-        rng = np.random.default_rng(23)
-        roots = TestMirrorRoundTrip()._random_forest(rng, buffers)
-        for root in roots:
-            assert recorded.checkpoint_rows(root) == object_checkpoint_rows(
-                root
-            )
-
 
 class TestQuantumBoundary:
     """Slews exactly on SLEW_QUANTUM multiples: the two adjacent
@@ -274,7 +272,7 @@ class TestQuantumBoundary:
 
     def _buffer_nodes(self):
         sinks = blocked_sinks(14, seed=31)
-        __, result, cts = synth(sinks, blockages=BLOCKAGES, soa_commit=False)
+        __, result, cts = synth(sinks, blockages=BLOCKAGES, without_mirror=True)
         nodes = [
             n
             for n in result.tree.root.walk()
@@ -306,18 +304,23 @@ class TestQuantumBoundary:
 
 
 class TestEndToEnd:
-    """SoA on/off/resumed: identical trees, stats and queries."""
+    """Mirror installed / not installed / resumed: identical trees,
+    stats and queries."""
 
     def test_serial_identical(self):
-        eq = soa_commit_equivalence(n_sinks=80, with_blockages=True, seed=7)
-        assert eq["soa_tree"] == eq["object_tree"]
-        assert eq["soa_stats"] == eq["object_stats"]
-        assert eq["soa_levels"] == eq["object_levels"]
-        assert eq["soa_queries"] == eq["object_queries"]
+        sinks, source, blockages = scaling_scenario(80, True, seed=7)
+        soa_sig, soa = synthesize_signature(sinks, source, blockages)
+        obj_sig, obj = synthesize_signature(
+            sinks, source, blockages, without_mirror=True
+        )
+        assert soa_sig == obj_sig
+        assert soa.merge_stats == obj.merge_stats
+        assert soa.levels == obj.levels
+        assert soa.commit_queries == obj.commit_queries
 
     def test_resumed_identical(self):
-        # Checkpoint frames are encoded from the columns (SoA default
-        # on); a halt + resume must land on the clean run's tree.
+        # Resume decodes the checkpoint's nodes under the mirror; a
+        # halt + resume must land on the clean run's tree.
         eq = checkpoint_resume_equivalence(
             n_sinks=60, with_blockages=True, seed=11, halt_after=2
         )
@@ -325,35 +328,3 @@ class TestEndToEnd:
         assert eq["resumed_tree"] == eq["clean_tree"]
         assert eq["resumed_stats"] == eq["clean_stats"]
         assert eq["resumed_levels"] == eq["clean_levels"]
-
-
-class TestFaults:
-    """CON3xx rails: degrade once and fall back bit-identically;
-    MemoryError always surfaces."""
-
-    def test_raise_fault_degrades_once_bit_identical(self):
-        sinks = blocked_sinks(18, seed=22)
-        clean_sig, __, __ = synth(
-            sinks, blockages=BLOCKAGES, soa_commit=True
-        )
-        reset_plans()
-        sig, result, __ = synth(
-            sinks,
-            blockages=BLOCKAGES,
-            soa_commit=True,
-            fault_plan="soa_commit:0:raise",
-        )
-        assert sig == clean_sig
-        assert [d.component for d in result.degradations] == ["soa_commit"]
-
-    def test_oom_mode_propagates_memoryerror(self):
-        # MemoryError must never be swallowed into a degradation, even
-        # outside strict mode: the jobs watchdog owns OOM handling.
-        sinks = blocked_sinks(18, seed=22)
-        with pytest.raises(MemoryError):
-            synth(
-                sinks,
-                blockages=BLOCKAGES,
-                soa_commit=True,
-                fault_plan="soa_commit:0:oom",
-            )
