@@ -293,18 +293,6 @@ def _side_bounds(
     return engine.subtree_bounds(node, input_slew)
 
 
-def _load_cap(engine: LibraryTimingEngine, node: TreeNode) -> float:
-    soa = getattr(engine, "_soa", None)
-    if soa is not None:
-        # Collapsed cap folded from the byte-cached buffer codes —
-        # bit-identical to the object walk, and O(depth) instead of
-        # O(subtree) on cache misses. None for BUFFER/SINK roots.
-        cap = soa.load_cap(engine, node)
-        if cap is not None:
-            return cap
-    return engine._load_cap_of(node)
-
-
 def evaluate_split(
     engine: LibraryTimingEngine,
     drive: str,
@@ -323,7 +311,7 @@ def evaluate_split(
     lets bisection callers pass the two (loop-invariant) side load caps.
     """
     if caps is None:
-        caps = (_load_cap(engine, v1), _load_cap(engine, v2))
+        caps = (engine._load_cap_of(v1), engine._load_cap_of(v2))
     timing = engine.library.branch_component(
         drive,
         input_slew,
@@ -434,7 +422,7 @@ def binary_search_merge(
     commit scheduler drives the same machine with vectorized probes.
     """
     total = span.length
-    caps = (_load_cap(engine, v1), _load_cap(engine, v2))
+    caps = (engine._load_cap_of(v1), engine._load_cap_of(v2))
     state = MergeSearchState(total, max_iters, tolerance, enabled, slew_target)
     while not state.done:
         results = [

@@ -28,7 +28,7 @@ step's probes with one vectorized library round.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,15 +67,6 @@ class MergeStats:
     n_corrective_buffers: int = 0
     n_forced_stage_buffers: int = 0
     binary_search_iters: int = 0
-
-    def combine(self, other: "MergeStats") -> "MergeStats":
-        """Field-wise sum — merge diagnostics from independent routers."""
-        return MergeStats(
-            *(
-                getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            )
-        )
 
 
 @dataclass

@@ -1,14 +1,15 @@
-"""Serial-identical node numbering for the swept level path.
+"""Serial-identical node numbering for the level pipeline.
 
-The swept level path (:meth:`repro.core.cts.AggressiveBufferedCTS.
-_merge_level_swept`) creates nodes in a different *order* than merging
-pair by pair would (all prepares, then all commits, instead of
-prepare+commit per pair), which would leak into auto-generated node ids
-and names. The flow therefore records the id range each phase call
-consumed and renumbers the level's nodes afterwards into the pair-by-pair
-creation order — a bijection on the level's id block — and remaps the
-timing engine's memoized bounds keys to follow. The synthesized tree
-(including node names) is then bit-identical either way.
+:meth:`repro.core.cts.AggressiveBufferedCTS._merge_level` merges a level
+in phase sweeps (all prepares, then the route, then the lockstep
+commit), which creates nodes in a different *order* than merging pair by
+pair would (prepare+commit per pair), and that order would leak into
+auto-generated node ids and names. The flow therefore records the id
+ranges each pair consumed and renumbers the level's nodes afterwards
+into the pair-by-pair creation order — a bijection on the level's id
+block — and remaps the timing engine's memoized bounds keys to follow.
+The synthesized tree (including node names) is then the one a
+pair-by-pair merge would build.
 """
 
 from __future__ import annotations

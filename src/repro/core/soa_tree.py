@@ -19,35 +19,36 @@ two-branch split), stem lengths, end ids and end caps are written into
 columns once and every later bounds-bucket evaluation becomes a numpy
 gather + one batched fit round + a vectorized accumulate.
 
-Three commit-phase kernels read the mirror:
+Two commit-phase kernels read the mirror:
 
 - :meth:`SoaTree.prefill_bounds` — the level-wide bounds-bucket prefill
-  (replaces the object walk in ``subtree_bounds_many``'s miss path);
+  behind ``subtree_bounds_many``'s miss path: flat stages are grouped
+  and fit-evaluated from the columns; unmirrored and deep stages take
+  the engine's scalar recursion (``_buffer_bucket_bounds`` /
+  ``_virtual_bucket_bounds``) bucket by bucket;
 - :meth:`SoaTree.stage_drivers` — batched forced-stage-buffer decisions
   for a whole scheduler round (collapsed caps folded from per-node
   buffer-code byte sequences, drivers chosen by lockstep
-  ``branch_slews_many`` rounds over the still-unresolved merges);
-- :meth:`SoaTree.load_cap` — collapsed stage caps of the binary-search
-  probes, folded from the same byte sequences.
+  ``branch_slews_many`` rounds over the still-unresolved merges).
 
 Checkpoint frames are encoded from the node objects
 (:mod:`repro.core.checkpoint`), which measured faster than encoding
 them from the columns.
 
-Bit-identity with the object walks rests on the established
-facts: ``predict_many``/``branch_component_many``/``branch_slews_many``
-perform the scalar evaluators' float ops element-wise; memoized bounds
-and caps are exact functions of their cache key, so fill *order* is
-irrelevant; min/max folds are exact under regrouping; and the collapsed
-cap fold replays the object walk's buffer-code sequence in its exact
-order (cached per node as ``bytes`` — DFS-last-child-first sequences
-compose by concatenation), so the float sum is the object walk's sum.
+Bit-identity with the scalar recursion and the object walks rests on
+the established facts: ``predict_many``/``branch_component_many``/
+``branch_slews_many`` perform the scalar evaluators' float ops
+element-wise; memoized bounds and caps are exact functions of their
+cache key, so fill *order* is irrelevant; min/max folds are exact
+under regrouping; and the collapsed cap fold replays the object walk's
+buffer-code sequence in its exact order (cached per node as ``bytes`` —
+DFS-last-child-first sequences compose by concatenation), so the float
+sum is the object walk's sum.
 
 The mirror has no fallback of its own: an exception in a recorder hook
 or a kernel propagates out of the synthesis. Engines used outside
 ``AggressiveBufferedCTS.synthesize`` have no mirror installed and take
-the object walks, which the kernels also delegate unmirrored and deep
-stages to.
+the scalar recursion and the object walks.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ _FS_UNKNOWN = 0  # not traced yet
 _FS_EMPTY = 1  # no children (dangling driver / empty virtual root)
 _FS_SINGLE = 2  # one load path: stem length + one end
 _FS_BRANCH = 3  # two-branch split, both branches plain load paths
-_FS_DEEP = 4  # nested merges / >2-way splits — evaluate via objects
+_FS_DEEP = 4  # nested merges / >2-way splits — scalar recursion
 
 #: Columns of the mirror: (attribute, dtype, fill value). Reference
 #: columns hold node *ids* (-1 = none) and are value-remapped on
@@ -114,6 +115,11 @@ _REF_COLUMNS = (
     "fs_lend",
     "fs_rend",
 )
+
+#: Fit groups smaller than this evaluate with the compiled scalar
+#: evaluators — numpy dispatch on tiny batches costs more than the
+#: handful of scalar calls. Results are bit-identical either way.
+_SCALAR_GROUP_ROWS = 16
 
 #: Below this many unresolved merges a stage-driver round answers with
 #: the scalar ``branch_slews`` evaluator — numpy dispatch on tiny
@@ -426,9 +432,9 @@ class SoaTree:
                 else:
                     state = _FS_DEEP
         except ValueError:
-            # Malformed stage (e.g. a SOURCE inside): the object path
-            # raises the same error at evaluation time; classify deep so
-            # both paths surface it identically.
+            # Malformed stage (e.g. a SOURCE inside): classify deep so
+            # the scalar recursion raises the error at evaluation time,
+            # exactly as an unmirrored engine would.
             state = _FS_DEEP
         self.fs_state[i] = state
         return state
@@ -440,10 +446,10 @@ class SoaTree:
     def prefill_bounds(self, engine, jobs) -> None:
         """Fill missing bounds buckets from the columns.
 
-        Drop-in for the miss path of ``subtree_bounds_many``: same jobs,
-        same caches, bit-identical stored values. Jobs whose stage shape
-        is not mirrored or not flat are delegated to the object walk, so
-        on return *every* requested bucket is cached.
+        The miss path of ``subtree_bounds_many``: stored values are
+        bit-identical to the scalar recursion's. Jobs whose stage shape
+        is not mirrored or not flat take that recursion directly, so on
+        return *every* requested bucket is cached.
         """
         # Iterative wavefront: each pass groups and fit-evaluates one
         # depth of jobs, and rows ending in buffers enqueue their
@@ -473,7 +479,6 @@ class SoaTree:
     def _evaluate_jobs(self, engine, jobs) -> list[tuple]:
         bounds_cache = engine._bounds_cache
         vbounds_cache = engine._vbounds_cache
-        fs_state = self.fs_state
         slow: list = []
         # group key -> [row indices, buckets, node ids]
         singles: dict[tuple, list] = {}
@@ -484,7 +489,9 @@ class SoaTree:
             if i < 0:
                 slow.append(job)
                 continue
-            state = int(fs_state[i])
+            # Columns exist only once the mirror has recorded a node, and
+            # then ``_index_of`` vouches for the row.
+            state = int(self.fs_state[i])
             if state == _FS_UNKNOWN:
                 state = self._build_flat(i, engine)
             if state == _FS_DEEP:
@@ -540,8 +547,14 @@ class SoaTree:
                 rows_i.append(i)
                 rows_b.append(bucket)
                 rows_id.append(node_id)
-        if slow:
-            engine._prefill_bucket_jobs_object(slow)
+        # Unmirrored and deep stages take the scalar recursion, which
+        # fills (and memoizes) every bucket below them on the way.
+        for job_kind, node, buckets, vdrive in slow:
+            for bucket in buckets:
+                if job_kind == "b":
+                    engine._buffer_bucket_bounds(node, bucket)
+                else:
+                    engine._virtual_bucket_bounds(node, bucket, vdrive)
         evaluated: list[tuple] = []
         for (drive, load_code, include), (rows_i, rows_b, rows_id) in (
             singles.items()
@@ -550,7 +563,7 @@ class SoaTree:
             fits = engine.library.single[(drive, self._load_names[load_code])]
             lengths = self.fs_stem[idx]
             n = len(rows_b)
-            if n < engine._SCALAR_GROUP_ROWS:
+            if n < _SCALAR_GROUP_ROWS:
                 f_delay = fits["wire_delay"].predict
                 f_slew = fits["wire_slew"].predict
                 f_buf = fits["buffer_delay"].predict if include else None
@@ -594,7 +607,7 @@ class SoaTree:
             l_caps = self.fs_lcap[idx]
             r_caps = self.fs_rcap[idx]
             n = len(rows_b)
-            if n < engine._SCALAR_GROUP_ROWS:
+            if n < _SCALAR_GROUP_ROWS:
                 stems_l = stems.tolist()
                 ll_l = l_lens.tolist()
                 rl_l = r_lens.tolist()
@@ -948,26 +961,6 @@ class SoaTree:
             for code in codes:
                 total += caps[code]
         return total
-
-    def load_cap(self, engine, node) -> float | None:
-        """Collapsed load cap of a MERGE/STEINER root, or None.
-
-        Fast twin of the ``LibraryTimingEngine._load_cap_of`` miss path
-        used by the binary-search probe evaluators: the buffer input
-        caps below ``node`` fold from the byte-cached code sequence in
-        the exact object ``walk()`` order, so the float sum is
-        bit-identical. Returns None for BUFFER/SINK roots, which the
-        caller answers on the objects (trivial there; nothing to skip).
-        """
-        kind = node.kind
-        if kind is NodeKind.BUFFER or kind is NodeKind.SINK:
-            return None
-        cached = engine._cap_cache.get(node.id)
-        if cached is not None:
-            return cached
-        cap = self._collapsed_cap(node, engine)
-        engine._cap_cache[node.id] = cap
-        return cap
 
     # ------------------------------------------------------------------
     # Diagnostics (tests)

@@ -59,10 +59,6 @@ class EdgeCost:
         delay_diff = abs(a.max_delay - b.max_delay)
         return self.alpha * distance + self.beta * delay_diff * self.units_per_second
 
-    def delay_cost(self, a: SubTree, b: SubTree) -> float:
-        """Cost of the delay-difference term alone (H-structure Method 1)."""
-        return abs(a.max_delay - b.max_delay) * self.units_per_second
-
 
 def select_seed_index(nodes: list[SubTree]) -> int:
     """Index of the node promoted unmatched on odd counts: max latency.

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.charlib.library import DelaySlewLibrary
 from repro.tech.technology import Technology
 from repro.timing.moments import (
@@ -138,8 +136,9 @@ class LibraryTimingEngine:
         self.bounds_cache_hits = 0
         self.bounds_cache_misses = 0
         #: Optional structure-of-arrays mirror (repro.core.soa_tree).
-        #: When attached, the bounds-bucket prefill evaluates flat
-        #: stages from its columns (bit-identical to the object walk).
+        #: When attached, ``subtree_bounds_many`` fills its missing
+        #: buckets from the mirror's columns (bit-identical to the scalar
+        #: recursion); without one every miss takes the scalar recursion.
         self._soa = None
 
     def attach_soa(self, soa) -> None:
@@ -471,11 +470,13 @@ class LibraryTimingEngine:
     ) -> list[SubtreeBounds]:
         """Batched :meth:`subtree_bounds` over (node, input slew) items.
 
-        Splits the batch into cache hits and grouped misses: every bucket
-        needed by any item is filled once through the scalar path, then
-        each item assembles its interpolated answer from the (now warm)
-        caches — bit for bit what per-item scalar calls would return,
-        because cached bucket values are functions of their key alone.
+        Counts cache hits and misses per bucket. With a structure-of-arrays
+        mirror attached, every bucket any item misses is handed to
+        :meth:`~repro.core.soa_tree.SoaTree.prefill_bounds` as one job
+        list; without one, the per-item :meth:`subtree_bounds` calls fill
+        the misses through the scalar recursion. Either way each answer is
+        bit for bit what a per-item scalar call would return, because
+        cached bucket values are functions of their key alone.
         """
         virtual = drive or self.virtual_drive
         needed: dict[int, tuple[str, TreeNode, set[int]]] = {}
@@ -503,276 +504,15 @@ class LibraryTimingEngine:
                 # stage walk amortizes over the interpolation pair (and
                 # over every pair probing this node in the same round).
                 missing.add(b)
-        if needed:
-            self._prefill_bucket_jobs(
+        if needed and self._soa is not None:
+            self._soa.prefill_bounds(
+                self,
                 [
                     (kind, node, sorted(buckets), virtual)
                     for kind, node, buckets in needed.values()
-                ]
+                ],
             )
         return [self.subtree_bounds(node, slew, drive) for node, slew in items]
-
-    #: Fit groups smaller than this evaluate with the compiled scalar
-    #: evaluators — numpy dispatch on tiny batches costs more than the
-    #: handful of scalar calls. Results are bit-identical either way.
-    _SCALAR_GROUP_ROWS = 16
-
-    def _prefill_bucket_jobs(
-        self, jobs: list[tuple[str, TreeNode, list[int], str]]
-    ) -> None:
-        """Fill missing bounds buckets (SoA columns when mirrored).
-
-        When a structure-of-arrays mirror is attached, the flat-stage
-        kernel answers the whole job list from its columns (delegating
-        unmirrored/deep jobs back to the object walk itself); without
-        one every job takes the object walk. Stored values are
-        bit-identical either way.
-        """
-        if self._soa is not None:
-            self._soa.prefill_bounds(self, jobs)
-        else:
-            self._prefill_bucket_jobs_object(jobs)
-
-    def _prefill_bucket_jobs_object(
-        self, jobs: list[tuple[str, TreeNode, list[int], str]]
-    ) -> None:
-        """Fill missing bounds buckets, batching flat stage evaluations.
-
-        Each job is one node with the (uncached) buckets it needs
-        (``kind`` "b" for a buffer stage, "v" for a virtual-driver root);
-        the stage structure is walked once per node and evaluated at
-        every requested bucket. The characterized stage shapes — one
-        single-wire or one two-branch component with load ends — cover
-        almost every stage under aggressive buffer insertion, so their
-        fit evaluations are grouped per (drive, load) across all jobs
-        and answered with one ``predict_many`` round each; the per-row
-        compositions repeat the scalar code's float ops, so the cached
-        values are bit for bit what the scalar recursion would have
-        stored. Rows ending in buffers need the child's bounds: missing
-        child buckets form the next wavefront (strictly deeper, so the
-        recursion is bounded by tree depth). Rare non-flat shapes fall
-        back to the scalar path per job.
-        """
-        pending: list[dict] = []
-        single_groups: dict[tuple, list] = {}
-        branch_groups: dict[tuple, list] = {}
-        for kind, node, buckets, vdrive in jobs:
-            if kind == "b":
-                structure = stage_structure(node)
-                drive = node.buffer.name
-                include = True
-            else:
-                if not node.children:
-                    for bucket in buckets:
-                        key = (node.id, bucket, vdrive)
-                        if key not in self._vbounds_cache:
-                            self._vbounds_cache[key] = SubtreeBounds(0.0, 0.0, 0.0)
-                    continue
-                if len(node.children) == 1:
-                    child = node.children[0]
-                    structure = _trace_path(child, child.wire_to_parent)
-                else:
-                    structure = StagePath(
-                        0.0,
-                        node,
-                        [_trace_path(c, c.wire_to_parent) for c in node.children],
-                    )
-                drive = vdrive
-                include = False
-            entry = {
-                "kind": kind,
-                "node": node,
-                "buckets": buckets,
-                "vdrive": vdrive,
-                "rows": {},
-                "scalar": False,
-            }
-            pending.append(entry)
-            if structure is None:
-                for bucket in buckets:
-                    entry["rows"][bucket] = []
-            elif structure.is_load:
-                load_name = self.library.load_name_for_cap(
-                    self._load_cap_of(structure.end)
-                )
-                group = single_groups.setdefault((drive, load_name, include), [])
-                for bucket in buckets:
-                    entry["rows"][bucket] = [None]
-                    group.append(
-                        (
-                            entry,
-                            bucket,
-                            bucket * SLEW_QUANTUM,
-                            structure.length,
-                            structure.end,
-                        )
-                    )
-            else:
-                branches = structure.branches
-                if (
-                    len(branches) == 2
-                    and branches[0].is_load
-                    and branches[1].is_load
-                ):
-                    group = branch_groups.setdefault((drive, include), [])
-                    for bucket in buckets:
-                        entry["rows"][bucket] = [None, None]
-                        group.append(
-                            (
-                                entry,
-                                bucket,
-                                bucket * SLEW_QUANTUM,
-                                structure.length,
-                                branches[0],
-                                branches[1],
-                            )
-                        )
-                else:
-                    entry["scalar"] = True
-
-        for (drive, load_name, include), rows in single_groups.items():
-            fits = self.library.single[(drive, load_name)]
-            if len(rows) < self._SCALAR_GROUP_ROWS:
-                f_delay = fits["wire_delay"].predict
-                f_slew = fits["wire_slew"].predict
-                f_buf = fits["buffer_delay"].predict if include else None
-                for entry, bucket, rep, length, end in rows:
-                    delay = max(0.0, f_delay(rep, length))
-                    if include:
-                        delay = delay + max(0.0, f_buf(rep, length))
-                    entry["rows"][bucket][0] = (
-                        end,
-                        delay,
-                        max(1e-15, f_slew(rep, length)),
-                    )
-                continue
-            x = np.empty((len(rows), 2))
-            for k, (__, __b, rep, length, __end) in enumerate(rows):
-                x[k, 0] = rep
-                x[k, 1] = length
-            wire_delay = fits["wire_delay"].predict_many(x)
-            wire_slew = fits["wire_slew"].predict_many(x)
-            buffer_delay = (
-                fits["buffer_delay"].predict_many(x) if include else None
-            )
-            for k, (entry, bucket, __, __len, end) in enumerate(rows):
-                delay = max(0.0, float(wire_delay[k]))
-                if include:
-                    delay = delay + max(0.0, float(buffer_delay[k]))
-                entry["rows"][bucket][0] = (
-                    end,
-                    delay,
-                    max(1e-15, float(wire_slew[k])),
-                )
-
-        for (drive, include), rows in branch_groups.items():
-            fits = self.library.branch[drive]
-            if len(rows) < self._SCALAR_GROUP_ROWS:
-                for entry, bucket, rep, stem, left, right in rows:
-                    args = (
-                        rep,
-                        stem,
-                        left.length,
-                        right.length,
-                        self._load_cap_of(left.end),
-                        self._load_cap_of(right.end),
-                    )
-                    base = (
-                        max(0.0, fits["buffer_delay"].predict(*args))
-                        if include
-                        else 0.0
-                    )
-                    entry["rows"][bucket][0] = (
-                        left.end,
-                        base + max(0.0, fits["left_delay"].predict(*args)),
-                        max(1e-15, fits["left_slew"].predict(*args)),
-                    )
-                    entry["rows"][bucket][1] = (
-                        right.end,
-                        base + max(0.0, fits["right_delay"].predict(*args)),
-                        max(1e-15, fits["right_slew"].predict(*args)),
-                    )
-                continue
-            n = len(rows)
-            inputs = np.empty((4, n))
-            for k, (__, __b, rep, stem, left, right) in enumerate(rows):
-                inputs[0, k] = rep
-                inputs[1, k] = stem
-                inputs[2, k] = left.length
-                inputs[3, k] = right.length
-            left_caps = np.array(
-                [self._load_cap_of(r[4].end) for r in rows]
-            )
-            right_caps = np.array(
-                [self._load_cap_of(r[5].end) for r in rows]
-            )
-            batch = self.library.branch_component_many(
-                drive,
-                inputs[0],
-                inputs[1],
-                inputs[2],
-                inputs[3],
-                left_caps,
-                right_caps,
-                include_buffer_delay=include,
-            )
-            for k, (entry, bucket, __, __stem, left, right) in enumerate(rows):
-                base = float(batch.buffer_delay[k]) if include else 0.0
-                entry["rows"][bucket][0] = (
-                    left.end,
-                    base + float(batch.left_delay[k]),
-                    float(batch.left_slew[k]),
-                )
-                entry["rows"][bucket][1] = (
-                    right.end,
-                    base + float(batch.right_delay[k]),
-                    float(batch.right_slew[k]),
-                )
-
-        next_jobs: dict[int, tuple[str, TreeNode, set[int]]] = {}
-        for entry in pending:
-            if entry["scalar"]:
-                continue
-            for rows in entry["rows"].values():
-                for end, __, slew in rows:
-                    if end.kind is not NodeKind.BUFFER:
-                        continue
-                    k0, frac = self._buckets_of(slew)
-                    for b in (k0,) if frac == 0.0 else (k0, k0 + 1):
-                        if (end.id, b) in self._bounds_cache:
-                            continue
-                        job = next_jobs.get(end.id)
-                        if job is None:
-                            job = next_jobs[end.id] = ("b", end, set())
-                        job[2].add(b)
-        if next_jobs:
-            self._prefill_bucket_jobs(
-                [
-                    (kind, node, sorted(buckets), None)
-                    for kind, node, buckets in next_jobs.values()
-                ]
-            )
-
-        for entry in pending:
-            node = entry["node"]
-            for bucket in entry["buckets"]:
-                if entry["kind"] == "b":
-                    if entry["scalar"]:
-                        self._buffer_bucket_bounds(node, bucket)
-                    else:
-                        key = (node.id, bucket)
-                        if key not in self._bounds_cache:
-                            self._bounds_cache[key] = self._accumulate(
-                                StageTiming(tuple(entry["rows"][bucket]))
-                            )
-                elif entry["scalar"]:
-                    self._virtual_bucket_bounds(node, bucket, entry["vdrive"])
-                else:
-                    key = (node.id, bucket, entry["vdrive"])
-                    if key not in self._vbounds_cache:
-                        self._vbounds_cache[key] = self._accumulate(
-                            StageTiming(tuple(entry["rows"][bucket]))
-                        )
 
     # ------------------------------------------------------------------
     # Full-tree analysis

@@ -12,9 +12,9 @@ from repro.tech.buffers import BufferType
 class _NodeIdCounter:
     """Monotonic node-id source with a non-consuming :meth:`peek`.
 
-    The parallel merge flow records which id range each prepare/commit
-    phase consumed so it can renumber a level's nodes into the exact
-    order the serial flow would have assigned (see
+    The level pipeline records which id range each prepare/commit phase
+    consumed so it can renumber a level's nodes into the exact order a
+    pair-by-pair merge would have assigned (see
     :mod:`repro.core.parallel_merge`); that requires reading the counter
     without advancing it, which :func:`itertools.count` cannot do.
     """

@@ -19,10 +19,18 @@ import pytest
 
 from repro.core import CTSOptions
 from repro.core.binary_search import MergeSearchState, binary_search_merge
+from repro.core.soa_tree import SoaTree
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.timing.analysis import SLEW_QUANTUM, LibraryTimingEngine
-from repro.tree.nodes import NodeKind, make_buffer, make_sink
+from repro.tree.nodes import (
+    NodeKind,
+    make_buffer,
+    make_merge,
+    make_sink,
+    make_steiner,
+    set_tree_recorder,
+)
 
 from tests.conftest import make_sink_pairs, synthesize_signature
 
@@ -158,24 +166,70 @@ class TestBatchedQueryAPIs:
         scalar = np.array([fit.predict(*q) for q in queries])
         assert np.array_equal(vector, scalar)
 
-    def test_subtree_bounds_many_matches_scalar(self, library, tech, buffers):
+    @staticmethod
+    def _deep_stage(buffers):
+        """A buffer stage no flat-stage row can hold: its split nests an
+        unbuffered merge beside a 3-way Steiner tap, one of whose loads is
+        another buffer stage."""
+        inner = make_merge(Point(2000, 2000))
+        inner.attach(make_sink(Point(1500, 2600), 7e-15))
+        inner.attach(make_sink(Point(2600, 1700), 9e-15))
+        tail = make_buffer(Point(4400, 1200), buffers["BUF10X"])
+        tail.attach(make_sink(Point(4900, 1000), 6e-15))
+        tap = make_steiner(Point(4000, 1500))
+        tap.attach(make_sink(Point(3600, 800), 5e-15))
+        tap.attach(make_sink(Point(4300, 2300), 8e-15))
+        tap.attach(tail)
+        top = make_merge(Point(3000, 3000))
+        top.attach(inner)
+        top.attach(tap)
+        head = make_buffer(Point(3000, 3500), buffers["BUF30X"])
+        head.attach(top)
+        return head
+
+    @pytest.mark.parametrize("mirror", ["before", "after"])
+    def test_subtree_bounds_many_matches_scalar(
+        self, library, tech, buffers, mirror
+    ):
+        """The batched fill stores the scalar recursion's values, bit for bit.
+
+        ``before``: the mirror records the trees as they are built, so the
+        flat stages take its column kernel and the deep stage the scalar
+        recursion. ``after``: the mirror is attached to trees it never
+        saw, so every job is unmirrored.
+        """
         from repro.core.merge_routing import MergeRouter
 
-        engine = LibraryTimingEngine(library, tech)
-        router = MergeRouter(tech, library, buffers, engine, CTSOptions())
-        root = router.merge(
-            router.merge(make_sink(Point(0, 0), 8e-15), make_sink(Point(7000, 0), 8e-15)),
-            make_sink(Point(3000, 9000), 6e-15),
-        )
+        soa = SoaTree()
+        previous = set_tree_recorder(soa if mirror == "before" else None)
+        try:
+            engine = LibraryTimingEngine(library, tech)
+            router = MergeRouter(tech, library, buffers, engine, CTSOptions())
+            root = router.merge(
+                router.merge(make_sink(Point(0, 0), 8e-15), make_sink(Point(7000, 0), 8e-15)),
+                make_sink(Point(3000, 9000), 6e-15),
+            )
+            deep = self._deep_stage(buffers)
+        finally:
+            set_tree_recorder(previous)
+        nodes = list(root.walk()) + list(deep.walk())
         probe = LibraryTimingEngine(library, tech)
-        items = [
-            (node, 80e-12 + 0.37e-12 * i)
-            for i, node in enumerate(root.walk())
-        ]
+        probe.attach_soa(soa)
+        items = [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
         batched = probe.subtree_bounds_many(items)
         fresh = LibraryTimingEngine(library, tech)
         scalar = [fresh.subtree_bounds(node, slew) for node, slew in items]
         assert batched == scalar
+        # Every stored bucket (prefetched ones included) is the scalar
+        # value of its key.
+        by_id = {node.id: node for node in nodes}
+        for (node_id, bucket), value in probe._bounds_cache.items():
+            assert fresh._buffer_bucket_bounds(by_id[node_id], bucket) == value
+        for (node_id, bucket, drive), value in probe._vbounds_cache.items():
+            assert (
+                fresh._virtual_bucket_bounds(by_id[node_id], bucket, drive)
+                == value
+            )
         # A second batched call is all hits: no new misses counted.
         misses = probe.bounds_cache_misses
         again = probe.subtree_bounds_many(items)

@@ -1,15 +1,14 @@
-"""Serial-identical renumbering of the swept level path, plus the
-merge-diagnostic sums and seed tie-breaks it relies on.
+"""Serial-identical renumbering of the level pipeline, plus the seed
+tie-breaks it relies on.
 
-The swept level path creates a level's nodes phase by phase (all
+The level pipeline creates a level's nodes phase by phase (all
 prepares, then all commits); :func:`serial_id_mapping` maps those ids
-back onto pair-by-pair creation order so auto-generated node names do
-not depend on which path merged a level.
+back onto pair-by-pair creation order so auto-generated node names are
+the ones a pair-by-pair merge would give.
 """
 
 from __future__ import annotations
 
-from repro.core import MergeStats
 from repro.core.parallel_merge import serial_id_mapping
 from repro.core.topology import SubTree, greedy_matching, select_seed
 from repro.geom.point import Point
@@ -28,17 +27,6 @@ class TestSerialIdMapping:
     def test_identity_when_already_serial(self):
         spans = [[(5, 7), (7, 9)], [(9, 10), (10, 12)]]
         assert serial_id_mapping(5, spans) == {}
-
-
-class TestMergeStats:
-    def test_combine_sums_every_field(self):
-        a = MergeStats(1, 2, 3.0, 4, 5, 6, 7)
-        b = MergeStats(10, 20, 30.0, 40, 50, 60, 70)
-        assert a.combine(b) == MergeStats(11, 22, 33.0, 44, 55, 66, 77)
-
-    def test_combine_with_zero_is_identity(self):
-        a = MergeStats(1, 2, 3.0, 4, 5, 6, 7)
-        assert a.combine(MergeStats()) == a
 
 
 class TestTieBreaks:
