@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically check determinism and kernel-contract rails"
+        help="statically check the determinism rules"
         " (repro-lint; see ANALYSIS.md)",
     )
     from repro.lintx.cli import add_lint_arguments

@@ -104,15 +104,12 @@ _RESULT_FIELDS = (
     "hstructure",
     "max_unbuffered_cap_ratio",
     "virtual_drive",
-    "source_slew",
-    "seed",
 )
 
 #: The options deliberately *excluded* from the digest: the resilience
-#: and supervision plumbing plus the validation switch. The split is explicit (not "whatever
-#: is left over") so that a new knob must be classified on day one —
-#: repro-lint rule CON305 fails the build if a ``CTSOptions`` field is
-#: in neither list, and :func:`options_digest` refuses to run on an
+#: and supervision plumbing plus the validation switch. The split is
+#: explicit (not "whatever is left over") so that a new knob must be
+#: classified on day one: :func:`options_digest` refuses to run on an
 #: incomplete partition.
 _EXECUTION_FIELDS = (
     "fault_plan",

@@ -63,9 +63,8 @@ class CTSOptions:
     #   slow job from a hung one; None disables
     # --- misc ------------------------------------------------------------
     virtual_drive: str | None = None  # assumed driver type (default largest)
-    source_slew: float = 60.0e-12  # slew of the ideal ramp at the clock source
-    validate_every_merge: bool = False  # run tree invariants during synthesis
-    seed: int = 0
+    validate_every_merge: bool = False  # check the tree invariants of the
+    #   finished tree (after the trunk route); nothing is checked per merge
 
     def __post_init__(self) -> None:
         if not 0 < self.slew_margin <= 1:

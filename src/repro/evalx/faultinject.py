@@ -144,8 +144,13 @@ class FaultPlan:
         once. Returns the mode of a fired *effect* spec
         (``hang``/``balloon`` after their sleep, ``torn`` immediately) so
         the call site can implement corruption modes itself;
-        raising/exiting modes never return.
+        raising/exiting modes never return. An unregistered ``site`` is
+        a programming error: no plan could ever name it.
         """
+        if site not in SITES:
+            raise ValueError(
+                f"unknown fault site {site!r} (one of {', '.join(SITES)})"
+            )
         n = self._counts.get(site, 0)
         self._counts[site] = n + 1
         fired: str | None = None

@@ -11,7 +11,7 @@ pair — plus optional batch-wide policy overrides::
           "id": "rand120-base",
           "instance": {"kind": "random", "n_sinks": 120, "area": 30000,
                        "seed": 7},
-          "options": {"router": "maze", "seed": 3},
+          "options": {"router": "maze", "grid_resolution": 50},
           "policy": {"mem_mb": 512},
           "fault_plans": ["job_hang:1:hang", ""]
         }

@@ -4,9 +4,9 @@ These knobs live here — not on :class:`repro.core.options.CTSOptions` —
 because they govern the *parent* watchdog, never the synthesized tree:
 a job killed at any budget and retried from its checkpoint still
 produces the bit-identical tree, so none of them belong in the
-checkpoint options digest. Like every ``REPRO_*`` knob they are
-declared in the lintx contract tables (``JOB_CONTRACTS``; rule CON308
-fails the build on an undeclared or undocumented one).
+checkpoint options digest. Like every ``REPRO_*`` knob each has a
+documented CLI flag (``repro run-batch``); ``tests/test_rails.py``
+fails on an env knob missing from its table or its flag.
 
 Precedence, lowest to highest: built-in default < environment knob <
 manifest-wide ``policy`` block < per-job ``policy`` block < explicit

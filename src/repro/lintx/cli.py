@@ -42,12 +42,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         " (default: warning; 'never' reports without failing)",
     )
     parser.add_argument(
-        "--no-contracts",
-        action="store_true",
-        help="skip the whole-program contract passes and run only the"
-        " per-file determinism rules",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every rule id with its severity and summary, then"
@@ -65,7 +59,7 @@ def run(args: argparse.Namespace) -> int:
     if missing:
         print(f"repro-lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    result = run_lint(paths, contracts=not args.no_contracts)
+    result = run_lint(paths)
     if args.json:
         print(render_json(result))
     else:
@@ -76,8 +70,8 @@ def run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="AST-based determinism & kernel-contract analyzer"
-        " for the repro tree (see ANALYSIS.md)",
+        description="AST-based determinism analyzer for the repro tree"
+        " (see ANALYSIS.md)",
     )
     add_lint_arguments(parser)
     return run(parser.parse_args(argv))

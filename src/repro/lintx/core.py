@@ -1,21 +1,15 @@
 """repro-lint core: findings, suppressions, rule registry, runner.
 
-The analyzer statically enforces the two load-bearing properties of
-this codebase (see ANALYSIS.md):
+The analyzer statically enforces the load-bearing property of this
+codebase (see ANALYSIS.md): **determinism** — every run must be
+bit-identical and replayable, so wall clocks, unseeded RNGs,
+hash-ordered iteration and scheduling-ordered gathers are findings, not
+style nits.
 
-- **determinism** — every fast path must be bit-identical and
-  replayable, so wall clocks, unseeded RNGs, hash-ordered iteration and
-  scheduling-ordered gathers are findings, not style nits;
-- **kernel contracts** — every knob-gated kernel must ship with its
-  safety rails (scalar-fallback degradation guard, fault-injection
-  site, CI fallback leg, checkpoint-digest classification, documented
-  CLI flag), checked against the live tree, not against convention.
-
-Rules come in three families:
+Rules come in two families:
 
 ==========  ==========================================================
 ``DET1xx``  per-file AST determinism rules (:mod:`.rules_determinism`)
-``CON3xx``  whole-program contract cross-checks (:mod:`.contracts`)
 ``LNT0xx``  the analyzer's own hygiene (suppression grammar)
 ==========  ==========================================================
 
@@ -208,8 +202,7 @@ class SourceFile:
 
 
 class Rule:
-    """Base class: per-file rules override :meth:`check_file`,
-    whole-program rules override :meth:`check_project`."""
+    """Base class: a rule overrides :meth:`check_file`."""
 
     id: str = ""
     severity: str = "error"
@@ -218,24 +211,10 @@ class Rule:
     def check_file(self, source: SourceFile) -> list[Finding]:
         return []
 
-    def check_project(self, project: "Project") -> list[Finding]:
-        return []
-
     def finding(
         self, path: str, line: int, col: int, message: str
     ) -> Finding:
         return Finding(self.id, self.severity, path, line, col, message)
-
-
-@dataclass
-class Project:
-    """Every scanned source file, plus where the scan was rooted."""
-
-    files: list[SourceFile]
-    paths: list[str]
-
-    def by_suffix(self, suffix: str) -> list[SourceFile]:
-        return [f for f in self.files if f.path.endswith(suffix)]
 
 
 _REGISTRY: dict[str, Rule] = {}
@@ -263,7 +242,7 @@ def all_rules() -> list[Rule]:
 def _load_rule_modules() -> None:
     # Deferred so `import repro.lintx.core` never cycles with the rule
     # modules (they import `register` from here).
-    from repro.lintx import contracts, rules_determinism  # noqa: F401
+    from repro.lintx import rules_determinism  # noqa: F401
 
 
 def iter_python_files(paths: list[str]) -> list[str]:
@@ -310,20 +289,11 @@ class LintResult:
 
 
 def run_lint(
-    paths: list[str],
-    *,
-    rules: list[Rule] | None = None,
-    contracts: bool = True,
+    paths: list[str], *, rules: list[Rule] | None = None
 ) -> LintResult:
-    """Scan ``paths`` and return every unsuppressed finding.
-
-    ``contracts=False`` skips the whole-program ``CON`` passes
-    (used by the warn-only tests/benchmarks scan, where there is no
-    options registry to cross-check).
-    """
+    """Scan ``paths`` and return every unsuppressed finding."""
     rules = all_rules() if rules is None else rules
     files = [SourceFile.load(path) for path in iter_python_files(paths)]
-    project = Project(files=files, paths=list(paths))
     by_path = {source.path: source for source in files}
 
     raw: list[Finding] = []
@@ -344,18 +314,15 @@ def run_lint(
             continue
         for rule in rules:
             raw.extend(rule.check_file(source))
-    if contracts:
-        for rule in rules:
-            raw.extend(rule.check_project(project))
 
     kept: list[Finding] = []
     suppressed = 0
     for finding in raw:
-        source = by_path.get(finding.path)
-        if source is not None and finding.rule.startswith(("DET", "CON")):
-            if source.suppresses(finding):
-                suppressed += 1
-                continue
+        if finding.rule.startswith("DET") and by_path[
+            finding.path
+        ].suppresses(finding):
+            suppressed += 1
+            continue
         kept.append(finding)
     for source in files:
         kept.extend(source.unused_suppression_findings())

@@ -1,12 +1,12 @@
 """Determinism rules (``DET1xx``).
 
-Every fast path in this codebase is contractually bit-identical to its
-scalar fallback, and checkpoints must replay to the same tree on any
-machine. That dies the moment a result depends on a wall clock, an
-unseeded RNG, hash-ordered iteration (``PYTHONHASHSEED`` randomizes
-``str`` hashes per *process*, so set order differs between a pool
-worker and its parent), filesystem enumeration order, or worker
-scheduling. These rules flag each of those at the AST level.
+Every run of the same input must build the same tree, and checkpoints
+must replay to that tree on any machine. That dies the moment a result
+depends on a wall clock, an unseeded RNG, hash-ordered iteration
+(``PYTHONHASHSEED`` randomizes ``str`` hashes per *process*, so set
+order differs between a resumed run and the run it resumes),
+filesystem enumeration order, or worker scheduling. These rules flag
+each of those at the AST level.
 
 All rules share one resolution layer: import aliases are tracked so
 ``np.random.rand`` and ``numpy.random.rand`` match the same rule, and
@@ -444,8 +444,8 @@ class GatherOrderRule(_FileRule):
                     node.col_offset + 1,
                     f"{attr}() yields results in completion order, which"
                     " depends on worker scheduling; gather futures in"
-                    " submission order (see repro.core.parallel_merge)"
-                    " so float accumulation and id assignment replay",
+                    " submission order so float accumulation and id"
+                    " assignment replay",
                 )
 
 

@@ -148,7 +148,7 @@ class TestManifest:
                     {
                         "id": "j1",
                         "instance": dict(INSTANCE),
-                        "options": {"seed": 2},
+                        "options": {"router": "maze"},
                         "fault_plans": ["job_hang:0:hang", ""],
                     }
                 ],
@@ -158,7 +158,7 @@ class TestManifest:
         assert manifest.name == "demo"
         assert manifest.policy == {"deadline_s": 9}
         (job,) = manifest.jobs
-        assert job.options == {"seed": 2}
+        assert job.options == {"router": "maze"}
         assert job.fault_plan_for(1) == "job_hang:0:hang"
         assert job.fault_plan_for(2) == ""
         assert job.fault_plan_for(3) == ""  # past the list: clean

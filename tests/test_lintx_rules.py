@@ -5,13 +5,18 @@ one that must fire (with the expected location) and near-miss variants
 that must stay silent — the rules are only useful if `repro lint src/`
 can be kept at zero findings without drowning real code in
 suppressions. The framework itself (suppressions, severities, exit
-codes, reporters) is tested at the bottom.
+codes, reporters), the shipped tree and the command-line entry points
+are tested at the bottom.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -398,3 +403,86 @@ class TestExitCodesAndReport:
         )
         keys = [(f.path, f.line, f.col, f.rule) for f in result.findings]
         assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------
+# The shipped tree and the command-line entry points
+# ---------------------------------------------------------------------
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src"
+
+
+def cts_copy(tmp_path, mutate: bool = True) -> Path:
+    """A copy of ``core/cts.py``; if ``mutate``, its first
+    ``time.perf_counter()`` is back on the wall clock."""
+    text = (SRC / "repro" / "core" / "cts.py").read_text()
+    assert "time.perf_counter()" in text, "fixture drifted"
+    if mutate:
+        text = text.replace("time.perf_counter()", "time.time()", 1)
+    path = tmp_path / "cts.py"
+    path.write_text(text)
+    return path
+
+
+def assert_clean(paths: list[Path]) -> None:
+    result = run_lint([str(p) for p in paths])
+    assert not result.findings, "\n".join(f.render() for f in result.findings)
+
+
+class TestShippedTree:
+    def test_shipped_tree_is_clean(self):
+        assert_clean([SRC])
+
+    def test_clean_copy_passes(self, tmp_path):
+        assert_clean([cts_copy(tmp_path, mutate=False)])
+
+    def test_reintroducing_time_time_in_cts_fires_det101(self, tmp_path):
+        result = run_lint([str(cts_copy(tmp_path))])
+        findings = [f for f in result.findings if f.rule == "DET101"]
+        assert findings and findings[0].path.endswith("cts.py")
+
+
+def run_cli(args, cwd, module="repro.lintx"):
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+    )
+
+
+class TestCLI:
+    def test_module_entry_clean_tree_exits_zero(self):
+        proc = run_cli(["src"], cwd=REPO_ROOT)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "0 errors" in proc.stdout
+
+    def test_module_entry_mutated_tree_exits_nonzero_naming_rule(
+        self, tmp_path
+    ):
+        cts_copy(tmp_path)
+        proc = run_cli(["cts.py"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "DET101" in proc.stdout
+        assert "cts.py" in proc.stdout
+
+    def test_repro_lint_subcommand_and_json(self):
+        proc = run_cli(["lint", "src", "--json"], REPO_ROOT, module="repro")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["findings"] == []
+
+    def test_fail_on_never_reports_without_failing(self, tmp_path):
+        cts_copy(tmp_path)
+        proc = run_cli(["cts.py", "--fail-on", "never"], cwd=tmp_path)
+        assert proc.returncode == 0
+        assert "DET101" in proc.stdout
+
+    def test_list_rules(self):
+        proc = run_cli(["--list-rules"], cwd=REPO_ROOT)
+        assert proc.returncode == 0
+        listed = re.findall(r"^  ([A-Z]+\d+)  ", proc.stdout, re.MULTILINE)
+        assert listed == [rule.id for rule in all_rules()]
+        assert listed == [f"DET10{i}" for i in range(1, 7)]

@@ -1,0 +1,232 @@
+"""Rails: each env knob, CLI flag, fault site and CI gate, checked on
+the live objects the program runs with rather than on its source.
+
+The checkpoint-digest partition of ``CTSOptions`` is tested with the
+rest of the checkpoint code in ``tests/test_resilience.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
+
+import pytest
+
+import repro.core
+import repro.jobs
+from repro import cli
+from repro.core import AggressiveBufferedCTS, CTSOptions
+from repro.evalx.faultinject import (
+    SITES,
+    FaultInjected,
+    FaultPlan,
+    active_plan,
+    reset_plans,
+)
+from repro.jobs import JobPolicy
+
+from tests.conftest import make_sink_pairs
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+CI_YML = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+
+#: Every env-backed knob, per owner: ``{field: (env var, CLI flag)}``.
+KNOBS = {
+    CTSOptions: {
+        "fault_plan": ("REPRO_FAULT_PLAN", "--fault-plan"),
+    },
+    JobPolicy: {
+        "deadline_s": ("REPRO_JOB_DEADLINE", "--job-deadline"),
+        "mem_mb": ("REPRO_JOB_MEM_MB", "--job-mem-mb"),
+        "max_retries": ("REPRO_JOB_RETRIES", "--job-retries"),
+        "heartbeat_stall_s": ("REPRO_HEARTBEAT_STALL", "--heartbeat-stall"),
+    },
+}
+
+#: The ``repro`` subcommand whose flags feed each owner.
+SUBCOMMAND = {CTSOptions: "synthesize", JobPolicy: "run-batch"}
+
+KNOB_CASES = [
+    pytest.param(owner, name, id=name)
+    for owner, table in KNOBS.items()
+    for name in table
+]
+
+#: The text every knob is set to by env or flag; it parses as each
+#: knob's type and differs from each default.
+VALUE = "7"
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    """A CI leg may export a knob; every test starts from the defaults."""
+    for table in KNOBS.values():
+        for env, _ in table.values():
+            monkeypatch.delenv(env, raising=False)
+    reset_plans()
+    yield
+    reset_plans()
+
+
+class _RecordingEnviron(dict):
+    """A copy of the environment that records every name looked up."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.read: list[str] = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.append(key)
+        return super().__contains__(key)
+
+
+class TestEnvKnobs:
+    @pytest.mark.parametrize(
+        "owner", list(KNOBS), ids=lambda owner: owner.__name__
+    )
+    def test_env_reads_match_table(self, monkeypatch, owner):
+        environ = _RecordingEnviron(os.environ)
+        read = {}
+        with monkeypatch.context() as m:
+            m.setattr(os, "environ", environ)
+            for f in fields(owner):
+                if f.default_factory is MISSING:
+                    continue
+                environ.read.clear()
+                f.default_factory()
+                names = [n for n in environ.read if n.startswith("REPRO_")]
+                if names:
+                    read[f.name] = names
+        assert read == {
+            name: [env] for name, (env, _) in KNOBS[owner].items()
+        }
+
+    @pytest.mark.parametrize("owner, name", KNOB_CASES)
+    def test_setting_env_changes_field(self, monkeypatch, owner, name):
+        env, _ = KNOBS[owner][name]
+        default = getattr(owner(), name)
+        monkeypatch.setenv(env, VALUE)
+        value = getattr(owner(), name)
+        assert value == type(default)(VALUE)
+        assert value != default
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    (subparsers,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices[command]
+
+
+class _Reached(Exception):
+    """Stops a CLI command once it has built its options or policy."""
+
+
+def parsed_knobs(monkeypatch, owner, flag: str):
+    """The ``CTSOptions`` or ``JobPolicy`` that ``repro`` builds from
+    ``flag VALUE``, caught before any synthesis or batch runs."""
+    built = {}
+
+    def capture(*args, **kwargs):
+        built.update(kwargs)
+        raise _Reached
+
+    if owner is CTSOptions:
+        monkeypatch.setattr(repro.core, "AggressiveBufferedCTS", capture)
+        argv = ["synthesize", "--random", "4", flag, VALUE]
+    else:
+        monkeypatch.setattr(repro.jobs, "load_manifest", lambda path: None)
+        monkeypatch.setattr(repro.jobs, "BatchRunner", capture)
+        argv = ["run-batch", "batch.json", flag, VALUE]
+    with pytest.raises(_Reached):
+        cli.main(argv)
+    if owner is CTSOptions:
+        return built["options"]
+    return built["policy"].with_overrides(built["final_overrides"])
+
+
+class TestCLIFlags:
+    @pytest.mark.parametrize("owner, name", KNOB_CASES)
+    def test_flag_defined_with_help(self, owner, name):
+        _, flag = KNOBS[owner][name]
+        actions = subparser(SUBCOMMAND[owner])._option_string_actions
+        assert flag in actions, f"{flag} missing from {SUBCOMMAND[owner]}"
+        assert (actions[flag].help or "").strip(), f"{flag} has no help"
+
+    @pytest.mark.parametrize("owner, name", KNOB_CASES)
+    def test_flag_reaches_field(self, monkeypatch, owner, name):
+        _, flag = KNOBS[owner][name]
+        default = getattr(owner(), name)
+        value = getattr(parsed_knobs(monkeypatch, owner, flag), name)
+        assert value == type(default)(VALUE)
+        assert value != default
+
+
+def tiny_synthesis(checkpoint_dir, fault_plan: str):
+    options = CTSOptions(
+        checkpoint_dir=str(checkpoint_dir), fault_plan=fault_plan
+    )
+    return AggressiveBufferedCTS(options=options).synthesize(
+        make_sink_pairs(6, 10000.0, seed=3)
+    )
+
+
+class TestFaultSites:
+    @pytest.mark.parametrize("site", SITES)
+    def test_site_fires(self, tmp_path, site):
+        with pytest.raises(FaultInjected, match=f"fault {site}:0:"):
+            tiny_synthesis(tmp_path, f"{site}:0:raise")
+
+    def test_plan_run_consults_every_registered_site(self, tmp_path):
+        # Indices past the run's levels: every site is consulted, none fires.
+        plan = ",".join(f"{site}:999:raise" for site in SITES)
+        tiny_synthesis(tmp_path, plan)
+        assert set(active_plan(plan)._counts) == set(SITES)
+
+    def test_plan_run_consults_only_registered_sites(self, tmp_path):
+        # A plan naming one site still checks every site the run visits.
+        plan = f"{SITES[0]}:999:raise"
+        tiny_synthesis(tmp_path, plan)
+        assert set(active_plan(plan)._counts) <= set(SITES)
+
+    def test_consult_refuses_unregistered_site(self):
+        plan = FaultPlan.parse("checkpoint:0:raise")
+        with pytest.raises(ValueError, match="unknown fault site 'typo'"):
+            plan.consult("typo")
+
+
+def ci_jobs() -> dict[str, list[str]]:
+    """``{job id: its stripped lines}`` from the workflow's ``jobs:`` map."""
+    jobs: dict[str, list[str]] = {}
+    current = None
+    lines = CI_YML.read_text().splitlines()
+    for line in lines[lines.index("jobs:") + 1 :]:
+        match = re.match(r"^  ([\w-]+):\s*$", line)
+        if match:
+            current = jobs.setdefault(match.group(1), [])
+        elif current is not None:
+            current.append(line.strip())
+    return jobs
+
+
+class TestCI:
+    def test_lint_job_gates_tier1(self):
+        jobs = ci_jobs()
+        assert (
+            "run: PYTHONPATH=src python -m repro.lintx src --fail-on warning"
+            in jobs["lint"]
+        )
+        assert "needs: lint" in jobs["tier1"]

@@ -13,11 +13,14 @@ Deterministic faults come from :mod:`repro.evalx.faultinject`
 
 from __future__ import annotations
 
+import copy
 import os
+from dataclasses import fields
 
 import pytest
 
 import repro.core.batch_commit as batch_commit
+import repro.core.checkpoint as checkpoint
 import repro.core.grid_cache as grid_cache
 import repro.core.merge_routing as merge_routing
 from repro.core import AggressiveBufferedCTS, CTSOptions
@@ -357,3 +360,34 @@ class TestCheckpointResume:
             for node in subtree.root.walk():
                 for child in node.children:
                     assert child.parent is node
+
+
+class TestDigestPartition:
+    """Every ``CTSOptions`` field changes the tree (in the digest) or only
+    how it is computed (excluded), never both and never neither."""
+
+    def test_digest_partition_matches_live_options(self):
+        names = {f.name for f in fields(CTSOptions)}
+        assert set(checkpoint._RESULT_FIELDS) | set(
+            checkpoint._EXECUTION_FIELDS
+        ) == names
+        assert not set(checkpoint._RESULT_FIELDS) & set(
+            checkpoint._EXECUTION_FIELDS
+        )
+
+    def test_only_result_fields_move_the_digest(self):
+        base = CTSOptions()
+        digest = options_digest(base)
+        for f in fields(CTSOptions):
+            other = copy.copy(base)
+            setattr(other, f.name, object())
+            moved = options_digest(other) != digest
+            assert moved == (f.name in checkpoint._RESULT_FIELDS), f.name
+
+    def test_options_digest_refuses_incomplete_partition(self, monkeypatch):
+        dropped = checkpoint._RESULT_FIELDS[-1]
+        monkeypatch.setattr(
+            checkpoint, "_RESULT_FIELDS", checkpoint._RESULT_FIELDS[:-1]
+        )
+        with pytest.raises(ValueError, match=dropped):
+            options_digest(CTSOptions())
