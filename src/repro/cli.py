@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per job attempt before SIGKILL"
-        " (0 disables; env REPRO_JOB_DEADLINE)",
+        " (0 disables)",
     )
     batch.add_argument(
         "--job-mem-mb",
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MIB",
         help="peak-RSS budget per job attempt before SIGKILL"
-        " (0 disables; env REPRO_JOB_MEM_MB)",
+        " (0 disables)",
     )
     batch.add_argument(
         "--job-retries",
@@ -123,8 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="retries per job after the first attempt, each resuming"
-        " from the last valid checkpoint, before quarantine"
-        " (env REPRO_JOB_RETRIES)",
+        " from the last valid checkpoint, before quarantine",
     )
     batch.add_argument(
         "--heartbeat-stall",
@@ -132,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="seconds without a heartbeat change before a job counts as"
-        " hung and is killed (0 disables; env REPRO_HEARTBEAT_STALL)",
+        " hung and is killed (0 disables)",
     )
 
     lint = sub.add_parser(
@@ -262,7 +261,7 @@ def _cmd_run_batch(args) -> int:
         print("run-batch needs a MANIFEST.json (or --report DIR)", file=sys.stderr)
         return 2
     manifest = load_manifest(args.manifest)
-    # CLI flags outrank the env and the manifest's policy blocks.
+    # CLI flags outrank the manifest's policy blocks.
     cli_overrides = {
         key: value
         for key, value in (

@@ -21,6 +21,9 @@ from repro.core.options import CTSOptions
 from repro.tech.buffers import BufferLibrary
 from repro.tree.nodes import NodeKind, TreeNode, make_buffer
 
+#: Wire-length granularity of snaking (layout units).
+SNAKE_STEP = 100.0
+
 #: Memoized per-library snake-candidate tables. The slew-feasible length
 #: scan and the per-type stage delays are pure functions of
 #: (buffer set, load type, slews, step), and snaking re-derives them for
@@ -159,7 +162,7 @@ def snake_delay(
         remaining = delay_needed - added
         # Candidate (type, max slew-feasible length, its delay).
         candidates, min_increment = _snake_candidates(
-            library, buffers, load, input_slew, target_slew, options.snake_step
+            library, buffers, load, input_slew, target_slew, SNAKE_STEP
         )
         if remaining < min_increment * 0.5:
             break  # closer to the target without another buffer

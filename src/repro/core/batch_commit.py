@@ -46,6 +46,11 @@ from repro.tree.nodes import TreeNode, make_merge, peek_node_id
 MAX_COMMIT_ROUNDS = 5
 MAX_REPAIR_ROUNDS = 8
 
+#: Binary-search budget per merge: at most this many bisection steps,
+#: stopping early once the delay difference is within the tolerance (s).
+BINARY_SEARCH_ITERS = 24
+BINARY_SEARCH_TOL = 0.05e-12
+
 #: Lockstep rounds with fewer probe rows than this answer them scalar —
 #: below it, numpy dispatch on tiny arrays costs more than the compiled
 #: scalar evaluators (results are bit-identical either way). The long
@@ -69,10 +74,6 @@ class CommitQueryStats:
     reused_checks: int = 0  # checks answered from already-evaluated values
     batched_rounds: int = 0  # lockstep rounds answered vectorized
     batched_rows: int = 0  # probe rows across those rounds
-
-    @property
-    def total_probes(self) -> int:
-        return self.search_probes + self.clamp_probes + self.repair_probes
 
     @property
     def mean_batch_rows(self) -> float:
@@ -172,8 +173,8 @@ class PairCommitState:
         self.cap2 = router.engine._load_cap_of(self.v2)
         self.search = MergeSearchState(
             self.span.length,
-            options.binary_search_iters,
-            options.binary_search_tol,
+            BINARY_SEARCH_ITERS,
+            BINARY_SEARCH_TOL,
             options.enable_binary_search,
             slew_target=options.target_slew,
         )

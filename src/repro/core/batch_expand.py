@@ -29,9 +29,10 @@ rounds instead:
    path runs back to back.
 
 Bit-identity with the single-pair lazy expansion: a primed table is
-byte-equal to a lazily built one (clip + Horner are element-wise; see
-:meth:`SegmentTables.prime`), and every decision/mutation runs through
-the *same* ``PathBuilder`` methods over those tables — the scheduler
+byte-equal to a lazily built one (clip + Horner are element-wise, and
+the tail fill and slew mask are :meth:`SegmentTables._assemble`'s), and
+every decision/mutation runs through the *same* ``PathBuilder`` methods
+over those tables — the scheduler
 only regroups the evaluations, so profiles, buffer placements and run
 records are identical, and results are invariant to how a level is
 split into batches.
@@ -82,10 +83,9 @@ class LevelExpansionScheduler:
         stats=None,
     ):
         self.library = library
-        self.options = options
         self.stats = stats
         self.buffer_names = library.buffer_names
-        self.virtual = options.virtual_drive or library.buffer_names[-1]
+        self.virtual = library.buffer_names[-1]
         self.target_slew = options.target_slew
         self._bindings: dict[tuple[int, str], _Binding] = {}
 
@@ -189,9 +189,10 @@ class LevelExpansionScheduler:
             for tables, n, b, size in zip(
                 reqs, n_eval, beyond, sizes.tolist()
             ):
-                # Equivalent to tables.prime(...): tail-fill the prefix
-                # with its last (clamped) value, mask the out-of-range
-                # slews — by slice writes instead of concatenate/where.
+                # Equivalent to SegmentTables._assemble: tail-fill the
+                # prefix with its last (clamped) value, mask the
+                # out-of-range slews — by slice writes instead of
+                # concatenate/where.
                 table = np.empty(size)
                 table[:n] = values[offset : offset + n]
                 if n < size:
@@ -329,7 +330,6 @@ class LevelExpansionScheduler:
                 self.target_slew,
                 self.buffer_names,
                 self.virtual,
-                self.options.sizing_lookahead,
             )
             lanes.append(_Lane(builder, self._binding(tables, load), target))
         if self.stats is not None:

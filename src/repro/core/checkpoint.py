@@ -28,8 +28,8 @@ better than naive object pickles would.
 
 Compatibility is enforced by two digests: ``options_digest`` covers the
 **result-affecting** options only (execution plumbing like
-``fault_plan``, ``checkpoint_dir`` or ``validate_every_merge`` is
-excluded — it changes how a run is carried out, never its tree), and
+``fault_plan``, ``checkpoint_dir`` or ``heartbeat_file`` is excluded —
+it changes how a run is carried out, never its tree), and
 ``sinks_digest`` covers the sink instance. A mismatch of
 either fails loudly with what differed.
 
@@ -81,42 +81,29 @@ class CorruptCheckpointError(ValueError):
     """
 
 #: The options that change the synthesized tree. Everything else —
-#: fault injection, checkpoint/heartbeat paths, validation — only
-#: changes how the same tree is computed, so it is deliberately outside
-#: the digest.
+#: fault injection, checkpoint/heartbeat paths — only changes how the
+#: same tree is computed, so it is deliberately outside the digest.
 _RESULT_FIELDS = (
     "slew_limit",
     "slew_margin",
     "cost_alpha",
     "cost_beta",
     "grid_resolution",
-    "max_grid_cells",
-    "target_cells_per_stage",
-    "sizing_lookahead",
-    "routing_margin_ratio",
     "router",
     "enable_balance",
-    "balance_headroom",
-    "snake_step",
     "enable_binary_search",
-    "binary_search_iters",
-    "binary_search_tol",
     "hstructure",
-    "max_unbuffered_cap_ratio",
-    "virtual_drive",
 )
 
 #: The options deliberately *excluded* from the digest: the resilience
-#: and supervision plumbing plus the validation switch. The split is
-#: explicit (not "whatever is left over") so that a new knob must be
-#: classified on day one: :func:`options_digest` refuses to run on an
-#: incomplete partition.
+#: and supervision plumbing. The split is explicit (not "whatever is
+#: left over") so that a new knob must be classified on day one:
+#: :func:`options_digest` refuses to run on an incomplete partition.
 _EXECUTION_FIELDS = (
     "fault_plan",
     "checkpoint_dir",
     "resume_from",
     "heartbeat_file",
-    "validate_every_merge",
 )
 
 

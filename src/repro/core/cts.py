@@ -43,7 +43,6 @@ from repro.tree.nodes import (
     set_node_id,
     set_tree_recorder,
 )
-from repro.tree.validate import validate_tree
 
 
 @dataclass
@@ -56,10 +55,8 @@ class SynthesisResult:
     n_flippings: int
     merge_stats: MergeStats
     levels: int
-    #: Wall-clock of the route and commit phases plus commit-query totals
-    #: and shared-window routing counters (diagnostics — excluded from
-    #: cross-mode equivalence comparisons).
-    phase_seconds: dict = field(default_factory=dict)
+    #: Commit-query totals and shared-window routing counters
+    #: (diagnostics — excluded from cross-mode equivalence comparisons).
     commit_queries: dict = field(default_factory=dict)
     route_sharing: dict = field(default_factory=dict)
     #: Degradation records carried forward from a resumed checkpoint; a
@@ -99,9 +96,7 @@ class AggressiveBufferedCTS:
         self.buffers = buffers or cts_buffer_library()
         self.library = library or load_default_library(self.tech)
         self.options = options or CTSOptions()
-        self.engine = LibraryTimingEngine(
-            self.library, self.tech, self.options.virtual_drive
-        )
+        self.engine = LibraryTimingEngine(self.library, self.tech)
         self.router = MergeRouter(
             self.tech,
             self.library,
@@ -173,8 +168,6 @@ class AggressiveBufferedCTS:
             source_location = root.location
         root, trunk_wire = self.router.route_trunk(root, source_location)
         tree = ClockTree.from_network(source_location, root, trunk_wire)
-        if self.options.validate_every_merge:
-            validate_tree(tree.root, expect_source_root=True)
         return SynthesisResult(
             tree=tree,
             options=self.options,
@@ -182,7 +175,6 @@ class AggressiveBufferedCTS:
             n_flippings=n_flips,
             merge_stats=self.router.stats,
             levels=n_levels,
-            phase_seconds=dict(self.router.phase_seconds),
             commit_queries=self.router.commit_queries.as_dict(),
             route_sharing=self.router.route_sharing.as_dict(),
             degradations=list(degradations),
@@ -351,7 +343,6 @@ class AggressiveBufferedCTS:
         node-creating advance consumed so the serial renumbering covers
         the interleaved creation order.
         """
-        t0 = time.perf_counter()
         states: list = []
         order: list[int] = []
         for i, (kind, payload) in enumerate(prepared):
@@ -369,7 +360,6 @@ class AggressiveBufferedCTS:
             i: self.router.commit_finish(states[pos])
             for pos, i in enumerate(order)
         }
-        self.router.phase_seconds["commit"] += time.perf_counter() - t0
         return roots
 
     # ------------------------------------------------------------------

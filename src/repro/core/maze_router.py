@@ -41,6 +41,7 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 from repro.charlib.library import DelaySlewLibrary
 from repro.core.options import CTSOptions
 from repro.core.routing_common import (
+    ROUTING_MARGIN_RATIO,
     MazeSearch,
     RoutedPath,
     RouteResult,
@@ -552,7 +553,7 @@ def plan_maze_window(
         raise ValueError("terminals are coincident; no routing needed")
     span = max(abs(p1.x - p2.x), abs(p1.y - p2.y), dist / 2.0)
     pitch, n_cells = choose_pitch(span, options, stage_length)
-    margin = max(1.0, n_cells * options.routing_margin_ratio) * pitch
+    margin = max(1.0, n_cells * ROUTING_MARGIN_RATIO) * pitch
     return BBox.of_points([p1, p2]).expanded(margin), pitch, margin
 
 
@@ -748,8 +749,7 @@ def finish_maze_route(
             term.load_name,
             options.target_slew,
             library.buffer_names,
-            options.virtual_drive or library.buffer_names[-1],
-            options.sizing_lookahead,
+            library.buffer_names[-1],
         )
         for term in (term1, term2)
     ]

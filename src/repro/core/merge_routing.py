@@ -27,7 +27,6 @@ step's probes with one vectorized library round.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,8 @@ from repro.core.maze_router import route_maze
 from repro.core.options import CTSOptions
 from repro.core.profile_router import route_profile
 from repro.core.routing_common import (
+    ROUTING_MARGIN_RATIO,
+    TARGET_CELLS_PER_STAGE,
     RoutedPath,
     RouteResult,
     RouteTerminal,
@@ -54,6 +55,15 @@ from repro.tech.buffers import BufferLibrary, BufferType
 from repro.tech.technology import Technology
 from repro.timing.analysis import LibraryTimingEngine, SubtreeBounds
 from repro.tree.nodes import NodeKind, TreeNode, make_buffer, make_merge
+
+#: Balance snakes only the delay difference beyond this fraction of what
+#: the routed path between the roots can absorb.
+BALANCE_HEADROOM = 0.9
+
+#: A merge whose collapsed stage cap exceeds this many times the largest
+#: buffer's input cap gets a buffer above it, so every stage load stays
+#: within the library's characterized range.
+MAX_UNBUFFERED_CAP_RATIO = 2.0
 
 
 @dataclass
@@ -112,11 +122,10 @@ class MergeRouter:
         self.blockages = blockages or []
         self.stats = MergeStats()
         self.stage_length = slew_limited_length(library, options.target_slew)
-        largest = library.buffer_names[-1]
-        self.max_stage_cap = options.max_unbuffered_cap_ratio * library.input_cap(
-            largest
+        self._virtual = library.buffer_names[-1]
+        self.max_stage_cap = MAX_UNBUFFERED_CAP_RATIO * library.input_cap(
+            self._virtual
         )
-        self._virtual = options.virtual_drive or library.buffer_names[-1]
         # Branch fits clamp beyond their trained length range and would be
         # silently optimistic there; such wires are violations by fiat.
         self._branch_hi = float(
@@ -124,8 +133,6 @@ class MergeRouter:
         ) * 1.001
         #: Commit-phase query totals (scalar and batched drivers).
         self.commit_queries = CommitQueryStats()
-        #: Wall-clock spent in the route and commit phases.
-        self.phase_seconds = {"route": 0.0, "commit": 0.0}
         #: Shared-window / route-finishing counters of the level router.
         from repro.core.grid_cache import GridCache, SharingStats
 
@@ -169,17 +176,16 @@ class MergeRouter:
 
     def _calibrate_delay_per_unit(self) -> float:
         """Average routed-path delay per layout unit (for balance checks)."""
-        pitch = self.stage_length / self.options.target_cells_per_stage
-        k = 4 * self.options.target_cells_per_stage
+        pitch = self.stage_length / TARGET_CELLS_PER_STAGE
+        k = 4 * TARGET_CELLS_PER_STAGE
         tables = SegmentTables(self.library, pitch, k + 1, self.options.target_slew)
         builder = PathBuilder(
             tables,
             0.0,
-            self.library.buffer_names[-1],
+            self._virtual,
             self.options.target_slew,
             self.library.buffer_names,
             self._virtual,
-            self.options.sizing_lookahead,
         )
         return builder.state(k).delay / (k * pitch)
 
@@ -232,27 +238,23 @@ class MergeRouter:
         """
         if plan.coincident:
             return None
-        t0 = time.perf_counter()
-        try:
-            if uses_maze_router(self.options, self.blockages):
-                return route_maze(
-                    plan.term1,
-                    plan.term2,
-                    self.library,
-                    self.options,
-                    self.stage_length,
-                    self.blockages,
-                    grid_provider=self._grid_cache.provider(),
-                )
-            return route_profile(
+        if uses_maze_router(self.options, self.blockages):
+            return route_maze(
                 plan.term1,
                 plan.term2,
                 self.library,
                 self.options,
                 self.stage_length,
+                self.blockages,
+                grid_provider=self._grid_cache.provider(),
             )
-        finally:
-            self.phase_seconds["route"] += time.perf_counter() - t0
+        return route_profile(
+            plan.term1,
+            plan.term2,
+            self.library,
+            self.options,
+            self.stage_length,
+        )
 
     def route_level(
         self, plans: list[MergePlan | None]
@@ -267,23 +269,19 @@ class MergeRouter:
         """
         from repro.core.grid_cache import route_level
 
-        t0 = time.perf_counter()
-        try:
-            return route_level(
-                [
-                    None
-                    if plan is None or plan.coincident
-                    else (plan.term1, plan.term2)
-                    for plan in plans
-                ],
-                self.library,
-                self.options,
-                self.stage_length,
-                self.blockages,
-                self._grid_cache,
-            )
-        finally:
-            self.phase_seconds["route"] += time.perf_counter() - t0
+        return route_level(
+            [
+                None
+                if plan is None or plan.coincident
+                else (plan.term1, plan.term2)
+                for plan in plans
+            ],
+            self.library,
+            self.options,
+            self.stage_length,
+            self.blockages,
+            self._grid_cache,
+        )
 
     def commit(self, plan: MergePlan, route: RouteResult | None) -> TreeNode:
         """Stateful post-route phase: materialize, search, repair.
@@ -292,13 +290,9 @@ class MergeRouter:
         batched scheduler walk the same state machine, so their results
         are bit-identical.
         """
-        t0 = time.perf_counter()
-        try:
-            state = self.commit_prepare(plan, route)
-            state.run_scalar()
-            return self.commit_finish(state)
-        finally:
-            self.phase_seconds["commit"] += time.perf_counter() - t0
+        state = self.commit_prepare(plan, route)
+        state.run_scalar()
+        return self.commit_finish(state)
 
     def commit_prepare(
         self, plan: MergePlan, route: RouteResult | None
@@ -337,7 +331,7 @@ class MergeRouter:
         b1 = self.subtree_bounds(root1)
         b2 = self.subtree_bounds(root2)
         dist = root1.location.manhattan_to(root2.location)
-        absorbable = self.options.balance_headroom * self._delay_per_unit * dist
+        absorbable = BALANCE_HEADROOM * self._delay_per_unit * dist
         diff = b1.max_delay - b2.max_delay
         shortfall = abs(diff) - absorbable
         if shortfall <= 0:
@@ -372,7 +366,7 @@ class MergeRouter:
         if self.blockages:
             from repro.core.maze_router import blocked_path
 
-            margin = max(1.0, n_cells * self.options.routing_margin_ratio) * pitch
+            margin = max(1.0, n_cells * ROUTING_MARGIN_RATIO) * pitch
             path = blocked_path(
                 root.location, source_point, pitch, self.blockages, margin
             )
@@ -387,7 +381,6 @@ class MergeRouter:
             self.options.target_slew,
             self.library.buffer_names,
             self._virtual,
-            self.options.sizing_lookahead,
         )
         routed = RoutedPath(term, path, builder.state(k), pitch)
         top, arc = self._materialize_chain(routed)
@@ -551,7 +544,7 @@ class MergeRouter:
 
         The characterized library models loads as buffer-gate-sized
         capacitances; a merge whose collapsed unbuffered capacitance
-        exceeds ``max_unbuffered_cap_ratio`` times the largest buffer's
+        exceeds :data:`MAX_UNBUFFERED_CAP_RATIO` times the largest buffer's
         input cap would be invisible to those fits, so it gets a buffer
         directly above it (sized via the branch fits).
         """

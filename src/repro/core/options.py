@@ -1,15 +1,15 @@
-"""Synthesis options for the aggressive-buffered CTS flow."""
+"""Synthesis options for the aggressive-buffered CTS flow.
+
+Only what a caller varies is an option: the paper's ablations vary the
+grid resolution R, the slew limit, balance and binary search on/off,
+the H-structure mode and the router. The routing and search constants
+the paper fixes live as named constants next to the code that reads
+them. No default reads the environment.
+"""
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-
-def _default_fault_plan() -> str:
-    """Honor ``REPRO_FAULT_PLAN`` (``site:index:mode,...`` — see
-    :mod:`repro.evalx.faultinject`) so CI can run a chaos leg."""
-    return os.environ.get("REPRO_FAULT_PLAN", "")
+from dataclasses import dataclass
 
 
 @dataclass
@@ -28,32 +28,17 @@ class CTSOptions:
     cost_beta: float = 1.0  # weight of |delay difference| in the edge cost
     # --- routing stage (Sec. 4.2.2) ------------------------------------
     grid_resolution: int = 45  # default R per dimension
-    max_grid_cells: int = 200  # dynamic-growth cap per dimension
-    target_cells_per_stage: int = 6  # dynamic growth: >= this many candidate
-    #   buffer locations per slew-limited stage length
-    sizing_lookahead: int = 3  # cells "at and ahead" evaluated when inserting
-    routing_margin_ratio: float = 0.12  # grid bbox expansion around terminals
     router: str = "profile"  # "profile" (obstacle-free) or "maze" (general)
     # --- balance stage (Sec. 4.2.1) -------------------------------------
     enable_balance: bool = True
-    balance_headroom: float = 0.9  # snake only the shortfall beyond what
-    #   routing can absorb, scaled by this factor
-    snake_step: float = 100.0  # wire-length granularity during snaking (units)
     # --- binary search stage (Sec. 4.2.3) --------------------------------
     enable_binary_search: bool = True
-    binary_search_iters: int = 24
-    binary_search_tol: float = 0.05e-12  # stop when |delay diff| below (s)
     # --- H-structure correction (Sec. 4.1.2) ------------------------------
     hstructure: str | None = None  # None | "reestimate" | "correct"
-    # --- stage-size control ----------------------------------------------
-    max_unbuffered_cap_ratio: float = 2.0  # force a buffer at a merge whose
-    #   collapsed stage cap exceeds ratio * (largest buffer input cap), so
-    #   every stage load stays within the library's characterized range
     # --- resilience (fault-tolerant synthesis) ---------------------------
-    fault_plan: str = field(default_factory=_default_fault_plan)
-    #   deterministic fault-injection plan consulted at the level-loop and
-    #   checkpoint sites ("site:index:mode,..." — repro.evalx.faultinject);
-    #   empty = no injected faults (env REPRO_FAULT_PLAN)
+    fault_plan: str = ""  # deterministic fault-injection plan consulted
+    #   at the level-loop and checkpoint sites ("site:index:mode,..." —
+    #   repro.evalx.faultinject); empty = no injected faults
     checkpoint_dir: str | None = None  # write a resumable snapshot after
     #   each topology level (repro.core.checkpoint); None disables
     resume_from: str | None = None  # checkpoint file — or directory, the
@@ -61,10 +46,6 @@ class CTSOptions:
     heartbeat_file: str | None = None  # stamp this file atomically at each
     #   topology level so an external supervisor (repro.jobs) can tell a
     #   slow job from a hung one; None disables
-    # --- misc ------------------------------------------------------------
-    virtual_drive: str | None = None  # assumed driver type (default largest)
-    validate_every_merge: bool = False  # check the tree invariants of the
-    #   finished tree (after the trunk route); nothing is checked per merge
 
     def __post_init__(self) -> None:
         if not 0 < self.slew_margin <= 1:

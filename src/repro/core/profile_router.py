@@ -24,6 +24,7 @@ import numpy as np
 from repro.charlib.library import DelaySlewLibrary
 from repro.core.options import CTSOptions
 from repro.core.routing_common import (
+    ROUTING_MARGIN_RATIO,
     RoutedPath,
     RouteResult,
     RouteTerminal,
@@ -49,7 +50,7 @@ def route_profile(
     span = max(abs(p1.x - p2.x), abs(p1.y - p2.y), dist / 2.0)
     pitch, n_cells = choose_pitch(span, options, stage_length)
 
-    margin = max(1, int(round(n_cells * options.routing_margin_ratio)))
+    margin = max(1, int(round(n_cells * ROUTING_MARGIN_RATIO)))
     xmin = min(p1.x, p2.x) - margin * pitch
     ymin = min(p1.y, p2.y) - margin * pitch
     nx = int(np.ceil((max(p1.x, p2.x) - min(p1.x, p2.x)) / pitch)) + 2 * margin + 1
@@ -72,8 +73,7 @@ def route_profile(
                 term.load_name,
                 options.target_slew,
                 library.buffer_names,
-                options.virtual_drive or library.buffer_names[-1],
-                options.sizing_lookahead,
+                library.buffer_names[-1],
             )
         )
     prof1 = builders[0].delays_up_to(max_k)

@@ -26,6 +26,16 @@ MAX_WINDOW_CELLS = 80_000
 #: batcher (they must agree or bit-identity breaks).
 MAX_SEARCH_ATTEMPTS = 4
 
+#: Dynamic grid growth: a long route gets enough cells that a
+#: slew-limited stage spans at least this many candidate buffer
+#: locations, up to ``MAX_GRID_CELLS`` per dimension.
+TARGET_CELLS_PER_STAGE = 6
+MAX_GRID_CELLS = 200
+
+#: Routing-window expansion around the terminals, as a fraction of the
+#: window's cell count.
+ROUTING_MARGIN_RATIO = 0.12
+
 
 def uses_maze_router(options, blockages) -> bool:
     """Whether a merge routes through the maze router (vs the profile
@@ -110,17 +120,17 @@ def choose_pitch(span: float, options: CTSOptions, stage_length: float) -> tuple
 
     Default R = ``options.grid_resolution`` cells; for long routes the
     count grows so a slew-limited stage covers at least
-    ``options.target_cells_per_stage`` cells, capped at
-    ``options.max_grid_cells`` (the paper: "if the distance of two merging
-    nodes is large, the routing grid size can increase dynamically").
+    :data:`TARGET_CELLS_PER_STAGE` cells, capped at :data:`MAX_GRID_CELLS`
+    (the paper: "if the distance of two merging nodes is large, the
+    routing grid size can increase dynamically").
     """
     if span <= 0:
         raise ValueError("span must be positive")
     n = options.grid_resolution
-    pitch_cap = stage_length / options.target_cells_per_stage
+    pitch_cap = stage_length / TARGET_CELLS_PER_STAGE
     if span / n > pitch_cap:
         n = int(np.ceil(span / pitch_cap))
-    n = min(n, options.max_grid_cells)
+    n = min(n, MAX_GRID_CELLS)
     return span / n, n
 
 

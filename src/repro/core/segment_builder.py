@@ -123,17 +123,6 @@ class SegmentTables:
             self._lengths.size,
         )
 
-    def prime(self, drive: str, load: str, fn: str, values: np.ndarray) -> None:
-        """Install a table from its evaluated prefix (batched fill path).
-
-        ``values`` must be the contracted-curve evaluation over
-        ``lengths[:eval_count(...)]`` — exactly what :meth:`_table`
-        computes itself — so a primed table is byte-identical to a lazily
-        built one; the batcher merely evaluates many pairs' prefixes in
-        one call.
-        """
-        self._cache[(drive, load, fn)] = self._assemble(drive, load, fn, values)
-
     def _assemble(
         self, drive: str, load: str, fn: str, values: np.ndarray
     ) -> np.ndarray:
@@ -347,9 +336,6 @@ class PathBuilder:
 
     def _any_type_ok(self, open_steps: int) -> bool:
         return bool(self._ok_any[open_steps])
-
-    def _open_wire_delay(self, open_steps: int) -> float:
-        return float(self._vd_delays[open_steps])
 
     def _ensure(self, k: int) -> None:
         """Extend the profile through step ``k`` (run-at-a-time)."""

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the resilience layer.
 
-A fault plan is a comma list of ``site:index:mode`` specs (env
-``REPRO_FAULT_PLAN``, or ``CTSOptions.fault_plan``), e.g.::
+A fault plan is a comma list of ``site:index:mode`` specs
+(``CTSOptions.fault_plan``, or ``repro synthesize --fault-plan``), e.g.::
 
     checkpoint_torn:1:torn,checkpoint:1:halt
 

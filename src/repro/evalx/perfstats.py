@@ -278,8 +278,6 @@ def time_synthesis(
             "blockages": with_blockages,
             "engine": engine,
             "seconds": seconds,
-            "route_s": result.phase_seconds.get("route"),
-            "commit_s": result.phase_seconds.get("commit"),
             "commit_probes": queries.get("search_probes", 0)
             + queries.get("clamp_probes", 0)
             + queries.get("repair_probes", 0),
@@ -377,8 +375,7 @@ def checkpoint_resume_equivalence(
     out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
 
     cts = AggressiveBufferedCTS(
-        options=CTSOptions(fault_plan=""),
-        blockages=blockages or None,
+        options=CTSOptions(), blockages=blockages or None
     )
     base = peek_node_id()
     clean = cts.synthesize(sinks, source)
@@ -404,7 +401,7 @@ def checkpoint_resume_equivalence(
         out["checkpoints_written"] = len(os.listdir(ckpt_dir))
         reset_plans()
         resumer = AggressiveBufferedCTS(
-            options=CTSOptions(resume_from=ckpt_dir, fault_plan=""),
+            options=CTSOptions(resume_from=ckpt_dir),
             blockages=blockages or None,
         )
         resumed = resumer.synthesize(sinks, source)

@@ -43,9 +43,6 @@ def run_job(spec: dict) -> dict:
     inst = build_instance(spec["instance"])
     stamp_heartbeat(spec["heartbeat_file"], "instance-built")
     options = CTSOptions(
-        # The fault plan is explicit: the child must not inherit the
-        # *parent's* env (a CI leg's REPRO_FAULT_PLAN would leak into
-        # every batch job).
         fault_plan=spec.get("fault_plan", ""),
         checkpoint_dir=spec["checkpoint_dir"],
         resume_from=spec.get("resume_from"),

@@ -4,64 +4,33 @@ These knobs live here — not on :class:`repro.core.options.CTSOptions` —
 because they govern the *parent* watchdog, never the synthesized tree:
 a job killed at any budget and retried from its checkpoint still
 produces the bit-identical tree, so none of them belong in the
-checkpoint options digest. Like every ``REPRO_*`` knob each has a
-documented CLI flag (``repro run-batch``); ``tests/test_rails.py``
-fails on an env knob missing from its table or its flag.
+checkpoint options digest. The four budgets each have a CLI flag
+(``repro run-batch``); ``tests/test_rails.py`` checks that every flag
+reaches its field. No default reads the environment.
 
-Precedence, lowest to highest: built-in default < environment knob <
-manifest-wide ``policy`` block < per-job ``policy`` block < explicit
-CLI flag.
+Precedence, lowest to highest: built-in default < manifest-wide
+``policy`` block < per-job ``policy`` block < explicit CLI flag.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, fields, replace
-
-
-def _default_deadline_s() -> float:
-    """Honor ``REPRO_JOB_DEADLINE`` (wall-clock seconds per attempt;
-    0 disables the deadline)."""
-    return float(os.environ.get("REPRO_JOB_DEADLINE", "600") or 0.0)
-
-
-def _default_mem_mb() -> float:
-    """Honor ``REPRO_JOB_MEM_MB`` (peak RSS budget per job process in
-    MiB; 0 disables the memory watchdog)."""
-    return float(os.environ.get("REPRO_JOB_MEM_MB", "0") or 0.0)
-
-
-def _default_max_retries() -> int:
-    """Honor ``REPRO_JOB_RETRIES`` (retries after the first attempt;
-    total attempts = retries + 1)."""
-    return int(os.environ.get("REPRO_JOB_RETRIES", "2") or 0)
-
-
-def _default_heartbeat_stall_s() -> float:
-    """Honor ``REPRO_HEARTBEAT_STALL`` (seconds without a heartbeat
-    change before a job counts as hung; 0 disables stall detection)."""
-    return float(os.environ.get("REPRO_HEARTBEAT_STALL", "60") or 0.0)
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
 class JobPolicy:
     """Budgets the watchdog enforces and the retry schedule it follows."""
 
-    deadline_s: float = field(default_factory=_default_deadline_s)
-    #   wall-clock seconds one attempt may run before SIGKILL
-    #   (reason "deadline"); 0 = no deadline (env REPRO_JOB_DEADLINE)
-    mem_mb: float = field(default_factory=_default_mem_mb)
-    #   peak RSS (VmRSS from /proc/<pid>/status, MiB) one attempt may
-    #   reach before SIGKILL (reason "oom"); 0 = unlimited
-    #   (env REPRO_JOB_MEM_MB)
-    max_retries: int = field(default_factory=_default_max_retries)
-    #   retries after the first attempt before the job is quarantined;
-    #   each retry resumes from the last valid checkpoint
-    #   (env REPRO_JOB_RETRIES)
-    heartbeat_stall_s: float = field(default_factory=_default_heartbeat_stall_s)
-    #   seconds without a heartbeat-file change before an attempt counts
-    #   as hung and is SIGKILLed (reason "heartbeat_stall"); 0 disables
-    #   (env REPRO_HEARTBEAT_STALL)
+    deadline_s: float = 600.0  # wall-clock seconds one attempt may run
+    #   before SIGKILL (reason "deadline"); 0 = no deadline
+    mem_mb: float = 0.0  # peak RSS (VmRSS from /proc/<pid>/status, MiB)
+    #   one attempt may reach before SIGKILL (reason "oom"); 0 = unlimited
+    max_retries: int = 2  # retries after the first attempt before the
+    #   job is quarantined; each retry resumes from the last valid
+    #   checkpoint
+    heartbeat_stall_s: float = 60.0  # seconds without a heartbeat-file
+    #   change before an attempt counts as hung and is SIGKILLed (reason
+    #   "heartbeat_stall"); 0 disables
     backoff_base_s: float = 0.5  # sleep before retry k is
     backoff_factor: float = 2.0  # base * factor**(k-1) — deterministic,
     #   no jitter, so reruns produce identical event sequences

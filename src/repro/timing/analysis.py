@@ -115,12 +115,12 @@ class LibraryTimingEngine:
         self,
         library: DelaySlewLibrary,
         tech: Technology,
-        virtual_drive: str | None = None,
     ):
         self.library = library
         self.tech = tech
-        #: Buffer type assumed to drive not-yet-driven sub-trees.
-        self.virtual_drive = virtual_drive or library.buffer_names[-1]
+        #: Buffer type assumed to drive not-yet-driven sub-trees: the
+        #: largest one.
+        self.virtual_drive = library.buffer_names[-1]
         self._bounds_cache: dict[tuple[int, int], SubtreeBounds] = {}
         #: Virtual-driver bounds of MERGE/STEINER roots, keyed by
         #: (node id, quantized slew, drive). Like the buffer cache it

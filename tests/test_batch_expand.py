@@ -64,7 +64,6 @@ def _scalar_expand(library, options, case):
         options.target_slew,
         library.buffer_names,
         library.buffer_names[-1],
-        options.sizing_lookahead,
     )
     builder.state(target_k)
     return builder
@@ -83,7 +82,6 @@ def _reference_expand(library, options, case):
         options.target_slew,
         library.buffer_names,
         library.buffer_names[-1],
-        options.sizing_lookahead,
     )
     builder.state(target_k)
     return builder
@@ -242,7 +240,6 @@ class TestBindingMemoization:
             options.target_slew,
             library.buffer_names,
             library.buffer_names[-1],
-            options.sizing_lookahead,
         )
         assert tables.binding_evals == evals
         assert tables.binding_hits == hits + 2

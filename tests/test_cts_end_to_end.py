@@ -14,7 +14,7 @@ from tests.conftest import make_sink_pairs
 
 class TestSmallSynthesis:
     def test_tree_structure(self, small_sinks):
-        cts = AggressiveBufferedCTS(options=CTSOptions(validate_every_merge=True))
+        cts = AggressiveBufferedCTS()
         result = cts.synthesize(small_sinks)
         validate_tree(result.tree.root, expect_source_root=True)
         assert len(result.tree.sinks()) == len(small_sinks)

@@ -86,3 +86,44 @@ class TestSerialization:
         for q in rng.uniform(0, 1, size=(10, 2)):
             assert clone.predict(*q) == pytest.approx(fit.predict(*q), abs=1e-12)
         assert clone.quality.rms_error == pytest.approx(fit.quality.rms_error)
+
+
+def library_fits(library):
+    """``(label, fit)`` for every fit of a characterized library."""
+    for (drive, load), fits in sorted(library.single.items()):
+        for fn, fit in sorted(fits.items()):
+            yield f"single[{drive},{load}].{fn}", fit
+    for drive, fits in sorted(library.branch.items()):
+        for fn, fit in sorted(fits.items()):
+            yield f"branch[{drive}].{fn}", fit
+
+
+def probe_points(fit, rng):
+    """In-range points (corners, interior, random) and points clamped
+    beyond the training range, on every edge and mixed per variable."""
+    lo, hi = fit.lo, fit.hi
+    span = hi - lo
+    points = [lo + t * span for t in (0.0, 0.13, 0.5, 0.87, 1.0)]
+    points += list(lo + rng.uniform(0.0, 1.0, size=(8, lo.size)) * span)
+    points += [lo - 0.5 * span - 1.0, hi + 0.5 * span + 1.0]
+    odd = np.arange(lo.size) % 2 == 1
+    points += [np.where(odd, lo - span, hi + span), np.where(odd, hi * 3, lo * 3)]
+    return [[float(v) for v in point] for point in points]
+
+
+class TestCompiledEvaluator:
+    """Synthesis evaluates fits through the compiled scalar evaluator;
+    the interpreted ``PolynomialFit.predict`` is its reference."""
+
+    def test_matches_interpreted_reference_on_default_library(
+        self, library, rng
+    ):
+        checked = 0
+        for label, fit in library_fits(library):
+            assert "predict" in vars(fit), f"{label} is not compiled"
+            for point in probe_points(fit, rng):
+                compiled = fit.predict(*point)
+                reference = PolynomialFit.predict(fit, *point)
+                assert compiled == reference, (label, point)
+                checked += 1
+        assert checked > 0

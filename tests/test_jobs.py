@@ -69,7 +69,7 @@ def _warm_library_cache(library):
 def clean_signature(instance: dict, options: dict | None = None) -> str:
     """The in-process reference signature a batch job must reproduce."""
     inst = build_instance(instance)
-    opts = CTSOptions(fault_plan="", **(options or {}))
+    opts = CTSOptions(**(options or {}))
     cts = AggressiveBufferedCTS(
         options=opts, blockages=inst.blockages or None
     )
@@ -87,18 +87,6 @@ def run_batch(tmp_path, jobs, policy=None, subdir="run"):
 
 
 class TestJobPolicy:
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_DEADLINE", "42")
-        monkeypatch.setenv("REPRO_JOB_MEM_MB", "512")
-        monkeypatch.setenv("REPRO_JOB_RETRIES", "5")
-        monkeypatch.setenv("REPRO_HEARTBEAT_STALL", "9")
-        policy = JobPolicy()
-        assert policy.deadline_s == 42.0
-        assert policy.mem_mb == 512.0
-        assert policy.max_retries == 5
-        assert policy.heartbeat_stall_s == 9.0
-        assert policy.max_attempts == 6
-
     def test_backoff_schedule_is_deterministic(self):
         policy = JobPolicy(backoff_base_s=0.5, backoff_factor=2.0)
         assert policy.backoff_before(1) == 0.0
@@ -124,7 +112,7 @@ class TestHeartbeat:
         assert beat == f"{os.getpid()}:level:3\n".encode()
         stamp_heartbeat(path, "level:4")
         assert read_heartbeat(path) != beat
-        assert not [n for n in os.listdir(tmp_path) if n != "hb"]
+        assert not [n for n in sorted(os.listdir(tmp_path)) if n != "hb"]
 
 
 class TestManifest:

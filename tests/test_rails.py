@@ -1,5 +1,6 @@
-"""Rails: each env knob, CLI flag, fault site and CI gate, checked on
-the live objects the program runs with rather than on its source.
+"""Rails: each CLI flag, fault site and CI gate, and the env-free
+option defaults, checked on the live objects the program runs with
+rather than on its source.
 
 The checkpoint-digest partition of ``CTSOptions`` is tested with the
 rest of the checkpoint code in ``tests/test_resilience.py``.
@@ -33,39 +34,36 @@ from tests.conftest import make_sink_pairs
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CI_YML = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 
-#: Every env-backed knob, per owner: ``{field: (env var, CLI flag)}``.
-KNOBS = {
+#: Every flag-backed knob, per owner: ``{field: CLI flag}``.
+FLAGS = {
     CTSOptions: {
-        "fault_plan": ("REPRO_FAULT_PLAN", "--fault-plan"),
+        "fault_plan": "--fault-plan",
     },
     JobPolicy: {
-        "deadline_s": ("REPRO_JOB_DEADLINE", "--job-deadline"),
-        "mem_mb": ("REPRO_JOB_MEM_MB", "--job-mem-mb"),
-        "max_retries": ("REPRO_JOB_RETRIES", "--job-retries"),
-        "heartbeat_stall_s": ("REPRO_HEARTBEAT_STALL", "--heartbeat-stall"),
+        "deadline_s": "--job-deadline",
+        "mem_mb": "--job-mem-mb",
+        "max_retries": "--job-retries",
+        "heartbeat_stall_s": "--heartbeat-stall",
     },
 }
 
 #: The ``repro`` subcommand whose flags feed each owner.
 SUBCOMMAND = {CTSOptions: "synthesize", JobPolicy: "run-batch"}
 
-KNOB_CASES = [
+FLAG_CASES = [
     pytest.param(owner, name, id=name)
-    for owner, table in KNOBS.items()
+    for owner, table in FLAGS.items()
     for name in table
 ]
 
-#: The text every knob is set to by env or flag; it parses as each
-#: knob's type and differs from each default.
+#: The text every knob is set to by flag; it parses as each knob's type
+#: and differs from each default.
 VALUE = "7"
 
 
 @pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    """A CI leg may export a knob; every test starts from the defaults."""
-    for table in KNOBS.values():
-        for env, _ in table.values():
-            monkeypatch.delenv(env, raising=False)
+def _fresh_fault_plans():
+    """Tests reuse plan texts; firing state must not leak between them."""
     reset_plans()
     yield
     reset_plans()
@@ -91,35 +89,18 @@ class _RecordingEnviron(dict):
         return super().__contains__(key)
 
 
-class TestEnvKnobs:
+class TestEnvFreeDefaults:
     @pytest.mark.parametrize(
-        "owner", list(KNOBS), ids=lambda owner: owner.__name__
+        "owner", list(FLAGS), ids=lambda owner: owner.__name__
     )
-    def test_env_reads_match_table(self, monkeypatch, owner):
+    def test_no_default_reads_environment(self, monkeypatch, owner):
         environ = _RecordingEnviron(os.environ)
-        read = {}
-        with monkeypatch.context() as m:
-            m.setattr(os, "environ", environ)
-            for f in fields(owner):
-                if f.default_factory is MISSING:
-                    continue
-                environ.read.clear()
+        monkeypatch.setattr(os, "environ", environ)
+        for f in fields(owner):
+            if f.default_factory is not MISSING:
                 f.default_factory()
-                names = [n for n in environ.read if n.startswith("REPRO_")]
-                if names:
-                    read[f.name] = names
-        assert read == {
-            name: [env] for name, (env, _) in KNOBS[owner].items()
-        }
-
-    @pytest.mark.parametrize("owner, name", KNOB_CASES)
-    def test_setting_env_changes_field(self, monkeypatch, owner, name):
-        env, _ = KNOBS[owner][name]
-        default = getattr(owner(), name)
-        monkeypatch.setenv(env, VALUE)
-        value = getattr(owner(), name)
-        assert value == type(default)(VALUE)
-        assert value != default
+        owner()
+        assert environ.read == []
 
 
 def subparser(command: str) -> argparse.ArgumentParser:
@@ -159,16 +140,16 @@ def parsed_knobs(monkeypatch, owner, flag: str):
 
 
 class TestCLIFlags:
-    @pytest.mark.parametrize("owner, name", KNOB_CASES)
+    @pytest.mark.parametrize("owner, name", FLAG_CASES)
     def test_flag_defined_with_help(self, owner, name):
-        _, flag = KNOBS[owner][name]
+        flag = FLAGS[owner][name]
         actions = subparser(SUBCOMMAND[owner])._option_string_actions
         assert flag in actions, f"{flag} missing from {SUBCOMMAND[owner]}"
         assert (actions[flag].help or "").strip(), f"{flag} has no help"
 
-    @pytest.mark.parametrize("owner, name", KNOB_CASES)
+    @pytest.mark.parametrize("owner, name", FLAG_CASES)
     def test_flag_reaches_field(self, monkeypatch, owner, name):
-        _, flag = KNOBS[owner][name]
+        flag = FLAGS[owner][name]
         default = getattr(owner(), name)
         value = getattr(parsed_knobs(monkeypatch, owner, flag), name)
         assert value == type(default)(VALUE)
@@ -225,8 +206,9 @@ def ci_jobs() -> dict[str, list[str]]:
 class TestCI:
     def test_lint_job_gates_tier1(self):
         jobs = ci_jobs()
-        assert (
-            "run: PYTHONPATH=src python -m repro.lintx src --fail-on warning"
-            in jobs["lint"]
-        )
+        for paths in ("src", "tests benchmarks"):
+            assert (
+                f"run: PYTHONPATH=src python -m repro.lintx {paths}"
+                " --fail-on warning" in jobs["lint"]
+            ), paths
         assert "needs: lint" in jobs["tier1"]

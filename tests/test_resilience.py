@@ -55,12 +55,7 @@ def _fresh_fault_plans():
 
 
 def synth(sinks, blockages=None, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree.
-
-    A chaos CI leg may export ``REPRO_FAULT_PLAN``; pin it so this
-    module's reference runs stay clean under it.
-    """
-    option_overrides.setdefault("fault_plan", "")
+    """One synthesis run plus the rebased signature of its tree."""
     options = CTSOptions(**option_overrides)
     cts = AggressiveBufferedCTS(options=options, blockages=blockages)
     base = peek_node_id()
@@ -137,7 +132,7 @@ class TestRouteFailuresAreLoud:
         # H-structure pairs reach the single-pair ``route_maze``.
         hstructure = "correct" if kernel == "route_maze" else None
         cts = AggressiveBufferedCTS(
-            options=CTSOptions(fault_plan="", hstructure=hstructure),
+            options=CTSOptions(hstructure=hstructure),
             blockages=BLOCKAGES,
         )
         with pytest.raises(RuntimeError, match="route kernel bug"):
@@ -167,7 +162,7 @@ class TestCommitFailuresAreLoud:
         monkeypatch.setattr(batch_commit, "SCALAR_ROUND_ROWS", 1)
         monkeypatch.setattr(owner, kernel, broken)
         cts = AggressiveBufferedCTS(
-            options=CTSOptions(fault_plan=""), blockages=BLOCKAGES
+            options=CTSOptions(), blockages=BLOCKAGES
         )
         with pytest.raises(RuntimeError, match="commit kernel bug"):
             cts.synthesize(blocked_sinks(18, seed=22))
@@ -195,7 +190,7 @@ class TestCheckpointResume:
         written = sorted(os.listdir(ckpt_dir))
         assert written == ["level_0001.ckpt", "level_0002.ckpt"]
         reset_plans()
-        options = CTSOptions(resume_from=ckpt_dir, fault_plan="")
+        options = CTSOptions(resume_from=ckpt_dir)
         cts = AggressiveBufferedCTS(options=options, blockages=BLOCKAGES)
         resumed = cts.synthesize(sinks)
         assert resumed.resumed_from == 2
@@ -331,8 +326,8 @@ class TestCheckpointResume:
 
     def test_digests_are_mode_independent(self):
         sinks = self._sinks()
-        a = CTSOptions(fault_plan="", validate_every_merge=False)
-        b = CTSOptions(fault_plan="checkpoint:0:halt", validate_every_merge=True)
+        a = CTSOptions()
+        b = CTSOptions(fault_plan="checkpoint:0:halt", heartbeat_file="hb")
         assert options_digest(a) == options_digest(b)
         assert options_digest(a) != options_digest(
             CTSOptions(grid_resolution=50)
@@ -349,7 +344,7 @@ class TestCheckpointResume:
                 checkpoint_dir=ckpt_dir,
                 fault_plan="checkpoint:1:halt",
             )
-        options = CTSOptions(fault_plan="")
+        options = CTSOptions()
         cts = AggressiveBufferedCTS(options=options, blockages=BLOCKAGES)
         state = load_checkpoint(ckpt_dir, sinks, options, cts.buffers)
         assert state.levels_done == 2

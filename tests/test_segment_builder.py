@@ -26,7 +26,6 @@ def make_builder(tables, library, options, load="BUF20X", base_delay=0.0):
         options.target_slew,
         library.buffer_names,
         library.buffer_names[-1],
-        options.sizing_lookahead,
     )
 
 

@@ -58,7 +58,7 @@ def synth(sinks, blockages=None, without_mirror=False):
     objects: the comparison side of the kernel-equality tests.
     """
     cts = AggressiveBufferedCTS(
-        options=CTSOptions(fault_plan=""), blockages=blockages
+        options=CTSOptions(), blockages=blockages
     )
     run = synthesize_without_mirror if without_mirror else type(cts).synthesize
     base = peek_node_id()
