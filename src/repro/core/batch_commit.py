@@ -26,9 +26,11 @@ Bit-identity with the scalar flow rests on three facts:
   per pair as the pair had node-creating steps).
 
 ``PairCommitState`` is the single implementation of the commit loop:
-the single-pair path (``MergeRouter.commit``, which H-structure merges
-take) drives it probe by probe, every topology level drives its
-machines through ``BatchCommitScheduler``.
+the single-pair path (``MergeRouter.commit``, which tests and the
+pair-by-pair reference engine take) drives it probe by probe, every
+batch of a topology level (``MergeRouter.merge_batch``, H-structure
+candidate sweeps included) drives its machines through
+``BatchCommitScheduler``.
 """
 
 from __future__ import annotations

@@ -7,13 +7,17 @@ merge-rooted sub-trees; odd levels promote a max-latency seed node. The
 loop ends when one sub-tree remains, which becomes the network under the
 clock SOURCE.
 
-Every level runs one pipeline (:meth:`AggressiveBufferedCTS._merge_level`):
-prepare in pair order, route the level at once, commit it in lockstep
+Every level runs one pipeline (:meth:`AggressiveBufferedCTS._merge_level`)
+in batches (:meth:`repro.core.merge_routing.MergeRouter.merge_batch`):
+prepare in pair order, route the batch at once, commit it in lockstep
 through :class:`repro.core.batch_commit.BatchCommitScheduler` with the
-structure-of-arrays tree mirror (:mod:`repro.core.soa_tree`) installed,
-then renumber the level's nodes into serial creation order. H-structure
-pairs merge serially inside it. There is no fallback path: a route or
-commit kernel exception propagates out of :meth:`synthesize`.
+structure-of-arrays tree mirror (:mod:`repro.core.soa_tree`) installed.
+H-structure pairs run their re-pairing batches first (three candidate
+sweeps plus a winners' batch under correction, one batch of chosen
+pairings under re-estimation); one batch of final merges covers the
+level, whose nodes are then renumbered into serial creation order. There
+is no fallback path: a route or commit kernel exception propagates out
+of :meth:`synthesize`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 
 from repro.charlib.build import load_default_library
 from repro.charlib.library import DelaySlewLibrary
-from repro.core.batch_commit import BatchCommitScheduler
 from repro.core.hstructure import correct_pairing, reestimate_pairing
 from repro.core.merge_routing import MergeRouter, MergeStats
 from repro.core.options import CTSOptions
@@ -105,7 +108,6 @@ class AggressiveBufferedCTS:
             self.options,
             blockages,
         )
-        self.scheduler = BatchCommitScheduler(self.router)
         self._cost = EdgeCost(self.options, self.router._delay_per_unit)
 
     # ------------------------------------------------------------------
@@ -278,17 +280,17 @@ class AggressiveBufferedCTS:
     def _merge_level(
         self, pairs: list[tuple[SubTree, SubTree]]
     ) -> tuple[list[SubTree], int]:
-        """Merge one topology level in phase sweeps.
+        """Merge one topology level through the level pipeline.
 
-        Four sweeps, each in pair order: (1) the stateful prepare phase
-        (H-structure pairs take the full serial path here, since their
-        re-pairing decisions interleave routing); (2) the pure route
-        phase, the whole level at once through
-        :meth:`MergeRouter.route_level`; (3) the stateful commit phase,
-        every pair's commit state machine advanced in lockstep by the
-        batched scheduler; (4) the level's nodes are renumbered into
-        serial creation order, so the tree is the one a pair-by-pair
-        merge would build.
+        Every batch (:meth:`MergeRouter.merge_batch`) prepares its pairs
+        in order, routes them at once and commits them in lockstep.
+        H-structure pairs first run their re-pairing batches
+        (:func:`correct_pairing` / :func:`reestimate_pairing`); one batch
+        of final merges then covers every pair. Merges finish in the
+        serial flow's order (the H pairs', pair by pair, then the plain
+        pairs'), and the level's nodes are renumbered into serial
+        creation order, so the tree is the one a pair-by-pair merge
+        would build.
         """
         from repro.core.parallel_merge import (
             renumber_subtrees,
@@ -296,71 +298,46 @@ class AggressiveBufferedCTS:
         )
 
         base = peek_node_id()
-        n_flips = 0
-        spans: list[list[tuple[int, int]]] = []
-        prepared: list[tuple[str, object]] = []
-        for a, b in pairs:
-            start = peek_node_id()
-            if self._is_hstructure_pair(a, b):
-                merged, flips = self._merge_pair(a, b)
-                n_flips += flips
-                prepared.append(("done", merged))
-            else:
-                prepared.append(("plan", (a, b, self.router.prepare(a.root, b.root))))
-            spans.append([(start, peek_node_id())])
-
-        plans = [
-            payload[2] if kind == "plan" else None
-            for kind, payload in prepared
+        marks = self.engine.cache_marks()
+        h_index = [
+            i for i, (a, b) in enumerate(pairs) if self._is_hstructure_pair(a, b)
         ]
-        routes = self.router.route_level(plans)
-        roots = self._commit_level(prepared, routes, spans)
-
-        merged_level: list[SubTree] = []
-        level_roots: list[TreeNode] = []
-        for i, (kind, payload) in enumerate(prepared):
-            if kind == "done":
-                subtrees = payload
+        sides = [(a.root, b.root) for a, b in pairs]
+        merges: list[list] = [[] for _ in pairs]
+        n_flips = 0
+        if h_index:
+            h_pairs = [pairs[i] for i in h_index]
+            if self.options.hstructure == "reestimate":
+                outcomes = reestimate_pairing(self.router, self._cost, h_pairs)
             else:
-                a, b, __ = payload
-                subtrees = [self._subtree(roots[i], (a.root, b.root))]
-            merged_level.extend(subtrees)
-            level_roots.extend(s.root for s in subtrees)
+                outcomes = correct_pairing(self.router, h_pairs)
+            for i, outcome in zip(h_index, outcomes):
+                sides[i] = (outcome.left_root, outcome.right_root)
+                merges[i].extend(outcome.merges)
+                n_flips += outcome.flipped
+        for i, final in enumerate(self.router.merge_batch(sides)):
+            merges[i].append(final)
 
+        h_set = set(h_index)
+        for i in h_index + [i for i in range(len(pairs)) if i not in h_set]:
+            for merge in merges[i]:
+                self.router.commit_finish(merge.state)
+        merged_level = [
+            self._subtree(pair_merges[-1].root, side)
+            for pair_merges, side in zip(merges, sides)
+        ]
+        spans = [
+            [span for merge in pair_merges for span in merge.spans]
+            for pair_merges in merges
+        ]
         renumber_subtrees(
-            level_roots, serial_id_mapping(base, spans), self.engine
+            [s.root for s in merged_level],
+            serial_id_mapping(base, spans),
+            self.engine,
+            base,
+            marks,
         )
         return merged_level, n_flips
-
-    def _commit_level(
-        self, prepared, routes, spans
-    ) -> dict[int, TreeNode]:
-        """Commit a level in lockstep through the batched scheduler.
-
-        Chain materialization (``commit_prepare``) happens in pair order;
-        the scheduler then advances all state machines together, one
-        library round per step, recording the id span every
-        node-creating advance consumed so the serial renumbering covers
-        the interleaved creation order.
-        """
-        states: list = []
-        order: list[int] = []
-        for i, (kind, payload) in enumerate(prepared):
-            if kind != "plan":
-                continue
-            start = peek_node_id()
-            __, __, plan = payload
-            states.append(self.router.commit_prepare(plan, routes[i]))
-            end = peek_node_id()
-            if end > start:
-                spans[i].append((start, end))
-            order.append(i)
-        self.scheduler.run(states, [spans[i] for i in order])
-        roots = {
-            i: self.router.commit_finish(states[pos])
-            for pos, i in enumerate(order)
-        }
-        return roots
 
     # ------------------------------------------------------------------
 
@@ -376,20 +353,6 @@ class AggressiveBufferedCTS:
     def _is_hstructure_pair(self, a: SubTree, b: SubTree) -> bool:
         """Whether this pair goes through H-structure re-pairing."""
         return bool(self.options.hstructure and a.parts and b.parts)
-
-    def _merge_pair(
-        self, a: SubTree, b: SubTree
-    ) -> tuple[list[SubTree], int]:
-        """Merge one H-structure pair serially: re-estimation or
-        correction may swap its halves, then the chosen pairing merges
-        through the single-pair path."""
-        if self.options.hstructure == "reestimate":
-            outcome = reestimate_pairing(self.router, self._cost, a, b)
-        else:
-            outcome = correct_pairing(self.router, a, b)
-        root = self.router.merge(outcome.left_root, outcome.right_root)
-        merged = self._subtree(root, (outcome.left_root, outcome.right_root))
-        return [merged], (1 if outcome.flipped else 0)
 
 
 def synthesize_clock_tree(

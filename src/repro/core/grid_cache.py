@@ -11,9 +11,9 @@ work across the level instead of throwing it away per pair:
   decision resolved by :func:`~repro.core.routing_common.coarsen_pitch`
   before any allocation — and every later request for the key is served
   the cached tile (mask, axes and the lazily built CSR adjacency
-  included). Repeat requests are real in the flow: H-structure
-  correction routes the same pair once per candidate pairing, and
-  re-estimation re-routes flipped pairs. Reuse, pitch-bucket and
+  included). Tiles live for the whole level, across all of its
+  batches (H-structure candidate sweeps included), so pairs whose
+  windows coincide share one tile. Reuse, pitch-bucket and
   rasterization counters are kept in :class:`SharingStats`.
 
 - :func:`route_level` is the **cross-pair batcher**: it advances every
@@ -42,7 +42,7 @@ A level routed here is byte-identical to routing its pairs one at a time
 through :func:`~repro.core.maze_router.route_maze` (search,
 :class:`~repro.core.segment_builder.PathBuilder` lazy expansion,
 :func:`~repro.core.maze_router.finish_maze_route`), the single-pair path
-the flow keeps for H-structure pairs and one-pair levels:
+of :meth:`~repro.core.merge_routing.MergeRouter.route_plan`:
 
 - window geometry, pitch coarsening, blockage masking and terminal
   snapping run through the exact same functions;
@@ -57,6 +57,9 @@ the flow keeps for H-structure pairs and one-pair levels:
 Because every per-pair computation is replicated exactly and the batch
 axis only regroups element-wise work, results are also invariant to how
 pairs are split into batches; a batch of one is the single-pair path.
+:func:`route_level` relies on this to carry a level through in slices
+of at most :data:`ROUTE_SLICE_PAIRS` pairs, which caps the route phase's
+working set without changing any result.
 """
 
 from __future__ import annotations
@@ -109,11 +112,12 @@ class SharingStats:
     (``windows_served``, ``pairs_routed``, ``cells_ranked``,
     ``descent_sides``, ``descent_cells``, ``curve_points``,
     ``expansion_lanes``, ``expansion_runs``, ``expansion_insertions``)
-    are also invariant to how a level is split into batches; the
-    per-call ones (``search_rounds``, ``curve_rounds``,
-    ``expansion_rounds``, ``finish_batches``, tile reuse) count once
-    per ``route_level`` call and so depend on the (deterministic)
-    batch split.
+    are also invariant to how a level is split into batches and
+    slices; the per-slice ones (``search_rounds``, ``curve_rounds``,
+    ``expansion_rounds``, ``finish_batches``) count once per
+    :data:`ROUTE_SLICE_PAIRS` slice of a ``route_level`` call and so
+    depend on the (deterministic) batch split, as does tile reuse,
+    which counts the level's batches' coinciding windows.
     """
 
     windows_served: int = 0
@@ -233,6 +237,14 @@ class GridCache:
 #: measured fastest on the 1000-sink blockage scenario (0.287 s route
 #: phase vs 0.317 s at 256k rows and 0.303 s at 16k).
 RANK_ROW_BUDGET = 32_768
+
+#: Most pairs :func:`route_level` carries through search, expansion and
+#: finishing at once. A slice's tiles, distance fields, expanded
+#: profiles and candidate buffers are live together, so an unsliced
+#: 4000-sink level holds them all (peak RSS 217 MiB on the six-macro
+#: 4000-sink workload vs 112 MiB at 256). Results do not depend on the
+#: split (see the module docstring).
+ROUTE_SLICE_PAIRS = 256
 
 
 @dataclass
@@ -487,11 +499,11 @@ def route_level(
     lockstep profile-expansion scheduler
     (:func:`repro.core.batch_expand.expand_level` — grouped curve
     rounds + masked insertion sub-rounds), then the level-wide finishing
-    kernel (:func:`_finish_level`). Each kernel replicates the per-pair
+    kernel (:func:`_finish_level`), in slices of at most
+    :data:`ROUTE_SLICE_PAIRS` pairs. Each kernel replicates the per-pair
     computation of :func:`~repro.core.maze_router.route_maze` exactly,
     so a level of one pair routes to the same result as that function.
     """
-    stats = cache.stats
     results: list[RouteResult | None] = [None] * len(pairs)
     if not uses_maze_router(options, blockages):
         from repro.core.profile_router import route_profile
@@ -503,11 +515,34 @@ def route_level(
                 )
         return results
 
+    routed = [(i, pair) for i, pair in enumerate(pairs) if pair is not None]
+    for lo in range(0, len(routed), ROUTE_SLICE_PAIRS):
+        _route_slice(
+            routed[lo : lo + ROUTE_SLICE_PAIRS],
+            library,
+            options,
+            stage_length,
+            blockages,
+            cache,
+            results,
+        )
+    return results
+
+
+def _route_slice(
+    pairs: list[tuple[int, tuple[RouteTerminal, RouteTerminal]]],
+    library: DelaySlewLibrary,
+    options: CTSOptions,
+    stage_length: float,
+    blockages: list[BBox],
+    cache: GridCache,
+    results: list[RouteResult | None],
+) -> None:
+    """Search, expand and finish one slice of a level's maze pairs
+    (``(result index, terminals)`` entries)."""
+    stats = cache.stats
     jobs: list[_PairSearch] = []
-    for i, pair in enumerate(pairs):
-        if pair is None:
-            continue
-        term1, term2 = pair
+    for i, (term1, term2) in pairs:
         bbox, pitch, margin = plan_maze_window(
             term1.point, term2.point, options, stage_length
         )
@@ -527,4 +562,3 @@ def route_level(
 
     builders_by_pair = expand_level(primed, library, options, stats)
     _finish_level(primed, builders_by_pair, stats, results)
-    return results

@@ -16,24 +16,38 @@ as an intertwined "H" structure. Two remedies:
 
 A "flipping" is counted whenever the surviving pairing differs from the
 original (A,B)(C,D).
+
+Both methods work level-wide: every H pair of a topology level goes
+through the same :meth:`~repro.core.merge_routing.MergeRouter.merge_batch`
+batches as plain pairs. Correction sweeps each candidate pairing over all
+pairs as one batch (3 sweeps), then rebuilds every pair's winner in one
+batch that reuses the winning sweep's routes; re-estimation chooses every
+pair's pairing by cost, then merges the chosen pairings in one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.merge_routing import MergeRouter
+from repro.core.merge_routing import BatchedMerge, MergeRouter
 from repro.core.topology import EdgeCost, SubTree
 from repro.tree.nodes import TreeNode
 
 
 @dataclass
 class HStructureOutcome:
-    """Result of examining one (P, Q) pair: two replacement sub-trees."""
+    """Result of examining one (P, Q) pair: two replacement sub-trees.
+
+    ``merges`` are the pair's merges in serial order (candidates, then
+    the two surviving ones), committed but not finished: the caller
+    finishes them, and renumbers their ids, in the pair's serial order
+    (see :class:`~repro.core.merge_routing.BatchedMerge`).
+    """
 
     left_root: TreeNode
     right_root: TreeNode
     flipped: bool
+    merges: tuple[BatchedMerge, ...]
 
 
 #: The three pairings of grandchildren indices (A, B, C, D) = (0, 1, 2, 3).
@@ -49,62 +63,110 @@ def _free_parts(p: SubTree, q: SubTree) -> list[TreeNode]:
     return [part.detach() for part in (*p.parts, *q.parts)]
 
 
+def _pairing_sides(parts, pairing) -> list[tuple[TreeNode, TreeNode]]:
+    """The two merges of one pairing of one pair's grandchildren."""
+    (i, j), (k, l) = pairing
+    return [(parts[i], parts[j]), (parts[k], parts[l])]
+
+
 def reestimate_pairing(
     router: MergeRouter,
     cost: EdgeCost,
-    p: SubTree,
-    q: SubTree,
-) -> HStructureOutcome:
-    """Method 1: choose the pairing by cost estimate, then route it."""
-    parts = _free_parts(p, q)
-    subtrees = [SubTree(part, router.subtree_bounds(part)) for part in parts]
+    pairs: list[tuple[SubTree, SubTree]],
+) -> list[HStructureOutcome]:
+    """Method 1: choose each pair's pairing by cost, then route them all.
 
-    def pairing_cost(pairing) -> float:
-        (i, j), (k, l) = pairing
-        return cost(subtrees[i], subtrees[j]) + cost(subtrees[k], subtrees[l])
+    Only the chosen pairings are merge-routed, as one batch.
+    """
+    quads = [_free_parts(p, q) for p, q in pairs]
+    chosen = []
+    for parts in quads:
+        subtrees = [SubTree(part, router.subtree_bounds(part)) for part in parts]
 
-    best = min(PAIRINGS, key=pairing_cost)
-    (i, j), (k, l) = best
-    left = router.merge(parts[i], parts[j])
-    right = router.merge(parts[k], parts[l])
-    return HStructureOutcome(left, right, best != PAIRINGS[0])
+        def pairing_cost(pairing) -> float:
+            (i, j), (k, l) = pairing
+            return cost(subtrees[i], subtrees[j]) + cost(subtrees[k], subtrees[l])
+
+        chosen.append(min(PAIRINGS, key=pairing_cost))
+    batch = router.merge_batch(
+        [
+            side
+            for parts, pairing in zip(quads, chosen)
+            for side in _pairing_sides(parts, pairing)
+        ]
+    )
+    return [
+        HStructureOutcome(
+            batch[2 * n].root,
+            batch[2 * n + 1].root,
+            pairing != PAIRINGS[0],
+            (batch[2 * n], batch[2 * n + 1]),
+        )
+        for n, pairing in enumerate(chosen)
+    ]
 
 
 def correct_pairing(
     router: MergeRouter,
-    p: SubTree,
-    q: SubTree,
-) -> HStructureOutcome:
+    pairs: list[tuple[SubTree, SubTree]],
+) -> list[HStructureOutcome]:
     """Method 2: route all pairings, keep the lowest worse-side skew.
 
-    Every candidate pairing is actually merge-routed and measured with the
-    timing engine; losers are torn down (the grandchildren detach, the
-    discarded merge structures are dropped). The winner is rebuilt last so
-    the surviving tree contains exactly one routed copy.
+    Each candidate pairing is merge-routed for every pair as one batch
+    and measured with the timing engine; the grandchildren then detach
+    (the candidate's merge structures are dropped) before the next
+    sweep. The winners are rebuilt last, in one batch that reuses the
+    winning sweep's routes, so each surviving tree contains exactly one
+    routed copy.
     """
-    parts = _free_parts(p, q)
-    best_idx = 0
-    best_key = None
-    for idx, ((i, j), (k, l)) in enumerate(PAIRINGS):
-        left = router.merge(parts[i], parts[j])
-        right = router.merge(parts[k], parts[l])
-        worse = max(
-            router.subtree_bounds(left).skew, router.subtree_bounds(right).skew
+    target = router.options.target_slew
+    quads = [_free_parts(p, q) for p, q in pairs]
+    merges: list[list[BatchedMerge]] = [[] for _ in pairs]
+    best_idx = [0] * len(pairs)
+    best_key: list[tuple | None] = [None] * len(pairs)
+    best_routes: list = [None] * len(pairs)
+    for idx, pairing in enumerate(PAIRINGS):
+        batch = router.merge_batch(
+            [side for parts in quads for side in _pairing_sides(parts, pairing)]
         )
-        wirelength = (
-            left.downstream_wirelength() + right.downstream_wirelength()
+        # One batched lookup (bit-identical to per-root subtree_bounds).
+        bounds = router.engine.subtree_bounds_many(
+            [(merge.root, target) for merge in batch]
         )
-        # Primary criterion: worse-side skew, as in the paper. The balance
-        # machinery drives every candidate's estimated skew near zero, so
-        # ties (within half a picosecond) break on wirelength — shorter
-        # trees are the ones without intertwined "H" crossings.
-        key = (round(worse / 0.5e-12), wirelength)
-        for part in parts:
-            part.detach()
-        if best_key is None or key < best_key:
-            best_key = key
-            best_idx = idx
-    (i, j), (k, l) = PAIRINGS[best_idx]
-    left = router.merge(parts[i], parts[j])
-    right = router.merge(parts[k], parts[l])
-    return HStructureOutcome(left, right, best_idx != 0)
+        for n, parts in enumerate(quads):
+            left, right = batch[2 * n], batch[2 * n + 1]
+            worse = max(bounds[2 * n].skew, bounds[2 * n + 1].skew)
+            wirelength = (
+                left.root.downstream_wirelength()
+                + right.root.downstream_wirelength()
+            )
+            # Primary criterion: worse-side skew, as in the paper. The
+            # balance machinery drives every candidate's estimated skew
+            # near zero, so ties (within half a picosecond) break on
+            # wirelength — shorter trees are the ones without intertwined
+            # "H" crossings.
+            key = (round(worse / 0.5e-12), wirelength)
+            for part in parts:
+                part.detach()
+            merges[n] += (left, right)
+            if best_key[n] is None or key < best_key[n]:
+                best_key[n] = key
+                best_idx[n] = idx
+                best_routes[n] = (left.route, right.route)
+    winners = router.merge_batch(
+        [
+            side
+            for parts, idx in zip(quads, best_idx)
+            for side in _pairing_sides(parts, PAIRINGS[idx])
+        ],
+        [route for routes in best_routes for route in routes],
+    )
+    return [
+        HStructureOutcome(
+            winners[2 * n].root,
+            winners[2 * n + 1].root,
+            idx != 0,
+            (*merges[n], winners[2 * n], winners[2 * n + 1]),
+        )
+        for n, idx in enumerate(best_idx)
+    ]

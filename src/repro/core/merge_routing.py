@@ -16,24 +16,31 @@ This module orchestrates one merge of two sub-trees:
    buffer immediately above them (keeping stages library-shaped).
 
 Stages 3 and 4 are implemented as a resumable per-pair state machine
-(:class:`repro.core.batch_commit.PairCommitState`): :meth:`MergeRouter.commit`
-drives one machine with scalar probes (the single-pair path H-structure
-merges take), while the top-level flow runs
-:meth:`MergeRouter.commit_prepare` for every pair of a topology level and
-advances all machines in lockstep through the batched scheduler
+(:class:`repro.core.batch_commit.PairCommitState`).
+:meth:`MergeRouter.merge_batch` is the path synthesis takes, for plain
+and H-structure pairs alike: it prepares a batch of pairs in order,
+routes them at once (:meth:`MergeRouter.route_level`) and advances all
+their machines in lockstep through the batched scheduler
 (:class:`repro.core.batch_commit.BatchCommitScheduler`), answering each
 step's probes with one vectorized library round.
+:meth:`MergeRouter.merge` is the single-pair path (per-pair
+:meth:`~MergeRouter.route_plan`, scalar :meth:`~MergeRouter.commit`) that
+tests and the pair-by-pair reference engine drive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.charlib.library import DelaySlewLibrary
 from repro.core.balance import snake_delay
-from repro.core.batch_commit import CommitQueryStats, PairCommitState
+from repro.core.batch_commit import (
+    BatchCommitScheduler,
+    CommitQueryStats,
+    PairCommitState,
+)
 from repro.core.maze_router import route_maze
 from repro.core.options import CTSOptions
 from repro.core.profile_router import route_profile
@@ -54,7 +61,13 @@ from repro.geom.point import Point
 from repro.tech.buffers import BufferLibrary, BufferType
 from repro.tech.technology import Technology
 from repro.timing.analysis import LibraryTimingEngine, SubtreeBounds
-from repro.tree.nodes import NodeKind, TreeNode, make_buffer, make_merge
+from repro.tree.nodes import (
+    NodeKind,
+    TreeNode,
+    make_buffer,
+    make_merge,
+    peek_node_id,
+)
 
 #: Balance snakes only the delay difference beyond this fraction of what
 #: the routed path between the roots can absorb.
@@ -102,6 +115,43 @@ class MergePlan:
     snaked_delay: float = 0.0
 
 
+@dataclass
+class BatchedMerge:
+    """One merge of a :meth:`MergeRouter.merge_batch` batch.
+
+    The commit has run but not finished: :meth:`MergeRouter.commit_finish`
+    applies the merge's deferred snake stats, so the caller finishes its
+    merges in serial order. ``spans`` lists the node-id ranges the merge
+    consumed, in its own creation order (prepare, chain materialization,
+    then each node-creating commit step).
+    """
+
+    state: PairCommitState
+    route: RouteResult | None
+    spans: list[tuple[int, int]]
+
+    @property
+    def root(self) -> TreeNode:
+        return self.state.root
+
+
+def _rebind(route: RouteResult | None, plan: MergePlan) -> RouteResult | None:
+    """``route`` with its sides bound to ``plan``'s terminals.
+
+    Routes read only a terminal's point, delays and load type, so a
+    route stays valid for a plan whose terminals differ from the routed
+    ones only in ``node`` (a re-run prepare snakes fresh but equal
+    chains).
+    """
+    if route is None:
+        return None
+    return replace(
+        route,
+        left=replace(route.left, terminal=plan.term1),
+        right=replace(route.right, terminal=plan.term2),
+    )
+
+
 class MergeRouter:
     """Stateful merge-routing engine shared across the whole synthesis."""
 
@@ -133,6 +183,8 @@ class MergeRouter:
         ) * 1.001
         #: Commit-phase query totals (scalar and batched drivers).
         self.commit_queries = CommitQueryStats()
+        #: The lockstep committer of :meth:`merge_batch`.
+        self.scheduler = BatchCommitScheduler(self)
         #: Shared-window / route-finishing counters of the level router.
         from repro.core.grid_cache import GridCache, SharingStats
 
@@ -194,9 +246,53 @@ class MergeRouter:
     # ------------------------------------------------------------------
 
     def merge(self, root1: TreeNode, root2: TreeNode) -> TreeNode:
-        """Merge two sub-trees and return the new root node."""
+        """Merge two sub-trees and return the new root node.
+
+        The single-pair path: one prepare, route and scalar commit. The
+        synthesis flow merges through :meth:`merge_batch` instead.
+        """
         plan = self.prepare(root1, root2)
         return self.commit(plan, self.route_plan(plan))
+
+    def merge_batch(
+        self,
+        sides: list[tuple[TreeNode, TreeNode]],
+        routes: list[RouteResult | None] | None = None,
+    ) -> list[BatchedMerge]:
+        """Merge a batch of sub-tree pairs through the level pipeline.
+
+        Prepare in order, route the batch at once through
+        :meth:`route_level`, then commit it in lockstep through
+        :attr:`scheduler`. ``routes``, when given, are an earlier
+        batch's routes of the same pairs: routes are pure functions of
+        their terminals, so they are reused with each side rebound to
+        this batch's terminal node instead of routing again.
+
+        Every merge records its own id spans; finishing is left to the
+        caller (see :class:`BatchedMerge`).
+        """
+        plans: list[MergePlan] = []
+        spans: list[list[tuple[int, int]]] = []
+        for root1, root2 in sides:
+            start = peek_node_id()
+            plans.append(self.prepare(root1, root2))
+            spans.append([(start, peek_node_id())])
+        if routes is None:
+            routes = self.route_level(plans)
+        else:
+            routes = [_rebind(route, plan) for route, plan in zip(routes, plans)]
+        states: list[PairCommitState] = []
+        for plan, route, merge_spans in zip(plans, routes, spans):
+            start = peek_node_id()
+            states.append(self.commit_prepare(plan, route))
+            end = peek_node_id()
+            if end > start:
+                merge_spans.append((start, end))
+        self.scheduler.run(states, spans)
+        return [
+            BatchedMerge(state, route, merge_spans)
+            for state, route, merge_spans in zip(states, routes, spans)
+        ]
 
     def prepare(self, root1: TreeNode, root2: TreeNode) -> MergePlan:
         """Stateful pre-route phase: balance snaking plus terminal capture.
@@ -223,8 +319,8 @@ class MergeRouter:
     def reset_grid_cache(self) -> None:
         """Start a new topology level's tile scope.
 
-        Called by the flow once per level, so tiles cached by
-        ``route_plan``'s provider (H-structure candidate routing) never
+        Called by the flow once per level, so the tiles that a level's
+        batches (H-structure candidate sweeps included) share never
         accumulate across levels.
         """
         self._grid_cache.reset()
@@ -232,9 +328,9 @@ class MergeRouter:
     def route_plan(self, plan: MergePlan) -> RouteResult | None:
         """Route one prepared merge (None for coincident pairs).
 
-        The single-pair path, which only H-structure pairs take. Maze
-        windows come from the router's tile cache (H-structure candidate routing
-        re-requests the same window up to three times per pair).
+        The single-pair path of :meth:`merge`; synthesis routes every
+        merge through :meth:`route_level`. Maze windows come from the
+        router's tile cache.
         """
         if plan.coincident:
             return None
@@ -286,9 +382,9 @@ class MergeRouter:
     def commit(self, plan: MergePlan, route: RouteResult | None) -> TreeNode:
         """Stateful post-route phase: materialize, search, repair.
 
-        This scalar driver (the single-pair path) and the lockstep
-        batched scheduler walk the same state machine, so their results
-        are bit-identical.
+        This scalar driver (the single-pair path of :meth:`merge`) and
+        the lockstep batched scheduler walk the same state machine, so
+        their results are bit-identical.
         """
         state = self.commit_prepare(plan, route)
         state.run_scalar()
@@ -301,8 +397,9 @@ class MergeRouter:
 
         The returned state machine is ready for probe-driven advancement
         (:class:`~repro.core.batch_commit.BatchCommitScheduler` for a
-        topology level, :meth:`PairCommitState.run_scalar` for the
-        single-pair path); :meth:`commit_finish` collects the merged root.
+        :meth:`merge_batch` batch, :meth:`PairCommitState.run_scalar` for
+        the single-pair path); :meth:`commit_finish` collects the merged
+        root.
         """
         return PairCommitState(self, plan, route)
 

@@ -5,9 +5,10 @@ in phase sweeps (all prepares, then the route, then the lockstep
 commit), which creates nodes in a different *order* than merging pair by
 pair would (prepare+commit per pair), and that order would leak into
 auto-generated node ids and names. The flow therefore records the id
-ranges each pair consumed and renumbers the level's nodes afterwards
-into the pair-by-pair creation order — a bijection on the level's id
-block — and remaps the timing engine's memoized bounds keys to follow.
+ranges each pair's merges consumed and renumbers the level's nodes
+afterwards into the pair-by-pair creation order — a bijection on the
+level's id block — and remaps the timing engine's memoized bounds keys
+to follow.
 The synthesized tree (including node names) is then the one a
 pair-by-pair merge would build.
 """
@@ -44,8 +45,17 @@ def renumber_subtrees(
     roots: list[TreeNode],
     mapping: dict[int, int],
     engine: LibraryTimingEngine,
+    base: int,
+    marks: tuple[int, int, int],
 ) -> None:
     """Apply a serial id mapping to live nodes and the engine's cache.
+
+    ``base`` is the level's first id: level-created nodes only ever sit
+    above older ones (snake, chain, merge, corrective and stage buffers
+    are all built over existing roots), so the walk stops at any node
+    with a smaller id and costs the level's new nodes, not the tree.
+    ``marks`` are the engine's cache sizes at the level's start (see
+    :meth:`~repro.timing.analysis.LibraryTimingEngine.cache_marks`).
 
     Auto-generated names (``m<id>``/``b<id>``/…) are regenerated so
     exports match the serial flow byte for byte; explicit names (sinks,
@@ -54,13 +64,15 @@ def renumber_subtrees(
     """
     if not mapping:
         return
-    for root in roots:
-        for node in root.walk():
-            new_id = mapping.get(node.id)
-            if new_id is None:
-                continue
-            auto_name = f"{node.kind.value[0]}{node.id}"
-            node.id = new_id
-            if node.name == auto_name:
-                node.name = f"{node.kind.value[0]}{new_id}"
-    engine.remap_node_ids(mapping)
+    stack = [root for root in roots if root.id >= base]
+    while stack:
+        node = stack.pop()
+        stack.extend(child for child in node.children if child.id >= base)
+        new_id = mapping.get(node.id)
+        if new_id is None:
+            continue
+        auto_name = f"{node.kind.value[0]}{node.id}"
+        node.id = new_id
+        if node.name == auto_name:
+            node.name = f"{node.kind.value[0]}{new_id}"
+    engine.remap_node_ids(mapping, marks)

@@ -131,7 +131,7 @@ def _ref_single_wire_delay_slew(self, drive, load, input_slew, length, include):
 
 
 def route_pair_by_pair(router, plans):
-    """A level routed through the single-pair path, plan by plan.
+    """A batch routed through the single-pair path, plan by plan.
 
     The seed routed every merge on its own (no level batching), so the
     reference engine installs this as ``MergeRouter.route_level``.
@@ -169,7 +169,8 @@ def reference_engine():
     fit-evaluator compile flag, the partial library queries (the seed
     always evaluated the full fit set per component), the level router
     and the level committer (the seed routed and committed pair by pair,
-    so every level goes through the single-pair ``route_plan`` and
+    so every batch of every level, H-structure candidate sweeps
+    included, goes through the single-pair ``route_plan`` and
     ``run_scalar``) and ``synthesize`` (the seed had no tree mirror);
     the caller must construct its CTS (and hence its library) inside
     this context so the interpreted evaluators take effect.

@@ -29,6 +29,7 @@ at the merge point using the slew computed there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from repro.charlib.library import DelaySlewLibrary
@@ -106,6 +107,14 @@ class TreeTiming:
     @property
     def worst_slew(self) -> float:
         return max(t.slew for t in self.arrivals.values())
+
+
+def _added_keys(cache: dict, mark: int) -> list:
+    """The keys inserted after the first ``mark``, in insertion order
+    (walked from the end, so the cost is the number of new keys)."""
+    added = list(islice(reversed(cache), len(cache) - mark))
+    added.reverse()
+    return added
 
 
 class LibraryTimingEngine:
@@ -304,25 +313,51 @@ class LibraryTimingEngine:
         self._vbounds_cache.clear()
         self._cap_cache.clear()
 
-    def remap_node_ids(self, mapping: dict[int, int]) -> None:
+    def cache_marks(self) -> tuple[int, int, int]:
+        """Sizes of the id-keyed caches, for :meth:`remap_node_ids`.
+
+        Recorded when a level starts: the caches only grow, so every
+        entry added since sits after its cache's mark.
+        """
+        return (
+            len(self._bounds_cache),
+            len(self._vbounds_cache),
+            len(self._cap_cache),
+        )
+
+    def remap_node_ids(
+        self,
+        mapping: dict[int, int],
+        marks: tuple[int, int, int] = (0, 0, 0),
+    ) -> None:
         """Rewrite memoized keys after a node-id renumbering.
 
-        The parallel/batched merge flows renumber a level's freshly
-        created nodes into serial creation order; cached bounds and caps
-        are keyed by node id, so the keys must follow the (bijective)
-        renumbering or a later node could hit a stale entry under its
-        reassigned id.
+        The batched level flow renumbers a level's freshly created nodes
+        into serial creation order; cached bounds and caps are keyed by
+        node id, so the keys must follow the (bijective) renumbering or
+        a later node could hit a stale entry under its reassigned id.
+        Every moved id belongs to a node created since ``marks`` (see
+        :meth:`cache_marks`) were taken, so only the entries added since
+        are scanned.
         """
         if not mapping:
             return
-        for cache in (self._bounds_cache, self._vbounds_cache):
-            moved = [key for key in cache if key[0] in mapping]
+        bounds_mark, vbounds_mark, cap_mark = marks
+        for cache, mark in (
+            (self._bounds_cache, bounds_mark),
+            (self._vbounds_cache, vbounds_mark),
+        ):
+            moved = [key for key in _added_keys(cache, mark) if key[0] in mapping]
             # Pop everything first: a moved key's target may itself be a
             # moved key, and reinserting early would clobber its entry.
             entries = [(key, cache.pop(key)) for key in moved]
             for key, bounds in entries:
                 cache[(mapping[key[0]], *key[1:])] = bounds
-        moved = [node_id for node_id in self._cap_cache if node_id in mapping]
+        moved = [
+            node_id
+            for node_id in _added_keys(self._cap_cache, cap_mark)
+            if node_id in mapping
+        ]
         entries = [(node_id, self._cap_cache.pop(node_id)) for node_id in moved]
         for node_id, cap in entries:
             self._cap_cache[mapping[node_id]] = cap

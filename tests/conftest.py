@@ -93,7 +93,8 @@ def synthesize_signature(
     if pair_by_pair:
         cts.router.route_level = types.MethodType(route_pair_by_pair, cts.router)
     if scalar_commit:
-        cts.scheduler.run = types.MethodType(commit_pair_by_pair, cts.scheduler)
+        scheduler = cts.router.scheduler
+        scheduler.run = types.MethodType(commit_pair_by_pair, scheduler)
     synthesize = cts.synthesize
     if without_mirror:
         synthesize = types.MethodType(synthesize_without_mirror, cts)

@@ -17,6 +17,7 @@ The contract of :mod:`repro.core.grid_cache`:
 import numpy as np
 import pytest
 
+import repro.core.grid_cache as grid_cache
 from repro.core.grid_cache import GridCache, route_level
 from repro.core.maze_router import MazeGrid, route_maze
 from repro.core.options import CTSOptions
@@ -143,6 +144,49 @@ class TestBatchInvariance:
                 assert a.right.polyline.points == other.right.polyline.points
                 assert a.left.state == other.left.state
                 assert a.right.state == other.right.state
+
+
+class TestRouteSlices:
+    """Synthesis does not depend on how ``route_level`` slices a level."""
+
+    #: The per-pair counters of :class:`SharingStats`.
+    PER_PAIR = (
+        "windows_served",
+        "pairs_routed",
+        "cells_ranked",
+        "descent_sides",
+        "descent_cells",
+        "curve_points",
+        "expansion_lanes",
+        "expansion_runs",
+        "expansion_insertions",
+    )
+
+    def test_slice_size_changes_nothing(self, monkeypatch):
+        from repro.tree.export import signature_digest
+
+        sinks, source, blockages = scaling_scenario(60, True)
+        runs = {}
+        for size in (1, 3, grid_cache.ROUTE_SLICE_PAIRS):
+            monkeypatch.setattr(grid_cache, "ROUTE_SLICE_PAIRS", size)
+            sig, result = synthesize_signature(
+                sinks, source, blockages, hstructure="correct"
+            )
+            sharing = result.route_sharing
+            runs[size] = (
+                signature_digest(sig),
+                {name: sharing[name] for name in self.PER_PAIR},
+                sharing["finish_batches"],
+            )
+        (digest, counters, __), *others = runs.values()
+        for other_digest, other_counters, __ in others:
+            assert other_digest == digest
+            assert other_counters == counters
+        # The slices really differed: slices of one pair finish one
+        # batch per routed pair, larger slices fewer.
+        batches = {size: run[2] for size, run in runs.items()}
+        assert batches[1] == counters["pairs_routed"]
+        assert batches[grid_cache.ROUTE_SLICE_PAIRS] < batches[3] < batches[1]
 
 
 class TestGridCacheTiles:

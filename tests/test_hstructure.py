@@ -49,7 +49,7 @@ class TestReestimate:
     def test_flips_interleaved_pairing(self, router):
         p_sub, q_sub, __ = interleaved_quad(router)
         cost = EdgeCost(CTSOptions(), router._delay_per_unit)
-        outcome = reestimate_pairing(router, cost, p_sub, q_sub)
+        (outcome,) = reestimate_pairing(router, cost, [(p_sub, q_sub)])
         assert outcome.flipped
         validate_tree(outcome.left_root)
         validate_tree(outcome.right_root)
@@ -70,14 +70,14 @@ class TestReestimate:
         p_sub = SubTree(p, router.subtree_bounds(p), parts=(a, b))
         q_sub = SubTree(q, router.subtree_bounds(q), parts=(c, d))
         cost = EdgeCost(CTSOptions(), router._delay_per_unit)
-        outcome = reestimate_pairing(router, cost, p_sub, q_sub)
+        (outcome,) = reestimate_pairing(router, cost, [(p_sub, q_sub)])
         assert not outcome.flipped
 
 
 class TestCorrect:
     def test_correction_chooses_low_skew_pairing(self, router):
         p_sub, q_sub, parts = interleaved_quad(router)
-        outcome = correct_pairing(router, p_sub, q_sub)
+        (outcome,) = correct_pairing(router, [(p_sub, q_sub)])
         assert outcome.flipped
         validate_tree(outcome.left_root)
         validate_tree(outcome.right_root)
@@ -92,7 +92,7 @@ class TestCorrect:
     def test_correction_skew_not_worse(self, router):
         p_sub, q_sub, __ = interleaved_quad(router)
         orig_worse = max(p_sub.bounds.skew, q_sub.bounds.skew)
-        outcome = correct_pairing(router, p_sub, q_sub)
+        (outcome,) = correct_pairing(router, [(p_sub, q_sub)])
         new_worse = max(
             router.subtree_bounds(outcome.left_root).skew,
             router.subtree_bounds(outcome.right_root).skew,

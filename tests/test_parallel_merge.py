@@ -9,11 +9,11 @@ the ones a pair-by-pair merge would give.
 
 from __future__ import annotations
 
-from repro.core.parallel_merge import serial_id_mapping
+from repro.core.parallel_merge import renumber_subtrees, serial_id_mapping
 from repro.core.topology import SubTree, greedy_matching, select_seed
 from repro.geom.point import Point
-from repro.timing.analysis import SubtreeBounds
-from repro.tree.nodes import make_sink
+from repro.timing.analysis import LibraryTimingEngine, SubtreeBounds
+from repro.tree.nodes import make_merge, make_sink, peek_node_id
 
 
 class TestSerialIdMapping:
@@ -27,6 +27,28 @@ class TestSerialIdMapping:
     def test_identity_when_already_serial(self):
         spans = [[(5, 7), (7, 9)], [(9, 10), (10, 12)]]
         assert serial_id_mapping(5, spans) == {}
+
+
+class TestRenumberSubtrees:
+    def test_walks_the_level_nodes_and_their_cache_entries(self, library, tech):
+        engine = LibraryTimingEngine(library, tech)
+        old = make_sink(Point(0, 0), 5e-15, "s0")
+        engine._cap_cache[old.id] = 1.0
+        marks = engine.cache_marks()
+        base = peek_node_id()
+        # ``top`` keeps its id; the two level nodes below it swap theirs.
+        top, mid, low = (make_merge(Point(0, 0)) for _ in range(3))
+        top.attach(mid, 0.0)
+        mid.attach(low, 0.0)
+        low.attach(old, 0.0)
+        engine._cap_cache[mid.id] = 2.0
+        engine._cap_cache[low.id] = 3.0
+        mapping = {base + 1: base + 2, base + 2: base + 1}
+        renumber_subtrees([top], mapping, engine, base, marks)
+        assert (top.id, mid.id, low.id) == (base, base + 2, base + 1)
+        assert (mid.name, low.name) == (f"m{base + 2}", f"m{base + 1}")
+        assert old.name == "s0"
+        assert engine._cap_cache == {old.id: 1.0, base + 2: 2.0, base + 1: 3.0}
 
 
 class TestTieBreaks:

@@ -1,6 +1,6 @@
-"""Rails: each CLI flag, fault site and CI gate, and the env-free
-option defaults, checked on the live objects the program runs with
-rather than on its source.
+"""Rails: each CLI flag, fault site, CI gate and benchmark hook, and the
+env-free option defaults, checked on the live objects the program runs
+with rather than on its source.
 
 The checkpoint-digest partition of ``CTSOptions`` is tested with the
 rest of the checkpoint code in ``tests/test_resilience.py``.
@@ -9,6 +9,8 @@ rest of the checkpoint code in ``tests/test_resilience.py``.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import os
 import re
 from dataclasses import MISSING, fields
@@ -33,6 +35,7 @@ from tests.conftest import make_sink_pairs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CI_YML = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+TRACER_PY = REPO_ROOT / "perfbench" / "tracer.py"
 
 #: Every flag-backed knob, per owner: ``{field: CLI flag}``.
 FLAGS = {
@@ -212,3 +215,30 @@ class TestCI:
                 " --fail-on warning" in jobs["lint"]
             ), paths
         assert "needs: lint" in jobs["tier1"]
+
+
+def tracer_hooks() -> tuple:
+    """The benchmark tracer's ``HOOKS`` table, read without running it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PY)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.HOOKS
+
+
+class TestBenchmarkHooks:
+    """The benchmark wraps these names from outside; its self-test fails
+    on a hook that no longer resolves, so a rename or deletion in
+    ``src`` must fail here first."""
+
+    @pytest.mark.parametrize(
+        "module_name, path",
+        [pytest.param(m, p, id=f"{m}:{p}") for __, m, p in tracer_hooks()],
+    )
+    def test_hook_resolves(self, module_name, path):
+        owner = importlib.import_module(module_name)
+        *owners, attr = path.split(".")
+        for name in owners:
+            owner = getattr(owner, name)
+        # The tracer patches class attributes in the class's own dict.
+        target = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert callable(target)

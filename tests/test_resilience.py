@@ -119,7 +119,6 @@ class TestRouteFailuresAreLoud:
             (grid_cache, "_search_rounds"),
             (grid_cache, "expand_level"),
             (grid_cache, "_finish_level"),
-            (merge_routing, "route_maze"),
         ],
         ids=lambda v: getattr(v, "__name__", v),
     )
@@ -128,15 +127,28 @@ class TestRouteFailuresAreLoud:
             raise RuntimeError("route kernel bug")
 
         monkeypatch.setattr(module, kernel, broken)
-        # Every level sweeps through the level router, so only
-        # H-structure pairs reach the single-pair ``route_maze``.
-        hstructure = "correct" if kernel == "route_maze" else None
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(hstructure=hstructure),
-            blockages=BLOCKAGES,
-        )
+        cts = AggressiveBufferedCTS(options=CTSOptions(), blockages=BLOCKAGES)
         with pytest.raises(RuntimeError, match="route kernel bug"):
             cts.synthesize(blocked_sinks(18, seed=22))
+
+    def test_hstructure_takes_the_level_pipeline(self, monkeypatch):
+        """H-structure correction merges through the same level batches
+        as plain pairs, so the kernels above cover it too: synthesis
+        never calls the single-pair route or the scalar commit."""
+        calls = {"route_plan": 0, "commit": 0}
+        for name in calls:
+            original = getattr(merge_routing.MergeRouter, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(merge_routing.MergeRouter, name, counted)
+        sinks = blocked_sinks(18, seed=22)
+        __, result, __ = synth(sinks, BLOCKAGES, hstructure="correct")
+        # Candidate sweeps ran: more merges than the tree's n - 1.
+        assert result.merge_stats.n_merges > len(sinks) - 1
+        assert calls == {"route_plan": 0, "commit": 0}
 
 
 class TestCommitFailuresAreLoud:
