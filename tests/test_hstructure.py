@@ -1,12 +1,16 @@
 """H-structure re-estimation and correction (Sec. 4.1.2)."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.core.merge_routing as merge_routing
 from repro.core import AggressiveBufferedCTS, CTSOptions
 from repro.core.hstructure import PAIRINGS, correct_pairing, reestimate_pairing
 from repro.core.merge_routing import MergeRouter
 from repro.core.topology import EdgeCost, SubTree
 from repro.evalx import evaluate_tree
+from repro.evalx.perfstats import scaling_scenario
 from repro.geom import Point
 from repro.timing.analysis import LibraryTimingEngine
 from repro.tree.nodes import make_sink
@@ -98,6 +102,35 @@ class TestCorrect:
             router.subtree_bounds(outcome.right_root).skew,
         )
         assert new_worse <= orig_worse + 1e-12
+
+
+class TestWinnerRouteReuse:
+    def test_rebound_terminals_equal_the_routed_ones(self, monkeypatch):
+        """The winners' batch reuses its candidates' routes, which is
+        sound only if the re-run prepare yields terminals equal to the
+        routed ones in every field but ``node`` (snaked sides included)."""
+        checks = []
+        original = merge_routing._rebind
+
+        def checked(route, plan):
+            if route is not None:
+                for routed, fresh in (
+                    (route.left.terminal, plan.term1),
+                    (route.right.terminal, plan.term2),
+                ):
+                    checks.append(
+                        replace(routed, node=None) == replace(fresh, node=None)
+                    )
+            return original(route, plan)
+
+        monkeypatch.setattr(merge_routing, "_rebind", checked)
+        sinks, source, blockages = scaling_scenario(60, True)
+        cts = AggressiveBufferedCTS(
+            options=CTSOptions(hstructure="correct"), blockages=blockages
+        )
+        result = cts.synthesize(sinks, source)
+        assert result.merge_stats.n_snaked > 0
+        assert checks and all(checks)
 
 
 class TestFlowIntegration:
