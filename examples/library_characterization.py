@@ -30,9 +30,9 @@ def main() -> None:
         single_degree=3,
     )
     print("characterizing (reduced sweep) ...")
-    t0 = time.time()
+    t0 = time.perf_counter()
     library = build_library(tech, buffers, config, verbose=True)
-    print(f"built in {time.time() - t0:.1f} s")
+    print(f"built in {time.perf_counter() - t0:.1f} s")
 
     rows = [
         [

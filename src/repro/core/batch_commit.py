@@ -136,7 +136,7 @@ class PairCommitState:
         self._n_snaked = plan.n_snaked
         self._snaked_delay = plan.snaked_delay
         self._finished = False
-        #: Set by the lockstep scheduler when a SoA mirror is installed:
+        #: Set by the lockstep scheduler when a SoA cache is attached:
         #: park in phase "stage" instead of forcing the stage buffer
         #: inline, so a whole round's forced-stage decisions batch
         #: through the SoA kernel. The pair's node-creating order is

@@ -11,7 +11,8 @@ Every level runs one pipeline (:meth:`AggressiveBufferedCTS._merge_level`)
 in batches (:meth:`repro.core.merge_routing.MergeRouter.merge_batch`):
 prepare in pair order, route the batch at once, commit it in lockstep
 through :class:`repro.core.batch_commit.BatchCommitScheduler` with the
-structure-of-arrays tree mirror (:mod:`repro.core.soa_tree`) installed.
+structure-of-arrays flat-stage cache (:mod:`repro.core.soa_tree`)
+attached.
 H-structure pairs run their re-pairing batches first (three candidate
 sweeps plus a winners' batch under correction, one batch of chosen
 pairings under re-estimation); one batch of final merges covers the
@@ -44,7 +45,6 @@ from repro.tree.nodes import (
     make_sink,
     peek_node_id,
     set_node_id,
-    set_tree_recorder,
 )
 
 
@@ -119,20 +119,16 @@ class AggressiveBufferedCTS:
     ) -> SynthesisResult:
         """Synthesize a clock tree over ``(location, capacitance)`` sinks.
 
-        The run executes with a structure-of-arrays mirror of the
-        in-flight tree installed (:class:`repro.core.soa_tree.SoaTree`):
-        every node creation / attach / detach is echoed into flat numpy
-        columns, and the commit phase's bounds-bucket prefill, collapsed
-        stage caps and forced-stage-buffer decisions read the columns
-        instead of walking node objects.
+        The run executes with a structure-of-arrays flat-stage cache
+        attached to the engine (:class:`repro.core.soa_tree.SoaTree`):
+        the commit phase's bounds-bucket prefill, collapsed stage caps
+        and forced-stage-buffer decisions read its numpy columns instead
+        of re-walking node objects.
         """
-        soa = SoaTree()
-        previous = set_tree_recorder(soa)
-        self.engine.attach_soa(soa)
+        self.engine.attach_soa(SoaTree())
         try:
             return self._synthesize(sinks, source_location)
         finally:
-            set_tree_recorder(previous)
             self.engine.attach_soa(None)
 
     def _synthesize(

@@ -1,4 +1,4 @@
-"""Structure-of-arrays mirror of the in-flight clock tree.
+"""Structure-of-arrays flat-stage cache of the in-flight clock tree.
 
 The commit phase is Python-bookkeeping-bound, not fit-bound
 (PERFORMANCE.md): the probe math was batched in PR 3, and what remains
@@ -7,33 +7,33 @@ same frozen stage paths for every new bounds bucket, ``_load_cap_of``
 re-walking collapsed stages, and ``_maybe_force_stage_buffer`` choosing
 stage drivers one scalar ``branch_slews`` call at a time.
 
-This module keeps a flat mirror of every :class:`~repro.tree.nodes.TreeNode`
-in numpy columns — kind/position/cap/wire plus first-child/last-child/
-sibling topology links — updated by the recorder hooks ``TreeNode``
-exposes (:func:`repro.tree.nodes.set_tree_recorder`). On top of the
-mirror it caches *flat stage* rows: once a node's bounds are first
-queried, the stage below it is frozen (the bottom-up flow only builds
-above existing roots — the same invariant the engine's bounds/cap dict
-caches already rely on), so its traced shape (single load path or
-two-branch split), stem lengths, end ids and end caps are written into
-columns once and every later bounds-bucket evaluation becomes a numpy
-gather + one batched fit round + a vectorized accumulate.
+Under aggressive buffer insertion almost every stage is a single wire
+or a two-branch split. This module gives every node the commit kernels
+query a row of numpy columns describing that *flat stage*. Once a
+node's bounds are first queried, the stage below it is frozen (the
+bottom-up flow only builds above existing roots — the same invariant
+the engine's bounds/cap dict caches already rely on), so its traced
+shape (single load path or two-branch split), stem lengths, end rows
+and end caps are written into its row once and every later
+bounds-bucket evaluation becomes a numpy gather + one batched fit round
++ a vectorized accumulate.
 
-Two commit-phase kernels read the mirror:
+Rows are keyed by node identity (``TreeNode`` compares by identity), so
+node ids never reach the cache: the engine's id-keyed cache keys are
+built from each node's current ``.id`` when they are looked up, and a
+renumbering between two queries needs nothing from this module.
+
+Two commit-phase kernels read the rows:
 
 - :meth:`SoaTree.prefill_bounds` — the level-wide bounds-bucket prefill
   behind ``subtree_bounds_many``'s miss path: flat stages are grouped
-  and fit-evaluated from the columns; unmirrored and deep stages take
-  the engine's scalar recursion (``_buffer_bucket_bounds`` /
+  and fit-evaluated from the columns; deep stages take the engine's
+  scalar recursion (``_buffer_bucket_bounds`` /
   ``_virtual_bucket_bounds``) bucket by bucket;
 - :meth:`SoaTree.stage_drivers` — batched forced-stage-buffer decisions
   for a whole scheduler round (collapsed caps folded from per-node
   buffer-code byte sequences, drivers chosen by lockstep
   ``branch_slews_many`` rounds over the still-unresolved merges).
-
-Checkpoint frames are encoded from the node objects
-(:mod:`repro.core.checkpoint`), which measured faster than encoding
-them from the columns.
 
 Bit-identity with the scalar recursion and the object walks rests on
 the established facts: ``predict_many``/``branch_component_many``/
@@ -45,9 +45,8 @@ buffer-code sequence in its exact order (cached per node as ``bytes`` —
 DFS-last-child-first sequences compose by concatenation), so the float
 sum is the object walk's sum.
 
-The mirror has no fallback of its own: an exception in a recorder hook
-or a kernel propagates out of the synthesis. Engines used outside
-``AggressiveBufferedCTS.synthesize`` have no mirror installed and take
+The cache has no fallback of its own: an exception in a kernel
+propagates out of the synthesis. Engines with no cache attached take
 the scalar recursion and the object walks.
 """
 
@@ -67,7 +66,7 @@ _KINDS = (
     NodeKind.STEINER,
 )
 _CODE_OF = {kind: code for code, kind in enumerate(_KINDS)}
-_SOURCE, _SINK, _MERGE, _BUFFER, _STEINER = range(5)
+_BUFFER = _CODE_OF[NodeKind.BUFFER]
 
 #: Flat-stage classification of the structure below a node.
 _FS_UNKNOWN = 0  # not traced yet
@@ -76,22 +75,9 @@ _FS_SINGLE = 2  # one load path: stem length + one end
 _FS_BRANCH = 3  # two-branch split, both branches plain load paths
 _FS_DEEP = 4  # nested merges / >2-way splits — scalar recursion
 
-#: Columns of the mirror: (attribute, dtype, fill value). Reference
-#: columns hold node *ids* (-1 = none) and are value-remapped on
-#: renumbering; the rest are plain per-row payload.
+#: Columns of the cache: (attribute, dtype, fill value). ``fs_lend`` /
+#: ``fs_rend`` hold the *row* of each branch's end node.
 _COLUMNS = (
-    ("kind", np.int8, -1),
-    ("parent", np.int64, -1),
-    ("first_child", np.int64, -1),
-    ("last_child", np.int64, -1),
-    ("next_sib", np.int64, -1),
-    ("prev_sib", np.int64, -1),
-    ("n_children", np.int32, 0),
-    ("x", np.float64, 0.0),
-    ("y", np.float64, 0.0),
-    ("wire", np.float64, 0.0),
-    ("cap", np.float64, 0.0),
-    ("buf_code", np.int16, -1),
     ("fs_state", np.int8, _FS_UNKNOWN),
     ("fs_stem", np.float64, 0.0),
     ("fs_llen", np.float64, 0.0),
@@ -103,17 +89,6 @@ _COLUMNS = (
     ("fs_lcap", np.float64, 0.0),
     ("fs_rcap", np.float64, 0.0),
     ("fs_lload", np.int32, -1),
-)
-
-#: Columns holding node ids that must follow a renumbering.
-_REF_COLUMNS = (
-    "parent",
-    "first_child",
-    "last_child",
-    "next_sib",
-    "prev_sib",
-    "fs_lend",
-    "fs_rend",
 )
 
 #: Fit groups smaller than this evaluate with the compiled scalar
@@ -137,19 +112,19 @@ _PREFETCH_ABOVE = 1
 
 
 class SoaTree:
-    """Flat-array mirror of the in-flight tree plus its commit kernels.
+    """Flat-stage rows of the queried nodes plus the commit kernels.
 
-    Install with :func:`repro.tree.nodes.set_tree_recorder` for the
-    duration of one synthesis run; the recorder hooks echo every node
-    creation / attach / detach into the columns.
+    Attach to one engine for the duration of one synthesis run
+    (:meth:`repro.timing.analysis.LibraryTimingEngine.attach_soa`).
+    A node gets its row the first time a kernel queries it or traces
+    it as the end of a queried stage.
     """
 
     def __init__(self) -> None:
-        self._base: int | None = None
         self._capacity = 0
-        self._used = 0
-        #: id -> live TreeNode (identity-checked before any fast read).
-        self.nodes: list = []
+        #: node -> row, and row -> node.
+        self._row_of: dict = {}
+        self._nodes: list = []
         #: Buffer-type interning: code <-> (name, BufferType).
         self._buffer_names: list[str] = []
         self._buffer_types: list = []
@@ -158,73 +133,33 @@ class SoaTree:
         #: Load-name interning for single-path group keys.
         self._load_names: list[str] = []
         self._load_code_of: dict[str, int] = {}
-        #: id -> ordered buffer-code byte sequence of the subtree
+        #: node -> ordered buffer-code byte sequence of its subtree
         #: (DFS-last-child-first, i.e. ``TreeNode.walk`` order).
-        self._bufseq: dict[int, bytes] = {}
+        self._bufseq: dict = {}
 
     # ------------------------------------------------------------------
     # Storage
     # ------------------------------------------------------------------
 
-    def _alloc(self, capacity: int) -> None:
+    def _row(self, node) -> int:
+        """Row of ``node``, appended on first use."""
+        row = self._row_of.get(node)
+        if row is None:
+            row = len(self._nodes)
+            if row == self._capacity:
+                self._grow()
+            self._row_of[node] = row
+            self._nodes.append(node)
+        return row
+
+    def _grow(self) -> None:
+        old = self._capacity
+        self._capacity = max(1024, 2 * old)
         for name, dtype, fill in _COLUMNS:
-            col = np.empty(capacity, dtype=dtype)
-            col.fill(fill)
+            col = np.full(self._capacity, fill, dtype=dtype)
+            if old:
+                col[:old] = getattr(self, name)
             setattr(self, name, col)
-        self.nodes = [None] * capacity
-        self._capacity = capacity
-
-    def _grow_back(self, need: int) -> None:
-        new_cap = max(need, 2 * self._capacity)
-        for name, dtype, fill in _COLUMNS:
-            col = np.empty(new_cap, dtype=dtype)
-            col.fill(fill)
-            col[: self._capacity] = getattr(self, name)
-            setattr(self, name, col)
-        self.nodes.extend([None] * (new_cap - self._capacity))
-        self._capacity = new_cap
-
-    def _grow_front(self, shortfall: int) -> None:
-        # Checkpoint decode creates nodes with explicit (low) ids, so the
-        # base adapts downward; front growth is a one-off per resume.
-        shift = max(shortfall, self._capacity)
-        shift = min(shift, self._base)
-        if shift < shortfall:
-            shift = shortfall  # cannot go below id 0 anyway
-        new_cap = self._capacity + shift
-        for name, dtype, fill in _COLUMNS:
-            col = np.empty(new_cap, dtype=dtype)
-            col.fill(fill)
-            col[shift:] = getattr(self, name)
-            setattr(self, name, col)
-        self.nodes = [None] * shift + self.nodes
-        self._capacity = new_cap
-        self._base -= shift
-        self._used += shift
-
-    def _ensure(self, node_id: int) -> int:
-        if self._base is None:
-            self._base = node_id
-            self._alloc(1024)
-        i = node_id - self._base
-        if i < 0:
-            self._grow_front(-i)
-            i = node_id - self._base
-        elif i >= self._capacity:
-            self._grow_back(i + 1)
-        if i >= self._used:
-            self._used = i + 1
-        return i
-
-    def _index_of(self, node) -> int:
-        """Row of a live node, or -1 when the mirror cannot vouch for it."""
-        base = self._base
-        if base is None:
-            return -1
-        i = node.id - base
-        if 0 <= i < self._used and self.nodes[i] is node:
-            return i
-        return -1
 
     def _buffer_code(self, buffer) -> int:
         code = self._buffer_code_of.get(buffer.name)
@@ -243,119 +178,6 @@ class SoaTree:
             code = self._load_code_of[name] = len(self._load_names)
             self._load_names.append(name)
         return code
-
-    # ------------------------------------------------------------------
-    # Recorder hooks
-    # ------------------------------------------------------------------
-
-    def on_create(self, node) -> None:
-        i = self._ensure(node.id)
-        self.kind[i] = _CODE_OF[node.kind]
-        loc = node.location
-        self.x[i] = loc.x
-        self.y[i] = loc.y
-        self.cap[i] = node.cap
-        if node.buffer is not None:
-            self.buf_code[i] = self._buffer_code(node.buffer)
-        self.nodes[i] = node
-
-    def on_attach(self, parent, child) -> None:
-        base = self._base
-        pi = parent.id - base
-        ci = child.id - base
-        if not (
-            0 <= pi < self._used
-            and 0 <= ci < self._used
-            and self.nodes[pi] is parent
-            and self.nodes[ci] is child
-        ):
-            raise RuntimeError("attach of a node the mirror never saw")
-        self.parent[ci] = parent.id
-        self.wire[ci] = child.wire_to_parent
-        last = int(self.last_child[pi])
-        if last < 0:
-            self.first_child[pi] = child.id
-        else:
-            self.next_sib[last - base] = child.id
-            self.prev_sib[ci] = last
-        self.last_child[pi] = child.id
-        self.n_children[pi] += 1
-
-    def on_detach(self, parent, child) -> None:
-        base = self._base
-        pi = parent.id - base
-        ci = child.id - base
-        if not (
-            0 <= pi < self._used
-            and 0 <= ci < self._used
-            and self.nodes[pi] is parent
-            and self.nodes[ci] is child
-        ):
-            raise RuntimeError("detach of a node the mirror never saw")
-        prev = int(self.prev_sib[ci])
-        nxt = int(self.next_sib[ci])
-        if prev < 0:
-            self.first_child[pi] = nxt
-        else:
-            self.next_sib[prev - base] = nxt
-        if nxt < 0:
-            self.last_child[pi] = prev
-        else:
-            self.prev_sib[nxt - base] = prev
-        self.parent[ci] = -1
-        self.prev_sib[ci] = -1
-        self.next_sib[ci] = -1
-        self.wire[ci] = 0.0
-        self.n_children[pi] -= 1
-
-    # ------------------------------------------------------------------
-    # Renumbering
-    # ------------------------------------------------------------------
-
-    def remap_ids(self, mapping: dict[int, int]) -> None:
-        """Follow a serial-order renumbering (see ``parallel_merge``).
-
-        The mapping is an identity-dropped permutation over the level's
-        consumed id spans (keys set == values set), so scattering every
-        mapped row to its target covers exactly the moved positions.
-        Garbage (unreachable) nodes are scattered too — their objects
-        keep the old id, so any later lookup fails the identity check
-        and falls back, which is correct because they are never queried.
-        """
-        if not mapping or self._base is None:
-            return
-        base = self._base
-        used = self._used
-        n = len(mapping)
-        old = np.fromiter(mapping.keys(), dtype=np.int64, count=n)
-        new = np.fromiter(mapping.values(), dtype=np.int64, count=n)
-        if (
-            int(old.min()) < base
-            or int(old.max()) >= base + used
-            or int(new.min()) < base
-            or int(new.max()) >= base + used
-        ):
-            raise RuntimeError("renumbering outside the mirrored id range")
-        perm = np.arange(base, base + used, dtype=np.int64)
-        perm[old - base] = new
-        for name in _REF_COLUMNS:
-            col = getattr(self, name)
-            view = col[:used]
-            mask = view >= 0
-            view[mask] = perm[view[mask] - base]
-        oi = old - base
-        ni = new - base
-        moved_nodes = [self.nodes[i] for i in oi.tolist()]
-        for name, __, __f in _COLUMNS:
-            col = getattr(self, name)
-            col[ni] = col[oi]
-        for row, node in zip(ni.tolist(), moved_nodes):
-            self.nodes[row] = node
-        seq = self._bufseq
-        moved = [node_id for node_id in seq if node_id in mapping]
-        entries = [(node_id, seq.pop(node_id)) for node_id in moved]
-        for node_id, codes in entries:
-            seq[mapping[node_id]] = codes
 
     # ------------------------------------------------------------------
     # Flat stage tracing
@@ -384,9 +206,9 @@ class SoaTree:
                 return length, node, kids
             raise ValueError(f"unexpected {kind} inside a stage")
 
-    def _build_flat(self, i: int, engine) -> int:
-        """Trace and cache the flat stage below row ``i``; returns state."""
-        node = self.nodes[i]
+    def _build_flat(self, i: int, node, engine) -> int:
+        """Trace and cache the flat stage below ``node`` (row ``i``);
+        returns its state."""
         children = node.children
         try:
             if not children:
@@ -401,8 +223,9 @@ class SoaTree:
                     length, end, split = 0.0, node, children
                 if split is None:
                     cap = engine._load_cap_of(end)
+                    end_row = self._row(end)
                     self.fs_stem[i] = length
-                    self.fs_lend[i] = end.id
+                    self.fs_lend[i] = end_row
                     self.fs_lkind[i] = _CODE_OF[end.kind]
                     self.fs_lcap[i] = cap
                     self.fs_lload[i] = self._load_code(
@@ -417,11 +240,13 @@ class SoaTree:
                         split[1], split[1].wire_to_parent
                     )
                     if l_split is None and r_split is None:
+                        l_row = self._row(l_end)
+                        r_row = self._row(r_end)
                         self.fs_stem[i] = length
                         self.fs_llen[i] = l_len
                         self.fs_rlen[i] = r_len
-                        self.fs_lend[i] = l_end.id
-                        self.fs_rend[i] = r_end.id
+                        self.fs_lend[i] = l_row
+                        self.fs_rend[i] = r_row
                         self.fs_lkind[i] = _CODE_OF[l_end.kind]
                         self.fs_rkind[i] = _CODE_OF[r_end.kind]
                         self.fs_lcap[i] = engine._load_cap_of(l_end)
@@ -434,7 +259,7 @@ class SoaTree:
         except ValueError:
             # Malformed stage (e.g. a SOURCE inside): classify deep so
             # the scalar recursion raises the error at evaluation time,
-            # exactly as an unmirrored engine would.
+            # exactly as an engine with no cache would.
             state = _FS_DEEP
         self.fs_state[i] = state
         return state
@@ -447,9 +272,9 @@ class SoaTree:
         """Fill missing bounds buckets from the columns.
 
         The miss path of ``subtree_bounds_many``: stored values are
-        bit-identical to the scalar recursion's. Jobs whose stage shape
-        is not mirrored or not flat take that recursion directly, so on
-        return *every* requested bucket is cached.
+        bit-identical to the scalar recursion's. Jobs whose stage is not
+        flat take that recursion directly, so on return *every*
+        requested bucket is cached.
         """
         # Iterative wavefront: each pass groups and fit-evaluates one
         # depth of jobs, and rows ending in buffers enqueue their
@@ -463,15 +288,13 @@ class SoaTree:
         while pending:
             evaluated = self._evaluate_jobs(engine, pending)
             passes.append(evaluated)
-            wavefront: dict[int, set[int]] = {}
+            wavefront: dict = {}
             for entry in evaluated:
                 self._scan_wavefront(engine, wavefront, entry[6])
                 self._scan_wavefront(engine, wavefront, entry[7])
-            nodes = self.nodes
-            base = self._base
             pending = [
-                ("b", nodes[node_id - base], sorted(buckets), None)
-                for node_id, buckets in wavefront.items()
+                ("b", node, sorted(buckets), None)
+                for node, buckets in wavefront.items()
             ]
         for evaluated in reversed(passes):
             self._finalize_pass(engine, evaluated)
@@ -485,15 +308,10 @@ class SoaTree:
         branches: dict[tuple, list] = {}
         for job in jobs:
             job_kind, node, buckets, vdrive = job
-            i = self._index_of(node)
-            if i < 0:
-                slow.append(job)
-                continue
-            # Columns exist only once the mirror has recorded a node, and
-            # then ``_index_of`` vouches for the row.
+            i = self._row(node)
             state = int(self.fs_state[i])
             if state == _FS_UNKNOWN:
-                state = self._build_flat(i, engine)
+                state = self._build_flat(i, node, engine)
             if state == _FS_DEEP:
                 slow.append(job)
                 continue
@@ -509,11 +327,7 @@ class SoaTree:
                     if key not in cache:
                         cache[key] = SubtreeBounds(0.0, 0.0, 0.0)
                 continue
-            drive = (
-                self._buffer_names[int(self.buf_code[i])]
-                if include
-                else vdrive
-            )
+            drive = node.buffer.name if include else vdrive
             if state == _FS_SINGLE:
                 group = singles.setdefault(
                     (drive, int(self.fs_lload[i]), include), ([], [], [])
@@ -547,8 +361,7 @@ class SoaTree:
                 rows_i.append(i)
                 rows_b.append(bucket)
                 rows_id.append(node_id)
-        # Unmirrored and deep stages take the scalar recursion, which
-        # fills (and memoizes) every bucket below them on the way.
+        # Deep stages take the scalar recursion, which fills (and memoizes) every bucket below them on the way.
         for job_kind, node, buckets, vdrive in slow:
             for bucket in buckets:
                 if job_kind == "b":
@@ -747,8 +560,8 @@ class SoaTree:
     def _side_buckets(self, ends, kinds, slews):
         """Bucket rows of one evaluated side's buffer ends.
 
-        Returns ``(rows, end ids, k, frac, slews)`` — compacted to the
-        buffer rows — or None when the side has none. ``slew /
+        Returns ``(rows, end nodes, end ids, k, frac, slews)`` —
+        compacted to the buffer rows — or None when the side has none. ``slew /
         SLEW_QUANTUM``, ``int`` truncation and ``q - k`` are evaluated
         element-wise with the scalar bucket math's float ops (positive
         slews, so ``astype`` truncation equals ``int()``).
@@ -760,9 +573,12 @@ class SoaTree:
         q = picked / SLEW_QUANTUM
         ks = q.astype(np.int64)
         frac = q - ks
+        nodes = self._nodes
+        end_nodes = [nodes[row] for row in ends[rows].tolist()]
         return (
             rows,
-            ends[rows].tolist(),
+            end_nodes,
+            [node.id for node in end_nodes],
             ks.tolist(),
             frac.tolist(),
             picked.tolist(),
@@ -772,12 +588,12 @@ class SoaTree:
         if buckets is None:
             return
         cache = engine._bounds_cache
-        __, ids, ks, fracs, __s = buckets
-        for end_id, k, frac in zip(ids, ks, fracs):
+        __, ends, ids, ks, fracs, __s = buckets
+        for end, end_id, k, frac in zip(ends, ids, ks, fracs):
             if (end_id, k) not in cache:
-                wavefront.setdefault(end_id, set()).add(k)
+                wavefront.setdefault(end, set()).add(k)
             if frac != 0.0 and (end_id, k + 1) not in cache:
-                wavefront.setdefault(end_id, set()).add(k + 1)
+                wavefront.setdefault(end, set()).add(k + 1)
 
     def _below_bounds(self, engine, n, buckets):
         """Interpolated sub-bounds for buffer ends (zeros elsewhere).
@@ -790,27 +606,21 @@ class SoaTree:
         b_max = np.zeros(n)
         b_worst = np.zeros(n)
         if buckets is not None:
-            rows, ids, ks, fracs, slews = buckets
+            rows, ends, ids, ks, fracs, slews = buckets
             cache = engine._bounds_cache
-            base = self._base
-            nodes = self.nodes
             mins: list[float] = []
             maxes: list[float] = []
             worsts: list[float] = []
-            for end_id, k, frac, slew in zip(ids, ks, fracs, slews):
+            for end, end_id, k, frac, slew in zip(ends, ids, ks, fracs, slews):
                 lo = cache.get((end_id, k))
                 if lo is None:
-                    below = engine.buffer_subtree_bounds(
-                        nodes[end_id - base], slew
-                    )
+                    below = engine.buffer_subtree_bounds(end, slew)
                 elif frac == 0.0:
                     below = lo
                 else:
                     hi = cache.get((end_id, k + 1))
                     if hi is None:
-                        below = engine.buffer_subtree_bounds(
-                            nodes[end_id - base], slew
-                        )
+                        below = engine.buffer_subtree_bounds(end, slew)
                     else:
                         below = (
                             lo[0] + (hi[0] - lo[0]) * frac,
@@ -917,18 +727,18 @@ class SoaTree:
         above nodes whose collapsed cap was already cached.
         """
         seq = self._bufseq
-        cached = seq.get(node.id)
+        cached = seq.get(node)
         if cached is not None:
             return cached
         stack = [(node, False)]
         while stack:
             current, ready = stack.pop()
-            if current.id in seq:
+            if current in seq:
                 continue
             if not ready:
                 stack.append((current, True))
                 for child in current.children:
-                    if child.id not in seq:
+                    if child not in seq:
                         stack.append((child, False))
             else:
                 parts = []
@@ -937,9 +747,9 @@ class SoaTree:
                         bytes((self._buffer_code(current.buffer),))
                     )
                 for child in reversed(current.children):
-                    parts.append(seq[child.id])
-                seq[current.id] = b"".join(parts)
-        return seq[node.id]
+                    parts.append(seq[child])
+                seq[current] = b"".join(parts)
+        return seq[node]
 
     def _collapsed_cap(self, node, engine) -> float:
         """Bit-exact twin of the ``_load_cap_of`` miss path for a
@@ -962,34 +772,3 @@ class SoaTree:
                 total += caps[code]
         return total
 
-    # ------------------------------------------------------------------
-    # Diagnostics (tests)
-    # ------------------------------------------------------------------
-
-    def assert_mirrors(self, root) -> None:
-        """Walk ``root``'s subtree and verify the mirror agrees row by
-        row (topology links and payload). Test helper."""
-        base = self._base
-        for node in root.walk():
-            i = node.id - base
-            assert 0 <= i < self._used and self.nodes[i] is node, node
-            assert int(self.kind[i]) == _CODE_OF[node.kind], node
-            assert self.x[i] == node.location.x, node
-            assert self.y[i] == node.location.y, node
-            assert self.cap[i] == node.cap, node
-            assert self.wire[i] == node.wire_to_parent, node
-            expected_parent = node.parent.id if node.parent is not None else -1
-            assert int(self.parent[i]) == expected_parent, node
-            assert int(self.n_children[i]) == len(node.children), node
-            child_ids = []
-            child = int(self.first_child[i])
-            while child >= 0:
-                child_ids.append(child)
-                child = int(self.next_sib[child - base])
-            assert child_ids == [c.id for c in node.children], node
-            back_ids = []
-            child = int(self.last_child[i])
-            while child >= 0:
-                back_ids.append(child)
-                child = int(self.prev_sib[child - base])
-            assert back_ids == [c.id for c in reversed(node.children)], node

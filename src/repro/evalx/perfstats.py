@@ -9,7 +9,8 @@ full synthesis runs with two engines:
 - ``reference``: the retained seed implementations (cell-by-cell
   ``block``, queue BFS, O(n^2) matching, interpreted fit evaluation,
   every merge routed and committed on its own, node objects walked
-  without the structure-of-arrays mirror) running inside the same flow.
+  without the structure-of-arrays flat-stage cache) running inside the
+  same flow.
 
 ``collect_scaling`` produces a JSON-ready payload with per-scenario
 seconds and reference/vectorized speedups; ``write_scaling_json`` emits
@@ -156,8 +157,8 @@ def commit_pair_by_pair(scheduler, states, spans):
 
 def synthesize_without_mirror(cts, sinks, source_location=None):
     """``AggressiveBufferedCTS.synthesize`` with no structure-of-arrays
-    mirror installed, so the commit phase walks node objects as the
-    seed did."""
+    flat-stage cache attached, so the commit phase walks node objects as
+    the seed did."""
     return cts._synthesize(sinks, source_location)
 
 
@@ -171,7 +172,7 @@ def reference_engine():
     and the level committer (the seed routed and committed pair by pair,
     so every batch of every level, H-structure candidate sweeps
     included, goes through the single-pair ``route_plan`` and
-    ``run_scalar``) and ``synthesize`` (the seed had no tree mirror);
+    ``run_scalar``) and ``synthesize`` (the seed had no flat-stage cache);
     the caller must construct its CTS (and hence its library) inside
     this context so the interpreted evaluators take effect.
     """

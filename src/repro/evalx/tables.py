@@ -32,8 +32,3 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(render(row) for row in str_rows)
     return "\n".join(lines)
-
-
-def ratio_str(ours: float, paper: float) -> str:
-    """'ours (paper)' convenience for side-by-side columns."""
-    return f"{ours:.1f} ({paper:.1f})"

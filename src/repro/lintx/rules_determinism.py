@@ -106,16 +106,6 @@ class ImportMap:
         return ".".join(reversed(parts))
 
 
-def enclosing_statement(node: ast.AST) -> ast.AST:
-    current = node
-    while not isinstance(current, ast.stmt):
-        up = parent_of(current)
-        if up is None:
-            break
-        current = up
-    return current
-
-
 def has_order_insensitive_ancestor(
     node: ast.AST, imports: ImportMap
 ) -> bool:

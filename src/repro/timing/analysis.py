@@ -144,14 +144,17 @@ class LibraryTimingEngine:
         #: subtree_bounds_many diagnostics (batched commit phase).
         self.bounds_cache_hits = 0
         self.bounds_cache_misses = 0
-        #: Optional structure-of-arrays mirror (repro.core.soa_tree).
-        #: When attached, ``subtree_bounds_many`` fills its missing
-        #: buckets from the mirror's columns (bit-identical to the scalar
-        #: recursion); without one every miss takes the scalar recursion.
+        #: Optional structure-of-arrays flat-stage cache
+        #: (repro.core.soa_tree). When attached, ``subtree_bounds_many``
+        #: fills its missing buckets from the cache's columns
+        #: (bit-identical to the scalar recursion); without one every miss
+        #: takes the scalar recursion.
         self._soa = None
 
     def attach_soa(self, soa) -> None:
-        """Install (or clear, with None) the structure-of-arrays mirror."""
+        """Install (or clear, with None) the structure-of-arrays
+        flat-stage cache. Its rows are keyed by node identity, so it may
+        be attached before or after the queried trees are built."""
         self._soa = soa
 
     # ------------------------------------------------------------------
@@ -338,7 +341,8 @@ class LibraryTimingEngine:
         a later node could hit a stale entry under its reassigned id.
         Every moved id belongs to a node created since ``marks`` (see
         :meth:`cache_marks`) were taken, so only the entries added since
-        are scanned.
+        are scanned. An attached flat-stage cache keys its rows by node
+        identity and needs no remap.
         """
         if not mapping:
             return
@@ -361,8 +365,6 @@ class LibraryTimingEngine:
         entries = [(node_id, self._cap_cache.pop(node_id)) for node_id in moved]
         for node_id, cap in entries:
             self._cap_cache[mapping[node_id]] = cap
-        if self._soa is not None:
-            self._soa.remap_ids(mapping)
 
     @staticmethod
     def _buckets_of(slew: float) -> tuple[int, float]:
@@ -506,8 +508,8 @@ class LibraryTimingEngine:
         """Batched :meth:`subtree_bounds` over (node, input slew) items.
 
         Counts cache hits and misses per bucket. With a structure-of-arrays
-        mirror attached, every bucket any item misses is handed to
-        :meth:`~repro.core.soa_tree.SoaTree.prefill_bounds` as one job
+        flat-stage cache attached, every bucket any item misses is handed
+        to :meth:`~repro.core.soa_tree.SoaTree.prefill_bounds` as one job
         list; without one, the per-item :meth:`subtree_bounds` calls fill
         the misses through the scalar recursion. Either way each answer is
         bit for bit what a per-item scalar call would return, because

@@ -38,28 +38,6 @@ class _NodeIdCounter:
 
 _node_ids = _NodeIdCounter()
 
-#: Optional structure-of-arrays mirror (repro.core.soa_tree.SoaTree).
-#: When installed, every node creation / attach / detach is echoed into
-#: flat columns so the commit phase can evaluate whole levels from
-#: arrays. ``None`` (the default) keeps TreeNode overhead at one global
-#: load per surgery op.
-_RECORDER = None
-
-
-def set_tree_recorder(recorder):
-    """Install a tree-surgery recorder; returns the previous one.
-
-    The synthesis flow installs its :class:`~repro.core.soa_tree.SoaTree`
-    for the duration of one run and restores the previous recorder in a
-    ``finally`` block, so nested or sequential runs never observe each
-    other's mirrors.
-    """
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = recorder
-    return previous
-
-
 def peek_node_id() -> int:
     """The id the next created :class:`TreeNode` will receive."""
     return _node_ids.peek()
@@ -116,8 +94,6 @@ class TreeNode:
             raise ValueError(f"{self.kind} node cannot carry a buffer")
         if self.kind is not NodeKind.SINK and self.cap:
             raise ValueError(f"{self.kind} node cannot carry sink cap")
-        if _RECORDER is not None:
-            _RECORDER.on_create(self)
 
     def __repr__(self) -> str:
         extra = f" buf={self.buffer.name}" if self.buffer else ""
@@ -145,19 +121,14 @@ class TreeNode:
         child.parent = self
         child.wire_to_parent = wire_length
         self.children.append(child)
-        if _RECORDER is not None:
-            _RECORDER.on_attach(self, child)
         return child
 
     def detach(self) -> "TreeNode":
         """Remove this node from its parent; returns self (now a root)."""
         if self.parent is not None:
-            parent = self.parent
-            parent.children.remove(self)
+            self.parent.children.remove(self)
             self.parent = None
             self.wire_to_parent = 0.0
-            if _RECORDER is not None:
-                _RECORDER.on_detach(parent, self)
         return self
 
     # ------------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.tree.nodes import (
     make_merge,
     make_sink,
     make_steiner,
-    set_tree_recorder,
 )
 
 from tests.conftest import make_sink_pairs, synthesize_signature
@@ -187,36 +186,41 @@ class TestBatchedQueryAPIs:
         head.attach(top)
         return head
 
-    @pytest.mark.parametrize("mirror", ["before", "after"])
+    @pytest.mark.parametrize("cache", ["before", "after"])
     def test_subtree_bounds_many_matches_scalar(
-        self, library, tech, buffers, mirror
+        self, library, tech, buffers, cache
     ):
         """The batched fill stores the scalar recursion's values, bit for bit.
 
-        ``before``: the mirror records the trees as they are built, so the
-        flat stages take its column kernel and the deep stage the scalar
-        recursion. ``after``: the mirror is attached to trees it never
-        saw, so every job is unmirrored.
+        ``before``: the flat-stage cache is attached to the engine that
+        builds the trees, which then answers the batched query with its
+        build-time bounds caches warm. ``after``: the cache is attached
+        to a fresh engine once the trees exist. Either way the flat
+        stages take the column kernel and the deep stage the scalar
+        recursion.
         """
         from repro.core.merge_routing import MergeRouter
 
         soa = SoaTree()
-        previous = set_tree_recorder(soa if mirror == "before" else None)
-        try:
-            engine = LibraryTimingEngine(library, tech)
-            router = MergeRouter(tech, library, buffers, engine, CTSOptions())
-            root = router.merge(
-                router.merge(make_sink(Point(0, 0), 8e-15), make_sink(Point(7000, 0), 8e-15)),
-                make_sink(Point(3000, 9000), 6e-15),
-            )
-            deep = self._deep_stage(buffers)
-        finally:
-            set_tree_recorder(previous)
+        engine = LibraryTimingEngine(library, tech)
+        if cache == "before":
+            engine.attach_soa(soa)
+        router = MergeRouter(tech, library, buffers, engine, CTSOptions())
+        root = router.merge(
+            router.merge(make_sink(Point(0, 0), 8e-15), make_sink(Point(7000, 0), 8e-15)),
+            make_sink(Point(3000, 9000), 6e-15),
+        )
+        deep = self._deep_stage(buffers)
         nodes = list(root.walk()) + list(deep.walk())
-        probe = LibraryTimingEngine(library, tech)
-        probe.attach_soa(soa)
+        if cache == "before":
+            probe = engine
+        else:
+            probe = LibraryTimingEngine(library, tech)
+            probe.attach_soa(soa)
         items = [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
         batched = probe.subtree_bounds_many(items)
+        # The misses went through the kernel, which gave their nodes rows.
+        assert soa._row_of
         fresh = LibraryTimingEngine(library, tech)
         scalar = [fresh.subtree_bounds(node, slew) for node, slew in items]
         assert batched == scalar

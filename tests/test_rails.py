@@ -209,7 +209,7 @@ def ci_jobs() -> dict[str, list[str]]:
 class TestCI:
     def test_lint_job_gates_tier1(self):
         jobs = ci_jobs()
-        for paths in ("src", "tests benchmarks"):
+        for paths in ("src", "tests benchmarks examples"):
             assert (
                 f"run: PYTHONPATH=src python -m repro.lintx {paths}"
                 " --fail-on warning" in jobs["lint"]

@@ -1,13 +1,15 @@
-"""Structure-of-arrays tree mirror: round-trip, kernels, end to end.
+"""Structure-of-arrays flat-stage cache: identity-keyed rows, kernels,
+end to end.
 
-The mirror (:mod:`repro.core.soa_tree`) echoes every node creation /
-attach / detach into flat numpy columns and answers the commit phase's
-bounds-bucket prefill, collapsed caps and forced-stage-buffer decisions
-from them. Its contract is bit-identity with the object walks it
-replaces — compared in the same run against a synthesis with no mirror
-installed (:func:`repro.evalx.perfstats.synthesize_without_mirror`) —
-so every test here reduces to exact equality — signatures, cache
-values, rows — never approx.
+The cache (:mod:`repro.core.soa_tree`) gives every node the commit
+kernels query a row of numpy columns, keyed by node identity, and
+answers the commit phase's bounds-bucket prefill, collapsed caps and
+forced-stage-buffer decisions from them. Its contract is bit-identity
+with the object walks it replaces — compared in the same run against a
+synthesis with no cache attached
+(:func:`repro.evalx.perfstats.synthesize_without_mirror`) or against a
+fresh scalar engine — so every test here reduces to exact equality —
+signatures, cache values, rows — never approx.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from repro.core.checkpoint import _iter_preorder
 from repro.core.cts import AggressiveBufferedCTS
 from repro.core.options import CTSOptions
+from repro.core.parallel_merge import renumber_subtrees
 from repro.core.soa_tree import SoaTree
 from repro.evalx.faultinject import reset_plans
 from repro.evalx.perfstats import (
@@ -26,16 +29,15 @@ from repro.evalx.perfstats import (
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.tech import cts_buffer_library
-from repro.timing.analysis import SLEW_QUANTUM
+from repro.timing.analysis import SLEW_QUANTUM, LibraryTimingEngine
 from repro.tree.export import tree_signature
 from repro.tree.nodes import (
     NodeKind,
+    TreeNode,
     make_buffer,
     make_merge,
     make_sink,
-    make_source,
     peek_node_id,
-    set_tree_recorder,
 )
 
 from tests.conftest import make_sink_pairs, synthesize_signature
@@ -77,17 +79,6 @@ def blocked_sinks(n, seed):
     return sinks
 
 
-@pytest.fixture()
-def recorded():
-    """A fresh mirror installed as the tree recorder for one test."""
-    soa = SoaTree()
-    previous = set_tree_recorder(soa)
-    try:
-        yield soa
-    finally:
-        set_tree_recorder(previous)
-
-
 def object_checkpoint_rows(root):
     """The node rows ``checkpoint._encode_subtree`` writes for ``root``."""
     return [
@@ -106,8 +97,32 @@ def object_checkpoint_rows(root):
     ]
 
 
-class TestMirrorRoundTrip:
-    """Random surgery round-trips through the columns bit-exactly."""
+def rebuild(rows, buffers, wire_scale=1.0):
+    """Decode checkpoint node rows into a fresh tree, as a resumed run
+    does: every node keeps its explicit id. ``wire_scale`` > 1 snakes
+    every wire, giving a tree whose ids match but whose timing does not.
+    """
+    by_id = {}
+    root = None
+    for node_id, kind, name, x, y, wire, cap, buf_name, parent_id in rows:
+        node = TreeNode(
+            kind=NodeKind(kind),
+            location=Point(x, y),
+            name=name,
+            cap=cap,
+            buffer=buffers[buf_name] if buf_name is not None else None,
+            id=node_id,
+        )
+        by_id[node_id] = node
+        if root is None:
+            root = node  # preorder: the subtree root comes first
+        else:
+            by_id[parent_id].attach(node, wire * wire_scale)
+    return root
+
+
+class TestCheckpointRoundTrip:
+    """Trees built by random surgery rebuild from their checkpoint rows."""
 
     def _random_forest(self, rng, buffers):
         names = list(buffers.names)
@@ -161,53 +176,95 @@ class TestMirrorRoundTrip:
                     roots.append(picked.detach())
         return roots
 
-    def test_random_surgery_mirrors_and_round_trips(self, recorded):
+    def test_random_surgery_rebuilds_from_checkpoint_rows(self):
+        # Rebuilding from the checkpoint rows (as a resumed run decodes
+        # them) reproduces the tree signature exactly.
         rng = np.random.default_rng(17)
         buffers = cts_buffer_library()
         roots = self._random_forest(rng, buffers)
-        for root in roots:
-            recorded.assert_mirrors(root)
-        # Round-trip: rebuilding from the checkpoint rows with the
-        # mirror installed (as a resumed run decodes them) reproduces
-        # the tree signature exactly.
         root = max(roots, key=lambda r: len(list(r.walk())))
         rows = object_checkpoint_rows(root)
-        rebuilt = self._rebuild(rows, buffers)
+        rebuilt = rebuild(rows, buffers)
         base = min(r[0] for r in rows)
         assert tree_signature(rebuilt, base) == tree_signature(root, base)
 
-    def _rebuild(self, rows, buffers):
-        from repro.tree.nodes import TreeNode
 
-        by_id = {}
-        root = None
-        for node_id, kind, name, x, y, wire, cap, buf_name, parent_id in rows:
-            node = TreeNode(
-                kind=NodeKind(kind),
-                location=Point(x, y),
-                name=name,
-                cap=cap,
-                buffer=buffers[buf_name] if buf_name is not None else None,
-                id=node_id,
+class TestIdentityKeyedRows:
+    """Rows follow node objects, never node ids."""
+
+    def _stage_roots(self):
+        """The non-sink nodes of a synthesized tree below its source."""
+        sinks = blocked_sinks(14, seed=31)
+        __, result, __c = synth(sinks, blockages=BLOCKAGES)
+        (top,) = result.tree.root.children
+        nodes = [n for n in top.walk() if n.kind is not NodeKind.SINK]
+        assert any(n.kind is NodeKind.BUFFER for n in nodes)
+        assert any(n.kind is NodeKind.MERGE for n in nodes)
+        return top, nodes
+
+    def test_renumbered_nodes_served_from_earlier_rows(self, library, tech):
+        top, nodes = self._stage_roots()
+        soa = SoaTree()
+        engine = LibraryTimingEngine(library, tech)
+        engine.attach_soa(soa)
+        engine.subtree_bounds_many(
+            [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
+        )
+        rows = len(soa._row_of)
+        assert rows
+        # Reverse the subtree's ids: every old id becomes another node's.
+        ids = sorted(node.id for node in top.walk())
+        mapping = {
+            old: new for old, new in zip(ids, reversed(ids)) if old != new
+        }
+        renumber_subtrees([top], mapping, engine, ids[0], (0, 0, 0))
+        items = [(node, 97e-12 + 0.53e-12 * i) for i, node in enumerate(nodes)]
+        misses = engine.bounds_cache_misses
+        got = engine.subtree_bounds_many(items)
+        assert engine.bounds_cache_misses > misses
+        fresh = LibraryTimingEngine(library, tech)
+        assert got == [fresh.subtree_bounds(node, slew) for node, slew in items]
+        # The new buckets were filled from the rows traced before the
+        # renumbering, and each is stored under its node's new id.
+        assert len(soa._row_of) == rows
+        by_id = {node.id: node for node in top.walk()}
+        for (node_id, bucket), value in engine._bounds_cache.items():
+            assert fresh._buffer_bucket_bounds(by_id[node_id], bucket) == value
+        for (node_id, bucket, drive), value in engine._vbounds_cache.items():
+            assert (
+                fresh._virtual_bucket_bounds(by_id[node_id], bucket, drive)
+                == value
             )
-            by_id[node_id] = node
-            if parent_id is None:
-                root = node
-            else:
-                by_id[parent_id].attach(node, wire)
-        return root
 
-    def test_source_seeding_and_detach(self, recorded, buf_lib=None):
-        buffers = cts_buffer_library()
-        sink = make_sink(Point(100.0, 0.0), 5e-15, "s0")
-        buf = make_buffer(Point(50.0, 0.0), buffers["BUF20X"])
-        buf.attach(sink)
-        src = make_source(Point(0.0, 0.0))
-        src.attach(buf)
-        recorded.assert_mirrors(src)
-        buf.detach()
-        recorded.assert_mirrors(src)
-        recorded.assert_mirrors(buf)
+    def test_equal_ids_get_separate_rows(self, library, tech, buffers):
+        top, nodes = self._stage_roots()
+        # A decoded copy shares every id with the original; its snaked
+        # wires give it different bounds.
+        copy = rebuild(object_checkpoint_rows(top), buffers, wire_scale=1.25)
+        copies = [n for n in copy.walk() if n.kind is not NodeKind.SINK]
+        assert [n.id for n in copies] == [n.id for n in nodes]
+        soa = SoaTree()
+        answers = []
+        for tree_nodes in (nodes, copies):
+            # The engine's own caches are id-keyed, so each tree gets its
+            # own engine; the flat-stage cache is shared.
+            engine = LibraryTimingEngine(library, tech)
+            engine.attach_soa(soa)
+            items = [
+                (node, 80e-12 + 0.37e-12 * i)
+                for i, node in enumerate(tree_nodes)
+            ]
+            got = engine.subtree_bounds_many(items)
+            fresh = LibraryTimingEngine(library, tech)
+            assert got == [
+                fresh.subtree_bounds(node, slew) for node, slew in items
+            ]
+            answers.append(got)
+        # A row shared by id would have served one tree the other's
+        # stages, whose answers differ.
+        assert answers[0] != answers[1]
+        rows = {soa._row_of[node] for node in nodes + copies}
+        assert len(rows) == 2 * len(nodes)
 
 
 class TestKernelEquality:
@@ -225,7 +282,7 @@ class TestKernelEquality:
 
         soa_bounds = rebase(cts_soa.engine._bounds_cache, base_soa)
         obj_bounds = rebase(cts_obj.engine._bounds_cache, base_obj)
-        # The mirror may prefetch extra buckets (pure functions of the
+        # The cache may prefetch extra buckets (pure functions of the
         # key); everything the object walk computed must be present and
         # bit-identical.
         assert set(obj_bounds) <= set(soa_bounds)
@@ -235,7 +292,7 @@ class TestKernelEquality:
         assert set(obj_v) <= set(soa_v)
         assert all(soa_v[k] == v for k, v in obj_v.items())
 
-    def test_collapsed_cap_bit_exact(self, recorded, engine):
+    def test_collapsed_cap_bit_exact(self, engine):
         buffers = cts_buffer_library()
         rng = np.random.default_rng(5)
         sinks = [
@@ -258,8 +315,9 @@ class TestKernelEquality:
         m2 = make_merge(Point(2500.0, 2500.0))
         m2.attach(m1)
         m2.attach(sinks[3])
+        soa = SoaTree()
         for node in (m0, m1, m2):
-            fast = recorded._collapsed_cap(node, engine)
+            fast = soa._collapsed_cap(node, engine)
             engine._cap_cache.pop(node.id, None)
             slow = engine._load_cap_of(node)
             assert fast == slow
@@ -303,8 +361,8 @@ class TestQuantumBoundary:
 
 
 class TestEndToEnd:
-    """Mirror installed / not installed / resumed: identical trees,
-    stats and queries."""
+    """Cache attached / not attached / resumed: identical trees, stats
+    and queries."""
 
     def test_serial_identical(self):
         sinks, source, blockages = scaling_scenario(80, True, seed=7)
@@ -318,7 +376,7 @@ class TestEndToEnd:
         assert soa.commit_queries == obj.commit_queries
 
     def test_resumed_identical(self):
-        # Resume decodes the checkpoint's nodes under the mirror; a
+        # Resume decodes the checkpoint's nodes with explicit ids; a
         # halt + resume must land on the clean run's tree.
         eq = checkpoint_resume_equivalence(
             n_sinks=60, with_blockages=True, seed=11, halt_after=2
