@@ -9,7 +9,8 @@ implementations, then emits ``benchmarks/results/BENCH_cts_scaling.json``
 Shape claims:
 - every scenario completes and reports positive wall-clock seconds;
 - reference rows route and commit every level pair by pair (no
-  lockstep search or commit round), as the seed did;
+  lockstep search, expansion, finishing or commit round), as the seed
+  did;
 - wherever the reference baseline was timed at >= 200 sinks, the
   vectorized engine is faster;
 - on the 1000-sink blockage scenario (the acceptance scenario, present
@@ -44,11 +45,14 @@ def test_perf_scaling():
     assert {(n, b) for n in sizes for b in (False, True)} <= ran
 
     # The seed had no level router and no lockstep commit: reference
-    # rows must route and commit every level pair by pair, or the
-    # >= 10x gate stops measuring the seed.
+    # rows must route (maze and profile pairs alike) and commit every
+    # level pair by pair, or the >= 10x gate stops measuring the seed.
     for sample in samples:
         if sample["engine"] == "reference":
-            assert sample["route_sharing"]["search_rounds"] == 0, sample
+            sharing = sample["route_sharing"]
+            assert sharing["search_rounds"] == 0, sample
+            assert sharing["expansion_lanes"] == 0, sample
+            assert sharing["finish_batches"] == 0, sample
             assert sample["commit_batch_rounds"] == 0, sample
 
     for row in payload["speedups"]:

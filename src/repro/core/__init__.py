@@ -7,7 +7,10 @@ balance / route / binary-search) + optional H-structure correction
 routing stage: the general bidirectional maze router
 (:mod:`repro.core.maze_router`, blockage-aware) and the distance-profile
 router (:mod:`repro.core.profile_router`, provably equivalent without
-blockages and much faster).
+blockages and much faster). Synthesis routes each level's pairs together
+through :func:`repro.core.grid_cache.route_level`, whose level kernels
+(lockstep window search, lockstep profile expansion, segmented ranking)
+return exactly what the single-pair routers return pair by pair.
 """
 
 from repro.core.options import CTSOptions

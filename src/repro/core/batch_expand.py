@@ -71,7 +71,7 @@ class _Lane:
 class LevelExpansionScheduler:
     """Advance many ``PathBuilder`` expansions through shared rounds.
 
-    One scheduler serves one ``route_level`` call (the whole level). Lanes
+    One scheduler serves one slice of a ``route_level`` call. Lanes
     are registered via :meth:`expand`, which returns the fully expanded
     builders in request order.
     """
@@ -223,27 +223,49 @@ class LevelExpansionScheduler:
                 fn_requests.append((tables, drive, load, "wire_slew"))
             fn_requests.append((tables, self.virtual, load, "wire_delay"))
         self._prime_tables(fn_requests)
+        # Install the binding-level caches directly from the primed
+        # tables — the same vstack/compare/clamp any_feasible and
+        # clamped_wire_delays would run lazily, here over the
+        # concatenation of every fresh binding's tables, minus the
+        # per-drive dispatch (their memoization then serves _bind_load).
+        # Each binding's entries are its slices of the concatenation.
         drives = tuple(self.buffer_names)
-        for key, tables, load in fresh:
-            # Install the binding-level caches directly from the primed
-            # tables — the same vstack/compare/clamp any_feasible and
-            # clamped_wire_delays would run lazily, minus the per-drive
-            # dispatch (their memoization then serves _bind_load).
-            matrix = np.vstack(
-                [tables._cache[(d, load, "wire_slew")] for d in drives]
-            )
-            tables._matrix_cache[(drives, load)] = matrix
-            ok = (matrix <= self.target_slew).any(axis=0)
-            tables._feasible_cache[(drives, load, self.target_slew)] = ok
-            tables.binding_evals += 1
-            vd = np.maximum(
-                tables._cache[(self.virtual, load, "wire_delay")], 0.0
-            )
-            tables._delay_cache[(self.virtual, load)] = vd
-            tables.binding_evals += 1
-            steps = np.arange(ok.size)
-            nf = np.minimum.accumulate(np.where(ok, ok.size, steps)[::-1])[::-1]
-            self._bindings[key] = _Binding(ok, nf, vd)
+        matrix = np.vstack(
+            [
+                np.concatenate(
+                    [t._cache[(d, load, "wire_slew")] for _, t, load in fresh]
+                )
+                for d in drives
+            ]
+        )
+        ok = (matrix <= self.target_slew).any(axis=0)
+        vd = np.maximum(
+            np.concatenate(
+                [
+                    tables._cache[(self.virtual, load, "wire_delay")]
+                    for _, tables, load in fresh
+                ]
+            ),
+            0.0,
+        )
+        sizes = np.array([tables._lengths.size for _, tables, _ in fresh])
+        ends = np.cumsum(sizes)
+        # nf[j] = first index >= j that is infeasible, else the binding's
+        # end. Every entry of a later binding is >= this binding's end,
+        # so one reversed running minimum over the concatenation never
+        # crosses a boundary; subtracting the start localizes it.
+        nf = np.minimum.accumulate(
+            np.where(ok, np.repeat(ends, sizes), np.arange(ends[-1]))[::-1]
+        )[::-1] - np.repeat(ends - sizes, sizes)
+        for (key, tables, load), end, size in zip(
+            fresh, ends.tolist(), sizes.tolist()
+        ):
+            rows = slice(end - size, end)
+            tables._matrix_cache[(drives, load)] = matrix[:, rows]
+            tables._feasible_cache[(drives, load, self.target_slew)] = ok[rows]
+            tables._delay_cache[(self.virtual, load)] = vd[rows]
+            tables.binding_evals += 2
+            self._bindings[key] = _Binding(ok[rows], nf[rows], vd[rows])
 
     def _binding(self, tables: SegmentTables, load: str) -> _Binding:
         return self._bindings[(id(tables), load)]
@@ -349,15 +371,16 @@ class LevelExpansionScheduler:
 def expand_level(primed, library, options, stats) -> list[list[PathBuilder]]:
     """Expand every pair's two delay profiles in lockstep.
 
-    ``primed`` is ``route_level``'s (search job, tables) list; returns
-    one ``[builder1, builder2]`` per entry, expanded through the
-    tables' top step — the profiles the single-pair
-    ``finish_maze_route`` expands lazily for itself.
+    ``primed`` holds one ``(term1, term2, tables)`` entry per pair;
+    returns one ``[builder1, builder2]`` per entry, expanded through the
+    tables' top step — the profiles the single-pair routers
+    (``finish_maze_route``, ``route_profile``) expand lazily for
+    themselves.
     """
     requests: list[tuple[SegmentTables, float, str, int]] = []
-    for job, tables in primed:
+    for term1, term2, tables in primed:
         target = tables.n_steps - 1
-        for term in (job.term1, job.term2):
+        for term in (term1, term2):
             requests.append((tables, term.base_delay, term.load_name, target))
     scheduler = LevelExpansionScheduler(library, options, stats)
     builders = scheduler.expand(requests)

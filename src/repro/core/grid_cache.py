@@ -1,7 +1,8 @@
-"""Shared-window routing: level-scoped grid tiles + cross-pair batching.
+"""Level routing: level-scoped grid tiles + cross-pair batching.
 
 The route phase of one topology level rasterizes, blocks and searches one
-maze window per merge pair. This module is the subsystem that shares that
+maze window per merge pair, or (without blockages) ranks one closed-form
+profile lattice per pair. This module is the subsystem that shares that
 work across the level instead of throwing it away per pair:
 
 - :class:`GridCache` owns the level's **grid tiles**: each distinct
@@ -25,7 +26,11 @@ work across the level instead of throwing it away per pair:
   (:func:`repro.core.batch_expand.expand_level`), whose grouped curve
   rounds evaluate the (drive, load, fn) fit curves over the
   concatenation of all pairs' length grids — one ``partial_curve`` call
-  per distinct triple instead of one per pair per triple.
+  per distinct triple instead of one per pair per triple. Obstacle-free
+  levels skip the search: their slices go to the profile level kernel
+  (:func:`repro.core.profile_router.route_profile_level`), which runs
+  the same scheduler and ranks the pairs' closed-form step fields with
+  the same segmented ranking pass.
 
 - :func:`_finish_level` is the **route-finishing kernel**: every pair's
   co-reached candidate set goes into structure-of-arrays buffers, the
@@ -41,11 +46,12 @@ Bit-identity contract
 A level routed here is byte-identical to routing its pairs one at a time
 through :func:`~repro.core.maze_router.route_maze` (search,
 :class:`~repro.core.segment_builder.PathBuilder` lazy expansion,
-:func:`~repro.core.maze_router.finish_maze_route`), the single-pair path
+:func:`~repro.core.maze_router.finish_maze_route`) or, without blockages,
+:func:`~repro.core.profile_router.route_profile` — the single-pair paths
 of :meth:`~repro.core.merge_routing.MergeRouter.route_plan`:
 
-- window geometry, pitch coarsening, blockage masking and terminal
-  snapping run through the exact same functions;
+- window geometry, pitch coarsening, blockage masking, terminal
+  snapping and the profile lattice run through the exact same functions;
 - BFS answers are per-grid engine calls either way (stacking windows
   into one block-diagonal csgraph call was measured and rejected — see
   :class:`~repro.core.maze_router.BfsEngine`), and path geometry is a
@@ -79,6 +85,7 @@ from repro.core.maze_router import (
     staircase_arrays_many,
 )
 from repro.core.options import CTSOptions
+from repro.core.profile_router import route_profile_level
 from repro.core.routing_common import (
     MAX_SEARCH_ATTEMPTS,
     MAX_WINDOW_CELLS,
@@ -89,7 +96,8 @@ from repro.core.routing_common import (
     build_window,
     coarsen_pitch,
     grow_window,
-    rank_level_cells,
+    rank_profile_rows,
+    row_chunks,
     snap_cells,
     uses_maze_router,
 )
@@ -100,7 +108,13 @@ from repro.geom.segment import PathPolyline
 
 @dataclass
 class SharingStats:
-    """Counters of the shared-window subsystem (diagnostics only).
+    """Counters of the level router (diagnostics only).
+
+    Maze levels feed every counter. Obstacle-free levels feed the
+    expansion scheduler's (``curve_*``, ``expansion_*``) and the
+    profile kernel's ``pairs_routed``, ``cells_ranked`` (every lattice
+    cell of every pair) and ``finish_batches``; they serve no windows
+    and descend no paths.
 
     ``pitch_buckets`` histograms the coarsening depth of served windows:
     bucket k holds windows whose pitch was coarsened 1.5x k times by the
@@ -115,7 +129,8 @@ class SharingStats:
     are also invariant to how a level is split into batches and
     slices; the per-slice ones (``search_rounds``, ``curve_rounds``,
     ``expansion_rounds``, ``finish_batches``) count once per
-    :data:`ROUTE_SLICE_PAIRS` slice of a ``route_level`` call and so
+    :data:`ROUTE_SLICE_PAIRS` slice of a ``route_level`` call (the
+    curve and expansion rounds once per round in it) and so
     depend on the (deterministic) batch split, as does tile reuse,
     which counts the level's batches' coinciding windows.
     """
@@ -229,15 +244,6 @@ class GridCache:
 # The cross-pair level batcher
 # ----------------------------------------------------------------------
 
-#: Candidate-row budget of one ranking chunk (see :func:`_finish_level`):
-#: large enough that per-call numpy overhead amortizes away (a chunk
-#: spans dozens of pairs), small enough that the chunk's ~8 live key
-#: arrays stay cache-resident — the ranking is pure streaming passes, so
-#: spilling to memory loses to the cache-hot per-pair loop. 32k rows
-#: measured fastest on the 1000-sink blockage scenario (0.287 s route
-#: phase vs 0.317 s at 256k rows and 0.303 s at 16k).
-RANK_ROW_BUDGET = 32_768
-
 #: Most pairs :func:`route_level` carries through search, expansion and
 #: finishing at once. A slice's tiles, distance fields, expanded
 #: profiles and candidate buffers are live together, so an unsliced
@@ -315,7 +321,8 @@ def _finish_level(
     counts, pair segment boundaries), the profile costs are gathered with
     one fancy index over the concatenation of all pairs' distance
     profiles, and the merge cells of the whole level are picked by one
-    segmented ranking pass (:func:`rank_level_cells`, scalar-identical
+    segmented ranking pass
+    (:func:`~repro.core.routing_common.rank_level_cells`, scalar-identical
     tie order). Winning paths on blocked grids then materialize through
     one lockstep batched descent
     (:func:`repro.core.maze_router.descend_many`); obstacle-free windows
@@ -352,48 +359,24 @@ def _finish_level(
         k2_list.append(dist2.ravel()[cand])
 
     # The ranking pass, in pair-group chunks of at most RANK_ROW_BUDGET
-    # candidate rows: chunking keeps every key array and profile gather
-    # cache-resident (one level's concatenation would stream the whole
-    # working set through memory on every pass, losing to the cache-hot
-    # per-pair loop) while still amortizing the per-call overhead over
-    # thousands of rows. Segments stay whole, so the winners are
-    # invariant to the chunk boundaries.
+    # candidate rows (see row_chunks).
     n_pairs = len(primed)
     kk1 = np.empty(n_pairs, dtype=np.int64)
     kk2 = np.empty(n_pairs, dtype=np.int64)
     best = np.empty(n_pairs, dtype=np.int64)
     est1 = np.empty(n_pairs)
     est2 = np.empty(n_pairs)
-    lo = 0
-    while lo < n_pairs:
-        hi = lo + 1
-        rows = cand_list[lo].size
-        while hi < n_pairs and rows + cand_list[hi].size <= RANK_ROW_BUDGET:
-            rows += cand_list[hi].size
-            hi += 1
+    for lo, hi in row_chunks([c.size for c in cand_list]):
         counts = np.array([c.size for c in cand_list[lo:hi]], dtype=np.int64)
         k1 = np.concatenate(k1_list[lo:hi])
         k2 = np.concatenate(k2_list[lo:hi])
-        # Profile costs: one gather per side over the chunk's
-        # concatenated profiles (each pair's rows index its own slice
-        # via the segment offset).
-        prof_lens = np.array([p.size for p in prof1_list[lo:hi]], dtype=np.int64)
-        prof_offs = np.zeros(prof_lens.size, dtype=np.int64)
-        np.cumsum(prof_lens[:-1], out=prof_offs[1:])
-        row_offs = np.repeat(prof_offs, counts)
-        d1 = np.concatenate(prof1_list[lo:hi])[k1 + row_offs]
-        d2 = np.concatenate(prof2_list[lo:hi])[k2 + row_offs]
-        skew = np.abs(d1 - d2)
-        total = np.maximum(d1, d2)
-        hops = k1 + k2
-        winners = rank_level_cells(counts, np.round(skew, 15), total, hops)
+        winners, est1[lo:hi], est2[lo:hi] = rank_profile_rows(
+            counts, k1, k2, prof1_list[lo:hi], prof2_list[lo:hi]
+        )
         best[lo:hi] = np.concatenate(cand_list[lo:hi])[winners]
         kk1[lo:hi] = k1[winners]
         kk2[lo:hi] = k2[winners]
-        est1[lo:hi] = d1[winners]
-        est2[lo:hi] = d2[winners]
         stats.cells_ranked += int(counts.sum())
-        lo = hi
     stats.finish_batches += 1
 
     nys = np.array([job.search.grid.ny for job, _ in primed], dtype=np.int64)
@@ -490,42 +473,43 @@ def route_level(
     blockages: list[BBox],
     cache: GridCache,
 ) -> list[RouteResult | None]:
-    """Route one topology level's merge pairs through shared windows.
+    """Route one topology level's merge pairs through the level kernels.
 
     ``pairs`` entries may be ``None`` (coincident or otherwise unroutable
-    slots); results come back indexed like the input. Obstacle-free
-    profile routing has no windows to share and is dispatched per pair
-    unchanged; the maze path runs the lockstep search rounds, the
-    lockstep profile-expansion scheduler
+    slots); results come back indexed like the input. The routed pairs
+    go through in slices of at most :data:`ROUTE_SLICE_PAIRS` pairs.
+    Maze slices run the lockstep search rounds, the lockstep
+    profile-expansion scheduler
     (:func:`repro.core.batch_expand.expand_level` — grouped curve
     rounds + masked insertion sub-rounds), then the level-wide finishing
-    kernel (:func:`_finish_level`), in slices of at most
-    :data:`ROUTE_SLICE_PAIRS` pairs. Each kernel replicates the per-pair
-    computation of :func:`~repro.core.maze_router.route_maze` exactly,
-    so a level of one pair routes to the same result as that function.
+    kernel (:func:`_finish_level`); obstacle-free slices run the profile
+    level kernel
+    (:func:`~repro.core.profile_router.route_profile_level`: the same
+    scheduler, then segmented ranking over closed-form step fields).
+    Each kernel replicates the per-pair computation of
+    :func:`~repro.core.maze_router.route_maze` or
+    :func:`~repro.core.profile_router.route_profile` exactly, so a level
+    of one pair routes to the same result as that function.
     """
     results: list[RouteResult | None] = [None] * len(pairs)
-    if not uses_maze_router(options, blockages):
-        from repro.core.profile_router import route_profile
-
-        for i, pair in enumerate(pairs):
-            if pair is not None:
-                results[i] = route_profile(
-                    pair[0], pair[1], library, options, stage_length
-                )
-        return results
-
+    maze = uses_maze_router(options, blockages)
     routed = [(i, pair) for i, pair in enumerate(pairs) if pair is not None]
     for lo in range(0, len(routed), ROUTE_SLICE_PAIRS):
-        _route_slice(
-            routed[lo : lo + ROUTE_SLICE_PAIRS],
-            library,
-            options,
-            stage_length,
-            blockages,
-            cache,
-            results,
-        )
+        chunk = routed[lo : lo + ROUTE_SLICE_PAIRS]
+        if maze:
+            _route_slice(
+                chunk, library, options, stage_length, blockages, cache, results
+            )
+        else:
+            routes = route_profile_level(
+                [pair for _, pair in chunk],
+                library,
+                options,
+                stage_length,
+                cache.stats,
+            )
+            for (i, _), route in zip(chunk, routes):
+                results[i] = route
     return results
 
 
@@ -560,5 +544,10 @@ def _route_slice(
         )
         primed.append((job, tables))
 
-    builders_by_pair = expand_level(primed, library, options, stats)
+    builders_by_pair = expand_level(
+        [(job.term1, job.term2, tables) for job, tables in primed],
+        library,
+        options,
+        stats,
+    )
     _finish_level(primed, builders_by_pair, stats, results)

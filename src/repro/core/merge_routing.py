@@ -360,8 +360,11 @@ class MergeRouter:
         Maze levels run the lockstep window search, the lockstep profile
         expansion and the level-wide finishing kernel over the tile
         cache's level scope (:func:`repro.core.grid_cache.route_level`);
-        profile levels route pair by pair. A kernel exception propagates:
-        routing is pure, so there is nothing to recover.
+        obstacle-free levels run the lockstep profile expansion and one
+        segmented ranking pass per slice
+        (:func:`repro.core.profile_router.route_profile_level`). A kernel
+        exception propagates: routing is pure, so there is nothing to
+        recover.
         """
         from repro.core.grid_cache import route_level
 

@@ -13,6 +13,18 @@ terminal. The router therefore:
 3. picks the minimum-skew cell (ties: smaller max delay, then smaller
    total path length — prefer no detour).
 
+:func:`route_profile` routes one merge (the single-pair path of
+:meth:`~repro.core.merge_routing.MergeRouter.route_plan`);
+:func:`route_profile_level` is its level kernel, which
+:func:`repro.core.grid_cache.route_level` runs over every slice of an
+obstacle-free level: the pairs' lattices come from the same
+:func:`profile_lattice`, their profiles expand through the lockstep
+scheduler (:func:`repro.core.batch_expand.expand_level`), and their
+meeting cells are picked by segmented ranking passes
+(:func:`~repro.core.routing_common.rank_profile_rows`) in the same tie
+order as the per-pair ``lexsort``. A level routed by the kernel is
+bit-identical to routing its pairs one at a time.
+
 A dedicated test asserts this router and the general maze router choose
 equivalent merges on obstacle-free instances.
 """
@@ -22,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.charlib.library import DelaySlewLibrary
+from repro.core.batch_expand import expand_level
 from repro.core.options import CTSOptions
 from repro.core.routing_common import (
     ROUTING_MARGIN_RATIO,
@@ -30,20 +43,18 @@ from repro.core.routing_common import (
     RouteTerminal,
     choose_pitch,
     l_path,
+    rank_profile_rows,
+    row_chunks,
 )
 from repro.core.segment_builder import PathBuilder, SegmentTables
 from repro.geom.point import Point
 
 
-def route_profile(
-    term1: RouteTerminal,
-    term2: RouteTerminal,
-    library: DelaySlewLibrary,
-    options: CTSOptions,
-    stage_length: float,
-) -> RouteResult:
-    """Route one merge between two sub-tree roots (no blockages)."""
-    p1, p2 = term1.point, term2.point
+def profile_lattice(
+    p1: Point, p2: Point, options: CTSOptions, stage_length: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The candidate lattice of a merge between ``p1`` and ``p2``:
+    ``(pitch, xs, ys)``, the cell-center coordinates per axis."""
     dist = p1.manhattan_to(p2)
     if dist <= 0:
         raise ValueError("terminals are coincident; no routing needed")
@@ -55,12 +66,40 @@ def route_profile(
     ymin = min(p1.y, p2.y) - margin * pitch
     nx = int(np.ceil((max(p1.x, p2.x) - min(p1.x, p2.x)) / pitch)) + 2 * margin + 1
     ny = int(np.ceil((max(p1.y, p2.y) - min(p1.y, p2.y)) / pitch)) + 2 * margin + 1
-
     xs = xmin + pitch * np.arange(nx)
     ys = ymin + pitch * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    k1 = np.rint((np.abs(gx - p1.x) + np.abs(gy - p1.y)) / pitch).astype(int)
-    k2 = np.rint((np.abs(gx - p2.x) + np.abs(gy - p2.y)) / pitch).astype(int)
+    return pitch, xs, ys
+
+
+def _steps(p: Point, pitch: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Profile step count of every lattice cell from ``p`` (shape
+    ``(nx, ny)``): its Manhattan distance in pitches, rounded."""
+    ax = np.abs(xs - p.x)
+    ay = np.abs(ys - p.y)
+    return np.rint((ax[:, None] + ay[None, :]) / pitch).astype(int)
+
+
+def _max_step(p: Point, pitch: float, xs: np.ndarray, ys: np.ndarray) -> int:
+    """``_steps(p, pitch, xs, ys).max()`` without the field: every term
+    is monotone in both axis distances, so the maximum sits at the
+    lattice corner farthest from ``p``."""
+    ax = max(abs(xs[0] - p.x), abs(xs[-1] - p.x))
+    ay = max(abs(ys[0] - p.y), abs(ys[-1] - p.y))
+    return int(np.rint((ax + ay) / pitch))
+
+
+def route_profile(
+    term1: RouteTerminal,
+    term2: RouteTerminal,
+    library: DelaySlewLibrary,
+    options: CTSOptions,
+    stage_length: float,
+) -> RouteResult:
+    """Route one merge between two sub-tree roots (no blockages)."""
+    p1, p2 = term1.point, term2.point
+    pitch, xs, ys = profile_lattice(p1, p2, options, stage_length)
+    k1 = _steps(p1, pitch, xs, ys)
+    k2 = _steps(p2, pitch, xs, ys)
 
     max_k = int(max(k1.max(), k2.max()))
     tables = SegmentTables(library, pitch, max_k + 1, options.target_slew)
@@ -101,5 +140,92 @@ def route_profile(
         right=right,
         est_left_delay=float(d1[bi, bj]),
         est_right_delay=float(d2[bi, bj]),
-        grid_cells=max(nx, ny),
+        grid_cells=max(xs.size, ys.size),
     )
+
+
+def route_profile_level(
+    pairs: list[tuple[RouteTerminal, RouteTerminal]],
+    library: DelaySlewLibrary,
+    options: CTSOptions,
+    stage_length: float,
+    stats,
+) -> list[RouteResult]:
+    """Route many merges (no blockages) together; results in pair order.
+
+    Each pair's lattice, step fields and tables are exactly
+    :func:`route_profile`'s. All profiles expand through one lockstep
+    scheduler run, and the meeting cells are ranked in pair-group
+    chunks (:func:`row_chunks`) whose step fields are built only for
+    the chunk. ``rank_profile_rows`` keeps the ``lexsort`` tie order
+    (rounded skew, max delay, hops, ravel index), so every result equals
+    the single-pair router's. ``stats`` is the level's
+    :class:`~repro.core.grid_cache.SharingStats`.
+    """
+    lattices = [
+        profile_lattice(t1.point, t2.point, options, stage_length)
+        for t1, t2 in pairs
+    ]
+    primed = []
+    for (t1, t2), (pitch, xs, ys) in zip(pairs, lattices):
+        max_k = max(
+            _max_step(t1.point, pitch, xs, ys), _max_step(t2.point, pitch, xs, ys)
+        )
+        tables = SegmentTables(library, pitch, max_k + 1, options.target_slew)
+        primed.append((t1, t2, tables))
+    builders_by_pair = expand_level(primed, library, options, stats)
+
+    n_pairs = len(pairs)
+    best = np.empty(n_pairs, dtype=np.int64)
+    kk1 = np.empty(n_pairs, dtype=np.int64)
+    kk2 = np.empty(n_pairs, dtype=np.int64)
+    est1 = np.empty(n_pairs)
+    est2 = np.empty(n_pairs)
+    sizes = [xs.size * ys.size for _, xs, ys in lattices]
+    for lo, hi in row_chunks(sizes):
+        k1_list, k2_list, prof1_list, prof2_list = [], [], [], []
+        for (t1, t2, tables), (pitch, xs, ys), (b1, b2) in zip(
+            primed[lo:hi], lattices[lo:hi], builders_by_pair[lo:hi]
+        ):
+            k1_list.append(_steps(t1.point, pitch, xs, ys).ravel())
+            k2_list.append(_steps(t2.point, pitch, xs, ys).ravel())
+            prof1_list.append(b1.delays_view(tables.n_steps - 1))
+            prof2_list.append(b2.delays_view(tables.n_steps - 1))
+        counts = np.array(sizes[lo:hi], dtype=np.int64)
+        k1 = np.concatenate(k1_list)
+        k2 = np.concatenate(k2_list)
+        winners, est1[lo:hi], est2[lo:hi] = rank_profile_rows(
+            counts, k1, k2, prof1_list, prof2_list
+        )
+        starts = np.cumsum(counts) - counts
+        best[lo:hi] = winners - starts
+        kk1[lo:hi] = k1[winners]
+        kk2[lo:hi] = k2[winners]
+    stats.cells_ranked += sum(sizes)
+    stats.finish_batches += 1
+    stats.pairs_routed += n_pairs
+
+    results: list[RouteResult] = []
+    for (t1, t2, _), (pitch, xs, ys), (b1, b2), cell, k1s, k2s, e1, e2 in zip(
+        primed,
+        lattices,
+        builders_by_pair,
+        best.tolist(),
+        kk1.tolist(),
+        kk2.tolist(),
+        est1.tolist(),
+        est2.tolist(),
+    ):
+        bi, bj = divmod(cell, ys.size)
+        meeting = Point(float(xs[bi]), float(ys[bj]))
+        results.append(
+            RouteResult(
+                meeting_point=meeting,
+                left=RoutedPath(t1, l_path(t1.point, meeting), b1.state(k1s), pitch),
+                right=RoutedPath(t2, l_path(t2.point, meeting), b2.state(k2s), pitch),
+                est_left_delay=e1,
+                est_right_delay=e2,
+                grid_cells=max(xs.size, ys.size),
+            )
+        )
+    return results

@@ -131,6 +131,18 @@ class TestRouteFailuresAreLoud:
         with pytest.raises(RuntimeError, match="route kernel bug"):
             cts.synthesize(blocked_sinks(18, seed=22))
 
+    def test_profile_kernel_exception_propagates(self, monkeypatch):
+        """Obstacle-free levels go through the profile level kernel,
+        with no fallback either."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("route kernel bug")
+
+        monkeypatch.setattr(grid_cache, "route_profile_level", broken)
+        cts = AggressiveBufferedCTS(options=CTSOptions())
+        with pytest.raises(RuntimeError, match="route kernel bug"):
+            cts.synthesize(make_sink_pairs(18, 30000.0, seed=22))
+
     def test_hstructure_takes_the_level_pipeline(self, monkeypatch):
         """H-structure correction merges through the same level batches
         as plain pairs, so the kernels above cover it too: synthesis
