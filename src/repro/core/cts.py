@@ -13,9 +13,10 @@ prepare in pair order, route the batch at once, commit it in lockstep
 through :class:`repro.core.batch_commit.BatchCommitScheduler` with the
 structure-of-arrays flat-stage cache (:mod:`repro.core.soa_tree`)
 attached.
-H-structure pairs run their re-pairing batches first (three candidate
-sweeps plus a winners' batch under correction, one batch of chosen
-pairings under re-estimation); one batch of final merges covers the
+H-structure pairs run their re-pairing batches first (two candidate
+sweeps over the alternative pairings under correction, one batch of the
+flipped pairs under re-estimation; a pair keeping its original pairing
+keeps its two sub-trees as built); one batch of final merges covers the
 level, whose nodes are then renumbered into serial creation order. There
 is no fallback path: a route or commit kernel exception propagates out
 of :meth:`synthesize`.

@@ -7,22 +7,24 @@ P) and C, D (under Q) admit three pairings — (A,B)(C,D) [the current one],
 as an intertwined "H" structure. Two remedies:
 
 - **Method 1 (re-estimation)**: score the six candidate edges with the
-  topology cost function and keep the cheapest pairing; only the chosen
-  pairing is actually merge-routed.
-- **Method 2 (correction)**: merge-route *all* pairings and keep the one
-  whose worse-side skew is smallest; the others are discarded. Best
-  quality, most expensive ("all combinations need to be actually routed
-  rather than simply evaluated by cost functions").
+  topology cost function and keep the cheapest pairing; only a chosen
+  alternative pairing is actually merge-routed.
+- **Method 2 (correction)**: merge-route both alternative pairings and
+  keep whichever of the three has the smallest worse-side skew; the
+  others are discarded. Best quality, most expensive ("all combinations
+  need to be actually routed rather than simply evaluated by cost
+  functions").
 
 A "flipping" is counted whenever the surviving pairing differs from the
 original (A,B)(C,D).
 
-Both methods work level-wide: every H pair of a topology level goes
-through the same :meth:`~repro.core.merge_routing.MergeRouter.merge_batch`
-batches as plain pairs. Correction sweeps each candidate pairing over all
-pairs as one batch (3 sweeps), then rebuilds every pair's winner in one
-batch that reuses the winning sweep's routes; re-estimation chooses every
-pair's pairing by cost, then merges the chosen pairings in one batch.
+The original pairing is P and Q themselves, already routed, so neither
+method merges it again. Both batch a topology level's H pairs through
+:meth:`~repro.core.merge_routing.MergeRouter.merge_batch`, like plain
+pairs. A grandchild leaves a structure through its *socket* (parent,
+position among the parent's children, wire) and plugs back into the
+kept one, which returns node for node; nothing below a grandchild
+changes, so cached bounds stay valid.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from repro.tree.nodes import TreeNode
 class HStructureOutcome:
     """Result of examining one (P, Q) pair: two replacement sub-trees.
 
-    ``merges`` are the pair's merges in serial order (candidates, then
-    the two surviving ones), committed but not finished: the caller
+    ``merges`` are the pair's merges in serial order (the alternative
+    pairings' candidates, or re-estimation's flipped pairing; none when
+    re-estimation keeps P and Q), committed but not finished: the caller
     finishes them, and renumbers their ids, in the pair's serial order
     (see :class:`~repro.core.merge_routing.BatchedMerge`).
     """
@@ -58,9 +61,22 @@ PAIRINGS = (
 )
 
 
-def _free_parts(p: SubTree, q: SubTree) -> list[TreeNode]:
-    """Detach the four grandchildren from the structures above them."""
-    return [part.detach() for part in (*p.parts, *q.parts)]
+def _unplug(parts: list[TreeNode]) -> list[tuple[TreeNode, int, float]]:
+    """Detach ``parts`` in order, recording each one's socket."""
+    sockets = []
+    for part in parts:
+        parent = part.parent
+        sockets.append((parent, parent.children.index(part), part.wire_to_parent))
+        part.detach()
+    return sockets
+
+
+def _plug(parts: list[TreeNode], sockets: list[tuple]) -> None:
+    """Undo :func:`_unplug`, in reverse order so each position is exact."""
+    for part, (parent, position, wire) in reversed(list(zip(parts, sockets))):
+        part.parent = parent
+        part.wire_to_parent = wire
+        parent.children.insert(position, part)
 
 
 def _pairing_sides(parts, pairing) -> list[tuple[TreeNode, TreeNode]]:
@@ -74,11 +90,12 @@ def reestimate_pairing(
     cost: EdgeCost,
     pairs: list[tuple[SubTree, SubTree]],
 ) -> list[HStructureOutcome]:
-    """Method 1: choose each pair's pairing by cost, then route them all.
+    """Method 1: choose each pair's pairing by cost, then route the flips.
 
-    Only the chosen pairings are merge-routed, as one batch.
+    Only the flipped pairs' chosen pairings are merge-routed, as one
+    batch; a pair that keeps the original pairing returns P and Q.
     """
-    quads = [_free_parts(p, q) for p, q in pairs]
+    quads = [[*p.parts, *q.parts] for p, q in pairs]
     chosen = []
     for parts in quads:
         subtrees = [SubTree(part, router.subtree_bounds(part)) for part in parts]
@@ -88,21 +105,40 @@ def reestimate_pairing(
             return cost(subtrees[i], subtrees[j]) + cost(subtrees[k], subtrees[l])
 
         chosen.append(min(PAIRINGS, key=pairing_cost))
-    batch = router.merge_batch(
-        [
-            side
-            for parts, pairing in zip(quads, chosen)
-            for side in _pairing_sides(parts, pairing)
-        ]
+    sides = []
+    for parts, pairing in zip(quads, chosen):
+        if pairing != PAIRINGS[0]:
+            _unplug(parts)
+            sides += _pairing_sides(parts, pairing)
+    merged = iter(router.merge_batch(sides))
+    outcomes = []
+    for (p, q), pairing in zip(pairs, chosen):
+        merges = () if pairing == PAIRINGS[0] else (next(merged), next(merged))
+        left, right = [m.root for m in merges] if merges else (p.root, q.root)
+        outcomes.append(HStructureOutcome(left, right, bool(merges), merges))
+    return outcomes
+
+
+def _skew_keys(
+    router: MergeRouter, roots: list[tuple[TreeNode, TreeNode]]
+) -> list[tuple[int, float]]:
+    """Correction's rank of each pairing's two roots (lower is better).
+
+    Primary criterion: worse-side skew, as in the paper. The balance
+    machinery drives every candidate's estimated skew near zero, so ties
+    (within half a picosecond) break on wirelength — shorter trees are
+    the ones without intertwined "H" crossings.
+    """
+    target = router.options.target_slew
+    bounds = router.engine.subtree_bounds_many(
+        [(root, target) for pair in roots for root in pair]
     )
     return [
-        HStructureOutcome(
-            batch[2 * n].root,
-            batch[2 * n + 1].root,
-            pairing != PAIRINGS[0],
-            (batch[2 * n], batch[2 * n + 1]),
+        (
+            round(max(lb.skew, rb.skew) / 0.5e-12),
+            left.downstream_wirelength() + right.downstream_wirelength(),
         )
-        for n, pairing in enumerate(chosen)
+        for (left, right), lb, rb in zip(roots, bounds[::2], bounds[1::2])
     ]
 
 
@@ -110,63 +146,36 @@ def correct_pairing(
     router: MergeRouter,
     pairs: list[tuple[SubTree, SubTree]],
 ) -> list[HStructureOutcome]:
-    """Method 2: route all pairings, keep the lowest worse-side skew.
+    """Method 2: route the alternatives, keep the lowest worse-side skew.
 
-    Each candidate pairing is merge-routed for every pair as one batch
-    and measured with the timing engine; the grandchildren then detach
-    (the candidate's merge structures are dropped) before the next
-    sweep. The winners are rebuilt last, in one batch that reuses the
-    winning sweep's routes, so each surviving tree contains exactly one
-    routed copy.
+    The original pairing is measured on P and Q as they stand. Each
+    alternative pairing is then merge-routed for every pair as one batch
+    and measured with the timing engine; the grandchildren unplug
+    before the next sweep, leaving the candidate's structure whole.
+    Ties keep the earlier pairing. Finally every pair's grandchildren
+    plug back into the winner's sockets, so each surviving tree is the
+    one that was measured.
     """
-    target = router.options.target_slew
-    quads = [_free_parts(p, q) for p, q in pairs]
-    merges: list[list[BatchedMerge]] = [[] for _ in pairs]
+    best_roots = [(p.root, q.root) for p, q in pairs]
+    best_key = _skew_keys(router, best_roots)
     best_idx = [0] * len(pairs)
-    best_key: list[tuple | None] = [None] * len(pairs)
-    best_routes: list = [None] * len(pairs)
-    for idx, pairing in enumerate(PAIRINGS):
+    quads = [[*p.parts, *q.parts] for p, q in pairs]
+    best_sockets = [_unplug(parts) for parts in quads]
+    merges: list[list[BatchedMerge]] = [[] for _ in pairs]
+    for idx in (1, 2):
         batch = router.merge_batch(
-            [side for parts in quads for side in _pairing_sides(parts, pairing)]
+            [side for parts in quads for side in _pairing_sides(parts, PAIRINGS[idx])]
         )
-        # One batched lookup (bit-identical to per-root subtree_bounds).
-        bounds = router.engine.subtree_bounds_many(
-            [(merge.root, target) for merge in batch]
-        )
-        for n, parts in enumerate(quads):
-            left, right = batch[2 * n], batch[2 * n + 1]
-            worse = max(bounds[2 * n].skew, bounds[2 * n + 1].skew)
-            wirelength = (
-                left.root.downstream_wirelength()
-                + right.root.downstream_wirelength()
-            )
-            # Primary criterion: worse-side skew, as in the paper. The
-            # balance machinery drives every candidate's estimated skew
-            # near zero, so ties (within half a picosecond) break on
-            # wirelength — shorter trees are the ones without intertwined
-            # "H" crossings.
-            key = (round(worse / 0.5e-12), wirelength)
-            for part in parts:
-                part.detach()
-            merges[n] += (left, right)
-            if best_key[n] is None or key < best_key[n]:
-                best_key[n] = key
-                best_idx[n] = idx
-                best_routes[n] = (left.route, right.route)
-    winners = router.merge_batch(
-        [
-            side
-            for parts, idx in zip(quads, best_idx)
-            for side in _pairing_sides(parts, PAIRINGS[idx])
-        ],
-        [route for routes in best_routes for route in routes],
-    )
+        roots = [(batch[2 * n].root, batch[2 * n + 1].root) for n in range(len(pairs))]
+        for n, (parts, key) in enumerate(zip(quads, _skew_keys(router, roots))):
+            merges[n] += batch[2 * n : 2 * n + 2]
+            sockets = _unplug(parts)
+            if key < best_key[n]:
+                best_key[n], best_idx[n] = key, idx
+                best_roots[n], best_sockets[n] = roots[n], sockets
+    for parts, sockets in zip(quads, best_sockets):
+        _plug(parts, sockets)
     return [
-        HStructureOutcome(
-            winners[2 * n].root,
-            winners[2 * n + 1].root,
-            idx != 0,
-            (*merges[n], winners[2 * n], winners[2 * n + 1]),
-        )
-        for n, idx in enumerate(best_idx)
+        HStructureOutcome(left, right, idx != 0, tuple(pair_merges))
+        for (left, right), idx, pair_merges in zip(best_roots, best_idx, merges)
     ]

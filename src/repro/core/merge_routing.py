@@ -30,7 +30,7 @@ tests and the pair-by-pair reference engine drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,29 +127,11 @@ class BatchedMerge:
     """
 
     state: PairCommitState
-    route: RouteResult | None
     spans: list[tuple[int, int]]
 
     @property
     def root(self) -> TreeNode:
         return self.state.root
-
-
-def _rebind(route: RouteResult | None, plan: MergePlan) -> RouteResult | None:
-    """``route`` with its sides bound to ``plan``'s terminals.
-
-    Routes read only a terminal's point, delays and load type, so a
-    route stays valid for a plan whose terminals differ from the routed
-    ones only in ``node`` (a re-run prepare snakes fresh but equal
-    chains).
-    """
-    if route is None:
-        return None
-    return replace(
-        route,
-        left=replace(route.left, terminal=plan.term1),
-        right=replace(route.right, terminal=plan.term2),
-    )
 
 
 class MergeRouter:
@@ -255,21 +237,14 @@ class MergeRouter:
         return self.commit(plan, self.route_plan(plan))
 
     def merge_batch(
-        self,
-        sides: list[tuple[TreeNode, TreeNode]],
-        routes: list[RouteResult | None] | None = None,
+        self, sides: list[tuple[TreeNode, TreeNode]]
     ) -> list[BatchedMerge]:
         """Merge a batch of sub-tree pairs through the level pipeline.
 
         Prepare in order, route the batch at once through
         :meth:`route_level`, then commit it in lockstep through
-        :attr:`scheduler`. ``routes``, when given, are an earlier
-        batch's routes of the same pairs: routes are pure functions of
-        their terminals, so they are reused with each side rebound to
-        this batch's terminal node instead of routing again.
-
-        Every merge records its own id spans; finishing is left to the
-        caller (see :class:`BatchedMerge`).
+        :attr:`scheduler`. Every merge records its own id spans;
+        finishing is left to the caller (see :class:`BatchedMerge`).
         """
         plans: list[MergePlan] = []
         spans: list[list[tuple[int, int]]] = []
@@ -277,10 +252,7 @@ class MergeRouter:
             start = peek_node_id()
             plans.append(self.prepare(root1, root2))
             spans.append([(start, peek_node_id())])
-        if routes is None:
-            routes = self.route_level(plans)
-        else:
-            routes = [_rebind(route, plan) for route, plan in zip(routes, plans)]
+        routes = self.route_level(plans)
         states: list[PairCommitState] = []
         for plan, route, merge_spans in zip(plans, routes, spans):
             start = peek_node_id()
@@ -290,8 +262,8 @@ class MergeRouter:
                 merge_spans.append((start, end))
         self.scheduler.run(states, spans)
         return [
-            BatchedMerge(state, route, merge_spans)
-            for state, route, merge_spans in zip(states, routes, spans)
+            BatchedMerge(state, merge_spans)
+            for state, merge_spans in zip(states, spans)
         ]
 
     def prepare(self, root1: TreeNode, root2: TreeNode) -> MergePlan:

@@ -1,19 +1,16 @@
 """H-structure re-estimation and correction (Sec. 4.1.2)."""
 
-from dataclasses import replace
-
 import pytest
 
-import repro.core.merge_routing as merge_routing
 from repro.core import AggressiveBufferedCTS, CTSOptions
 from repro.core.hstructure import PAIRINGS, correct_pairing, reestimate_pairing
 from repro.core.merge_routing import MergeRouter
 from repro.core.topology import EdgeCost, SubTree
 from repro.evalx import evaluate_tree
-from repro.evalx.perfstats import scaling_scenario
 from repro.geom import Point
 from repro.timing.analysis import LibraryTimingEngine
-from repro.tree.nodes import make_sink
+from repro.tree.export import tree_to_dict
+from repro.tree.nodes import NodeKind, make_buffer, make_sink
 from repro.tree.validate import validate_tree
 
 from tests.conftest import make_sink_pairs
@@ -25,13 +22,14 @@ def router(tech, library, buffers):
     return MergeRouter(tech, library, buffers, engine, CTSOptions())
 
 
-def interleaved_quad(router):
+def interleaved_quad(router, a=None):
     """Four sinks where the 'wrong' pairing is the interleaved one.
 
     A = (0,0), B = (4000,0), C = (300,0), D = (4300, 0): the natural
     pairing is (A,C)(B,D); we force the H-prone original (A,B)(C,D).
+    ``a``, when given, is the sub-tree root used as A.
     """
-    a = make_sink(Point(0, 0), 8e-15, "A")
+    a = a or make_sink(Point(0, 0), 8e-15, "A")
     b = make_sink(Point(4000, 0), 8e-15, "B")
     c = make_sink(Point(300, 0), 8e-15, "C")
     d = make_sink(Point(4300, 0), 8e-15, "D")
@@ -40,6 +38,19 @@ def interleaved_quad(router):
     p_sub = SubTree(p, router.subtree_bounds(p), parts=(a, b))
     q_sub = SubTree(q, router.subtree_bounds(q), parts=(c, d))
     return p_sub, q_sub, (a, b, c, d)
+
+
+def good_quad(router):
+    """Four sinks whose original pairing (A,B)(C,D) is the natural one."""
+    a = make_sink(Point(0, 0), 8e-15)
+    b = make_sink(Point(300, 0), 8e-15)
+    c = make_sink(Point(4000, 0), 8e-15)
+    d = make_sink(Point(4300, 0), 8e-15)
+    p = router.merge(a, b)
+    q = router.merge(c, d)
+    p_sub = SubTree(p, router.subtree_bounds(p), parts=(a, b))
+    q_sub = SubTree(q, router.subtree_bounds(q), parts=(c, d))
+    return p_sub, q_sub
 
 
 class TestPairings:
@@ -65,14 +76,7 @@ class TestReestimate:
         assert wl < 4000
 
     def test_keeps_good_pairing(self, router):
-        a = make_sink(Point(0, 0), 8e-15)
-        b = make_sink(Point(300, 0), 8e-15)
-        c = make_sink(Point(4000, 0), 8e-15)
-        d = make_sink(Point(4300, 0), 8e-15)
-        p = router.merge(a, b)
-        q = router.merge(c, d)
-        p_sub = SubTree(p, router.subtree_bounds(p), parts=(a, b))
-        q_sub = SubTree(q, router.subtree_bounds(q), parts=(c, d))
+        p_sub, q_sub = good_quad(router)
         cost = EdgeCost(CTSOptions(), router._delay_per_unit)
         (outcome,) = reestimate_pairing(router, cost, [(p_sub, q_sub)])
         assert not outcome.flipped
@@ -104,33 +108,57 @@ class TestCorrect:
         assert new_worse <= orig_worse + 1e-12
 
 
-class TestWinnerRouteReuse:
-    def test_rebound_terminals_equal_the_routed_ones(self, monkeypatch):
-        """The winners' batch reuses its candidates' routes, which is
-        sound only if the re-run prepare yields terminals equal to the
-        routed ones in every field but ``node`` (snaked sides included)."""
-        checks = []
-        original = merge_routing._rebind
+class TestKeptStructures:
+    """A surviving pairing keeps the trees that were built and measured:
+    P and Q for the original pairing, the candidate for a flip."""
 
-        def checked(route, plan):
-            if route is not None:
-                for routed, fresh in (
-                    (route.left.terminal, plan.term1),
-                    (route.right.terminal, plan.term2),
-                ):
-                    checks.append(
-                        replace(routed, node=None) == replace(fresh, node=None)
-                    )
-            return original(route, plan)
+    def test_correction_keeps_p_and_q(self, router):
+        p_sub, q_sub = good_quad(router)
+        before = tree_to_dict(p_sub.root)
+        n_merges = router.stats.n_merges
+        (outcome,) = correct_pairing(router, [(p_sub, q_sub)])
+        assert not outcome.flipped
+        assert outcome.left_root is p_sub.root
+        assert outcome.right_root is q_sub.root
+        assert tree_to_dict(p_sub.root) == before
+        # Only the two alternative pairings are merge-routed.
+        assert len(outcome.merges) == 4
+        assert router.stats.n_merges - n_merges == 4
 
-        monkeypatch.setattr(merge_routing, "_rebind", checked)
-        sinks, source, blockages = scaling_scenario(60, True)
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(hstructure="correct"), blockages=blockages
-        )
-        result = cts.synthesize(sinks, source)
-        assert result.merge_stats.n_snaked > 0
-        assert checks and all(checks)
+    def test_reestimation_keeps_p_and_q(self, router):
+        p_sub, q_sub = good_quad(router)
+        n_merges = router.stats.n_merges
+        cost = EdgeCost(CTSOptions(), router._delay_per_unit)
+        (outcome,) = reestimate_pairing(router, cost, [(p_sub, q_sub)])
+        assert outcome.left_root is p_sub.root
+        assert outcome.right_root is q_sub.root
+        assert outcome.merges == ()
+        assert router.stats.n_merges == n_merges
+
+    def test_flipped_winner_keeps_child_order(self, router, buffers, monkeypatch):
+        """A buffered A hangs directly under the winner's merge node, ahead
+        of C's chain buffer: re-attaching A by appending would swap them."""
+        candidates = []
+        merge_batch = router.merge_batch
+
+        def recorded(sides):
+            batch = merge_batch(sides)
+            candidates.extend((m.root, tree_to_dict(m.root)) for m in batch)
+            return batch
+
+        monkeypatch.setattr(router, "merge_batch", recorded)
+        a = make_buffer(Point(0, 0), buffers["BUF20X"])
+        a.attach(make_sink(Point(0, 0), 8e-15, "A"), 0.0)
+        p_sub, q_sub, __ = interleaved_quad(router, a)
+        (outcome,) = correct_pairing(router, [(p_sub, q_sub)])
+        assert outcome.flipped
+        merge = a.parent
+        assert merge.kind is NodeKind.MERGE
+        assert merge.children.index(a) == 0
+        assert merge.children[1].kind is NodeKind.BUFFER
+        for root in (outcome.left_root, outcome.right_root):
+            (built,) = [data for node, data in candidates if node is root]
+            assert tree_to_dict(root) == built
 
 
 class TestFlowIntegration:
@@ -150,4 +178,4 @@ class TestFlowIntegration:
         sinks = make_sink_pairs(16, 50000.0, seed=5)
         cts = AggressiveBufferedCTS(options=CTSOptions(hstructure="correct"))
         result = cts.synthesize(sinks)
-        assert isinstance(result.n_flippings, int)
+        assert result.n_flippings >= 1

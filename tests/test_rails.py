@@ -216,6 +216,23 @@ class TestCI:
             ), paths
         assert "needs: lint" in jobs["tier1"]
 
+    def test_serial_leg_runs_the_hstructure_table(self):
+        """Table 5.3 puts re-estimated and corrected trees under SPICE,
+        an oracle that shares no code with the timing engine."""
+        steps: list[list[str]] = []
+        for line in ci_jobs()["tier1"]:
+            if line.startswith("- "):
+                steps.append([])
+            if steps:
+                steps[-1].append(line.removeprefix("- "))
+        assert any(
+            "if: matrix.name == 'serial'" in step
+            and "cd benchmarks" in step
+            and "REPRO_SCALE=40 PYTHONPATH=../src python -m pytest -x -q"
+            " bench_table_5_3.py" in step
+            for step in steps
+        )
+
 
 def tracer_hooks() -> tuple:
     """The benchmark tracer's ``HOOKS`` table, read without running it."""
