@@ -16,7 +16,8 @@ from repro.charlib import load_default_library
 from repro.evalx.harness import full_run_requested
 from repro.tech import default_technology
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+BENCH_DIR = Path(__file__).resolve().parent
+RESULTS_DIR = BENCH_DIR / "results"
 
 #: Per-benchmark sink budget for the default (fast) runs.
 DEFAULT_SCALE = int(os.environ.get("REPRO_SCALE", "40"))
@@ -47,8 +48,15 @@ def report(name: str, text: str) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Stitch all archived tables into benchmarks/results/REPORT.md."""
-    if RESULTS_DIR.exists():
+    """Stitch all archived tables into benchmarks/results/REPORT.md.
+
+    Only a session that collected every ``bench_*.py`` module rewrites the
+    tracked report; a partial run (one table, a CI smoke) leaves it as
+    committed.
+    """
+    collected = {item.path.name for item in session.items}
+    every = {path.name for path in sorted(BENCH_DIR.glob("bench_*.py"))}
+    if RESULTS_DIR.exists() and every <= collected:
         from repro.evalx.report import write_report
 
         write_report(results_dir=RESULTS_DIR)

@@ -11,11 +11,11 @@ work across the level instead of throwing it away per pair:
   arithmetic as a private per-pair window, with the pitch-coarsening
   decision resolved by :func:`~repro.core.routing_common.coarsen_pitch`
   before any allocation — and every later request for the key is served
-  the cached tile (mask, axes and the lazily built CSR adjacency
-  included). Tiles live for the whole level, across all of its
-  batches (H-structure candidate sweeps included), so pairs whose
-  windows coincide share one tile. Reuse, pitch-bucket and
-  rasterization counters are kept in :class:`SharingStats`.
+  the cached tile (blocked mask and coordinate axes). Tiles live for
+  the whole level, across all of its batches (H-structure candidate
+  sweeps included), so pairs whose windows coincide share one tile.
+  Reuse, pitch-bucket and rasterization counters are kept in
+  :class:`SharingStats`.
 
 - :func:`route_level` is the **cross-pair batcher**: it advances every
   pair of a level through the window-expansion search in lockstep rounds
@@ -52,8 +52,7 @@ of :meth:`~repro.core.merge_routing.MergeRouter.route_plan`:
 
 - window geometry, pitch coarsening, blockage masking, terminal
   snapping and the profile lattice run through the exact same functions;
-- BFS answers are per-grid engine calls either way (stacking windows
-  into one block-diagonal csgraph call was measured and rejected — see
+- BFS answers are per-grid engine calls either way (see
   :class:`~repro.core.maze_router.BfsEngine`), and path geometry is a
   deterministic descent of the distance field;
 - the batched curve rounds evaluate the same contracted polynomial
@@ -181,9 +180,8 @@ class GridCache:
 
     Keys are the exact window geometry ``(bbox corners, resolved pitch)``;
     values are fully blocked :class:`~repro.core.maze_router.MazeGrid`
-    tiles, built once via :func:`build_window` and shared (including the
-    lazily cached CSR adjacency) by every window that resolves to the
-    same key. Tiles are immutable after construction — nothing in the
+    tiles, built once via :func:`build_window` and shared by every
+    window that resolves to the same key. Tiles are immutable after construction — nothing in the
     route flow mutates a served grid — which is what makes
     :meth:`MazeGrid.nearest_free`'s documented fallback scan
     deterministic no matter which pair first touched the tile.

@@ -14,15 +14,12 @@ backtracked detour paths differ, which is the case this router exists for.
 
 BFS is consolidated behind one engine (:class:`BfsEngine`): the contract
 is the *distance field only*, and path geometry is derived from it by a
-deterministic descent (:meth:`MazeGrid.descend`), so every strategy —
-closed-form on unblocked grids, sparse-graph BFS through
-:func:`scipy.sparse.csgraph.breadth_first_order` with a vectorized
-pointer-doubling depth reconstruction, or the scipy-free numpy
-frontier-dilation wave — produces byte-identical routing results. The
-original cell-by-cell implementations are retained as
-``block_reference`` / ``bfs_reference``: they define the semantics, the
-equivalence tests compare against them, and the perf harness times them
-as the seed baseline.
+deterministic descent (:meth:`MazeGrid.descend`), so both strategies —
+closed-form on unblocked grids, and the numpy run-sweep on blocked ones —
+produce byte-identical routing results. The original cell-by-cell
+implementations are retained as ``block_reference`` / ``bfs_reference``:
+they define the semantics, the equivalence tests compare against them,
+and the perf harness times them as the seed baseline.
 """
 
 from __future__ import annotations
@@ -30,13 +27,6 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-
-try:  # scipy ships with the toolchain; the wave BFS covers its absence.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order as _sparse_bfs_order
-except ImportError:  # pragma: no cover - exercised only without scipy
-    csr_matrix = None
-    _sparse_bfs_order = None
 
 from repro.charlib.library import DelaySlewLibrary
 from repro.core.options import CTSOptions
@@ -70,7 +60,6 @@ class MazeGrid:
         self.nx = int(np.ceil(bbox.width / pitch)) + 1
         self.ny = int(np.ceil(bbox.height / pitch)) + 1
         self.blocked = np.zeros((self.nx, self.ny), dtype=bool)
-        self._adj = None  # cached CSR adjacency; invalidated by block()
         self._xs = None  # cached cell-center coordinate axes
         self._ys = None
         self._any_blocked = False
@@ -85,7 +74,6 @@ class MazeGrid:
         if in_x.any() and in_y.any():
             self.blocked |= in_x[:, None] & in_y[None, :]
             self._any_blocked = True
-        self._adj = None
 
     def block_reference(self, region: BBox) -> None:
         """Cell-by-cell reference implementation of :meth:`block`."""
@@ -94,7 +82,6 @@ class MazeGrid:
                 if region.contains(self.center(i, j)):
                     self.blocked[i, j] = True
                     self._any_blocked = True
-        self._adj = None
 
     def center(self, i: int, j: int) -> Point:
         return Point(self.bbox.xmin + i * self.pitch, self.bbox.ymin + j * self.pitch)
@@ -160,33 +147,6 @@ class MazeGrid:
                         queue.append((ni, nj))
         return dist
 
-    def _adjacency(self):
-        """CSR adjacency of the free cells, assembled without a COO sort.
-
-        For each cell the (up to 4) free neighbors are emitted in
-        column-ascending order (-ny, -1, +1, +ny), so the data/indices/
-        indptr triple is already canonical CSR.
-        """
-        if self._adj is not None:
-            return self._adj
-        nx, ny, n = self.nx, self.ny, self.nx * self.ny
-        free = ~self.blocked
-        codes = np.arange(n, dtype=np.int32).reshape(nx, ny)
-        m = np.zeros((nx, ny, 4), dtype=bool)
-        m[1:, :, 0] = free[1:, :] & free[:-1, :]  # neighbor (i-1, j)
-        m[:, 1:, 1] = free[:, 1:] & free[:, :-1]  # neighbor (i, j-1)
-        m[:, :-1, 2] = free[:, :-1] & free[:, 1:]  # neighbor (i, j+1)
-        m[:-1, :, 3] = free[:-1, :] & free[1:, :]  # neighbor (i+1, j)
-        offsets = np.array([-ny, -1, 1, ny], dtype=np.int32)
-        cols4 = codes[:, :, None] + offsets[None, None, :]
-        mflat = m.reshape(n, 4)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(mflat.sum(axis=1, dtype=np.int32), out=indptr[1:])
-        cols = cols4.reshape(n, 4)[mflat]
-        data = np.ones(cols.size, dtype=np.int8)
-        self._adj = csr_matrix((data, cols, indptr), shape=(n, n))
-        return self._adj
-
     def staircase_arrays(
         self, start: tuple[int, int], cell: tuple[int, int]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +199,7 @@ class MazeGrid:
 
 
 class BfsEngine:
-    """The consolidated maze-BFS engine (one contract, three strategies).
+    """The consolidated maze-BFS engine (one contract, two strategies).
 
     Consolidates the seed's five variants (``bfs`` / ``bfs_sparse`` /
     ``bfs_wave`` / ``bfs_multi`` / ``bfs_unblocked``) behind a single
@@ -247,22 +207,16 @@ class BfsEngine:
 
     - :meth:`closed_form` — obstacle-free grids: the distance field is
       the Manhattan step count, no traversal at all;
-    - :meth:`sparse` — scipy's C breadth-first traversal
-      (:func:`~scipy.sparse.csgraph.breadth_first_order`, ~6x cheaper per
-      call than ``csgraph.dijkstra`` on routing-window-sized grids) plus
-      a vectorized pointer-doubling depth reconstruction over the
-      predecessor forest;
-    - :meth:`wave` — the numpy frontier-dilation wave, for hosts without
-      scipy.
+    - :meth:`run_sweep` — blocked grids: segmented running minima over
+      the free runs of each axis, repeated until nothing changes.
 
-    Cross-pair batching note: stacking many windows into one
-    block-diagonal graph and issuing a single multi-source csgraph call
-    was measured and *loses* — scipy initializes per-source output over
-    the whole stacked graph, so the per-call overhead saved is repaid as
-    O(pairs^2) array fills. The profitable batch axis is the lockstep
-    *round* (:func:`repro.core.grid_cache.route_level` advances every
-    pair of a level through window-expansion rounds together), with each
-    grid answered by the cheapest per-grid strategy here.
+    :meth:`MazeGrid.bfs_reference` is the oracle both are tested against.
+
+    Batching: the starts of one window share one stacked sweep. Across
+    pairs the batch axis is the lockstep *round*
+    (:func:`repro.core.grid_cache.route_level` advances every pair of a
+    level through window-expansion rounds together), with each grid
+    answered by one call here.
     """
 
     def distances(
@@ -274,9 +228,7 @@ class BfsEngine:
                 raise ValueError(f"start cell {start} is blocked")
         if not grid._any_blocked:
             return [self.closed_form(grid, s) for s in starts]
-        if _sparse_bfs_order is not None:
-            return [self.sparse(grid, s) for s in starts]
-        return [self.wave(grid, s) for s in starts]
+        return self.run_sweep(grid, starts)
 
     def closed_form(self, grid: MazeGrid, start: tuple[int, int]) -> np.ndarray:
         """Manhattan step counts — exactly what BFS returns with no
@@ -286,91 +238,60 @@ class BfsEngine:
         dj = np.abs(np.arange(grid.ny) - j0)
         return di[:, None] + dj[None, :]
 
-    def sparse(self, grid: MazeGrid, start: tuple[int, int]) -> np.ndarray:
-        """C breadth-first traversal + vectorized depth reconstruction.
+    def run_sweep(
+        self, grid: MazeGrid, starts: list[tuple[int, int]]
+    ) -> list[np.ndarray]:
+        """Blocked-grid BFS by axis sweeps over free runs, all starts at once.
 
-        ``breadth_first_order`` returns the BFS predecessor forest; node
-        depths are recovered by pointer doubling (each round, every node
-        jumps to its pointer's pointer and accumulates the hops folded
-        into it), which is O(n log depth) in a handful of numpy passes.
-        """
-        flat = start[0] * grid.ny + start[1]
-        order, pred = _sparse_bfs_order(
-            grid._adjacency(), flat, directed=True, return_predecessors=True
-        )
-        n = grid.nx * grid.ny
-        hops = np.where(pred >= 0, 1, 0)
-        ptr = np.where(pred >= 0, pred, -1)
-        while True:
-            valid = np.flatnonzero(ptr >= 0)
-            if valid.size == 0:
-                break
-            pv = ptr[valid]
-            hops[valid] += hops[pv]
-            ptr[valid] = ptr[pv]
-        dist = np.full(n, _UNREACHED, dtype=int)
-        dist[order] = hops[order]
-        return dist.reshape(grid.nx, grid.ny)
+        The fields of every start stack as one ``(k, nx, ny)`` array that
+        holds 0 at its start and ``inf`` elsewhere. One round is four
+        passes (+y, -y, +x, -x); a pass relaxes every free run along its
+        axis at once as a segmented running minimum,
+        ``minimum.accumulate(d - off) + off`` with ``off = position +
+        run * seg``, where ``position`` and ``run`` (the blocked cells met
+        so far) count along the pass's direction. A blocked cell thus
+        heads a fresh run, and since ``seg`` exceeds any finite distance
+        plus the axis length, a value carried over from an earlier run
+        lands above ``inf`` and loses to the cell's own. Blocked cells
+        stay ``inf``: each heads its run and only ever receives its own
+        value.
 
-    def wave(self, grid: MazeGrid, start: tuple[int, int]) -> np.ndarray:
-        """Numpy frontier-dilation BFS (the scipy-free vectorized path).
-
-        Each wave shifts the current frontier mask one cell in every
-        direction and claims the still-unreached free cells. The work per
-        wave is confined to the bounding window of the frontier, so
-        compact waves stay cheap on big grids.
+        Every update is a realizable path and the fixed point satisfies
+        the BFS equations, so rounds repeat until one changes nothing and
+        the result is exact.
         """
         nx, ny = grid.nx, grid.ny
-        dist = np.full((nx, ny), _UNREACHED, dtype=int)
-        unreached = ~grid.blocked
-        frontier = np.zeros((nx, ny), dtype=bool)
-        frontier[start] = True
-        unreached[start] = False
-        dist[start] = 0
-        ilo, ihi = start[0], start[0] + 1
-        jlo, jhi = start[1], start[1] + 1
-        d = 0
+        seg = nx * ny + nx + ny + 1
+        inf = seg
+        d = np.full((len(starts), nx, ny), inf, dtype=np.int64)
+        ci, cj = np.array(starts, dtype=np.int64).reshape(-1, 2).T
+        d[np.arange(len(starts)), ci, cj] = 0
+        blocked = grid.blocked
+        passes = []  # (view of d in pass direction, its offsets, axis)
+        for view, mask, axis in (
+            (d, blocked, 2),
+            (d[:, :, ::-1], blocked[:, ::-1], 2),
+            (d, blocked, 1),
+            (d[:, ::-1, :], blocked[::-1, :], 1),
+        ):
+            runs = np.cumsum(mask, axis=axis - 1, dtype=np.int64)
+            pos = np.arange(mask.shape[axis - 1], dtype=np.int64)
+            pos = pos[None, :] if axis == 2 else pos[:, None]
+            passes.append((view, pos + runs * seg, axis))
         while True:
-            # Every neighbor of the frontier lies inside the window grown
-            # by one cell (clipped to the grid).
-            ilo, ihi = max(ilo - 1, 0), min(ihi + 1, nx)
-            jlo, jhi = max(jlo - 1, 0), min(jhi + 1, ny)
-            fwin = frontier[ilo:ihi, jlo:jhi]
-            uwin = unreached[ilo:ihi, jlo:jhi]
-            new = np.zeros_like(fwin)
-            for di, dj in _DIRECTIONS:
-                cand = _shift(fwin, di, dj)
-                cand &= uwin
-                new |= cand
-            if not new.any():
-                return dist
-            d += 1
-            dist[ilo:ihi, jlo:jhi][new] = d
-            uwin &= ~new
-            frontier[ilo:ihi, jlo:jhi] = new
-            # Shrink the window to the new frontier's bounding box.
-            rows = np.flatnonzero(new.any(axis=1))
-            cols = np.flatnonzero(new.any(axis=0))
-            ilo, ihi = ilo + rows[0], ilo + rows[-1] + 1
-            jlo, jhi = jlo + cols[0], jlo + cols[-1] + 1
+            before = d.copy()
+            for view, off, axis in passes:
+                np.subtract(view, off, out=view)
+                np.minimum.accumulate(view, axis=axis, out=view)
+                np.add(view, off, out=view)
+            if np.array_equal(d, before):
+                break
+        d[d == inf] = _UNREACHED
+        return list(d)
 
 
 #: The process-wide consolidated engine :class:`MazeGrid` dispatches to.
 BFS_ENGINE = BfsEngine()
-
-
-def _shift(mask: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Mask of cells one ``(di, dj)`` step downstream of ``mask``."""
-    out = np.zeros_like(mask)
-    if di == 1:
-        out[1:, :] = mask[:-1, :]
-    elif di == -1:
-        out[:-1, :] = mask[1:, :]
-    elif dj == 1:
-        out[:, 1:] = mask[:, :-1]
-    else:
-        out[:, :-1] = mask[:, 1:]
-    return out
 
 
 def blocked_path(

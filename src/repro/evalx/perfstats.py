@@ -4,7 +4,7 @@ Defines the canonical scaling scenarios — clustered register banks at
 50/200/1000/4000 sinks, with and without macro blockages — and times
 full synthesis runs with two engines:
 
-- ``vectorized``: the current routing engine (sparse-graph BFS, masked
+- ``vectorized``: the current routing engine (run-sweep BFS, masked
   blocking, bucketed matching, compiled fit evaluators);
 - ``reference``: the retained seed implementations (cell-by-cell
   ``block``, queue BFS, O(n^2) matching, interpreted fit evaluation,

@@ -22,11 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # scipy ships with the toolchain; fall back to dense solves without it.
-    from scipy.linalg import lu_factor, lu_solve
-except ImportError:  # pragma: no cover - exercised only without scipy
-    lu_factor = lu_solve = None
-
 from repro.spice.circuit import Circuit, GROUND
 from repro.spice.mosfet import mosfet_current
 from repro.timing.waveform import Waveform
@@ -180,6 +175,8 @@ def _newton_solve(
     and a prefactored ``a0_lu`` (scipy LU) can be reused across every
     timestep of a run.
     """
+    if a0_lu is not None:
+        from scipy.linalg import lu_solve
     upos = sys.unknown_pos
     u_idx = np.array(sys.unknown, dtype=int)
     max_dv = float("inf")
@@ -351,6 +348,25 @@ def _input_end_time(circuit: Circuit, opts: TransientOptions) -> float:
     return t_last
 
 
+def _prefactor(a0: np.ndarray):
+    """scipy's LU factorization of ``a0``, or ``None`` to solve densely.
+
+    A zero pivot means ``a0`` is singular; ``None`` then makes every
+    solve fall back to ``np.linalg.solve`` so the run still fails loudly
+    (``lu_solve`` would return inf instead of raising). scipy is imported
+    here rather than at module level, so importing the package, and
+    synthesis, which never simulates, do not load it.
+    """
+    try:
+        from scipy.linalg import lu_factor
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu = lu_factor(a0)
+    return None if np.any(np.diag(lu[0]) == 0.0) else lu
+
+
 def simulate(
     circuit: Circuit,
     options: TransientOptions | None = None,
@@ -381,16 +397,8 @@ def simulate(
     c_over_h = sys.c_diag / opts.dt
     a0 = sys.g_uu + np.diag(c_over_h)
     # Linear circuits (no MOSFETs) reuse one LU factorization of a0 for
-    # every Newton solve of every timestep. A zero pivot means a0 is
-    # singular; fall back to np.linalg.solve so the run still fails
-    # loudly (lu_solve would return inf instead of raising).
-    a0_lu = None
-    if not mos_terms and lu_factor is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            candidate = lu_factor(a0)
-        if not np.any(np.diag(candidate[0]) == 0.0):
-            a0_lu = candidate
+    # every Newton solve of every timestep.
+    a0_lu = None if mos_terms else _prefactor(a0)
     # Injection from known nodes, precomputed for every step.
     inj_known = -sys.g_uk @ vk_all  # (n_u, n_steps)
 

@@ -3,9 +3,10 @@
 The contract of the vectorized rewrite (maze BFS, blocking, matching):
 
 - ``block`` marks exactly the same cells as the cell-by-cell reference;
-- every strategy of the consolidated BFS engine (closed-form, sparse
-  breadth-first + depth reconstruction, frontier-dilation wave) produces
-  distance fields bit-identical to the queue reference;
+- both strategies of the consolidated BFS engine (closed-form on
+  unblocked grids, the run-sweep on blocked ones) produce distance
+  fields bit-identical to the queue reference, for every start of a
+  stacked sweep;
 - descent paths are distance-consistent shortest paths (each step
   adjacent and one BFS level closer), identical for every strategy
   because they are a pure function of the distance field;
@@ -20,7 +21,11 @@ import pytest
 
 from repro.core.maze_router import BFS_ENGINE, MazeGrid, route_maze
 from repro.core.options import CTSOptions
-from repro.core.routing_common import RouteTerminal, slew_limited_length
+from repro.core.routing_common import (
+    MAX_WINDOW_CELLS,
+    RouteTerminal,
+    slew_limited_length,
+)
 from repro.core.topology import (
     EdgeCost,
     SubTree,
@@ -50,6 +55,35 @@ def free_cell(grid, rng):
     return tuple(free[rng.integers(len(free))])
 
 
+def mask_grid(blocked):
+    """A unit-pitch grid carrying exactly the ``blocked`` mask."""
+    nx, ny = blocked.shape
+    grid = MazeGrid(BBox(0, 0, nx - 1.0, ny - 1.0), pitch=1.0)
+    assert (grid.nx, grid.ny) == (nx, ny)
+    grid.blocked = blocked.copy()
+    grid._any_blocked = bool(blocked.any())
+    return grid
+
+
+def serpentine(nx, ny):
+    """Walls on every odd column, open at alternating ends: one corridor
+    with a turn per wall (``nx // 2`` walls)."""
+    blocked = np.zeros((nx, ny), dtype=bool)
+    for n, i in enumerate(range(1, nx, 2)):
+        blocked[i, :] = True
+        blocked[i, ny - 1 if n % 2 == 0 else 0] = False
+    return blocked
+
+
+def assert_sweep_matches_reference(grid, starts):
+    fields = BFS_ENGINE.run_sweep(grid, starts)
+    assert len(fields) == len(starts)
+    for start, field in zip(starts, fields):
+        ref = grid.bfs_reference(start)
+        assert field.dtype == ref.dtype
+        assert np.array_equal(field, ref), start
+
+
 class TestBlockEquivalence:
     def test_masked_block_matches_reference(self, rng):
         for _ in range(10):
@@ -72,34 +106,91 @@ class TestBfsEquivalence:
             grid = random_grid(rng)
             start = free_cell(grid, rng)
             dist_ref = grid.bfs_reference(start)
-            assert np.array_equal(BFS_ENGINE.sparse(grid, start), dist_ref)
-            assert np.array_equal(BFS_ENGINE.wave(grid, start), dist_ref)
             assert np.array_equal(grid.bfs(start), dist_ref)
-            if not grid._any_blocked:
+            if grid._any_blocked:
+                assert_sweep_matches_reference(grid, [start])
+            else:
                 assert np.array_equal(
                     BFS_ENGINE.closed_form(grid, start), dist_ref
                 )
 
+    def test_random_masks(self, rng):
+        for density in (0.1, 0.3, 0.45):
+            for _ in range(4):
+                shape = tuple(int(v) for v in rng.integers(2, 40, 2))
+                grid = mask_grid(rng.random(shape) < density)
+                if grid.blocked.all():
+                    continue
+                assert_sweep_matches_reference(grid, [free_cell(grid, rng)])
+
+    def test_serpentine_needs_many_rounds(self):
+        grid = mask_grid(serpentine(25, 9))
+        assert grid.nx // 2 >= 10  # a turn per wall
+        assert_sweep_matches_reference(grid, [(0, 0)])
+        assert grid.bfs((0, 0))[24, 0] > 10 * 9
+
+    def test_sealed_pockets_read_unreached(self):
+        blocked = np.zeros((12, 10), dtype=bool)
+        blocked[6:11, 2] = blocked[6:11, 7] = True  # a sealed ring ...
+        blocked[6, 2:8] = blocked[10, 2:8] = True
+        blocked[:, 0] = True  # ... and a row cut off by a full wall
+        blocked[0, 0] = False
+        grid = mask_grid(blocked)
+        dist = grid.bfs((0, 5))
+        assert (dist[7:10, 3:7] == -1).all()
+        assert (dist[blocked] == -1).all()
+        assert dist[0, 0] == 5
+        assert_sweep_matches_reference(grid, [(0, 5), (8, 4)])
+
+    @pytest.mark.parametrize("shape", [(1, 17), (17, 1)])
+    def test_single_row_and_column(self, shape):
+        blocked = np.zeros(shape, dtype=bool)
+        blocked.flat[9] = True
+        grid = mask_grid(blocked)
+        assert_sweep_matches_reference(grid, [(0, 0)])
+        assert_sweep_matches_reference(grid, [(16, 0) if shape[0] > 1 else (0, 16)])
+        assert (grid.bfs((0, 0)).ravel()[9:] == -1).all()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stacked_starts(self, rng, k):
+        for _ in range(6):
+            grid = random_grid(rng, n_blocks=(1, 6))
+            if not grid._any_blocked:
+                continue
+            starts = [free_cell(grid, rng) for _ in range(k)]
+            assert_sweep_matches_reference(grid, starts)
+            for start, field in zip(starts, grid.bfs_many(starts)):
+                assert np.array_equal(field, grid.bfs_reference(start))
+
+    def test_window_at_the_cell_cap(self):
+        """Long corridors on a window at the cell cap keep their exact
+        distances (the run offsets stay far inside int64)."""
+        nx, ny = 281, 284
+        assert MAX_WINDOW_CELLS - 500 < nx * ny <= MAX_WINDOW_CELLS
+        grid = mask_grid(serpentine(nx, ny))
+        far = (nx - 1, ny - 1)
+        assert_sweep_matches_reference(grid, [(0, 0), far])
+        assert grid.bfs((0, 0))[far] > nx * ny // 2
+
     def test_descent_paths_distance_consistent(self, rng):
         for _ in range(6):
-            grid = random_grid(rng)
+            grid = random_grid(rng, n_blocks=(1, 5))
             start = free_cell(grid, rng)
             dist_ref = grid.bfs_reference(start)
-            for strategy in (BFS_ENGINE.sparse, BFS_ENGINE.wave):
-                dist = strategy(grid, start)
-                reached = np.argwhere(dist >= 0)
-                for cell in map(tuple, reached[:: max(1, len(reached) // 40)]):
-                    path = grid.descend(dist, cell)
-                    assert path[0] == start
-                    assert path[-1] == cell
-                    # shortest: length equals the reference distance
-                    assert len(path) == dist_ref[cell] + 1
-                    for (i1, j1), (i2, j2) in zip(path, path[1:]):
-                        assert abs(i1 - i2) + abs(j1 - j2) == 1
-                        assert not grid.blocked[i2, j2]
-                    # the descent is a function of the field alone, so
-                    # equal fields give byte-equal paths across strategies
-                    assert path == grid.descend(dist_ref, cell)
+            dist = BFS_ENGINE.distances(grid, [start])[0]
+            reached = np.argwhere(dist >= 0)
+            for cell in map(tuple, reached[:: max(1, len(reached) // 40)]):
+                path = grid.descend(dist, cell)
+                assert path[0] == start
+                assert path[-1] == cell
+                # shortest: length equals the reference distance
+                assert len(path) == dist_ref[cell] + 1
+                for (i1, j1), (i2, j2) in zip(path, path[1:]):
+                    assert abs(i1 - i2) + abs(j1 - j2) == 1
+                    assert not grid.blocked[i2, j2]
+                # the descent is a function of the field alone, so
+                # equal fields give byte-equal paths
+                assert path == grid.descend(dist_ref, cell)
 
     def test_blocked_start_raises_everywhere(self):
         grid = MazeGrid(BBox(0, 0, 1000, 1000), pitch=100.0)

@@ -1,6 +1,6 @@
-"""Rails: each CLI flag, fault site, CI gate and benchmark hook, and the
-env-free option defaults, checked on the live objects the program runs
-with rather than on its source.
+"""Rails: each CLI flag, fault site, CI gate and benchmark hook, the
+env-free option defaults and the scipy-free synthesis path, checked on
+the live objects the program runs with rather than on its source.
 
 The checkpoint-digest partition of ``CTSOptions`` is tested with the
 rest of the checkpoint code in ``tests/test_resilience.py``.
@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -192,6 +195,61 @@ class TestFaultSites:
             plan.consult("typo")
 
 
+#: Imports the package, synthesizes a 50-sink instance around macro
+#: blockages (so blocked windows route), then simulates a linear RC
+#: circuit; prints the sweep count and the scipy modules loaded so far.
+SCIPY_PROBE = """
+import json, sys
+import repro, repro.core.cts, repro.cli
+from repro.core.cts import AggressiveBufferedCTS
+from repro.core.maze_router import BfsEngine
+from repro.evalx.perfstats import scaling_scenario
+from repro.spice.circuit import Circuit
+from repro.spice.transient import TransientOptions, simulate
+from repro.tech import default_technology
+from repro.timing.waveform import ramp_waveform
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+sweeps = []
+run_sweep = BfsEngine.run_sweep
+def counted(self, grid, starts):
+    sweeps.append(len(starts))
+    return run_sweep(self, grid, starts)
+BfsEngine.run_sweep = counted
+sinks, source, blockages = scaling_scenario(50, True)
+AggressiveBufferedCTS(blockages=blockages).synthesize(sinks, source)
+after_synthesis = loaded()
+circuit = Circuit(default_technology())
+circuit.add_vsource("in", ramp_waveform(1.0, 20e-12, t_start=10e-12))
+circuit.add_resistor("in", "out", 1000.0)
+circuit.add_cap("out", 100e-15)
+simulate(circuit, TransientOptions(dt=1e-12, t_stop=0.2e-9))
+print(json.dumps({"sweeps": len(sweeps), "after_synthesis": after_synthesis,
+                  "after_simulate": loaded()}))
+"""
+
+
+class TestScipyFree:
+    def test_synthesis_loads_no_scipy(self):
+        """Importing the package and a synthesis that routes blocked
+        windows load no scipy module; a SPICE run of a linear circuit
+        still takes the LU path and loads ``scipy.linalg``."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        record = json.loads(out.stdout.splitlines()[-1])
+        assert record["sweeps"] > 0
+        assert record["after_synthesis"] == []
+        assert "scipy.linalg" in record["after_simulate"]
+
+
 def ci_jobs() -> dict[str, list[str]]:
     """``{job id: its stripped lines}`` from the workflow's ``jobs:`` map."""
     jobs: dict[str, list[str]] = {}
@@ -204,6 +262,13 @@ def ci_jobs() -> dict[str, list[str]]:
         elif current is not None:
             current.append(line.strip())
     return jobs
+
+
+#: The lines of the serial leg's Table 5.3 smoke step.
+TABLE_SMOKE = (
+    "cd benchmarks",
+    "REPRO_SCALE=40 PYTHONPATH=../src python -m pytest -x -q bench_table_5_3.py",
+)
 
 
 class TestCI:
@@ -219,19 +284,32 @@ class TestCI:
     def test_serial_leg_runs_the_hstructure_table(self):
         """Table 5.3 puts re-estimated and corrected trees under SPICE,
         an oracle that shares no code with the timing engine."""
-        steps: list[list[str]] = []
-        for line in ci_jobs()["tier1"]:
-            if line.startswith("- "):
-                steps.append([])
-            if steps:
-                steps[-1].append(line.removeprefix("- "))
-        assert any(
-            "if: matrix.name == 'serial'" in step
-            and "cd benchmarks" in step
-            and "REPRO_SCALE=40 PYTHONPATH=../src python -m pytest -x -q"
-            " bench_table_5_3.py" in step
-            for step in steps
+        assert serial_step_index(*TABLE_SMOKE) is not None
+
+    def test_serial_leg_checks_results_unchanged(self):
+        """After the table smoke, the tracked bench results must still
+        read as committed (a partial bench session stitches no report)."""
+        table = serial_step_index(*TABLE_SMOKE)
+        check = serial_step_index(
+            "run: git diff --exit-code -- benchmarks/results"
         )
+        assert table is not None and check is not None
+        assert table < check
+
+
+def serial_step_index(*lines: str) -> int | None:
+    """Position of the first ``serial``-leg step of the ``tier1`` job
+    that has every one of ``lines`` among its lines, or ``None``."""
+    steps: list[list[str]] = []
+    for line in ci_jobs()["tier1"]:
+        if line.startswith("- "):
+            steps.append([])
+        if steps:
+            steps[-1].append(line.removeprefix("- "))
+    for index, step in enumerate(steps):
+        if all(line in step for line in ("if: matrix.name == 'serial'", *lines)):
+            return index
+    return None
 
 
 def tracer_hooks() -> tuple:
