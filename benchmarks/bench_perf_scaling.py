@@ -4,7 +4,10 @@ Times the canonical scaling scenarios (50/200/1000/4000 sinks, with and
 without macro blockages; ``REPRO_SCALE`` caps the ladder for CI smoke)
 with the vectorized routing engine and with the retained seed-reference
 implementations, then emits ``benchmarks/results/BENCH_cts_scaling.json``
-— the perf-trajectory artifact all future PRs re-measure against.
+— the perf-trajectory artifact all future PRs re-measure against. A
+partial ladder writes ``BENCH_cts_scaling_smoke.json`` and
+``perf_scaling_smoke.txt`` instead (gitignored), so a smoke run leaves
+the tracked full-ladder artifacts as committed.
 
 Shape claims:
 - every scenario completes and reports positive wall-clock seconds;
@@ -22,6 +25,7 @@ Shape claims:
 from conftest import report
 
 from repro.evalx.perfstats import (
+    artifact_suffix,
     checkpoint_resume_equivalence,
     collect_scaling,
     render_scaling,
@@ -33,7 +37,7 @@ from repro.evalx.perfstats import (
 def test_perf_scaling():
     payload = collect_scaling()
     path = write_scaling_json(payload)
-    report("perf_scaling", render_scaling(payload))
+    report(f"perf_scaling{artifact_suffix(payload)}", render_scaling(payload))
     assert path.exists() and path.stat().st_size > 0
 
     samples = payload["samples"]

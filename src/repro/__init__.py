@@ -21,51 +21,47 @@ Quickstart::
           f" skew {metrics.skew * 1e12:.1f} ps")
 """
 
-from repro.tech import (
-    Technology,
-    WireModel,
-    BufferType,
-    BufferLibrary,
-    default_technology,
-    default_buffer_library,
-    cts_buffer_library,
-)
-from repro.core import (
-    CTSOptions,
-    AggressiveBufferedCTS,
-    SynthesisResult,
-    synthesize_clock_tree,
-)
-from repro.charlib import DelaySlewLibrary, load_default_library, build_library
-from repro.evalx import TreeMetrics, evaluate_tree, engine_metrics
-from repro.timing.analysis import LibraryTimingEngine
-from repro.tree import ClockTree, TreeNode, NodeKind
-from repro.geom import Point
+from importlib import import_module
+
+#: Public name -> the module that defines it. Names resolve on first
+#: access (PEP 562), so ``import repro`` — which every ``python -m repro``
+#: command pays, the ``run-batch`` supervisor included — loads neither
+#: numpy nor the engine.
+_EXPORTS = {
+    "Technology": "repro.tech",
+    "WireModel": "repro.tech",
+    "BufferType": "repro.tech",
+    "BufferLibrary": "repro.tech",
+    "default_technology": "repro.tech",
+    "default_buffer_library": "repro.tech",
+    "cts_buffer_library": "repro.tech",
+    "CTSOptions": "repro.core",
+    "AggressiveBufferedCTS": "repro.core",
+    "SynthesisResult": "repro.core",
+    "synthesize_clock_tree": "repro.core",
+    "DelaySlewLibrary": "repro.charlib",
+    "load_default_library": "repro.charlib",
+    "build_library": "repro.charlib",
+    "TreeMetrics": "repro.evalx",
+    "evaluate_tree": "repro.evalx",
+    "engine_metrics": "repro.evalx",
+    "LibraryTimingEngine": "repro.timing.analysis",
+    "ClockTree": "repro.tree",
+    "TreeNode": "repro.tree",
+    "NodeKind": "repro.tree",
+    "Point": "repro.geom",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Technology",
-    "WireModel",
-    "BufferType",
-    "BufferLibrary",
-    "default_technology",
-    "default_buffer_library",
-    "cts_buffer_library",
-    "CTSOptions",
-    "AggressiveBufferedCTS",
-    "SynthesisResult",
-    "synthesize_clock_tree",
-    "DelaySlewLibrary",
-    "load_default_library",
-    "build_library",
-    "TreeMetrics",
-    "evaluate_tree",
-    "engine_metrics",
-    "LibraryTimingEngine",
-    "ClockTree",
-    "TreeNode",
-    "NodeKind",
-    "Point",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -287,7 +287,8 @@ class AggressiveBufferedCTS:
         serial flow's order (the H pairs', pair by pair, then the plain
         pairs'), and the level's nodes are renumbered into serial
         creation order, so the tree is the one a pair-by-pair merge
-        would build.
+        would build. Only ids and auto-names move: the timing engine's
+        memos are keyed by node, so they need no renumbering.
         """
         from repro.core.parallel_merge import (
             renumber_subtrees,
@@ -295,7 +296,6 @@ class AggressiveBufferedCTS:
         )
 
         base = peek_node_id()
-        marks = self.engine.cache_marks()
         h_index = [
             i for i, (a, b) in enumerate(pairs) if self._is_hstructure_pair(a, b)
         ]
@@ -328,11 +328,7 @@ class AggressiveBufferedCTS:
             for pair_merges in merges
         ]
         renumber_subtrees(
-            [s.root for s in merged_level],
-            serial_id_mapping(base, spans),
-            self.engine,
-            base,
-            marks,
+            [s.root for s in merged_level], serial_id_mapping(base, spans), base
         )
         return merged_level, n_flips
 

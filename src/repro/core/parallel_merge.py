@@ -7,15 +7,14 @@ pair would (prepare+commit per pair), and that order would leak into
 auto-generated node ids and names. The flow therefore records the id
 ranges each pair's merges consumed and renumbers the level's nodes
 afterwards into the pair-by-pair creation order — a bijection on the
-level's id block — and remaps the timing engine's memoized bounds keys
-to follow.
+level's id block. The timing engine and the flat-stage cache key their
+memos by node identity, so nothing but the nodes themselves follows.
 The synthesized tree (including node names) is then the one a
 pair-by-pair merge would build.
 """
 
 from __future__ import annotations
 
-from repro.timing.analysis import LibraryTimingEngine
 from repro.tree.nodes import TreeNode
 
 
@@ -42,20 +41,14 @@ def serial_id_mapping(
 
 
 def renumber_subtrees(
-    roots: list[TreeNode],
-    mapping: dict[int, int],
-    engine: LibraryTimingEngine,
-    base: int,
-    marks: tuple[int, int, int],
+    roots: list[TreeNode], mapping: dict[int, int], base: int
 ) -> None:
-    """Apply a serial id mapping to live nodes and the engine's cache.
+    """Apply a serial id mapping to live nodes: ids and auto-names only.
 
     ``base`` is the level's first id: level-created nodes only ever sit
     above older ones (snake, chain, merge, corrective and stage buffers
     are all built over existing roots), so the walk stops at any node
     with a smaller id and costs the level's new nodes, not the tree.
-    ``marks`` are the engine's cache sizes at the level's start (see
-    :meth:`~repro.timing.analysis.LibraryTimingEngine.cache_marks`).
 
     Auto-generated names (``m<id>``/``b<id>``/…) are regenerated so
     exports match the serial flow byte for byte; explicit names (sinks,
@@ -75,4 +68,3 @@ def renumber_subtrees(
         node.id = new_id
         if node.name == auto_name:
             node.name = f"{node.kind.value[0]}{new_id}"
-    engine.remap_node_ids(mapping, marks)

@@ -18,10 +18,10 @@ and end caps are written into its row once and every later
 bounds-bucket evaluation becomes a numpy gather + one batched fit round
 + a vectorized accumulate.
 
-Rows are keyed by node identity (``TreeNode`` compares by identity), so
-node ids never reach the cache: the engine's id-keyed cache keys are
-built from each node's current ``.id`` when they are looked up, and a
-renumbering between two queries needs nothing from this module.
+Rows are keyed by node identity (``TreeNode`` compares by identity), as
+are the engine's bounds and cap caches this module fills, so node ids
+never reach either: a renumbering between two queries needs nothing
+from this module or the engine.
 
 Two commit-phase kernels read the rows:
 
@@ -289,25 +289,23 @@ class SoaTree:
             evaluated = self._evaluate_jobs(engine, pending)
             passes.append(evaluated)
             wavefront: dict = {}
-            for entry in evaluated:
-                self._scan_wavefront(engine, wavefront, entry[6])
-                self._scan_wavefront(engine, wavefront, entry[7])
+            for *__, l_buckets, r_buckets in evaluated:
+                self._scan_wavefront(engine, wavefront, l_buckets)
+                self._scan_wavefront(engine, wavefront, r_buckets)
             pending = [
-                ("b", node, sorted(buckets), None)
-                for node, buckets in wavefront.items()
+                (node, sorted(buckets)) for node, buckets in wavefront.items()
             ]
         for evaluated in reversed(passes):
             self._finalize_pass(engine, evaluated)
 
     def _evaluate_jobs(self, engine, jobs) -> list[tuple]:
-        bounds_cache = engine._bounds_cache
-        vbounds_cache = engine._vbounds_cache
+        cache = engine._bounds_cache
         slow: list = []
-        # group key -> [row indices, buckets, node ids]
+        # group key -> [row indices, buckets, nodes]
         singles: dict[tuple, list] = {}
         branches: dict[tuple, list] = {}
         for job in jobs:
-            job_kind, node, buckets, vdrive = job
+            node, buckets = job
             i = self._row(node)
             state = int(self.fs_state[i])
             if state == _FS_UNKNOWN:
@@ -315,26 +313,20 @@ class SoaTree:
             if state == _FS_DEEP:
                 slow.append(job)
                 continue
-            include = job_kind == "b"
+            include = node.kind is NodeKind.BUFFER
             if state == _FS_EMPTY:
-                cache = bounds_cache if include else vbounds_cache
                 for bucket in buckets:
-                    key = (
-                        (node.id, bucket)
-                        if include
-                        else (node.id, bucket, vdrive)
-                    )
-                    if key not in cache:
-                        cache[key] = SubtreeBounds(0.0, 0.0, 0.0)
+                    if (node, bucket) not in cache:
+                        cache[node, bucket] = SubtreeBounds(0.0, 0.0, 0.0)
                 continue
-            drive = node.buffer.name if include else vdrive
+            drive = node.buffer.name if include else engine.virtual_drive
             if state == _FS_SINGLE:
                 group = singles.setdefault(
                     (drive, int(self.fs_lload[i]), include), ([], [], [])
                 )
             else:
                 group = branches.setdefault((drive, include), ([], [], []))
-            rows_i, rows_b, rows_id = group
+            rows_i, rows_b, rows_node = group
             # Prefetch a contiguous bucket window around the requested
             # pair: bisection slews drift a few buckets per node over the
             # rounds, and every bucket value is a pure function of its
@@ -342,34 +334,26 @@ class SoaTree:
             # batch (fewer rounds, fewer groups) without changing any
             # stored value. Requested buckets are cache-missing by
             # construction; extras are filtered against the cache.
-            node_id = node.id
             lo_b = buckets[0] - _PREFETCH_BELOW
             if lo_b < 0:
                 lo_b = 0
             hi_b = buckets[-1] + _PREFETCH_ABOVE
-            cache = bounds_cache if include else vbounds_cache
             requested = set(buckets)
             for bucket in range(lo_b, hi_b + 1):
-                if bucket not in requested:
-                    key = (
-                        (node_id, bucket)
-                        if include
-                        else (node_id, bucket, vdrive)
-                    )
-                    if key in cache:
-                        continue
+                if bucket not in requested and (node, bucket) in cache:
+                    continue
                 rows_i.append(i)
                 rows_b.append(bucket)
-                rows_id.append(node_id)
+                rows_node.append(node)
         # Deep stages take the scalar recursion, which fills (and memoizes) every bucket below them on the way.
-        for job_kind, node, buckets, vdrive in slow:
+        for node, buckets in slow:
             for bucket in buckets:
-                if job_kind == "b":
+                if node.kind is NodeKind.BUFFER:
                     engine._buffer_bucket_bounds(node, bucket)
                 else:
-                    engine._virtual_bucket_bounds(node, bucket, vdrive)
+                    engine._virtual_bucket_bounds(node, bucket)
         evaluated: list[tuple] = []
-        for (drive, load_code, include), (rows_i, rows_b, rows_id) in (
+        for (drive, load_code, include), (rows_i, rows_b, rows_node) in (
             singles.items()
         ):
             idx = np.asarray(rows_i, dtype=np.intp)
@@ -403,15 +387,13 @@ class SoaTree:
                 slews = np.maximum(1e-15, fits["wire_slew"].predict_many(x))
             evaluated.append(
                 (
-                    include,
-                    drive,
-                    rows_id,
+                    rows_node,
                     rows_b,
                     (self.fs_lend[idx], self.fs_lkind[idx], delays, slews),
                     None,
                 )
             )
-        for (drive, include), (rows_i, rows_b, rows_id) in branches.items():
+        for (drive, include), (rows_i, rows_b, rows_node) in branches.items():
             idx = np.asarray(rows_i, dtype=np.intp)
             fits = engine.library.branch[drive]
             stems = self.fs_stem[idx]
@@ -474,9 +456,7 @@ class SoaTree:
                 r_slews = batch.right_slew
             evaluated.append(
                 (
-                    include,
-                    drive,
-                    rows_id,
+                    rows_node,
                     rows_b,
                     (self.fs_lend[idx], self.fs_lkind[idx], l_delays, l_slews),
                     (self.fs_rend[idx], self.fs_rkind[idx], r_delays, r_slews),
@@ -486,40 +466,19 @@ class SoaTree:
         # is computed once here; the driver scans it for the next pass's
         # wavefront and _finalize_pass interpolates from it on unwind.
         out: list[tuple] = []
-        for include, drive, rows_id, rows_b, left, right in evaluated:
+        for rows_node, rows_b, left, right in evaluated:
             l_buckets = self._side_buckets(left[0], left[1], left[3])
             r_buckets = (
                 None
                 if right is None
                 else self._side_buckets(right[0], right[1], right[3])
             )
-            out.append(
-                (
-                    include,
-                    drive,
-                    rows_id,
-                    rows_b,
-                    left,
-                    right,
-                    l_buckets,
-                    r_buckets,
-                )
-            )
+            out.append((rows_node, rows_b, left, right, l_buckets, r_buckets))
         return out
 
     def _finalize_pass(self, engine, evaluated) -> None:
-        bounds_cache = engine._bounds_cache
-        vbounds_cache = engine._vbounds_cache
-        for (
-            include,
-            drive,
-            rows_id,
-            rows_b,
-            left,
-            right,
-            l_buckets,
-            r_buckets,
-        ) in evaluated:
+        cache = engine._bounds_cache
+        for rows_node, rows_b, left, right, l_buckets, r_buckets in evaluated:
             __, __k, l_delays, l_slews = left
             l_bmin, l_bmax, l_bworst = self._below_bounds(
                 engine, len(rows_b), l_buckets
@@ -546,22 +505,13 @@ class SoaTree:
             # key, so a duplicate row carries a bit-identical value and
             # last-write-wins is indistinguishable from first-write-wins.
             bounds = map(SubtreeBounds, lo.tolist(), hi.tolist(), worst.tolist())
-            if include:
-                bounds_cache.update(zip(zip(rows_id, rows_b), bounds))
-            else:
-                vbounds_cache.update(
-                    zip(
-                        ((node_id, bucket, drive)
-                         for node_id, bucket in zip(rows_id, rows_b)),
-                        bounds,
-                    )
-                )
+            cache.update(zip(zip(rows_node, rows_b), bounds))
 
     def _side_buckets(self, ends, kinds, slews):
         """Bucket rows of one evaluated side's buffer ends.
 
-        Returns ``(rows, end nodes, end ids, k, frac, slews)`` —
-        compacted to the buffer rows — or None when the side has none. ``slew /
+        Returns ``(rows, end nodes, k, frac, slews)`` — compacted to the
+        buffer rows — or None when the side has none. ``slew /
         SLEW_QUANTUM``, ``int`` truncation and ``q - k`` are evaluated
         element-wise with the scalar bucket math's float ops (positive
         slews, so ``astype`` truncation equals ``int()``).
@@ -574,11 +524,9 @@ class SoaTree:
         ks = q.astype(np.int64)
         frac = q - ks
         nodes = self._nodes
-        end_nodes = [nodes[row] for row in ends[rows].tolist()]
         return (
             rows,
-            end_nodes,
-            [node.id for node in end_nodes],
+            [nodes[row] for row in ends[rows].tolist()],
             ks.tolist(),
             frac.tolist(),
             picked.tolist(),
@@ -588,11 +536,11 @@ class SoaTree:
         if buckets is None:
             return
         cache = engine._bounds_cache
-        __, ends, ids, ks, fracs, __s = buckets
-        for end, end_id, k, frac in zip(ends, ids, ks, fracs):
-            if (end_id, k) not in cache:
+        __, ends, ks, fracs, __s = buckets
+        for end, k, frac in zip(ends, ks, fracs):
+            if (end, k) not in cache:
                 wavefront.setdefault(end, set()).add(k)
-            if frac != 0.0 and (end_id, k + 1) not in cache:
+            if frac != 0.0 and (end, k + 1) not in cache:
                 wavefront.setdefault(end, set()).add(k + 1)
 
     def _below_bounds(self, engine, n, buckets):
@@ -606,19 +554,19 @@ class SoaTree:
         b_max = np.zeros(n)
         b_worst = np.zeros(n)
         if buckets is not None:
-            rows, ends, ids, ks, fracs, slews = buckets
+            rows, ends, ks, fracs, slews = buckets
             cache = engine._bounds_cache
             mins: list[float] = []
             maxes: list[float] = []
             worsts: list[float] = []
-            for end, end_id, k, frac, slew in zip(ends, ids, ks, fracs, slews):
-                lo = cache.get((end_id, k))
+            for end, k, frac, slew in zip(ends, ks, fracs, slews):
+                lo = cache.get((end, k))
                 if lo is None:
                     below = engine.buffer_subtree_bounds(end, slew)
                 elif frac == 0.0:
                     below = lo
                 else:
-                    hi = cache.get((end_id, k + 1))
+                    hi = cache.get((end, k + 1))
                     if hi is None:
                         below = engine.buffer_subtree_bounds(end, slew)
                     else:
@@ -657,10 +605,10 @@ class SoaTree:
         drivers: list = [None] * len(merges)
         need: list[int] = []
         for k, merge in enumerate(merges):
-            cap = cap_cache.get(merge.id)
+            cap = cap_cache.get(merge)
             if cap is None:
                 cap = self._collapsed_cap(merge, engine)
-                cap_cache[merge.id] = cap
+                cap_cache[merge] = cap
             if cap > max_cap:
                 need.append(k)
         if not need:

@@ -56,7 +56,7 @@ SCALING_SIZES = (50, 200, 1000, 4000)
 #: Sink density: die edge grows with sqrt(n) so merge spans stay realistic.
 AREA_PER_SQRT_SINK = 1200.0
 
-JSON_NAME = "BENCH_cts_scaling.json"
+JSON_STEM = "BENCH_cts_scaling"
 
 
 def full_run_requested() -> bool:
@@ -414,13 +414,24 @@ def checkpoint_resume_equivalence(
     return out
 
 
+def artifact_suffix(payload: dict) -> str:
+    """``""`` for a payload that ran the whole :data:`SCALING_SIZES`
+    ladder, ``"_smoke"`` for a partial one.
+
+    Only a full ladder may replace the tracked artifacts; a smoke run
+    (``REPRO_SCALE``) writes the gitignored ``*_smoke`` names instead.
+    """
+    return "" if tuple(payload["sizes"]) == SCALING_SIZES else "_smoke"
+
+
 def write_scaling_json(payload: dict, results_dir: str | Path | None = None) -> Path:
-    """Emit ``BENCH_cts_scaling.json`` under ``benchmarks/results``."""
+    """Emit ``BENCH_cts_scaling.json`` under ``benchmarks/results``
+    (``BENCH_cts_scaling_smoke.json`` for a partial ladder)."""
     if results_dir is None:
         results_dir = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / JSON_NAME
+    path = results_dir / f"{JSON_STEM}{artifact_suffix(payload)}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 

@@ -29,7 +29,6 @@ at the merge point using the slew computed there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import NamedTuple
 
 from repro.charlib.library import DelaySlewLibrary
@@ -109,14 +108,6 @@ class TreeTiming:
         return max(t.slew for t in self.arrivals.values())
 
 
-def _added_keys(cache: dict, mark: int) -> list:
-    """The keys inserted after the first ``mark``, in insertion order
-    (walked from the end, so the cost is the number of new keys)."""
-    added = list(islice(reversed(cache), len(cache) - mark))
-    added.reverse()
-    return added
-
-
 class LibraryTimingEngine:
     """Top-down delay/slew analysis backed by the characterized library."""
 
@@ -130,15 +121,17 @@ class LibraryTimingEngine:
         #: Buffer type assumed to drive not-yet-driven sub-trees: the
         #: largest one.
         self.virtual_drive = library.buffer_names[-1]
-        self._bounds_cache: dict[tuple[int, int], SubtreeBounds] = {}
-        #: Virtual-driver bounds of MERGE/STEINER roots, keyed by
-        #: (node id, quantized slew, drive). Like the buffer cache it
-        #: assumes the structure below a queried node never changes (the
-        #: bottom-up flow only ever builds above existing roots).
-        self._vbounds_cache: dict[tuple[int, int, str], SubtreeBounds] = {}
-        #: Collapsed stage capacitance of MERGE/STEINER roots by node id
+        #: Sub-tree bounds per (node, quantized slew). BUFFER roots are
+        #: input-referenced (buffer delay included); MERGE/STEINER roots
+        #: sit under the virtual driver. Keys are node objects (identity
+        #: hashed, ``TreeNode`` being ``eq=False``), so a renumbering
+        #: leaves them valid. Assumes the structure below a queried node
+        #: never changes (the bottom-up flow only ever builds above
+        #: existing roots).
+        self._bounds_cache: dict[tuple[TreeNode, int], SubtreeBounds] = {}
+        #: Collapsed stage capacitance of MERGE/STEINER roots by node
         #: (the walk is O(sub-tree) and sits inside every bisection probe).
-        self._cap_cache: dict[int, float] = {}
+        self._cap_cache: dict[TreeNode, float] = {}
         #: Buffer input capacitance by type name (pure per technology).
         self._buffer_cap_cache: dict[str, float] = {}
         #: subtree_bounds_many diagnostics (batched commit phase).
@@ -172,7 +165,7 @@ class LibraryTimingEngine:
             return self._buffer_input_cap(node.buffer.name, node.buffer)
         if node.kind is NodeKind.SINK:
             return node.cap
-        cached = self._cap_cache.get(node.id)
+        cached = self._cap_cache.get(node)
         if cached is not None:
             return cached
         # Collapsed nested structure: wire + loads below this node.
@@ -180,7 +173,7 @@ class LibraryTimingEngine:
         for n in node.walk():
             if n is not node and n.kind is NodeKind.BUFFER:
                 cap += self._buffer_input_cap(n.buffer.name, n.buffer)
-        self._cap_cache[node.id] = cap
+        self._cap_cache[node] = cap
         return cap
 
     def _eval_structure(
@@ -313,58 +306,7 @@ class LibraryTimingEngine:
 
     def clear_cache(self) -> None:
         self._bounds_cache.clear()
-        self._vbounds_cache.clear()
         self._cap_cache.clear()
-
-    def cache_marks(self) -> tuple[int, int, int]:
-        """Sizes of the id-keyed caches, for :meth:`remap_node_ids`.
-
-        Recorded when a level starts: the caches only grow, so every
-        entry added since sits after its cache's mark.
-        """
-        return (
-            len(self._bounds_cache),
-            len(self._vbounds_cache),
-            len(self._cap_cache),
-        )
-
-    def remap_node_ids(
-        self,
-        mapping: dict[int, int],
-        marks: tuple[int, int, int] = (0, 0, 0),
-    ) -> None:
-        """Rewrite memoized keys after a node-id renumbering.
-
-        The batched level flow renumbers a level's freshly created nodes
-        into serial creation order; cached bounds and caps are keyed by
-        node id, so the keys must follow the (bijective) renumbering or
-        a later node could hit a stale entry under its reassigned id.
-        Every moved id belongs to a node created since ``marks`` (see
-        :meth:`cache_marks`) were taken, so only the entries added since
-        are scanned. An attached flat-stage cache keys its rows by node
-        identity and needs no remap.
-        """
-        if not mapping:
-            return
-        bounds_mark, vbounds_mark, cap_mark = marks
-        for cache, mark in (
-            (self._bounds_cache, bounds_mark),
-            (self._vbounds_cache, vbounds_mark),
-        ):
-            moved = [key for key in _added_keys(cache, mark) if key[0] in mapping]
-            # Pop everything first: a moved key's target may itself be a
-            # moved key, and reinserting early would clobber its entry.
-            entries = [(key, cache.pop(key)) for key in moved]
-            for key, bounds in entries:
-                cache[(mapping[key[0]], *key[1:])] = bounds
-        moved = [
-            node_id
-            for node_id in _added_keys(self._cap_cache, cap_mark)
-            if node_id in mapping
-        ]
-        entries = [(node_id, self._cap_cache.pop(node_id)) for node_id in moved]
-        for node_id, cap in entries:
-            self._cap_cache[mapping[node_id]] = cap
 
     @staticmethod
     def _buckets_of(slew: float) -> tuple[int, float]:
@@ -399,14 +341,13 @@ class LibraryTimingEngine:
         q = input_slew / SLEW_QUANTUM
         k = int(q)  # slews are non-negative, so int() floors
         cache = self._bounds_cache
-        node_id = buffer_node.id
-        lo = cache.get((node_id, k))
+        lo = cache.get((buffer_node, k))
         if lo is None:
             lo = self._buffer_bucket_bounds(buffer_node, k)
         frac = q - k
         if frac == 0.0:
             return lo
-        hi = cache.get((node_id, k + 1))
+        hi = cache.get((buffer_node, k + 1))
         if hi is None:
             hi = self._buffer_bucket_bounds(buffer_node, k + 1)
         return SubtreeBounds(
@@ -418,7 +359,7 @@ class LibraryTimingEngine:
     def _buffer_bucket_bounds(
         self, buffer_node: TreeNode, bucket: int
     ) -> SubtreeBounds:
-        key = (buffer_node.id, bucket)
+        key = (buffer_node, bucket)
         cached = self._bounds_cache.get(key)
         if cached is None:
             timing = self.stage_timing(buffer_node, bucket * SLEW_QUANTUM)
@@ -447,38 +388,33 @@ class LibraryTimingEngine:
         return SubtreeBounds(lo, hi, worst)
 
     def subtree_bounds(
-        self,
-        node: TreeNode,
-        input_slew: float,
-        drive: str | None = None,
+        self, node: TreeNode, input_slew: float
     ) -> SubtreeBounds:
         """Delay bounds from an arbitrary sub-tree root to its sinks.
 
         For a BUFFER root the bounds start at the buffer input (intrinsic
         delay included). For MERGE/STEINER/SINK roots, a *virtual* driver
-        of type ``drive`` (default: the engine's ``virtual_drive``) is
-        assumed at the node with the given input slew, and its intrinsic
-        delay is excluded — matching how merge-routing reasons about
-        not-yet-driven sub-trees.
+        of type ``virtual_drive`` is assumed at the node with the given
+        input slew, and its intrinsic delay is excluded — matching how
+        merge-routing reasons about not-yet-driven sub-trees.
         """
         if node.kind is NodeKind.BUFFER:
             return self.buffer_subtree_bounds(node, input_slew)
         if node.kind is NodeKind.SINK:
             return SubtreeBounds(0.0, 0.0, input_slew)
-        drive = drive or self.virtual_drive
         k, frac = self._buckets_of(input_slew)
-        lo = self._virtual_bucket_bounds(node, k, drive)
+        lo = self._virtual_bucket_bounds(node, k)
         if frac == 0.0:
             return lo
         return self._lerp_bounds(
-            lo, self._virtual_bucket_bounds(node, k + 1, drive), frac
+            lo, self._virtual_bucket_bounds(node, k + 1), frac
         )
 
     def _virtual_bucket_bounds(
-        self, node: TreeNode, bucket: int, drive: str
+        self, node: TreeNode, bucket: int
     ) -> SubtreeBounds:
-        key = (node.id, bucket, drive)
-        cached = self._vbounds_cache.get(key)
+        key = (node, bucket)
+        cached = self._bounds_cache.get(key)
         if cached is not None:
             return cached
         if not node.children:
@@ -494,16 +430,14 @@ class LibraryTimingEngine:
                     [_trace_path(c, c.wire_to_parent) for c in node.children],
                 )
             rows = self._eval_structure(
-                drive, bucket * SLEW_QUANTUM, structure, False
+                self.virtual_drive, bucket * SLEW_QUANTUM, structure, False
             )
             bounds = self._accumulate(StageTiming(tuple(rows)))
-        self._vbounds_cache[key] = bounds
+        self._bounds_cache[key] = bounds
         return bounds
 
     def subtree_bounds_many(
-        self,
-        items: list[tuple[TreeNode, float]],
-        drive: str | None = None,
+        self, items: list[tuple[TreeNode, float]]
     ) -> list[SubtreeBounds]:
         """Batched :meth:`subtree_bounds` over (node, input slew) items.
 
@@ -515,28 +449,21 @@ class LibraryTimingEngine:
         bit for bit what a per-item scalar call would return, because
         cached bucket values are functions of their key alone.
         """
-        virtual = drive or self.virtual_drive
-        needed: dict[int, tuple[str, TreeNode, set[int]]] = {}
+        cache = self._bounds_cache
+        needed: dict[TreeNode, set[int]] = {}
         for node, slew in items:
             if node.kind is NodeKind.SINK:
                 continue
             k, frac = self._buckets_of(slew)
             buckets = (k,) if frac == 0.0 else (k, k + 1)
-            if node.kind is NodeKind.BUFFER:
-                kind, cache, suffix = "b", self._bounds_cache, ()
-            else:
-                kind, cache, suffix = "v", self._vbounds_cache, (virtual,)
             missing = None
             for b in buckets:
-                if (node.id, b, *suffix) in cache:
+                if (node, b) in cache:
                     self.bounds_cache_hits += 1
                     continue
                 self.bounds_cache_misses += 1
                 if missing is None:
-                    job = needed.get(node.id)
-                    if job is None:
-                        job = needed[node.id] = (kind, node, set())
-                    missing = job[2]
+                    missing = needed.setdefault(node, set())
                 # A node's missing buckets resolve as one job, so the
                 # stage walk amortizes over the interpolation pair (and
                 # over every pair probing this node in the same round).
@@ -544,12 +471,9 @@ class LibraryTimingEngine:
         if needed and self._soa is not None:
             self._soa.prefill_bounds(
                 self,
-                [
-                    (kind, node, sorted(buckets), virtual)
-                    for kind, node, buckets in needed.values()
-                ],
+                [(node, sorted(buckets)) for node, buckets in needed.items()],
             )
-        return [self.subtree_bounds(node, slew, drive) for node, slew in items]
+        return [self.subtree_bounds(node, slew) for node, slew in items]
 
     # ------------------------------------------------------------------
     # Full-tree analysis

@@ -19,7 +19,7 @@ from repro.geom import Point
 from repro.tech import cts_buffer_library, default_technology
 from repro.timing.analysis import LibraryTimingEngine
 from repro.tree.export import tree_signature
-from repro.tree.nodes import peek_node_id
+from repro.tree.nodes import NodeKind, peek_node_id
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +59,14 @@ def make_sink_pairs(n: int, area: float, seed: int = 0) -> list[tuple[Point, flo
             gen.uniform(4e-15, 12e-15, n),
         )
     ]
+
+
+def scalar_bucket_bounds(engine, node, bucket):
+    """One bounds bucket of ``node`` through the engine's scalar
+    recursion: input-referenced for a BUFFER, virtual-driver otherwise."""
+    if node.kind is NodeKind.BUFFER:
+        return engine._buffer_bucket_bounds(node, bucket)
+    return engine._virtual_bucket_bounds(node, bucket)
 
 
 @pytest.fixture()

@@ -31,7 +31,11 @@ from repro.tree.nodes import (
     make_steiner,
 )
 
-from tests.conftest import make_sink_pairs, synthesize_signature
+from tests.conftest import (
+    make_sink_pairs,
+    scalar_bucket_bounds,
+    synthesize_signature,
+)
 
 
 def synth(sinks, scalar_commit, blockages=None, **option_overrides):
@@ -226,21 +230,15 @@ class TestBatchedQueryAPIs:
         assert batched == scalar
         # Every stored bucket (prefetched ones included) is the scalar
         # value of its key.
-        by_id = {node.id: node for node in nodes}
-        for (node_id, bucket), value in probe._bounds_cache.items():
-            assert fresh._buffer_bucket_bounds(by_id[node_id], bucket) == value
-        for (node_id, bucket, drive), value in probe._vbounds_cache.items():
-            assert (
-                fresh._virtual_bucket_bounds(by_id[node_id], bucket, drive)
-                == value
-            )
+        for (node, bucket), value in probe._bounds_cache.items():
+            assert scalar_bucket_bounds(fresh, node, bucket) == value
         # A second batched call is all hits: no new misses counted.
         misses = probe.bounds_cache_misses
         again = probe.subtree_bounds_many(items)
         assert again == batched
         assert probe.bounds_cache_misses == misses
 
-    def test_cap_memo_and_remap(self, library, tech, buffers):
+    def test_cap_memo_survives_renumbering(self, library, tech, buffers):
         from repro.core.merge_routing import MergeRouter
 
         engine = LibraryTimingEngine(library, tech)
@@ -250,13 +248,13 @@ class TestBatchedQueryAPIs:
         )
         merge = next(n for n in root.walk() if n.kind is NodeKind.MERGE)
         cap = engine._load_cap_of(merge)
-        assert engine._cap_cache[merge.id] == cap
-        new_id = merge.id + 10_000_000
-        engine.remap_node_ids({merge.id: new_id})
-        assert new_id in engine._cap_cache
-        assert merge.id not in engine._cap_cache
+        assert engine._cap_cache[merge] == cap
+        # The memo is keyed by the node, so a new id changes nothing.
+        merge.id += 10_000_000
+        assert engine._cap_cache[merge] == cap
+        assert engine._load_cap_of(merge) == cap
         engine.clear_cache()
-        assert not engine._cap_cache and not engine._vbounds_cache
+        assert not engine._cap_cache and not engine._bounds_cache
 
 
 class TestIterationAccounting:

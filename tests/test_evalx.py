@@ -11,6 +11,11 @@ from repro.evalx import (
     paper_data,
 )
 from repro.evalx.harness import run_aggressive, run_merge_buffer, scale_instance
+from repro.evalx.perfstats import (
+    SCALING_SIZES,
+    artifact_suffix,
+    write_scaling_json,
+)
 from repro.benchio import random_instance
 from repro.geom import Point
 from repro.tech import cts_buffer_library
@@ -192,3 +197,21 @@ class TestTables:
         assert mean_re == pytest.approx(
             paper_data.TABLE_5_3_AVERAGES["reestimate"], abs=0.05
         )
+
+
+class TestScalingArtifacts:
+    """Only the full scaling ladder replaces the tracked artifacts."""
+
+    def test_partial_ladder_writes_smoke_name(self, tmp_path):
+        payload = {"sizes": [40], "samples": [], "speedups": []}
+        path = write_scaling_json(payload, tmp_path)
+        assert path == tmp_path / "BENCH_cts_scaling_smoke.json"
+        assert path.exists()
+        assert not (tmp_path / "BENCH_cts_scaling.json").exists()
+        assert artifact_suffix(payload) == "_smoke"
+
+    def test_full_ladder_writes_tracked_name(self, tmp_path):
+        payload = {"sizes": list(SCALING_SIZES), "samples": [], "speedups": []}
+        path = write_scaling_json(payload, tmp_path)
+        assert path == tmp_path / "BENCH_cts_scaling.json"
+        assert artifact_suffix(payload) == ""

@@ -30,25 +30,31 @@ class TestSerialIdMapping:
 
 
 class TestRenumberSubtrees:
-    def test_walks_the_level_nodes_and_their_cache_entries(self, library, tech):
+    def test_renumbers_level_nodes_and_keeps_cache_entries(self, library, tech):
         engine = LibraryTimingEngine(library, tech)
         old = make_sink(Point(0, 0), 5e-15, "s0")
-        engine._cap_cache[old.id] = 1.0
-        marks = engine.cache_marks()
         base = peek_node_id()
         # ``top`` keeps its id; the two level nodes below it swap theirs.
         top, mid, low = (make_merge(Point(0, 0)) for _ in range(3))
         top.attach(mid, 0.0)
         mid.attach(low, 0.0)
         low.attach(old, 0.0)
-        engine._cap_cache[mid.id] = 2.0
-        engine._cap_cache[low.id] = 3.0
+        caps = {node: engine._load_cap_of(node) for node in (top, mid, low)}
+        bounds = {node: engine.subtree_bounds(node, 80e-12) for node in caps}
+        cached = dict(engine._bounds_cache)
         mapping = {base + 1: base + 2, base + 2: base + 1}
-        renumber_subtrees([top], mapping, engine, base, marks)
+        renumber_subtrees([top], mapping, base)
         assert (top.id, mid.id, low.id) == (base, base + 2, base + 1)
         assert (mid.name, low.name) == (f"m{base + 2}", f"m{base + 1}")
         assert old.name == "s0"
-        assert engine._cap_cache == {old.id: 1.0, base + 2: 2.0, base + 1: 3.0}
+        # The engine's memos are keyed by node: untouched, and still
+        # serve each node its own entries.
+        assert engine._cap_cache == caps
+        assert engine._bounds_cache == cached
+        for node in caps:
+            assert engine._load_cap_of(node) == caps[node]
+            assert engine.subtree_bounds(node, 80e-12) == bounds[node]
+        assert engine._bounds_cache == cached
 
 
 class TestTieBreaks:

@@ -250,6 +250,34 @@ class TestScipyFree:
         assert "scipy.linalg" in record["after_simulate"]
 
 
+#: Imports what the ``run-batch`` supervisor imports, then reports which
+#: heavy modules got loaded and which public names fail to resolve.
+LAZY_PROBE = """
+import json, sys
+import repro, repro.cli, repro.jobs.runner
+heavy = sorted(m for m in sys.modules if m == "numpy" or m.startswith("repro.core"))
+unresolved = [name for name in repro.__all__ if getattr(repro, name, None) is None]
+print(json.dumps({"heavy": heavy, "unresolved": unresolved}))
+"""
+
+
+class TestLazyPackage:
+    def test_import_repro_loads_no_engine(self):
+        """``import repro`` — paid by every ``python -m repro`` command,
+        the ``run-batch`` supervisor included — loads neither numpy nor
+        ``repro.core``, and every ``repro.__all__`` name still resolves."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", LAZY_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        record = json.loads(out.stdout.splitlines()[-1])
+        assert record == {"heavy": [], "unresolved": []}
+
+
 def ci_jobs() -> dict[str, list[str]]:
     """``{job id: its stripped lines}`` from the workflow's ``jobs:`` map."""
     jobs: dict[str, list[str]] = {}
@@ -270,6 +298,13 @@ TABLE_SMOKE = (
     "REPRO_SCALE=40 PYTHONPATH=../src python -m pytest -x -q bench_table_5_3.py",
 )
 
+#: The lines of the serial leg's perf scaling smoke step.
+PERF_SMOKE = (
+    "cd benchmarks",
+    "REPRO_SCALE=40 PYTHONPATH=../src python -m pytest -x -q"
+    " bench_perf_scaling.py -k test_perf_scaling",
+)
+
 
 class TestCI:
     def test_lint_job_gates_tier1(self):
@@ -287,14 +322,16 @@ class TestCI:
         assert serial_step_index(*TABLE_SMOKE) is not None
 
     def test_serial_leg_checks_results_unchanged(self):
-        """After the table smoke, the tracked bench results must still
-        read as committed (a partial bench session stitches no report)."""
+        """After every bench smoke, the tracked bench results must still
+        read as committed (a partial bench session stitches no report,
+        and a partial scaling ladder writes only ``*_smoke`` names)."""
         table = serial_step_index(*TABLE_SMOKE)
+        perf = serial_step_index(*PERF_SMOKE)
         check = serial_step_index(
             "run: git diff --exit-code -- benchmarks/results"
         )
-        assert table is not None and check is not None
-        assert table < check
+        assert None not in (table, perf, check)
+        assert table < check and perf < check
 
 
 def serial_step_index(*lines: str) -> int | None:

@@ -40,7 +40,11 @@ from repro.tree.nodes import (
     peek_node_id,
 )
 
-from tests.conftest import make_sink_pairs, synthesize_signature
+from tests.conftest import (
+    make_sink_pairs,
+    scalar_bucket_bounds,
+    synthesize_signature,
+)
 
 BLOCKAGES = [BBox(8000.0, 8000.0, 16000.0, 16000.0)]
 
@@ -207,9 +211,8 @@ class TestIdentityKeyedRows:
         soa = SoaTree()
         engine = LibraryTimingEngine(library, tech)
         engine.attach_soa(soa)
-        engine.subtree_bounds_many(
-            [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
-        )
+        items = [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
+        first = engine.subtree_bounds_many(items)
         rows = len(soa._row_of)
         assert rows
         # Reverse the subtree's ids: every old id becomes another node's.
@@ -217,24 +220,21 @@ class TestIdentityKeyedRows:
         mapping = {
             old: new for old, new in zip(ids, reversed(ids)) if old != new
         }
-        renumber_subtrees([top], mapping, engine, ids[0], (0, 0, 0))
-        items = [(node, 97e-12 + 0.53e-12 * i) for i, node in enumerate(nodes)]
+        renumber_subtrees([top], mapping, ids[0])
+        # The same queries are all hits: each entry stayed with its node.
         misses = engine.bounds_cache_misses
+        assert engine.subtree_bounds_many(items) == first
+        assert engine.bounds_cache_misses == misses
+        items = [(node, 97e-12 + 0.53e-12 * i) for i, node in enumerate(nodes)]
         got = engine.subtree_bounds_many(items)
         assert engine.bounds_cache_misses > misses
         fresh = LibraryTimingEngine(library, tech)
         assert got == [fresh.subtree_bounds(node, slew) for node, slew in items]
         # The new buckets were filled from the rows traced before the
-        # renumbering, and each is stored under its node's new id.
+        # renumbering, and every stored bucket is its node's scalar value.
         assert len(soa._row_of) == rows
-        by_id = {node.id: node for node in top.walk()}
-        for (node_id, bucket), value in engine._bounds_cache.items():
-            assert fresh._buffer_bucket_bounds(by_id[node_id], bucket) == value
-        for (node_id, bucket, drive), value in engine._vbounds_cache.items():
-            assert (
-                fresh._virtual_bucket_bounds(by_id[node_id], bucket, drive)
-                == value
-            )
+        for (node, bucket), value in engine._bounds_cache.items():
+            assert scalar_bucket_bounds(fresh, node, bucket) == value
 
     def test_equal_ids_get_separate_rows(self, library, tech, buffers):
         top, nodes = self._stage_roots()
@@ -244,12 +244,11 @@ class TestIdentityKeyedRows:
         copies = [n for n in copy.walk() if n.kind is not NodeKind.SINK]
         assert [n.id for n in copies] == [n.id for n in nodes]
         soa = SoaTree()
+        # One engine and one flat-stage cache serve both trees.
+        engine = LibraryTimingEngine(library, tech)
+        engine.attach_soa(soa)
         answers = []
         for tree_nodes in (nodes, copies):
-            # The engine's own caches are id-keyed, so each tree gets its
-            # own engine; the flat-stage cache is shared.
-            engine = LibraryTimingEngine(library, tech)
-            engine.attach_soa(soa)
             items = [
                 (node, 80e-12 + 0.37e-12 * i)
                 for i, node in enumerate(tree_nodes)
@@ -260,8 +259,8 @@ class TestIdentityKeyedRows:
                 fresh.subtree_bounds(node, slew) for node, slew in items
             ]
             answers.append(got)
-        # A row shared by id would have served one tree the other's
-        # stages, whose answers differ.
+        # A row or memo entry shared by id would have served one tree the
+        # other's stages, whose answers differ.
         assert answers[0] != answers[1]
         rows = {soa._row_of[node] for node in nodes + copies}
         assert len(rows) == 2 * len(nodes)
@@ -278,7 +277,13 @@ class TestKernelEquality:
         __, __r, cts_obj = synth(sinks, blockages=BLOCKAGES, without_mirror=True)
 
         def rebase(cache, base):
-            return {(key[0] - base, *key[1:]): val for key, val in cache.items()}
+            rebased = {
+                (node.id - base, bucket): val
+                for (node, bucket), val in cache.items()
+            }
+            # Every cached node has an id of its own, so nothing merges.
+            assert len(rebased) == len(cache)
+            return rebased
 
         soa_bounds = rebase(cts_soa.engine._bounds_cache, base_soa)
         obj_bounds = rebase(cts_obj.engine._bounds_cache, base_obj)
@@ -287,10 +292,6 @@ class TestKernelEquality:
         # bit-identical.
         assert set(obj_bounds) <= set(soa_bounds)
         assert all(soa_bounds[k] == v for k, v in obj_bounds.items())
-        soa_v = rebase(cts_soa.engine._vbounds_cache, base_soa)
-        obj_v = rebase(cts_obj.engine._vbounds_cache, base_obj)
-        assert set(obj_v) <= set(soa_v)
-        assert all(soa_v[k] == v for k, v in obj_v.items())
 
     def test_collapsed_cap_bit_exact(self, engine):
         buffers = cts_buffer_library()
@@ -318,7 +319,7 @@ class TestKernelEquality:
         soa = SoaTree()
         for node in (m0, m1, m2):
             fast = soa._collapsed_cap(node, engine)
-            engine._cap_cache.pop(node.id, None)
+            engine._cap_cache.pop(node, None)
             slow = engine._load_cap_of(node)
             assert fast == slow
 
