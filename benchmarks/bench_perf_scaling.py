@@ -12,8 +12,8 @@ the tracked full-ladder artifacts as committed.
 Shape claims:
 - every scenario completes and reports positive wall-clock seconds;
 - reference rows route and commit every level pair by pair (no
-  lockstep search, expansion, finishing or commit round), as the seed
-  did;
+  level-router search, no lockstep expansion, finishing or commit
+  round), as the seed did;
 - wherever the reference baseline was timed at >= 200 sinks, the
   vectorized engine is faster;
 - on the 1000-sink blockage scenario (the acceptance scenario, present

@@ -1,7 +1,7 @@
 """Lockstep batched profile expansion for one routed topology level.
 
 The route-phase twin of :class:`repro.core.batch_commit.PairCommitState`:
-after the shared-window searches meet, every merge pair still has to
+after the window searches meet, every merge pair still has to
 expand two delay profiles (:class:`~repro.core.segment_builder.PathBuilder`
 run extension + buffer insertion) before the level can be finished. Done
 pair by pair, each expansion lazily evaluates its own fit-curve tables —

@@ -62,7 +62,7 @@ from repro.tech.buffers import BufferLibrary
 from repro.timing.analysis import SubtreeBounds
 from repro.tree.nodes import NodeKind, TreeNode
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Frame prefix of every checkpoint file: magic, then the SHA-256 of the
 #: pickled body. A file that lacks the magic or fails the digest is torn
@@ -389,7 +389,6 @@ def load_checkpoint(
             "result-affecting options (resilience and supervision knobs "
             "are exempt; topology/routing/timing knobs must match)"
         )
-    route_sharing = SharingStats(**payload["route_sharing"])
     return CheckpointState(
         levels_done=payload["levels_done"],
         n_flips=payload["n_flips"],
@@ -400,7 +399,7 @@ def load_checkpoint(
         ],
         merge_stats=MergeStats(**payload["merge_stats"]),
         commit_queries=CommitQueryStats(**payload["commit_queries"]),
-        route_sharing=route_sharing,
+        route_sharing=SharingStats(**payload["route_sharing"]),
         degradations=[
             Degradation.from_record(item) for item in payload["degradations"]
         ],

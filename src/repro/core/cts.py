@@ -59,7 +59,7 @@ class SynthesisResult:
     n_flippings: int
     merge_stats: MergeStats
     levels: int
-    #: Commit-query totals and shared-window routing counters
+    #: Commit-query totals and routing counters
     #: (diagnostics — excluded from cross-mode equivalence comparisons).
     commit_queries: dict = field(default_factory=dict)
     route_sharing: dict = field(default_factory=dict)
@@ -152,7 +152,6 @@ class AggressiveBufferedCTS:
             degradations = []
         while len(level) > 1:
             n_levels += 1
-            self.router.reset_grid_cache()
             pairs, seed = greedy_matching(level, center, self._cost)
             merged_level, level_flips = self._merge_level(pairs)
             n_flips += level_flips
@@ -259,9 +258,7 @@ class AggressiveBufferedCTS:
         self.engine.clear_cache()
         self.router.stats = state.merge_stats
         self.router.commit_queries = state.commit_queries
-        # ``route_sharing`` is aliased by the router's grid cache — merge
-        # the saved counters in rather than swapping the object out.
-        self.router.route_sharing.merge(state.route_sharing)
+        self.router.route_sharing = state.route_sharing
         return (
             state.subtrees,
             Point(*state.center),

@@ -1,28 +1,14 @@
-"""Level routing: level-scoped grid tiles + cross-pair batching.
+"""Level routing: cross-pair batching of one topology level's merges.
 
-The route phase of one topology level rasterizes, blocks and searches one
-maze window per merge pair, or (without blockages) ranks one closed-form
-profile lattice per pair. This module is the subsystem that shares that
-work across the level instead of throwing it away per pair:
+The route phase of one topology level searches one maze window per merge
+pair, or (without blockages) ranks one closed-form profile lattice per
+pair. This module routes the level's pairs together where batching pays:
 
-- :class:`GridCache` owns the level's **grid tiles**: each distinct
-  (window bbox, resolved pitch) key is rasterized and blocked exactly
-  once — through the same :func:`~repro.core.routing_common.build_window`
-  arithmetic as a private per-pair window, with the pitch-coarsening
-  decision resolved by :func:`~repro.core.routing_common.coarsen_pitch`
-  before any allocation — and every later request for the key is served
-  the cached tile (blocked mask and coordinate axes). Tiles live for
-  the whole level, across all of its batches (H-structure candidate
-  sweeps included), so pairs whose windows coincide share one tile.
-  Reuse, pitch-bucket and rasterization counters are kept in
-  :class:`SharingStats`.
-
-- :func:`route_level` is the **cross-pair batcher**: it advances every
-  pair of a level through the window-expansion search in lockstep rounds
-  (round = one windowing + BFS attempt for all still-unrouted pairs,
-  answered by the consolidated
-  :class:`~repro.core.maze_router.BfsEngine`), then expands every pair's
-  delay profiles through the lockstep scheduler
+- :func:`route_level` is the **cross-pair batcher**: each maze pair's
+  window search runs through
+  :func:`~repro.core.maze_router.search_maze_pair`, the same search as
+  the single-pair :func:`~repro.core.maze_router.route_maze`; then every
+  pair's delay profiles expand through the lockstep scheduler
   (:func:`repro.core.batch_expand.expand_level`), whose grouped curve
   rounds evaluate the (drive, load, fn) fit curves over the
   concatenation of all pairs' length grids — one ``partial_curve`` call
@@ -40,6 +26,8 @@ work across the level instead of throwing it away per pair:
   one lockstep batched distance-field descent
   (:func:`~repro.core.maze_router.descend_many`).
 
+Counters of both kernels are kept in :class:`SharingStats`.
+
 Bit-identity contract
 ---------------------
 
@@ -50,11 +38,9 @@ through :func:`~repro.core.maze_router.route_maze` (search,
 :func:`~repro.core.profile_router.route_profile` — the single-pair paths
 of :meth:`~repro.core.merge_routing.MergeRouter.route_plan`:
 
-- window geometry, pitch coarsening, blockage masking, terminal
-  snapping and the profile lattice run through the exact same functions;
-- BFS answers are per-grid engine calls either way (see
-  :class:`~repro.core.maze_router.BfsEngine`), and path geometry is a
-  deterministic descent of the distance field;
+- the window search is the same function, and the profile lattice runs
+  through the exact same arithmetic;
+- path geometry is a deterministic descent of the distance field;
 - the batched curve rounds evaluate the same contracted polynomial
   element-wise over a concatenation, so each pair's slice equals its
   private evaluation bit for bit.
@@ -69,7 +55,7 @@ working set without changing any result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,27 +63,20 @@ from repro.charlib.library import DelaySlewLibrary
 from repro.core.batch_expand import expand_level
 from repro.core.maze_router import (
     _UNREACHED,
-    both_reached,
     cells_polylines_many,
     descend_many,
-    plan_maze_window,
+    search_maze_pair,
     staircase_arrays_many,
 )
 from repro.core.options import CTSOptions
 from repro.core.profile_router import route_profile_level
 from repro.core.routing_common import (
-    MAX_SEARCH_ATTEMPTS,
-    MAX_WINDOW_CELLS,
     MazeSearch,
     RoutedPath,
     RouteResult,
     RouteTerminal,
-    build_window,
-    coarsen_pitch,
-    grow_window,
     rank_profile_rows,
     row_chunks,
-    snap_cells,
     uses_maze_router,
 )
 from repro.core.segment_builder import PathBuilder, SegmentTables
@@ -107,39 +86,30 @@ from repro.geom.segment import PathPolyline
 
 @dataclass
 class SharingStats:
-    """Counters of the level router (diagnostics only).
+    """Counters of the merge routers (diagnostics only).
 
-    Maze levels feed every counter. Obstacle-free levels feed the
+    Maze searches feed ``windows_served`` and ``cells_rasterized`` (one
+    count per window built, whichever path searched it); maze levels
+    feed every other counter too. Obstacle-free levels feed the
     expansion scheduler's (``curve_*``, ``expansion_*``) and the
     profile kernel's ``pairs_routed``, ``cells_ranked`` (every lattice
     cell of every pair) and ``finish_batches``; they serve no windows
     and descend no paths.
 
-    ``pitch_buckets`` histograms the coarsening depth of served windows:
-    bucket k holds windows whose pitch was coarsened 1.5x k times by the
-    ``MAX_WINDOW_CELLS`` budget (bucket 0 = the span-derived base pitch).
-
-    Every counter is an integer total, so :meth:`merge` (field-wise sum,
-    used when a resumed run folds in its checkpoint's counters) is
-    order-independent. The per-pair counters
-    (``windows_served``, ``pairs_routed``, ``cells_ranked``,
-    ``descent_sides``, ``descent_cells``, ``curve_points``,
-    ``expansion_lanes``, ``expansion_runs``, ``expansion_insertions``)
-    are also invariant to how a level is split into batches and
-    slices; the per-slice ones (``search_rounds``, ``curve_rounds``,
-    ``expansion_rounds``, ``finish_batches``) count once per
-    :data:`ROUTE_SLICE_PAIRS` slice of a ``route_level`` call (the
-    curve and expansion rounds once per round in it) and so
-    depend on the (deterministic) batch split, as does tile reuse,
-    which counts the level's batches' coinciding windows.
+    ``search_rounds`` counts the maze pairs the level router searched.
+    The per-pair counters (``windows_served``, ``cells_rasterized``,
+    ``search_rounds``, ``pairs_routed``, ``cells_ranked``, ``descent_sides``,
+    ``descent_cells``, ``curve_points``, ``expansion_lanes``,
+    ``expansion_runs``, ``expansion_insertions``) are invariant to how
+    a level is split into batches and slices; the per-slice ones
+    (``curve_rounds``, ``expansion_rounds``, ``finish_batches``) count
+    once per :data:`ROUTE_SLICE_PAIRS` slice of a ``route_level`` call
+    (the curve and expansion rounds once per round in it) and so depend
+    on the (deterministic) batch split.
     """
 
     windows_served: int = 0
-    tiles_built: int = 0
-    tiles_reused: int = 0
     cells_rasterized: int = 0
-    cells_reused: int = 0
-    levels: int = 0
     search_rounds: int = 0
     pairs_routed: int = 0
     curve_rounds: int = 0
@@ -153,89 +123,9 @@ class SharingStats:
     cells_ranked: int = 0
     descent_sides: int = 0
     descent_cells: int = 0
-    pitch_buckets: dict = field(default_factory=dict)
-
-    def note_bucket(self, steps: int) -> None:
-        self.pitch_buckets[steps] = self.pitch_buckets.get(steps, 0) + 1
-
-    def merge(self, other: "SharingStats") -> None:
-        """Add ``other``'s counts into this one (commutative sums)."""
-        for f in fields(self):
-            if f.name == "pitch_buckets":
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        for steps, count in other.pitch_buckets.items():
-            self.pitch_buckets[steps] = self.pitch_buckets.get(steps, 0) + count
 
     def as_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["pitch_buckets"] = {
-            str(k): v for k, v in sorted(self.pitch_buckets.items())
-        }
-        return data
-
-
-class GridCache:
-    """Level-scoped cache of rasterized + blocked routing-grid tiles.
-
-    Keys are the exact window geometry ``(bbox corners, resolved pitch)``;
-    values are fully blocked :class:`~repro.core.maze_router.MazeGrid`
-    tiles, built once via :func:`build_window` and shared by every
-    window that resolves to the same key. Tiles are immutable after construction — nothing in the
-    route flow mutates a served grid — which is what makes
-    :meth:`MazeGrid.nearest_free`'s documented fallback scan
-    deterministic no matter which pair first touched the tile.
-
-    :meth:`reset` starts a new level: tiles are dropped (windows are
-    level-scoped; keys recur within a level, not across levels, so
-    holding them longer only grows memory), counters persist.
-    """
-
-    def __init__(
-        self,
-        blockages: list[BBox] | None = None,
-        cell_cap: int = MAX_WINDOW_CELLS,
-        stats: SharingStats | None = None,
-    ):
-        self.blockages = list(blockages or [])
-        self.cell_cap = cell_cap
-        self.stats = stats if stats is not None else SharingStats()
-        self._tiles: dict[tuple, object] = {}
-
-    def reset(self) -> None:
-        """Start a new topology level (drop tiles, keep counters)."""
-        self._tiles.clear()
-        self.stats.levels += 1
-
-    def window(self, bbox: BBox, pitch: float):
-        """A blocked grid for ``bbox`` at the coarsening-resolved pitch.
-
-        Returns ``(grid, resolved_pitch)`` exactly like
-        :func:`build_window`; the only difference is that equal keys are
-        served the same tile object.
-        """
-        resolved = coarsen_pitch(bbox, pitch, self.cell_cap)
-        key = (bbox.xmin, bbox.ymin, bbox.xmax, bbox.ymax, resolved)
-        self.stats.windows_served += 1
-        grid = self._tiles.get(key)
-        if grid is None:
-            grid, _ = build_window(bbox, resolved, self.blockages, self.cell_cap)
-            self._tiles[key] = grid
-            self.stats.tiles_built += 1
-            self.stats.cells_rasterized += grid.nx * grid.ny
-            # Coarsening depth: resolved = pitch * 1.5^k.
-            steps = 0 if resolved == pitch else int(
-                round(np.log(resolved / pitch) / np.log(1.5))
-            )
-            self.stats.note_bucket(steps)
-        else:
-            self.stats.tiles_reused += 1
-            self.stats.cells_reused += grid.nx * grid.ny
-        return grid, resolved
-
-    def provider(self):
-        """The ``(bbox, pitch) -> (grid, pitch)`` hook for maze searches."""
-        return self.window
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +133,7 @@ class GridCache:
 # ----------------------------------------------------------------------
 
 #: Most pairs :func:`route_level` carries through search, expansion and
-#: finishing at once. A slice's tiles, distance fields, expanded
+#: finishing at once. A slice's windows, distance fields, expanded
 #: profiles and candidate buffers are live together, so an unsliced
 #: 4000-sink level holds them all (peak RSS 217 MiB on the six-macro
 #: 4000-sink workload vs 112 MiB at 256). Results do not depend on the
@@ -253,55 +143,13 @@ ROUTE_SLICE_PAIRS = 256
 
 @dataclass
 class _PairSearch:
-    """Lockstep search state of one pair (one window-expansion attempt
-    per round until both fronts meet)."""
+    """One searched maze pair of a slice."""
 
     index: int
     term1: RouteTerminal
     term2: RouteTerminal
-    bbox: BBox
-    pitch: float
-    margin: float
-    search: MazeSearch | None = None
-    both: np.ndarray | None = None  # co-reached mask, reused by finish
-
-
-def _search_rounds(
-    pending: list[_PairSearch],
-    blockages: list[BBox],
-    cache: GridCache,
-    stats: SharingStats,
-) -> None:
-    """Advance all pairs through window-expansion attempts in lockstep.
-
-    Each round serves every still-unrouted pair one window (tile cache),
-    snaps its terminals, and runs its BFS pair through the consolidated
-    engine; pairs whose fronts met leave the round, the rest grow their
-    window around intersecting blockages and re-enter — the same per-pair
-    trajectory ``run_maze_search`` walks, just advanced level-wide.
-    """
-    for _ in range(MAX_SEARCH_ATTEMPTS):
-        if not pending:
-            return
-        stats.search_rounds += 1
-        still_pending: list[_PairSearch] = []
-        for job in pending:
-            grid, job.pitch = cache.window(job.bbox, job.pitch)
-            points = [job.term1.point, job.term2.point]
-            cells = snap_cells(grid, points, blockages, "terminal")
-            dists = grid.bfs_many(cells)
-            search = MazeSearch(grid, job.pitch, cells, dists)
-            if both_reached(search):
-                job.search = search
-                continue
-            grown = grow_window(job.bbox, blockages, job.margin)
-            if grown is None:
-                raise RuntimeError("terminals are disconnected by blockages")
-            job.bbox = grown
-            still_pending.append(job)
-        pending = still_pending
-    if pending:
-        raise RuntimeError("terminals are disconnected by blockages")
+    search: MazeSearch
+    both: np.ndarray  # co-reached mask
 
 
 def _finish_level(
@@ -469,14 +317,15 @@ def route_level(
     options: CTSOptions,
     stage_length: float,
     blockages: list[BBox],
-    cache: GridCache,
+    stats: SharingStats,
 ) -> list[RouteResult | None]:
     """Route one topology level's merge pairs through the level kernels.
 
     ``pairs`` entries may be ``None`` (coincident or otherwise unroutable
     slots); results come back indexed like the input. The routed pairs
     go through in slices of at most :data:`ROUTE_SLICE_PAIRS` pairs.
-    Maze slices run the lockstep search rounds, the lockstep
+    Maze slices search each pair's window
+    (:func:`~repro.core.maze_router.search_maze_pair`), run the lockstep
     profile-expansion scheduler
     (:func:`repro.core.batch_expand.expand_level` — grouped curve
     rounds + masked insertion sub-rounds), then the level-wide finishing
@@ -496,7 +345,7 @@ def route_level(
         chunk = routed[lo : lo + ROUTE_SLICE_PAIRS]
         if maze:
             _route_slice(
-                chunk, library, options, stage_length, blockages, cache, results
+                chunk, library, options, stage_length, blockages, stats, results
             )
         else:
             routes = route_profile_level(
@@ -504,7 +353,7 @@ def route_level(
                 library,
                 options,
                 stage_length,
-                cache.stats,
+                stats,
             )
             for (i, _), route in zip(chunk, routes):
                 results[i] = route
@@ -517,30 +366,22 @@ def _route_slice(
     options: CTSOptions,
     stage_length: float,
     blockages: list[BBox],
-    cache: GridCache,
+    stats: SharingStats,
     results: list[RouteResult | None],
 ) -> None:
     """Search, expand and finish one slice of a level's maze pairs
     (``(result index, terminals)`` entries)."""
-    stats = cache.stats
-    jobs: list[_PairSearch] = []
-    for i, (term1, term2) in pairs:
-        bbox, pitch, margin = plan_maze_window(
-            term1.point, term2.point, options, stage_length
-        )
-        jobs.append(_PairSearch(i, term1, term2, bbox, pitch, margin))
-
-    _search_rounds(list(jobs), blockages, cache, stats)
-
     primed: list[tuple[_PairSearch, SegmentTables]] = []
-    for job in jobs:
-        dist1, dist2 = job.search.dists
-        job.both = (dist1 != _UNREACHED) & (dist2 != _UNREACHED)
-        max_k = int(max(dist1[job.both].max(), dist2[job.both].max()))
-        tables = SegmentTables(
-            library, job.search.pitch, max_k + 1, options.target_slew
+    for i, (term1, term2) in pairs:
+        search = search_maze_pair(
+            term1, term2, options, stage_length, blockages, stats
         )
-        primed.append((job, tables))
+        stats.search_rounds += 1
+        dist1, dist2 = search.dists
+        both = (dist1 != _UNREACHED) & (dist2 != _UNREACHED)
+        max_k = int(max(dist1[both].max(), dist2[both].max()))
+        tables = SegmentTables(library, search.pitch, max_k + 1, options.target_slew)
+        primed.append((_PairSearch(i, term1, term2, search, both), tables))
 
     builders_by_pair = expand_level(
         [(job.term1, job.term2, tables) for job, tables in primed],

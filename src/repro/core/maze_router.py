@@ -25,6 +25,7 @@ and the perf harness times them as the seed baseline.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from repro.core.segment_builder import PathBuilder, SegmentTables
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.geom.segment import PathPolyline
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.grid_cache import SharingStats
 
 _UNREACHED = -1
 
@@ -95,13 +99,12 @@ class MazeGrid:
         """Closest unblocked cell to ``cell`` (Manhattan distance).
 
         The scan order is fixed and documented so the fallback is
-        deterministic under shared tiles: free cells are enumerated in
-        row-major order (ascending ``i``, then ascending ``j``) and ties
-        in Manhattan distance resolve to the first one enumerated — the
-        lowest ``i``, and among equal ``i`` the lowest ``j``. The choice
-        is a pure function of the blocked mask, so every window served
-        from the same tile (no matter which pair first touched it) snaps
-        an identical point to the identical cell.
+        deterministic: free cells are enumerated in row-major order
+        (ascending ``i``, then ascending ``j``) and ties in Manhattan
+        distance resolve to the first one enumerated — the lowest ``i``,
+        and among equal ``i`` the lowest ``j``. The choice is a pure
+        function of the blocked mask, so equal windows snap an identical
+        point to the identical cell.
         """
         if not self.blocked[cell]:
             return cell
@@ -212,11 +215,10 @@ class BfsEngine:
 
     :meth:`MazeGrid.bfs_reference` is the oracle both are tested against.
 
-    Batching: the starts of one window share one stacked sweep. Across
-    pairs the batch axis is the lockstep *round*
-    (:func:`repro.core.grid_cache.route_level` advances every pair of a
-    level through window-expansion rounds together), with each grid
-    answered by one call here.
+    Batching: the starts of one window share one stacked sweep. The
+    engine is stateless and answers one grid per call; the level router
+    (:func:`repro.core.grid_cache.route_level`) searches its pairs one
+    window at a time through :func:`search_maze_pair`.
     """
 
     def distances(
@@ -466,8 +468,7 @@ def plan_maze_window(
 ) -> tuple[BBox, float, float]:
     """Window geometry of one maze route: (bbox, base pitch, margin).
 
-    Extracted so the level batcher and the single-pair path derive
-    byte-identical windows from the same arithmetic.
+    The first window of :func:`search_maze_pair`.
     """
     dist = p1.manhattan_to(p2)
     if dist <= 0:
@@ -724,24 +725,41 @@ def route_maze(
     options: CTSOptions,
     stage_length: float,
     blockages: list[BBox] | None = None,
-    grid_provider=None,
+    stats: SharingStats | None = None,
 ) -> RouteResult:
     """Route one merge with bidirectional maze expansion.
 
-    ``grid_provider`` (``(bbox, pitch) -> (grid, pitch)``) lets the
-    router's tile cache serve windows; ``None`` rasterizes a private
-    window per call. Results are identical either way.
+    ``stats``, when given, counts the windows the search builds.
+    """
+    search = search_maze_pair(
+        term1, term2, options, stage_length, blockages or [], stats
+    )
+    return finish_maze_route(search, term1, term2, library, options)
+
+
+def search_maze_pair(
+    term1: RouteTerminal,
+    term2: RouteTerminal,
+    options: CTSOptions,
+    stage_length: float,
+    blockages: list[BBox],
+    stats: SharingStats | None = None,
+) -> MazeSearch:
+    """The window search of one maze merge: both fronts' distance fields
+    on the first window (grown around blockages) where they meet.
+
+    The one search of :func:`route_maze` and of the level router
+    (:func:`repro.core.grid_cache.route_level`).
     """
     bbox, pitch, margin = plan_maze_window(
         term1.point, term2.point, options, stage_length
     )
-    search = run_maze_search(
+    return run_maze_search(
         [term1.point, term2.point],
         bbox,
         pitch,
-        blockages or [],
+        blockages,
         margin,
         both_reached,
-        provider=grid_provider,
+        stats=stats,
     )
-    return finish_maze_route(search, term1, term2, library, options)

@@ -167,11 +167,10 @@ class MergeRouter:
         self.commit_queries = CommitQueryStats()
         #: The lockstep committer of :meth:`merge_batch`.
         self.scheduler = BatchCommitScheduler(self)
-        #: Shared-window / route-finishing counters of the level router.
-        from repro.core.grid_cache import GridCache, SharingStats
+        #: Window, expansion and route-finishing counters of the routers.
+        from repro.core.grid_cache import SharingStats
 
         self.route_sharing = SharingStats()
-        self._grid_cache = GridCache(self.blockages, stats=self.route_sharing)
         # Blockage bounds as columns: one vectorized containment test
         # gates the (rarely entered) sequential nudge loop.
         if self.blockages:
@@ -288,21 +287,12 @@ class MergeRouter:
             snaked_delay=0.0 if added_delay is None else added_delay,
         )
 
-    def reset_grid_cache(self) -> None:
-        """Start a new topology level's tile scope.
-
-        Called by the flow once per level, so the tiles that a level's
-        batches (H-structure candidate sweeps included) share never
-        accumulate across levels.
-        """
-        self._grid_cache.reset()
-
     def route_plan(self, plan: MergePlan) -> RouteResult | None:
         """Route one prepared merge (None for coincident pairs).
 
         The single-pair path of :meth:`merge`; synthesis routes every
-        merge through :meth:`route_level`. Maze windows come from the
-        router's tile cache.
+        merge through :meth:`route_level`. Maze windows are counted in
+        :attr:`route_sharing`.
         """
         if plan.coincident:
             return None
@@ -314,7 +304,7 @@ class MergeRouter:
                 self.options,
                 self.stage_length,
                 self.blockages,
-                grid_provider=self._grid_cache.provider(),
+                stats=self.route_sharing,
             )
         return route_profile(
             plan.term1,
@@ -329,9 +319,9 @@ class MergeRouter:
     ) -> list[RouteResult | None]:
         """Route a level's plans together through the level router.
 
-        Maze levels run the lockstep window search, the lockstep profile
-        expansion and the level-wide finishing kernel over the tile
-        cache's level scope (:func:`repro.core.grid_cache.route_level`);
+        Maze levels run each pair's window search, the lockstep profile
+        expansion and the level-wide finishing kernel
+        (:func:`repro.core.grid_cache.route_level`);
         obstacle-free levels run the lockstep profile expansion and one
         segmented ranking pass per slice
         (:func:`repro.core.profile_router.route_profile_level`). A kernel
@@ -351,7 +341,7 @@ class MergeRouter:
             self.options,
             self.stage_length,
             self.blockages,
-            self._grid_cache,
+            self.route_sharing,
         )
 
     def commit(self, plan: MergePlan, route: RouteResult | None) -> TreeNode:

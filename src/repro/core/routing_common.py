@@ -16,14 +16,13 @@ from repro.geom.segment import PathPolyline
 from repro.tree.nodes import TreeNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.grid_cache import SharingStats
     from repro.core.maze_router import MazeGrid
 
 #: Per-window cell budget; above it the pitch is coarsened 1.5x at a time.
 MAX_WINDOW_CELLS = 80_000
 
-#: Window-expansion attempts before terminals count as disconnected —
-#: one retry budget shared by the single-pair search loop and the level
-#: batcher (they must agree or bit-identity breaks).
+#: Window-expansion attempts before terminals count as disconnected.
 MAX_SEARCH_ATTEMPTS = 4
 
 #: Dynamic grid growth: a long route gets enough cells that a
@@ -166,10 +165,7 @@ def coarsen_pitch(bbox: BBox, pitch: float, cell_cap: int = MAX_WINDOW_CELLS) ->
 
     Replicates (float operation for float operation) the seed's loop of
     building a grid and coarsening 1.5x while the cell count exceeds the
-    cap — without allocating the thrown-away grids. Both the per-pair
-    fallback and the shared-window tile cache resolve window pitches
-    through this one function, so their coarsening decisions are
-    identical by construction.
+    cap — without allocating the thrown-away grids.
     """
     nx = int(np.ceil(bbox.width / pitch)) + 1
     ny = int(np.ceil(bbox.height / pitch)) + 1
@@ -207,12 +203,11 @@ def build_window(
     blockages: list[BBox],
     cell_cap: int = MAX_WINDOW_CELLS,
 ):
-    """Rasterize + block one routing window (the per-pair fallback path).
+    """Rasterize + block one routing window.
 
-    Returns ``(grid, resolved_pitch)``. The shared-window subsystem
-    (:class:`repro.core.grid_cache.GridCache`) wraps this same function
-    behind a tile cache, so a cached window and a freshly built one are
-    the same object graph.
+    Returns ``(grid, resolved_pitch)``. A window is a pure function of
+    its bbox, pitch and blockages, so building it again for a repeated
+    search yields the same grid.
     """
     from repro.core.maze_router import MazeGrid  # deferred: avoids an import cycle
 
@@ -258,7 +253,7 @@ def run_maze_search(
     n_sources: int | None = None,
     max_attempts: int = MAX_SEARCH_ATTEMPTS,
     cell_cap: int = MAX_WINDOW_CELLS,
-    provider=None,
+    stats: "SharingStats | None" = None,
 ) -> MazeSearch:
     """The window-expansion / pitch-coarsening loop shared by maze routes.
 
@@ -269,17 +264,16 @@ def run_maze_search(
     blockages (:func:`grow_window`) and the search retries. When no growth
     is possible the points are genuinely disconnected.
 
-    ``provider`` (``(bbox, pitch) -> (grid, pitch)``) substitutes the
-    shared-window tile cache for the private :func:`build_window`; both
-    produce identical grids, the cache just reuses them across requests.
+    ``stats``, when given, counts every window built
+    (``windows_served``) and its cells (``cells_rasterized``).
     """
     if n_sources is None:
         n_sources = len(points)
     for _ in range(max_attempts):
-        if provider is not None:
-            grid, pitch = provider(bbox, pitch)
-        else:
-            grid, pitch = build_window(bbox, pitch, blockages, cell_cap)
+        grid, pitch = build_window(bbox, pitch, blockages, cell_cap)
+        if stats is not None:
+            stats.windows_served += 1
+            stats.cells_rasterized += grid.nx * grid.ny
         cells = snap_cells(grid, points, blockages, what)
         dists = grid.bfs_many(cells[:n_sources])
         search = MazeSearch(grid, pitch, cells, dists)

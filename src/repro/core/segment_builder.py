@@ -114,7 +114,7 @@ class SegmentTables:
         Lengths past the fit's range all clamp to the range edge and
         evaluate to the same value, so only the in-range prefix (plus one
         clamped point) is evaluated; the tail is filled with it. Exposed
-        so the shared-window level batcher can gather exactly this prefix
+        so the level batcher can gather exactly this prefix
         from every pair into one vectorized curve round.
         """
         fit = self.library.single[(drive, load)][fn]

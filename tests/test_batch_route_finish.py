@@ -19,7 +19,7 @@ The contract of the route-finishing kernel
 import numpy as np
 import pytest
 
-from repro.core.grid_cache import GridCache, route_level
+from repro.core.grid_cache import SharingStats, route_level
 from repro.core.maze_router import MazeGrid, descend_many, rank_candidates, route_maze
 from repro.core.options import CTSOptions
 from repro.core.routing_common import (
@@ -120,7 +120,7 @@ class TestBatchSplitInvariance:
             options,
             stage_length,
             blockages,
-            cache=GridCache(blockages),
+            stats=SharingStats(),
         )
 
     def test_one_batch_equals_split_batches_equals_per_pair(self, routed):

@@ -1,27 +1,30 @@
-"""Shared-window routing subsystem: equivalence and determinism.
+"""Level routing: equivalence and determinism.
 
 The contract of :mod:`repro.core.grid_cache`:
 
-- synthesis through the level router (level tile cache + cross-pair
-  batcher) is byte-identical — tree signature and merge stats — to
-  routing every level pair by pair through the retained single-pair
-  path in the same test run, on blockage, H-structure and snaking
-  scenarios;
+- synthesis through the level router (cross-pair batcher) is
+  byte-identical — tree signature and merge stats — to routing every
+  level pair by pair through the retained single-pair path in the same
+  test run, on blockage, H-structure and snaking scenarios;
 - routing results are invariant to how a level is split into batches,
   and a batch of one equals :func:`repro.core.maze_router.route_maze`;
-- tiles are immutable and shared: equal window keys are served the same
-  grid, and the documented ``nearest_free`` fallback scan is
-  deterministic no matter which pair first touched the tile.
+- the documented ``nearest_free`` fallback scan is deterministic, and
+  the BFS engine matches its reference on windows as
+  :func:`~repro.core.routing_common.build_window` builds them.
 """
 
 import numpy as np
 import pytest
 
 import repro.core.grid_cache as grid_cache
-from repro.core.grid_cache import GridCache, route_level
+from repro.core.grid_cache import SharingStats, route_level
 from repro.core.maze_router import MazeGrid, route_maze
 from repro.core.options import CTSOptions
-from repro.core.routing_common import RouteTerminal, slew_limited_length
+from repro.core.routing_common import (
+    RouteTerminal,
+    build_window,
+    slew_limited_length,
+)
 from repro.evalx.perfstats import scaling_scenario
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
@@ -51,18 +54,17 @@ class TestSharedEqualsPerPair:
         assert shared_sig == per_pair_sig
         assert shared.merge_stats == per_pair.merge_stats
         assert shared.levels == per_pair.levels
-        # the level router actually engaged (and the comparison side did
-        # not); both served the same windows
-        assert shared.route_sharing["search_rounds"] > 0
+        # the level router searched every routed pair (and the comparison
+        # side none); both built the same windows
+        sharing = shared.route_sharing
+        assert sharing["search_rounds"] == sharing["pairs_routed"] > 0
         assert per_pair.route_sharing["search_rounds"] == 0
-        assert (
-            shared.route_sharing["windows_served"]
-            == per_pair.route_sharing["windows_served"]
-        )
+        for name in ("windows_served", "cells_rasterized"):
+            assert sharing[name] == per_pair.route_sharing[name]
 
     def test_hstructure_scenario(self):
         """H-structure correction re-routes each pair once per candidate
-        pairing — the flow where equal window keys genuinely recur."""
+        pairing — the flow where equal windows genuinely recur."""
         sinks, source, blockages = scaling_scenario(60, True)
         shared_sig, shared = synthesize_signature(
             sinks, source, blockages, hstructure="correct"
@@ -72,7 +74,6 @@ class TestSharedEqualsPerPair:
         )
         assert shared_sig == per_pair_sig
         assert shared.merge_stats == per_pair.merge_stats
-        assert shared.route_sharing["tiles_reused"] > 0
 
     def test_snaking_scenario(self):
         sinks, source, blockages = snaking_scenario()
@@ -120,7 +121,7 @@ class TestBatchInvariance:
             options,
             stage_length,
             blockages,
-            cache=GridCache(blockages),
+            stats=SharingStats(),
         )
 
     def test_one_batch_equals_split_batches_equals_per_pair(self, routed):
@@ -152,6 +153,8 @@ class TestRouteSlices:
     #: The per-pair counters of :class:`SharingStats`.
     PER_PAIR = (
         "windows_served",
+        "cells_rasterized",
+        "search_rounds",
         "pairs_routed",
         "cells_ranked",
         "descent_sides",
@@ -189,40 +192,10 @@ class TestRouteSlices:
         assert batches[grid_cache.ROUTE_SLICE_PAIRS] < batches[3] < batches[1]
 
 
-class TestGridCacheTiles:
-    def test_equal_keys_share_one_tile(self):
-        blockages = [BBox(300, 300, 900, 900)]
-        cache = GridCache(blockages)
-        bbox = BBox(0, 0, 2000, 2000)
-        g1, p1 = cache.window(bbox, 100.0)
-        g2, p2 = cache.window(bbox, 100.0)
-        assert g1 is g2 and p1 == p2
-        assert cache.stats.tiles_built == 1
-        assert cache.stats.tiles_reused == 1
-        assert cache.stats.windows_served == 2
-        cache.reset()
-        g3, __ = cache.window(bbox, 100.0)
-        assert g3 is not g1  # tiles are level-scoped
-        assert cache.stats.tiles_built == 2
-
-    def test_cached_window_identical_to_fresh_build(self):
-        from repro.core.routing_common import build_window
-
-        blockages = [BBox(500, -100, 1500, 700), BBox(90000, 90000, 91000, 91000)]
-        bbox = BBox(0, 0, 60000, 45000)  # big enough to force coarsening
-        cache = GridCache(blockages)
-        cached, cached_pitch = cache.window(bbox, 100.0)
-        fresh, fresh_pitch = build_window(bbox, 100.0, blockages)
-        assert cached_pitch == fresh_pitch
-        assert cached.pitch == fresh.pitch
-        assert (cached.nx, cached.ny) == (fresh.nx, fresh.ny)
-        assert np.array_equal(cached.blocked, fresh.blocked)
-        assert cache.stats.pitch_buckets.get(0, 0) == 0  # pitch was coarsened
-
+class TestWindowSearch:
     def test_nearest_free_tie_breaks_row_major(self):
         """The documented fallback scan: Manhattan ties resolve to the
-        free cell with the lowest i, then the lowest j — identically on
-        every window served from the tile."""
+        free cell with the lowest i, then the lowest j."""
         grid = MazeGrid(BBox(0, 0, 400, 400), pitch=100.0)
         # Block the center cell (2, 2); its four neighbors tie at
         # distance 1 and (1, 2) is the row-major winner.
@@ -233,19 +206,13 @@ class TestGridCacheTiles:
         # free cell at the same distance.
         grid.blocked[1, 2] = True
         assert grid.nearest_free((2, 2)) == (2, 1)
-        # Served twice from a cache, the same mask gives the same answer.
-        cache = GridCache([BBox(150, 150, 250, 250)])
-        g1, __ = cache.window(BBox(0, 0, 400, 400), 100.0)
-        g2, __ = cache.window(BBox(0, 0, 400, 400), 100.0)
-        assert g1.nearest_free((2, 2)) == g2.nearest_free((2, 2)) == (1, 2)
 
-    def test_consolidated_engine_matches_reference_on_served_tiles(self):
+    def test_consolidated_engine_matches_reference_on_built_windows(self):
         """Unit bit-identity of the engine on blocked and unblocked
-        windows exactly as the cache serves them."""
+        windows exactly as the window search builds them."""
         blockages = [BBox(500, 500, 1500, 1500)]
-        cache = GridCache(blockages)
-        blocked_grid, __ = cache.window(BBox(0, 0, 3000, 3000), 100.0)
-        unblocked_grid, __ = cache.window(BBox(5000, 5000, 8000, 8000), 100.0)
+        blocked_grid, __ = build_window(BBox(0, 0, 3000, 3000), 100.0, blockages)
+        unblocked_grid, __ = build_window(BBox(5000, 5000, 8000, 8000), 100.0, blockages)
         assert blocked_grid._any_blocked
         assert not unblocked_grid._any_blocked
         for grid in (blocked_grid, unblocked_grid):

@@ -20,7 +20,7 @@ import pytest
 
 import repro.core.grid_cache as grid_cache
 import repro.core.routing_common as routing_common
-from repro.core.grid_cache import GridCache, SharingStats, route_level
+from repro.core.grid_cache import SharingStats, route_level
 from repro.core.options import CTSOptions
 from repro.core.profile_router import (
     profile_lattice,
@@ -150,16 +150,16 @@ class TestLevelEqualsPerPair:
         pairs, singles, library, options, stage_length = setup
         slots = [None, *pairs[:5], None, *pairs[5:8]]
         expected = [None, *singles[:5], None, *singles[5:8]]
-        cache = GridCache([])
-        routed = route_level(slots, library, options, stage_length, [], cache)
+        stats = SharingStats()
+        routed = route_level(slots, library, options, stage_length, [], stats)
         for a, b in zip(routed, expected):
             if b is None:
                 assert a is None
             else:
                 assert_same_route(a, b)
-        assert cache.stats.pairs_routed == 8
-        assert cache.stats.search_rounds == 0
-        assert cache.stats.windows_served == 0
+        assert stats.pairs_routed == 8
+        assert stats.search_rounds == 0
+        assert stats.windows_served == 0
 
     def test_coincident_terminals_rejected(self, setup):
         __, __, library, options, stage_length = setup

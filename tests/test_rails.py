@@ -261,6 +261,17 @@ print(json.dumps({"heavy": heavy, "unresolved": unresolved}))
 """
 
 
+#: Loads and validates a manifest the way ``run-batch`` does, then
+#: reports which heavy modules got loaded.
+MANIFEST_PROBE = """
+import json, sys
+from repro.jobs.manifest import load_manifest
+manifest = load_manifest(sys.argv[1])
+heavy = sorted(m for m in sys.modules if m in ("numpy", "repro.core.cts"))
+print(json.dumps({"jobs": len(manifest.jobs), "heavy": heavy}))
+"""
+
+
 class TestLazyPackage:
     def test_import_repro_loads_no_engine(self):
         """``import repro`` — paid by every ``python -m repro`` command,
@@ -276,6 +287,23 @@ class TestLazyPackage:
         )
         record = json.loads(out.stdout.splitlines()[-1])
         assert record == {"heavy": [], "unresolved": []}
+
+    def test_manifest_validation_loads_no_engine(self):
+        """Loading and validating a manifest checks its options against
+        ``repro.core.options`` and its fault plans against
+        ``repro.evalx.faultinject``; neither package's ``__init__``
+        drags in numpy or the engine."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        manifest = REPO_ROOT / "examples" / "chaos_batch.json"
+        out = subprocess.run(
+            [sys.executable, "-c", MANIFEST_PROBE, str(manifest)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        record = json.loads(out.stdout.splitlines()[-1])
+        assert record == {"jobs": 3, "heavy": []}
 
 
 def ci_jobs() -> dict[str, list[str]]:
@@ -357,6 +385,38 @@ def tracer_hooks() -> tuple:
     return tracer.HOOKS
 
 
+#: Counter paths the benchmark still reads but the engine no longer
+#: keeps: the retired level tile cache's counters. They leave
+#: ``perfbench/child.py`` with ROADMAP item 1's benchmark update.
+RETIRED_COUNTER_PATHS = (
+    "route_sharing.tiles_built",
+    "route_sharing.tiles_reused",
+)
+
+
+def perfbench_child():
+    """The benchmark's ``perfbench/child.py``, loaded with its sibling
+    modules importable and without running it."""
+    bench_dir = str(REPO_ROOT / "perfbench")
+    siblings = ("gate", "tracer", "workloads")
+    loaded = {name: sys.modules.get(name) for name in siblings}
+    sys.path.insert(0, bench_dir)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_child", REPO_ROOT / "perfbench" / "child.py"
+        )
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+    finally:
+        sys.path.remove(bench_dir)
+        for name, module in loaded.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+    return child
+
+
 class TestBenchmarkHooks:
     """The benchmark wraps these names from outside; its self-test fails
     on a hook that no longer resolves, so a rename or deletion in
@@ -374,3 +434,21 @@ class TestBenchmarkHooks:
         # The tracer patches class attributes in the class's own dict.
         target = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert callable(target)
+
+    def test_counter_paths_resolve(self):
+        """Every ``SynthesisResult`` path the benchmark reads a counter
+        from resolves on a small blocked run, so deleting a counter in
+        ``src`` fails here rather than turning a benchmark metric absent
+        unnoticed."""
+        from repro.evalx.perfstats import scaling_scenario
+
+        child = perfbench_child()
+        sinks, source, blockages = scaling_scenario(40, True)
+        cts = AggressiveBufferedCTS(blockages=blockages)
+        result = cts.synthesize(sinks, source)
+        paths = [*child.COUNTERS.values(), *child.PROBE_PATHS]
+        missing = {path for path in paths if child.lookup(result, path) is child._MISSING}
+        assert missing <= set(RETIRED_COUNTER_PATHS)
+        __, absent = child.read_counters(result, len(sinks))
+        assert sorted(absent) == sorted(RETIRED_COUNTER_PATHS)
+

@@ -14,7 +14,9 @@ Deterministic faults come from :mod:`repro.evalx.faultinject`
 from __future__ import annotations
 
 import copy
+import hashlib
 import os
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -116,7 +118,7 @@ class TestRouteFailuresAreLoud:
     @pytest.mark.parametrize(
         "module, kernel",
         [
-            (grid_cache, "_search_rounds"),
+            (grid_cache, "search_maze_pair"),
             (grid_cache, "expand_level"),
             (grid_cache, "_finish_level"),
         ],
@@ -379,6 +381,34 @@ class TestCheckpointResume:
             for node in subtree.root.walk():
                 for child in node.children:
                     assert child.parent is node
+
+    def test_version_2_frame_refused_by_version(self, tmp_path):
+        """A version-2 frame carries the retired tile-cache counters in
+        its ``route_sharing`` row; it is refused by its version before
+        that row reaches ``SharingStats``."""
+        sinks = self._sinks()
+        ckpt_dir = str(tmp_path / "ckpt")
+        with pytest.raises(SynthesisHalted):
+            synth(
+                sinks,
+                blockages=BLOCKAGES,
+                checkpoint_dir=ckpt_dir,
+                fault_plan="checkpoint:0:halt",
+            )
+        path = os.path.join(ckpt_dir, "level_0001.ckpt")
+        payload = checkpoint._read_payload(path)
+        payload["version"] = 2
+        payload["route_sharing"].update(
+            tiles_built=1, tiles_reused=0, cells_reused=0, levels=1,
+            pitch_buckets={"0": 1},
+        )
+        body = pickle.dumps(payload)
+        with open(path, "wb") as fh:
+            fh.write(checkpoint._MAGIC + hashlib.sha256(body).digest() + body)
+        options = CTSOptions()
+        buffers = AggressiveBufferedCTS(options=options).buffers
+        with pytest.raises(ValueError, match="has version 2; this build"):
+            load_checkpoint(path, sinks, options, buffers)
 
 
 class TestDigestPartition:
