@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--resume-from",
         metavar="PATH",
-        help="restart synthesis from a checkpoint file (or a checkpoint"
-        " directory's latest level); the resumed tree is bit-identical"
+        help="restart synthesis from a checkpoint frame (or a checkpoint"
+        " directory's last valid level); the resumed tree is bit-identical"
         " to an uninterrupted run",
     )
     synth.add_argument(

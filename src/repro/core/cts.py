@@ -17,15 +17,18 @@ H-structure pairs run their re-pairing batches first (two candidate
 sweeps over the alternative pairings under correction, one batch of the
 flipped pairs under re-estimation; a pair keeping its original pairing
 keeps its two sub-trees as built); one batch of final merges covers the
-level, whose nodes are then renumbered into serial creation order. There
-is no fallback path: a route or commit kernel exception propagates out
-of :meth:`synthesize`.
+level, whose new roots are bounded in one batched pass and whose nodes
+are then renumbered into serial creation order. With a checkpoint
+directory, each level then writes one delta frame of the frame chain
+(:mod:`repro.core.checkpoint`). There is no fallback path: a route or
+commit kernel exception propagates out of :meth:`synthesize`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.charlib.build import load_default_library
 from repro.charlib.library import DelaySlewLibrary
@@ -41,12 +44,10 @@ from repro.tech.presets import cts_buffer_library, default_technology
 from repro.tech.technology import Technology
 from repro.timing.analysis import LibraryTimingEngine
 from repro.tree.clocktree import ClockTree
-from repro.tree.nodes import (
-    TreeNode,
-    make_sink,
-    peek_node_id,
-    set_node_id,
-)
+from repro.tree.nodes import make_sink, peek_node_id, set_node_id
+
+if TYPE_CHECKING:
+    from repro.core.checkpoint import CheckpointState, FrameChain
 
 
 @dataclass
@@ -141,24 +142,38 @@ class AggressiveBufferedCTS:
             raise ValueError("need at least one sink")
         t0 = time.perf_counter()
         resumed_from: int | None = None
+        state = None
         if self.options.resume_from is not None:
-            level, center, n_flips, n_levels, degradations = self._resume(sinks)
-            resumed_from = n_levels
+            state = self._resume(sinks)
+            level, n_flips = state.subtrees, state.n_flips
+            center = Point(*state.center)
+            n_levels = resumed_from = state.levels_done
+            degradations = state.degradations
         else:
-            level = [self._leaf(pt, cap, i) for i, (pt, cap) in enumerate(sinks)]
+            first_node_id = peek_node_id()
+            level = self._leaves(sinks)
             center = centroid([s.point for s in level])
             n_flips = 0
             n_levels = 0
             degradations = []
+        chain = None
+        if self.options.checkpoint_dir is not None:
+            from repro.core.checkpoint import FrameChain
+
+            chain = (
+                FrameChain(self.options, sinks, first_node_id)
+                if state is None
+                else FrameChain.resumed(self.options, sinks, state)
+            )
         while len(level) > 1:
             n_levels += 1
             pairs, seed = greedy_matching(level, center, self._cost)
             merged_level, level_flips = self._merge_level(pairs)
             n_flips += level_flips
             level = ([seed] if seed else []) + merged_level
-            if self.options.checkpoint_dir is not None:
+            if chain is not None:
                 self._write_checkpoint(
-                    n_levels, level, n_flips, center, sinks, degradations
+                    chain, n_levels, level, n_flips, center, degradations
                 )
             self._level_pulse(n_levels)
         root = level[0].root
@@ -185,25 +200,23 @@ class AggressiveBufferedCTS:
 
     def _write_checkpoint(
         self,
+        chain: FrameChain,
         n_levels: int,
         level: list[SubTree],
         n_flips: int,
         center: Point,
-        sinks: list[tuple[Point, float]],
         degradations: list,
     ) -> None:
-        """Snapshot the flow after one completed topology level."""
+        """Write the frame of one completed topology level to ``chain``."""
         from repro.core.checkpoint import write_checkpoint
 
         write_checkpoint(
-            self.options.checkpoint_dir,
+            chain,
             level=n_levels,
             subtrees=level,
             n_flips=n_flips,
             next_node_id=peek_node_id(),
             center=center,
-            options=self.options,
-            sinks=sinks,
             merge_stats=self.router.stats,
             commit_queries=self.router.commit_queries,
             route_sharing=self.router.route_sharing,
@@ -239,13 +252,15 @@ class AggressiveBufferedCTS:
             plan.consult("job_hang")
             plan.consult("job_oom")
 
-    def _resume(
-        self, sinks: list[tuple[Point, float]]
-    ) -> tuple[list[SubTree], Point, int, int, list]:
+    def _resume(self, sinks: list[tuple[Point, float]]) -> CheckpointState:
         """Rebuild the level-loop state from ``options.resume_from``.
 
-        The node-id counter is restored so post-resume nodes get the ids
-        and auto-names the uninterrupted run would have assigned, and the
+        Replays the checkpoint's frame chain, level 1 first
+        (:func:`repro.core.checkpoint.load_checkpoint`): a directory
+        resumes from the last frame of its longest valid chain prefix, a
+        named frame only if it and all its predecessors are valid. The
+        node-id counter is restored so post-resume nodes get the ids and
+        auto-names the uninterrupted run would have assigned, and the
         timing engine's memoized caches are dropped (memoization is
         order-independent, so recomputed entries are bit-identical).
         """
@@ -259,13 +274,7 @@ class AggressiveBufferedCTS:
         self.router.stats = state.merge_stats
         self.router.commit_queries = state.commit_queries
         self.router.route_sharing = state.route_sharing
-        return (
-            state.subtrees,
-            Point(*state.center),
-            state.n_flips,
-            state.levels_done,
-            state.degradations,
-        )
+        return state
 
     # ------------------------------------------------------------------
     # Level routing
@@ -286,6 +295,12 @@ class AggressiveBufferedCTS:
         creation order, so the tree is the one a pair-by-pair merge
         would build. Only ids and auto-names move: the timing engine's
         memos are keyed by node, so they need no renumbering.
+
+        The level's new roots are bounded in one pass
+        (:meth:`MergeRouter.subtree_bounds` over the whole list), which
+        fills the engine's bounds cache through the batched kernel; the
+        next level's topology cost, balancing and terminals read those
+        buckets back from the cache.
         """
         from repro.core.parallel_merge import (
             renumber_subtrees,
@@ -316,9 +331,12 @@ class AggressiveBufferedCTS:
         for i in h_index + [i for i in range(len(pairs)) if i not in h_set]:
             for merge in merges[i]:
                 self.router.commit_finish(merge.state)
+        roots = [pair_merges[-1].root for pair_merges in merges]
         merged_level = [
-            self._subtree(pair_merges[-1].root, side)
-            for pair_merges, side in zip(merges, sides)
+            SubTree(root, bounds, side)
+            for root, bounds, side in zip(
+                roots, self.router.subtree_bounds(roots), sides
+            )
         ]
         spans = [
             [span for merge in pair_merges for span in merge.spans]
@@ -331,14 +349,15 @@ class AggressiveBufferedCTS:
 
     # ------------------------------------------------------------------
 
-    def _leaf(self, point: Point, cap: float, index: int) -> SubTree:
-        node = make_sink(point, cap, name=f"s{index}")
-        return SubTree(node, self.router.subtree_bounds(node))
-
-    def _subtree(
-        self, root: TreeNode, parts: tuple[TreeNode, TreeNode] | None
-    ) -> SubTree:
-        return SubTree(root, self.router.subtree_bounds(root), parts)
+    def _leaves(self, sinks: list[tuple[Point, float]]) -> list[SubTree]:
+        """Level 0: one sink sub-tree per sink, bounded in one pass."""
+        nodes = [
+            make_sink(pt, cap, name=f"s{i}") for i, (pt, cap) in enumerate(sinks)
+        ]
+        return [
+            SubTree(node, bounds)
+            for node, bounds in zip(nodes, self.router.subtree_bounds(nodes))
+        ]
 
     def _is_hstructure_pair(self, a: SubTree, b: SubTree) -> bool:
         """Whether this pair goes through H-structure re-pairing."""

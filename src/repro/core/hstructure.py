@@ -96,9 +96,13 @@ def reestimate_pairing(
     batch; a pair that keeps the original pairing returns P and Q.
     """
     quads = [[*p.parts, *q.parts] for p, q in pairs]
+    target = router.options.target_slew
     chosen = []
     for parts in quads:
-        subtrees = [SubTree(part, router.subtree_bounds(part)) for part in parts]
+        subtrees = [
+            SubTree(part, router.engine.subtree_bounds(part, target))
+            for part in parts
+        ]
 
         def pairing_cost(pairing) -> float:
             (i, j), (k, l) = pairing

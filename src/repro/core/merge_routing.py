@@ -186,15 +186,25 @@ class MergeRouter:
     # Terminal/bookkeeping helpers
     # ------------------------------------------------------------------
 
-    def subtree_bounds(self, root: TreeNode) -> SubtreeBounds:
-        """Delay bounds of a sub-tree under the slew-target assumption."""
-        return self.engine.subtree_bounds(root, self.options.target_slew)
+    def subtree_bounds(self, roots: list[TreeNode]) -> list[SubtreeBounds]:
+        """Delay bounds of sub-trees under the slew-target assumption.
+
+        One batched pass over a whole list of roots
+        (:meth:`~repro.timing.analysis.LibraryTimingEngine.subtree_bounds_many`):
+        synthesis calls it once for the sinks and once per level for the
+        level's new roots. Every bucket it stores is a function of its
+        key alone, so later scalar reads of the same roots
+        (``engine.subtree_bounds(root, target_slew)``) hit the cache and
+        return the same values.
+        """
+        target = self.options.target_slew
+        return self.engine.subtree_bounds_many([(root, target) for root in roots])
 
     def root_stage_cap(self, root: TreeNode) -> float:
         return self.engine._load_cap_of(root)
 
     def terminal_for(self, root: TreeNode) -> RouteTerminal:
-        bounds = self.subtree_bounds(root)
+        bounds = self.engine.subtree_bounds(root, self.options.target_slew)
         if root.kind is NodeKind.BUFFER:
             load_name = root.buffer.name
         else:
@@ -390,8 +400,9 @@ class MergeRouter:
         """
         if not self.options.enable_balance:
             return root1, root2, None
-        b1 = self.subtree_bounds(root1)
-        b2 = self.subtree_bounds(root2)
+        target = self.options.target_slew
+        b1 = self.engine.subtree_bounds(root1, target)
+        b2 = self.engine.subtree_bounds(root2, target)
         dist = root1.location.manhattan_to(root2.location)
         absorbable = BALANCE_HEADROOM * self._delay_per_unit * dist
         diff = b1.max_delay - b2.max_delay

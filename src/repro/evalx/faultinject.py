@@ -21,7 +21,7 @@ fallback, so an exception there propagates and fails the run.
 ``checkpoint_torn``  one per-level checkpoint write; ``torn`` makes the
                     writer truncate the file it just finished —
                     simulating a torn write the resume path must detect
-                    and skip
+                    (the frame chain ends before it)
 ==================  ====================================================
 
 Modes: ``raise`` throws :class:`FaultInjected`; ``crash`` kills the

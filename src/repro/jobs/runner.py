@@ -17,9 +17,9 @@ budget violation:
 
 A failed attempt (killed, crashed, or exited without a result) retries
 after a deterministic exponential backoff, resuming from the job's
-checkpoint directory — the resume path picks the highest *valid*
-checkpoint, so a crash mid-write or an injected torn file costs one
-level, never the job. After ``max_attempts`` failures the job is
+checkpoint directory — the resume path replays the longest *valid*
+prefix of the checkpoint frame chain, so a crash mid-write costs one
+level and an injected torn frame the levels from it on, never the job. After ``max_attempts`` failures the job is
 quarantined: ``quarantine.json`` names every attempt's reason and the
 batch moves on. Kill reasons are split into a stable ``reason`` code
 (asserted by the determinism tests) and a volatile ``detail`` string

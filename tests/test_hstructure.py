@@ -35,8 +35,8 @@ def interleaved_quad(router, a=None):
     d = make_sink(Point(4300, 0), 8e-15, "D")
     p = router.merge(a, b)
     q = router.merge(c, d)
-    p_sub = SubTree(p, router.subtree_bounds(p), parts=(a, b))
-    q_sub = SubTree(q, router.subtree_bounds(q), parts=(c, d))
+    p_sub = SubTree(p, router.subtree_bounds([p])[0], parts=(a, b))
+    q_sub = SubTree(q, router.subtree_bounds([q])[0], parts=(c, d))
     return p_sub, q_sub, (a, b, c, d)
 
 
@@ -48,8 +48,8 @@ def good_quad(router):
     d = make_sink(Point(4300, 0), 8e-15)
     p = router.merge(a, b)
     q = router.merge(c, d)
-    p_sub = SubTree(p, router.subtree_bounds(p), parts=(a, b))
-    q_sub = SubTree(q, router.subtree_bounds(q), parts=(c, d))
+    p_sub = SubTree(p, router.subtree_bounds([p])[0], parts=(a, b))
+    q_sub = SubTree(q, router.subtree_bounds([q])[0], parts=(c, d))
     return p_sub, q_sub
 
 
@@ -102,8 +102,8 @@ class TestCorrect:
         orig_worse = max(p_sub.bounds.skew, q_sub.bounds.skew)
         (outcome,) = correct_pairing(router, [(p_sub, q_sub)])
         new_worse = max(
-            router.subtree_bounds(outcome.left_root).skew,
-            router.subtree_bounds(outcome.right_root).skew,
+            router.subtree_bounds([outcome.left_root])[0].skew,
+            router.subtree_bounds([outcome.right_root])[0].skew,
         )
         assert new_worse <= orig_worse + 1e-12
 

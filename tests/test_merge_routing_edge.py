@@ -104,7 +104,7 @@ class TestRouterInternals:
         validate_tree(root)
         # The slew clamp may override perfect balance; the residual stays
         # within a buffer-delay quantum.
-        assert router.subtree_bounds(root).skew < 15e-12
+        assert router.subtree_bounds([root])[0].skew < 15e-12
 
     def test_disable_balance_flag(self, tech, library, buffers):
         router = make_router(tech, library, buffers, enable_balance=False)

@@ -333,6 +333,17 @@ PERF_SMOKE = (
     " bench_perf_scaling.py -k test_perf_scaling",
 )
 
+#: The lines of the serial leg's CLI torn-frame resume smoke.
+TORN_FRAME_SMOKE = (
+    "PYTHONPATH=src python -m repro synthesize --random 300 --no-eval"
+    " --checkpoint-dir /tmp/torn/D --json /tmp/torn/clean.json",
+    "truncate -s 100 /tmp/torn/D/level_0003.ckpt",
+    "PYTHONPATH=src python -m repro synthesize --random 300 --no-eval"
+    " --resume-from /tmp/torn/D --json /tmp/torn/resumed.json"
+    ' | grep -q "resumed from checkpoint after level 2"',
+    "cmp /tmp/torn/clean.json /tmp/torn/resumed.json",
+)
+
 
 class TestCI:
     def test_lint_job_gates_tier1(self):
@@ -348,6 +359,11 @@ class TestCI:
         """Table 5.3 puts re-estimated and corrected trees under SPICE,
         an oracle that shares no code with the timing engine."""
         assert serial_step_index(*TABLE_SMOKE) is not None
+
+    def test_serial_leg_resumes_past_a_torn_frame(self):
+        """The CLI resumes a checkpoint directory whose middle frame is
+        torn from the frame before it, and writes the clean run's tree."""
+        assert serial_step_index(*TORN_FRAME_SMOKE) is not None
 
     def test_serial_leg_checks_results_unchanged(self):
         """After every bench smoke, the tracked bench results must still

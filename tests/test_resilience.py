@@ -17,6 +17,7 @@ import copy
 import hashlib
 import os
 import pickle
+import shutil
 from dataclasses import fields
 
 import pytest
@@ -27,7 +28,9 @@ import repro.core.grid_cache as grid_cache
 import repro.core.merge_routing as merge_routing
 from repro.core import AggressiveBufferedCTS, CTSOptions
 from repro.core.checkpoint import (
+    CHECKPOINT_VERSION,
     CorruptCheckpointError,
+    checkpoint_filename,
     load_checkpoint,
     options_digest,
     sinks_digest,
@@ -41,7 +44,7 @@ from repro.evalx.faultinject import (
 from repro.core.soa_tree import SoaTree
 from repro.geom.bbox import BBox
 from repro.tree.export import tree_signature
-from repro.tree.nodes import peek_node_id
+from repro.tree.nodes import NodeKind, peek_node_id
 
 from tests.conftest import make_sink_pairs
 
@@ -396,7 +399,7 @@ class TestCheckpointResume:
                 fault_plan="checkpoint:0:halt",
             )
         path = os.path.join(ckpt_dir, "level_0001.ckpt")
-        payload = checkpoint._read_payload(path)
+        payload, __ = checkpoint._read_frame(path)
         payload["version"] = 2
         payload["route_sharing"].update(
             tiles_built=1, tiles_reused=0, cells_reused=0, levels=1,
@@ -409,6 +412,182 @@ class TestCheckpointResume:
         buffers = AggressiveBufferedCTS(options=options).buffers
         with pytest.raises(ValueError, match="has version 2; this build"):
             load_checkpoint(path, sinks, options, buffers)
+
+
+class TestFrameChain:
+    """Delta frames: frame k holds the nodes level k created plus the
+    links to older nodes they adopted, carries the digest of frame k-1,
+    and resume replays frames 1..k."""
+
+    CASES = {
+        "open-200": (make_sink_pairs(200, 30000.0, seed=6), None, {}),
+        "blocked": (blocked_sinks(40, seed=23), BLOCKAGES, {}),
+        "correct": (
+            blocked_sinks(40, seed=23),
+            BLOCKAGES,
+            {"hstructure": "correct"},
+        ),
+        "reestimate": (
+            blocked_sinks(40, seed=23),
+            BLOCKAGES,
+            {"hstructure": "reestimate"},
+        ),
+    }
+
+    @staticmethod
+    def _frame(ckpt_dir, level):
+        return os.path.join(ckpt_dir, checkpoint_filename(level))
+
+    def _checkpointed(self, tmp_path, sinks, blockages=BLOCKAGES, **overrides):
+        """A clean run that writes every frame: signature, result, dir."""
+        ckpt_dir = str(tmp_path / "ckpt")
+        sig, result, __ = synth(
+            sinks, blockages, checkpoint_dir=ckpt_dir, **overrides
+        )
+        assert len(os.listdir(ckpt_dir)) == result.levels
+        return sig, result, ckpt_dir
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_resume_from_every_level_bit_identical(self, tmp_path, case):
+        sinks, blockages, overrides = self.CASES[case]
+        base = peek_node_id()
+        clean_sig, clean, ckpt_dir = self._checkpointed(
+            tmp_path, sinks, blockages, **overrides
+        )
+        if overrides:
+            # The H-structure cases re-plug older grandchildren.
+            assert clean.n_flippings > 0
+        for level in range(1, clean.levels + 1):
+            __, resumed, __ = synth(
+                sinks,
+                blockages,
+                resume_from=self._frame(ckpt_dir, level),
+                **overrides,
+            )
+            assert resumed.resumed_from == level
+            assert tree_signature(resumed.tree, base) == clean_sig, level
+            assert resumed.merge_stats == clean.merge_stats, level
+            assert resumed.n_flippings == clean.n_flippings, level
+
+    def test_frames_hold_only_their_levels_nodes(self, tmp_path):
+        """Frame k's full rows are the nodes level k created (frame 1 also
+        the sinks) and each tree node is in exactly one frame, so the
+        frames together are the tree below its trunk, once. A commit
+        re-balance discards its merge node, so a level may have used a
+        few ids that no frame holds."""
+        sinks = make_sink_pairs(200, 30000.0, seed=6)
+        base = peek_node_id()
+        __, result, ckpt_dir = self._checkpointed(tmp_path, sinks, None)
+        first = base
+        stored: list[int] = []
+        for level in range(1, result.levels + 1):
+            payload, __ = checkpoint._read_frame(self._frame(ckpt_dir, level))
+            created = [row[0] for row in payload["nodes"] if len(row) == 9]
+            links = [row for row in payload["nodes"] if len(row) == 3]
+            assert payload["first_node_id"] == first
+            assert all(first <= i < payload["next_node_id"] for i in created)
+            assert all(row[0] < first for row in links)
+            if level > 1:
+                # Each merge adopts its two sub-tree roots by link row.
+                assert len(links) >= 2 * (len(payload["roots"]) - 1)
+            stored += created
+            first = payload["next_node_id"]
+        tree_ids = [
+            node.id
+            for node in result.tree.root.walk()
+            if node.id < first and node.kind is not NodeKind.SOURCE
+        ]
+        assert len(stored) == len(set(stored))
+        assert sorted(stored) == sorted(tree_ids)
+
+    def test_torn_middle_frame_resumes_before_it(self, tmp_path):
+        sinks = blocked_sinks(40, seed=23)
+        base = peek_node_id()
+        clean_sig, clean, ckpt_dir = self._checkpointed(tmp_path, sinks)
+        assert clean.levels >= 4
+        torn = self._frame(ckpt_dir, 2)
+        with open(torn, "r+b") as fh:
+            fh.truncate(os.path.getsize(torn) // 2)
+        with pytest.warns(
+            RuntimeWarning, match="skipping corrupt checkpoint 'level_0002.ckpt'"
+        ):
+            __, resumed, __ = synth(sinks, BLOCKAGES, resume_from=ckpt_dir)
+        # Frames 3.. are intact but chain through the torn frame.
+        assert resumed.resumed_from == 1
+        assert tree_signature(resumed.tree, base) == clean_sig
+        assert resumed.merge_stats == clean.merge_stats
+        with pytest.raises(CorruptCheckpointError, match="digest"):
+            synth(sinks, BLOCKAGES, resume_from=self._frame(ckpt_dir, 3))
+
+    def test_missing_middle_frame_resumes_before_it(self, tmp_path):
+        sinks = blocked_sinks(40, seed=23)
+        clean_sig, clean, ckpt_dir = self._checkpointed(tmp_path, sinks)
+        os.remove(self._frame(ckpt_dir, 3))
+        with pytest.warns(RuntimeWarning, match="missing"):
+            __, resumed, __ = synth(sinks, BLOCKAGES, resume_from=ckpt_dir)
+        assert resumed.resumed_from == 2
+        with pytest.raises(CorruptCheckpointError, match="missing"):
+            synth(sinks, BLOCKAGES, resume_from=self._frame(ckpt_dir, 4))
+
+    def test_spliced_foreign_frame_refused_by_chain_digest(self, tmp_path):
+        sinks = blocked_sinks(40, seed=23)
+        base = peek_node_id()
+        clean_sig, clean, ckpt_dir = self._checkpointed(tmp_path, sinks)
+        other_dir = str(tmp_path / "other")
+        synth(blocked_sinks(40, seed=99), BLOCKAGES, checkpoint_dir=other_dir)
+        shutil.copyfile(self._frame(other_dir, 2), self._frame(ckpt_dir, 2))
+        # The spliced frame passes its own digest: only the chain refuses it.
+        checkpoint._read_frame(self._frame(ckpt_dir, 2))
+        with pytest.warns(RuntimeWarning, match="does not link to level 1"):
+            __, resumed, __ = synth(sinks, BLOCKAGES, resume_from=ckpt_dir)
+        assert resumed.resumed_from == 1
+        assert tree_signature(resumed.tree, base) == clean_sig
+        for level in (2, 3):
+            with pytest.raises(CorruptCheckpointError, match="does not link"):
+                synth(
+                    sinks, BLOCKAGES, resume_from=self._frame(ckpt_dir, level)
+                )
+
+    def test_version_3_frame_refused_by_version(self, tmp_path):
+        """A version-3 frame holds whole subtrees and no chain link; it is
+        refused by its version, from a directory as from its file."""
+        sinks = blocked_sinks(40, seed=23)
+        __, __, ckpt_dir = self._checkpointed(tmp_path, sinks)
+        path = self._frame(ckpt_dir, 1)
+        payload, __ = checkpoint._read_frame(path)
+        for key in ("prev_digest", "first_node_id", "nodes", "roots"):
+            del payload[key]
+        payload.update(version=3, subtrees=[])
+        body = pickle.dumps(payload)
+        with open(path, "wb") as fh:
+            fh.write(checkpoint._MAGIC + hashlib.sha256(body).digest() + body)
+        for resume_from in (path, ckpt_dir):
+            with pytest.raises(
+                ValueError,
+                match=f"has version 3; this build reads version {CHECKPOINT_VERSION}",
+            ):
+                synth(sinks, BLOCKAGES, resume_from=resume_from)
+
+    def test_resumed_run_writes_a_whole_chain_elsewhere(self, tmp_path):
+        """A resumed run checkpointing into another directory copies the
+        replayed frames there first, so that directory resumes alone."""
+        sinks = blocked_sinks(40, seed=23)
+        base = peek_node_id()
+        clean_sig, clean, ckpt_dir = self._checkpointed(tmp_path, sinks)
+        elsewhere = str(tmp_path / "elsewhere")
+        synth(
+            sinks,
+            BLOCKAGES,
+            resume_from=self._frame(ckpt_dir, 2),
+            checkpoint_dir=elsewhere,
+        )
+        assert sorted(os.listdir(elsewhere)) == sorted(os.listdir(ckpt_dir))
+        __, resumed, __ = synth(
+            sinks,
+            BLOCKAGES,
+            resume_from=self._frame(elsewhere, clean.levels - 1),
+        )
+        assert tree_signature(resumed.tree, base) == clean_sig
 
 
 class TestDigestPartition:

@@ -15,8 +15,9 @@ signatures, cache values, rows — never approx.
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import _iter_preorder
+from repro.core.checkpoint import _encode_rows, _replay_rows
 from repro.core.cts import AggressiveBufferedCTS
+from repro.core.merge_routing import MergeRouter
 from repro.core.options import CTSOptions
 from repro.core.parallel_merge import renumber_subtrees
 from repro.core.soa_tree import SoaTree
@@ -56,7 +57,7 @@ def _fresh_fault_plans():
     reset_plans()
 
 
-def synth(sinks, blockages=None, without_mirror=False):
+def synth(sinks, blockages=None, without_mirror=False, **option_overrides):
     """One synthesis run plus the rebased signature of its tree.
 
     ``without_mirror`` runs the reference engine's
@@ -64,7 +65,7 @@ def synth(sinks, blockages=None, without_mirror=False):
     objects: the comparison side of the kernel-equality tests.
     """
     cts = AggressiveBufferedCTS(
-        options=CTSOptions(), blockages=blockages
+        options=CTSOptions(**option_overrides), blockages=blockages
     )
     run = synthesize_without_mirror if without_mirror else type(cts).synthesize
     base = peek_node_id()
@@ -81,24 +82,6 @@ def blocked_sinks(n, seed):
     ]
     assert len(sinks) >= 10
     return sinks
-
-
-def object_checkpoint_rows(root):
-    """The node rows ``checkpoint._encode_subtree`` writes for ``root``."""
-    return [
-        (
-            node.id,
-            node.kind.value,
-            node.name,
-            node.location.x,
-            node.location.y,
-            node.wire_to_parent,
-            node.cap,
-            node.buffer.name if node.buffer is not None else None,
-            node.parent.id if node.parent is not None else None,
-        )
-        for node in _iter_preorder(root)
-    ]
 
 
 def rebuild(rows, buffers, wire_scale=1.0):
@@ -187,8 +170,10 @@ class TestCheckpointRoundTrip:
         buffers = cts_buffer_library()
         roots = self._random_forest(rng, buffers)
         root = max(roots, key=lambda r: len(list(r.walk())))
-        rows = object_checkpoint_rows(root)
-        rebuilt = rebuild(rows, buffers)
+        rows = _encode_rows([root], 0)
+        by_id = {}
+        _replay_rows(rows, by_id, buffers)
+        rebuilt = by_id[root.id]
         base = min(r[0] for r in rows)
         assert tree_signature(rebuilt, base) == tree_signature(root, base)
 
@@ -240,7 +225,7 @@ class TestIdentityKeyedRows:
         top, nodes = self._stage_roots()
         # A decoded copy shares every id with the original; its snaked
         # wires give it different bounds.
-        copy = rebuild(object_checkpoint_rows(top), buffers, wire_scale=1.25)
+        copy = rebuild(_encode_rows([top], 0), buffers, wire_scale=1.25)
         copies = [n for n in copy.walk() if n.kind is not NodeKind.SINK]
         assert [n.id for n in copies] == [n.id for n in nodes]
         soa = SoaTree()
@@ -322,6 +307,74 @@ class TestKernelEquality:
             engine._cap_cache.pop(node, None)
             slow = engine._load_cap_of(node)
             assert fast == slow
+
+
+class TestLevelBoundsPass:
+    """Synthesis bounds each level's new roots, and the sinks, in one
+    batched pass through :meth:`MergeRouter.subtree_bounds`."""
+
+    CASES = {
+        "open": (make_sink_pairs(120, 30000.0, seed=4), None, {}),
+        "blocked-correct": (
+            blocked_sinks(40, seed=23),
+            BLOCKAGES,
+            {"hstructure": "correct"},
+        ),
+    }
+
+    @staticmethod
+    def _record_passes(monkeypatch):
+        """Wrap the pass: per call, the roots and every bucket the call
+        stored, each next to a fresh scalar engine's value for its key
+        (taken right away, before a later level builds above it)."""
+        passes = []
+        original = MergeRouter.subtree_bounds
+
+        def recording(self, roots):
+            cache = self.engine._bounds_cache
+            before = set(cache)
+            answers = original(self, roots)
+            fresh = LibraryTimingEngine(self.engine.library, self.engine.tech)
+            stored = {
+                key: (value, scalar_bucket_bounds(fresh, *key))
+                for key, value in cache.items()
+                if key not in before
+            }
+            target = self.options.target_slew
+            scalar = [fresh.subtree_bounds(root, target) for root in roots]
+            passes.append((list(roots), answers, scalar, stored))
+            return answers
+
+        monkeypatch.setattr(MergeRouter, "subtree_bounds", recording)
+        return passes
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stored_buckets_equal_fresh_scalar_engine(self, monkeypatch, case):
+        sinks, blockages, overrides = self.CASES[case]
+        passes = self._record_passes(monkeypatch)
+        synth(sinks, blockages=blockages, **overrides)
+        assert sum(len(stored) for *__, stored in passes) > 0
+        for roots, answers, scalar, stored in passes:
+            assert answers == scalar
+            for key, (value, fresh) in stored.items():
+                assert value == fresh, key
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_pass_per_level_plus_the_leaves(self, monkeypatch, case):
+        sinks, blockages, overrides = self.CASES[case]
+        passes = self._record_passes(monkeypatch)
+        __, result, __ = synth(sinks, blockages=blockages, **overrides)
+        assert len(passes) == result.levels + 1
+        leaves = passes[0][0]
+        assert len(leaves) == len(sinks)
+        assert all(node.kind is NodeKind.SINK for node in leaves)
+        # Each level pass bounds that level's merged roots: half the
+        # previous level, rounded down (an odd level's seed is carried).
+        remaining = len(sinks)
+        for roots, *__ in passes[1:]:
+            assert len(roots) == remaining // 2
+            remaining -= len(roots)
+        assert remaining == 1
 
 
 class TestQuantumBoundary:
