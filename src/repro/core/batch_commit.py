@@ -491,25 +491,27 @@ class BatchCommitScheduler:
 
         The scalar path's per-probe float ops are reproduced exactly: the
         four needed branch fits evaluate batched (bit-identical rows),
-        the per-side bounds come from the engine's key-deterministic
-        caches, and the final delay difference is composed per row with
-        the same scalar additions ``evaluate_split`` performs.
+        the per-side bounds come as arrays from the engine's
+        key-deterministic memo, and the delay difference is composed
+        with ``evaluate_split``'s additions, element-wise.
         """
         router = self.router
         batch = router.library.branch_component_many(
             drive, input_slew, 0.0, *self._row_inputs(rows)
         )
-        items: list[tuple[TreeNode, float]] = []
-        for k, (__, __, probe) in enumerate(rows):
-            items.append((probe.left_node, float(batch.left_slew[k])))
-            items.append((probe.right_node, float(batch.right_slew[k])))
-        bounds = router.engine.subtree_bounds_many(items)
-        for k, (i, slot, __) in enumerate(rows):
-            left_slew = items[2 * k][1]
-            right_slew = items[2 * k + 1][1]
-            left_max = float(batch.left_delay[k]) + bounds[2 * k].max_delay
-            right_max = float(batch.right_delay[k]) + bounds[2 * k + 1].max_delay
-            results[i][slot] = (left_max - right_max, left_slew, right_slew)
+        n = len(rows)
+        nodes = [None] * (2 * n)
+        nodes[0::2] = [probe.left_node for __, __, probe in rows]
+        nodes[1::2] = [probe.right_node for __, __, probe in rows]
+        slews = np.empty(2 * n)
+        slews[0::2] = batch.left_slew
+        slews[1::2] = batch.right_slew
+        __, maxes, __ = router.engine.subtree_bounds_many(nodes, slews)
+        diffs = (batch.left_delay + maxes[0::2]) - (batch.right_delay + maxes[1::2])
+        for (i, slot, __), diff, left_slew, right_slew in zip(
+            rows, diffs.tolist(), batch.left_slew.tolist(), batch.right_slew.tolist()
+        ):
+            results[i][slot] = (diff, left_slew, right_slew)
 
     def _answer_slew_rows(self, rows, results, drive, input_slew) -> None:
         left, right = self.router.library.branch_slews_many(

@@ -298,9 +298,9 @@ class AggressiveBufferedCTS:
 
         The level's new roots are bounded in one pass
         (:meth:`MergeRouter.subtree_bounds` over the whole list), which
-        fills the engine's bounds cache through the batched kernel; the
+        fills the engine's bounds table through the batched kernel; the
         next level's topology cost, balancing and terminals read those
-        buckets back from the cache.
+        buckets back from the table.
         """
         from repro.core.parallel_merge import (
             renumber_subtrees,

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.merge_routing import BatchedMerge, MergeRouter
 from repro.core.topology import EdgeCost, SubTree
 from repro.tree.nodes import TreeNode
@@ -133,16 +135,17 @@ def _skew_keys(
     (within half a picosecond) break on wirelength — shorter trees are
     the ones without intertwined "H" crossings.
     """
-    target = router.options.target_slew
-    bounds = router.engine.subtree_bounds_many(
-        [(root, target) for pair in roots for root in pair]
+    nodes = [root for pair in roots for root in pair]
+    mins, maxes, __ = router.engine.subtree_bounds_many(
+        nodes, np.full(len(nodes), router.options.target_slew)
     )
+    skews = (maxes - mins).tolist()
     return [
         (
-            round(max(lb.skew, rb.skew) / 0.5e-12),
+            round(max(l_skew, r_skew) / 0.5e-12),
             left.downstream_wirelength() + right.downstream_wirelength(),
         )
-        for (left, right), lb, rb in zip(roots, bounds[::2], bounds[1::2])
+        for (left, right), l_skew, r_skew in zip(roots, skews[::2], skews[1::2])
     ]
 
 

@@ -194,11 +194,14 @@ class MergeRouter:
         synthesis calls it once for the sinks and once per level for the
         level's new roots. Every bucket it stores is a function of its
         key alone, so later scalar reads of the same roots
-        (``engine.subtree_bounds(root, target_slew)``) hit the cache and
+        (``engine.subtree_bounds(root, target_slew)``) hit the table and
         return the same values.
         """
-        target = self.options.target_slew
-        return self.engine.subtree_bounds_many([(root, target) for root in roots])
+        slews = np.full(len(roots), self.options.target_slew)
+        mins, maxes, worsts = self.engine.subtree_bounds_many(roots, slews)
+        return list(
+            map(SubtreeBounds, mins.tolist(), maxes.tolist(), worsts.tolist())
+        )
 
     def root_stage_cap(self, root: TreeNode) -> float:
         return self.engine._load_cap_of(root)

@@ -71,18 +71,46 @@ def profile_lattice(
     return pitch, xs, ys
 
 
-def _steps(p: Point, pitch: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Profile step count of every lattice cell from ``p`` (shape
-    ``(nx, ny)``): its Manhattan distance in pitches, rounded."""
-    ax = np.abs(xs - p.x)
-    ay = np.abs(ys - p.y)
-    return np.rint((ax[:, None] + ay[None, :]) / pitch).astype(int)
+def _step_fields(
+    firsts: list[Point], seconds: list[Point], lattices: list[tuple]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profile step counts of every cell of a chunk of lattices, from
+    each pair's first and second terminal.
+
+    Cell ``(i, j)`` of lattice ``(pitch, xs, ys)`` holds its Manhattan
+    distance to the terminal in pitches, rounded:
+    ``rint((|xs[i] - p.x| + |ys[j] - p.y|) / pitch)``. Each field is the
+    lattices' ``(nx, ny)`` grids ravelled and concatenated in order,
+    built from the per-pair axis distances with those element-wise ops.
+    """
+    nx = np.array([xs.size for __, xs, __y in lattices])
+    ny = np.array([ys.size for __, __x, ys in lattices])
+    xs_all = np.concatenate([xs for __, xs, __y in lattices])
+    ys_all = np.concatenate([ys for __, __x, ys in lattices])
+    # Cell c of grid row r (x index i of lattice p) reads
+    # ys_all[y_start[p] + c - first[r]], first[r] being the row's first cell.
+    row_cells = np.repeat(ny, nx)
+    row_y = np.repeat(np.cumsum(ny) - ny, nx) - (np.cumsum(row_cells) - row_cells)
+    y_cells = np.repeat(row_y, row_cells) + np.arange(int(row_cells.sum()))
+    pitches = np.repeat(
+        np.repeat([pitch for pitch, __x, __y in lattices], nx), row_cells
+    )
+    fields = []
+    for points in (firsts, seconds):
+        ax = np.abs(xs_all - np.repeat([p.x for p in points], nx))
+        ay = np.abs(ys_all - np.repeat([p.y for p in points], ny))
+        steps = np.repeat(ax, row_cells)
+        steps += ay[y_cells]
+        steps /= pitches
+        fields.append(np.rint(steps, out=steps).astype(int))
+    return fields[0], fields[1]
 
 
 def _max_step(p: Point, pitch: float, xs: np.ndarray, ys: np.ndarray) -> int:
-    """``_steps(p, pitch, xs, ys).max()`` without the field: every term
-    is monotone in both axis distances, so the maximum sits at the
-    lattice corner farthest from ``p``."""
+    """The largest step count of ``p``'s field (:func:`_step_fields`)
+    over the lattice, without the field: every term is monotone in both
+    axis distances, so the maximum sits at the lattice corner farthest
+    from ``p``."""
     ax = max(abs(xs[0] - p.x), abs(xs[-1] - p.x))
     ay = max(abs(ys[0] - p.y), abs(ys[-1] - p.y))
     return int(np.rint((ax + ay) / pitch))
@@ -98,8 +126,9 @@ def route_profile(
     """Route one merge between two sub-tree roots (no blockages)."""
     p1, p2 = term1.point, term2.point
     pitch, xs, ys = profile_lattice(p1, p2, options, stage_length)
-    k1 = _steps(p1, pitch, xs, ys)
-    k2 = _steps(p2, pitch, xs, ys)
+    k1, k2 = _step_fields([p1], [p2], [(pitch, xs, ys)])
+    k1 = k1.reshape(xs.size, ys.size)
+    k2 = k2.reshape(xs.size, ys.size)
 
     max_k = int(max(k1.max(), k2.max()))
     tables = SegmentTables(library, pitch, max_k + 1, options.target_slew)
@@ -183,17 +212,18 @@ def route_profile_level(
     est2 = np.empty(n_pairs)
     sizes = [xs.size * ys.size for _, xs, ys in lattices]
     for lo, hi in row_chunks(sizes):
-        k1_list, k2_list, prof1_list, prof2_list = [], [], [], []
-        for (t1, t2, tables), (pitch, xs, ys), (b1, b2) in zip(
-            primed[lo:hi], lattices[lo:hi], builders_by_pair[lo:hi]
+        prof1_list, prof2_list = [], []
+        for (__, __t, tables), (b1, b2) in zip(
+            primed[lo:hi], builders_by_pair[lo:hi]
         ):
-            k1_list.append(_steps(t1.point, pitch, xs, ys).ravel())
-            k2_list.append(_steps(t2.point, pitch, xs, ys).ravel())
             prof1_list.append(b1.delays_view(tables.n_steps - 1))
             prof2_list.append(b2.delays_view(tables.n_steps - 1))
+        k1, k2 = _step_fields(
+            [t1.point for t1, __, __t in primed[lo:hi]],
+            [t2.point for __, t2, __t in primed[lo:hi]],
+            lattices[lo:hi],
+        )
         counts = np.array(sizes[lo:hi], dtype=np.int64)
-        k1 = np.concatenate(k1_list)
-        k2 = np.concatenate(k2_list)
         winners, est1[lo:hi], est2[lo:hi] = rank_profile_rows(
             counts, k1, k2, prof1_list, prof2_list
         )

@@ -8,26 +8,30 @@ re-walking collapsed stages, and ``_maybe_force_stage_buffer`` choosing
 stage drivers one scalar ``branch_slews`` call at a time.
 
 Under aggressive buffer insertion almost every stage is a single wire
-or a two-branch split. This module gives every node the commit kernels
-query a row of numpy columns describing that *flat stage*. Once a
-node's bounds are first queried, the stage below it is frozen (the
-bottom-up flow only builds above existing roots — the same invariant
-the engine's bounds/cap dict caches already rely on), so its traced
-shape (single load path or two-branch split), stem lengths, end rows
-and end caps are written into its row once and every later
+or a two-branch split. This module gives every node that gets bounds a
+row of numpy columns describing that *flat stage*. Once a node's bounds
+are first queried, the stage below it is frozen (the bottom-up flow
+only builds above existing roots — the same invariant the engine's
+bounds and cap memos already rely on), so its traced shape (single load
+path or two-branch split), fit group, stem lengths, end caps and the
+rows of its buffer ends are written into its row once, and every later
 bounds-bucket evaluation becomes a numpy gather + one batched fit round
-+ a vectorized accumulate.
+per group + a vectorized accumulate.
 
-Rows are keyed by node identity (``TreeNode`` compares by identity), as
-are the engine's bounds and cap caches this module fills, so node ids
-never reach either: a renumbering between two queries needs nothing
-from this module or the engine.
+The rows are the engine's bounds-table rows
+(:class:`repro.timing.analysis.BoundsTable`): a node's flat stage and
+its memoized buckets share one index, keyed by node identity, so node
+ids never reach either and a renumbering between two queries needs
+nothing from this module or the engine. Sinks get no row: a stage end
+that is not a buffer contributes its wire delay and slew only.
 
 Two commit-phase kernels read the rows:
 
 - :meth:`SoaTree.prefill_bounds` — the level-wide bounds-bucket prefill
-  behind ``subtree_bounds_many``'s miss path: flat stages are grouped
-  and fit-evaluated from the columns; deep stages take the engine's
+  behind ``subtree_bounds_many``'s miss path. Jobs are arrays of
+  (row, bucket) cells; each pass masks them into windows, groups the
+  flat stages by fit, evaluates each group batched and stores every
+  pass with one fancy-indexed write. Deep stages take the engine's
   scalar recursion (``_buffer_bucket_bounds`` /
   ``_virtual_bucket_bounds``) bucket by bucket;
 - :meth:`SoaTree.stage_drivers` — batched forced-stage-buffer decisions
@@ -39,11 +43,14 @@ Bit-identity with the scalar recursion and the object walks rests on
 the established facts: ``predict_many``/``branch_component_many``/
 ``branch_slews_many`` perform the scalar evaluators' float ops
 element-wise; memoized bounds and caps are exact functions of their
-cache key, so fill *order* is irrelevant; min/max folds are exact
-under regrouping; and the collapsed cap fold replays the object walk's
+key, so fill *order* is irrelevant; min/max folds are exact under
+regrouping; and the collapsed cap fold replays the object walk's
 buffer-code sequence in its exact order (cached per node as ``bytes`` —
 DFS-last-child-first sequences compose by concatenation), so the float
-sum is the object walk's sum.
+sum is the object walk's sum. Which buckets get stored does depend on
+*when* each miss is checked, so the prefill keeps the scalar-era order:
+a pass checks its windows before its deep stages recurse, and scans
+its wavefront after.
 
 The cache has no fallback of its own: an exception in a kernel
 propagates out of the synthesis. Engines with no cache attached take
@@ -54,19 +61,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.timing.analysis import SLEW_QUANTUM, SubtreeBounds
+from repro.timing.analysis import SLEW_QUANTUM
 from repro.tree.nodes import NodeKind
-
-#: Stable small-int codes for node kinds (column dtype int8).
-_KINDS = (
-    NodeKind.SOURCE,
-    NodeKind.SINK,
-    NodeKind.MERGE,
-    NodeKind.BUFFER,
-    NodeKind.STEINER,
-)
-_CODE_OF = {kind: code for code, kind in enumerate(_KINDS)}
-_BUFFER = _CODE_OF[NodeKind.BUFFER]
 
 #: Flat-stage classification of the structure below a node.
 _FS_UNKNOWN = 0  # not traced yet
@@ -76,19 +72,18 @@ _FS_BRANCH = 3  # two-branch split, both branches plain load paths
 _FS_DEEP = 4  # nested merges / >2-way splits — scalar recursion
 
 #: Columns of the cache: (attribute, dtype, fill value). ``fs_lend`` /
-#: ``fs_rend`` hold the *row* of each branch's end node.
+#: ``fs_rend`` hold the bounds-table row of each branch's end when it is
+#: a buffer, -1 otherwise; ``fs_group`` indexes ``SoaTree._groups``.
 _COLUMNS = (
     ("fs_state", np.int8, _FS_UNKNOWN),
+    ("fs_group", np.int32, -1),
     ("fs_stem", np.float64, 0.0),
     ("fs_llen", np.float64, 0.0),
     ("fs_rlen", np.float64, 0.0),
     ("fs_lend", np.int64, -1),
     ("fs_rend", np.int64, -1),
-    ("fs_lkind", np.int8, -1),
-    ("fs_rkind", np.int8, -1),
     ("fs_lcap", np.float64, 0.0),
     ("fs_rcap", np.float64, 0.0),
-    ("fs_lload", np.int32, -1),
 )
 
 #: Fit groups smaller than this evaluate with the compiled scalar
@@ -111,28 +106,41 @@ _PREFETCH_BELOW = 1
 _PREFETCH_ABOVE = 1
 
 
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in ``keys``."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    total = int(counts.sum())
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(total)
+
+
 class SoaTree:
-    """Flat-stage rows of the queried nodes plus the commit kernels.
+    """Flat-stage rows of the bounded nodes plus the commit kernels.
 
     Attach to one engine for the duration of one synthesis run
     (:meth:`repro.timing.analysis.LibraryTimingEngine.attach_soa`).
-    A node gets its row the first time a kernel queries it or traces
-    it as the end of a queried stage.
+    A row's flat stage is traced the first time the prefill evaluates
+    it; the columns follow the engine's bounds table (a fresh table,
+    e.g. after ``clear_cache``, starts them over).
     """
 
     def __init__(self) -> None:
         self._capacity = 0
-        #: node -> row, and row -> node.
-        self._row_of: dict = {}
-        self._nodes: list = []
+        #: The bounds table whose rows index the columns.
+        self._table = None
         #: Buffer-type interning: code <-> (name, BufferType).
         self._buffer_names: list[str] = []
         self._buffer_types: list = []
         self._buffer_code_of: dict[str, int] = {}
         self._buffer_caps: list[float] = []
-        #: Load-name interning for single-path group keys.
-        self._load_names: list[str] = []
-        self._load_code_of: dict[str, int] = {}
+        #: Fit groups: (state, drive, load name or None, include buffer
+        #: delay) <-> group code.
+        self._groups: list[tuple] = []
+        self._group_of: dict[tuple, int] = {}
         #: node -> ordered buffer-code byte sequence of its subtree
         #: (DFS-last-child-first, i.e. ``TreeNode.walk`` order).
         self._bufseq: dict = {}
@@ -141,25 +149,19 @@ class SoaTree:
     # Storage
     # ------------------------------------------------------------------
 
-    def _row(self, node) -> int:
-        """Row of ``node``, appended on first use."""
-        row = self._row_of.get(node)
-        if row is None:
-            row = len(self._nodes)
-            if row == self._capacity:
-                self._grow()
-            self._row_of[node] = row
-            self._nodes.append(node)
-        return row
-
-    def _grow(self) -> None:
-        old = self._capacity
-        self._capacity = max(1024, 2 * old)
-        for name, dtype, fill in _COLUMNS:
-            col = np.full(self._capacity, fill, dtype=dtype)
-            if old:
-                col[:old] = getattr(self, name)
-            setattr(self, name, col)
+    def _bind(self, table) -> None:
+        """Index the columns by ``table``'s rows, sized to its capacity."""
+        if table is not self._table:
+            self._table = table
+            self._capacity = 0
+        if self._capacity < table.capacity:
+            old = self._capacity
+            for name, dtype, fill in _COLUMNS:
+                col = np.full(table.capacity, fill, dtype=dtype)
+                if old:
+                    col[:old] = getattr(self, name)[:old]
+                setattr(self, name, col)
+            self._capacity = table.capacity
 
     def _buffer_code(self, buffer) -> int:
         code = self._buffer_code_of.get(buffer.name)
@@ -172,11 +174,11 @@ class SoaTree:
             self._buffer_types.append(buffer)
         return code
 
-    def _load_code(self, name: str) -> int:
-        code = self._load_code_of.get(name)
+    def _group(self, key: tuple) -> int:
+        code = self._group_of.get(key)
         if code is None:
-            code = self._load_code_of[name] = len(self._load_names)
-            self._load_names.append(name)
+            code = self._group_of[key] = len(self._groups)
+            self._groups.append(key)
         return code
 
     # ------------------------------------------------------------------
@@ -206,10 +208,17 @@ class SoaTree:
                 return length, node, kids
             raise ValueError(f"unexpected {kind} inside a stage")
 
+    def _end_row(self, end) -> int:
+        """Bounds-table row of a stage end that needs bounds, else -1."""
+        return self._table.row(end) if end.kind is NodeKind.BUFFER else -1
+
     def _build_flat(self, i: int, node, engine) -> int:
         """Trace and cache the flat stage below ``node`` (row ``i``);
-        returns its state."""
+        returns its state. Can append table rows (buffer ends), so the
+        caller rebinds before reading an end's row."""
         children = node.children
+        include = node.kind is NodeKind.BUFFER
+        drive = node.buffer.name if include else engine.virtual_drive
         try:
             if not children:
                 state = _FS_EMPTY
@@ -223,13 +232,12 @@ class SoaTree:
                     length, end, split = 0.0, node, children
                 if split is None:
                     cap = engine._load_cap_of(end)
-                    end_row = self._row(end)
                     self.fs_stem[i] = length
-                    self.fs_lend[i] = end_row
-                    self.fs_lkind[i] = _CODE_OF[end.kind]
+                    self.fs_lend[i] = self._end_row(end)
                     self.fs_lcap[i] = cap
-                    self.fs_lload[i] = self._load_code(
-                        engine.library.load_name_for_cap(cap)
+                    load = engine.library.load_name_for_cap(cap)
+                    self.fs_group[i] = self._group(
+                        (_FS_SINGLE, drive, load, include)
                     )
                     state = _FS_SINGLE
                 elif len(split) == 2:
@@ -240,17 +248,16 @@ class SoaTree:
                         split[1], split[1].wire_to_parent
                     )
                     if l_split is None and r_split is None:
-                        l_row = self._row(l_end)
-                        r_row = self._row(r_end)
                         self.fs_stem[i] = length
                         self.fs_llen[i] = l_len
                         self.fs_rlen[i] = r_len
-                        self.fs_lend[i] = l_row
-                        self.fs_rend[i] = r_row
-                        self.fs_lkind[i] = _CODE_OF[l_end.kind]
-                        self.fs_rkind[i] = _CODE_OF[r_end.kind]
+                        self.fs_lend[i] = self._end_row(l_end)
+                        self.fs_rend[i] = self._end_row(r_end)
                         self.fs_lcap[i] = engine._load_cap_of(l_end)
                         self.fs_rcap[i] = engine._load_cap_of(r_end)
+                        self.fs_group[i] = self._group(
+                            (_FS_BRANCH, drive, None, include)
+                        )
                         state = _FS_BRANCH
                     else:
                         state = _FS_DEEP
@@ -268,320 +275,286 @@ class SoaTree:
     # Kernel 1: level-wide bounds-bucket prefill
     # ------------------------------------------------------------------
 
-    def prefill_bounds(self, engine, jobs) -> None:
-        """Fill missing bounds buckets from the columns.
+    def prefill_bounds(self, engine, rows: np.ndarray, buckets: np.ndarray) -> None:
+        """Store the missing bounds cells ``(rows[j], buckets[j])``.
 
-        The miss path of ``subtree_bounds_many``: stored values are
-        bit-identical to the scalar recursion's. Jobs whose stage is not
-        flat take that recursion directly, so on return *every*
-        requested bucket is cached.
+        The miss path of ``subtree_bounds_many``; cells come sorted by
+        (row, bucket), each once. Stored values are bit-identical to the
+        scalar recursion's. Jobs whose stage is not flat take that
+        recursion directly, so on return *every* requested cell is
+        stored.
         """
         # Iterative wavefront: each pass groups and fit-evaluates one
-        # depth of jobs, and rows ending in buffers enqueue their
-        # children's missing buckets as the next pass (strictly deeper,
-        # so bounded by tree depth). Accumulation and stores then unwind
-        # deepest pass first — exactly the order the recursive flow
-        # through the engine wrapper produced — so every interpolation
-        # reads caches its deeper pass already filled.
-        pending = jobs
-        passes: list[list[tuple]] = []
-        while pending:
-            evaluated = self._evaluate_jobs(engine, pending)
+        # depth of jobs, and rows ending in buffers enqueue their ends'
+        # missing buckets as the next pass (strictly deeper, so bounded
+        # by tree depth). Accumulation and stores then unwind deepest
+        # pass first — exactly the order the recursive flow through the
+        # engine wrapper produced — so every interpolation reads cells
+        # its deeper pass already stored.
+        passes: list[tuple] = []
+        while rows.size:
+            evaluated = self._evaluate_jobs(engine, rows, buckets)
+            if evaluated is None:
+                break
             passes.append(evaluated)
-            wavefront: dict = {}
-            for *__, l_buckets, r_buckets in evaluated:
-                self._scan_wavefront(engine, wavefront, l_buckets)
-                self._scan_wavefront(engine, wavefront, r_buckets)
-            pending = [
-                (node, sorted(buckets)) for node, buckets in wavefront.items()
-            ]
+            rows, buckets = self._scan_wavefront(engine._bounds, evaluated)
         for evaluated in reversed(passes):
             self._finalize_pass(engine, evaluated)
 
-    def _evaluate_jobs(self, engine, jobs) -> list[tuple]:
-        cache = engine._bounds_cache
-        slow: list = []
-        # group key -> [row indices, buckets, nodes]
-        singles: dict[tuple, list] = {}
-        branches: dict[tuple, list] = {}
-        for job in jobs:
-            node, buckets = job
-            i = self._row(node)
-            state = int(self.fs_state[i])
-            if state == _FS_UNKNOWN:
-                state = self._build_flat(i, node, engine)
-            if state == _FS_DEEP:
-                slow.append(job)
-                continue
-            include = node.kind is NodeKind.BUFFER
-            if state == _FS_EMPTY:
-                for bucket in buckets:
-                    if (node, bucket) not in cache:
-                        cache[node, bucket] = SubtreeBounds(0.0, 0.0, 0.0)
-                continue
-            drive = node.buffer.name if include else engine.virtual_drive
-            if state == _FS_SINGLE:
-                group = singles.setdefault(
-                    (drive, int(self.fs_lload[i]), include), ([], [], [])
-                )
-            else:
-                group = branches.setdefault((drive, include), ([], [], []))
-            rows_i, rows_b, rows_node = group
-            # Prefetch a contiguous bucket window around the requested
-            # pair: bisection slews drift a few buckets per node over the
-            # rounds, and every bucket value is a pure function of its
-            # key, so widening a job only moves future misses into this
-            # batch (fewer rounds, fewer groups) without changing any
-            # stored value. Requested buckets are cache-missing by
-            # construction; extras are filtered against the cache.
-            lo_b = buckets[0] - _PREFETCH_BELOW
-            if lo_b < 0:
-                lo_b = 0
-            hi_b = buckets[-1] + _PREFETCH_ABOVE
-            requested = set(buckets)
-            for bucket in range(lo_b, hi_b + 1):
-                if bucket not in requested and (node, bucket) in cache:
-                    continue
-                rows_i.append(i)
-                rows_b.append(bucket)
-                rows_node.append(node)
-        # Deep stages take the scalar recursion, which fills (and memoizes) every bucket below them on the way.
-        for node, buckets in slow:
-            for bucket in buckets:
+    def _evaluate_jobs(self, engine, rows, buckets):
+        """One pass: fit-evaluate the flat jobs' bucket windows.
+
+        Returns ``(rows, buckets, ends, delays, slews, two_sided, ks,
+        fracs, at)`` over the evaluated cells — ``ends``/``delays``/
+        ``slews`` stacked (2, n) as (left, right) sides, the right side
+        meaningful where ``two_sided`` — plus the bucket math of the
+        buffer ends at flat positions ``at`` of the (2, n) stack; or
+        None when no job is flat.
+        """
+        table = engine._bounds
+        self._bind(table)
+        starts = _runs(rows)
+        stops = np.append(starts[1:], rows.size)
+        job_rows = rows[starts]
+        state = self.fs_state[job_rows]
+        unknown = np.flatnonzero(state == _FS_UNKNOWN)
+        if unknown.size:
+            nodes = table.nodes
+            for j in unknown.tolist():
+                row = int(job_rows[j])
+                state[j] = self._build_flat(row, nodes[row], engine)
+            self._bind(table)
+        cell_state = np.repeat(state, stops - starts)
+        empty = cell_state == _FS_EMPTY
+        if empty.any():
+            zeros = np.zeros(int(np.count_nonzero(empty)))
+            table.store(rows[empty], buckets[empty], zeros, zeros, zeros)
+        deep = cell_state == _FS_DEEP
+        # Prefetch a contiguous bucket window around each flat job's
+        # requested buckets: bisection slews drift a few buckets per node
+        # over the rounds, and every bucket value is a pure function of
+        # its key, so widening a job only moves future misses into this
+        # batch (fewer rounds, fewer groups) without changing any stored
+        # value. Requested buckets are missing by construction; the rest
+        # of the window is masked against the table.
+        flat = np.flatnonzero((state == _FS_SINGLE) | (state == _FS_BRANCH))
+        cell_rows = cell_b = flat
+        if flat.size:
+            lo_b = np.maximum(buckets[starts[flat]] - _PREFETCH_BELOW, 0)
+            hi_b = buckets[stops[flat] - 1] + _PREFETCH_ABOVE
+            table.reserve(int(hi_b.max()))
+            counts = hi_b - lo_b + 1
+            cell_rows = np.repeat(job_rows[flat], counts)
+            cell_b = _spans(lo_b, counts)
+            keep = ~table.filled[cell_rows, cell_b]
+            cell_rows = cell_rows[keep]
+            cell_b = cell_b[keep]
+        # Deep stages take the scalar recursion, which fills (and
+        # memoizes) every bucket below them on the way.
+        if deep.any():
+            nodes = table.nodes
+            for row, bucket in zip(rows[deep].tolist(), buckets[deep].tolist()):
+                node = nodes[row]
                 if node.kind is NodeKind.BUFFER:
                     engine._buffer_bucket_bounds(node, bucket)
                 else:
                     engine._virtual_bucket_bounds(node, bucket)
-        evaluated: list[tuple] = []
-        for (drive, load_code, include), (rows_i, rows_b, rows_node) in (
-            singles.items()
-        ):
-            idx = np.asarray(rows_i, dtype=np.intp)
-            fits = engine.library.single[(drive, self._load_names[load_code])]
+        n = cell_rows.size
+        if not n:
+            return None
+        ends = np.full((2, n), -1, dtype=np.int64)
+        delays = np.zeros((2, n))
+        slews = np.zeros((2, n))
+        groups = self.fs_group[cell_rows]
+        order = np.argsort(groups, kind="stable")
+        cuts = _runs(groups[order])
+        for lo, hi in zip(cuts.tolist(), np.append(cuts[1:], n).tolist()):
+            at = order[lo:hi]
+            idx = cell_rows[at]
+            self._evaluate_group(
+                engine,
+                self._groups[int(groups[at[0]])],
+                idx,
+                cell_b[at],
+                at,
+                ends,
+                delays,
+                slews,
+            )
+        two_sided = self.fs_state[cell_rows] == _FS_BRANCH
+        # Bucket math (q, truncation, frac) for the buffer ends is
+        # computed once here; the wavefront scan and _finalize_pass
+        # both read it. ``slew / SLEW_QUANTUM``, truncation and ``q - k``
+        # are the scalar bucket math's float ops element-wise (positive
+        # slews, so ``astype`` truncation equals ``int()``).
+        at = np.flatnonzero(ends.reshape(-1) >= 0)
+        q = slews.reshape(-1)[at] / SLEW_QUANTUM
+        ks = q.astype(np.int64)
+        return (
+            cell_rows,
+            cell_b,
+            ends,
+            delays,
+            slews,
+            two_sided,
+            ks,
+            q - ks,
+            at,
+        )
+
+    def _evaluate_group(
+        self, engine, group, idx, cell_b, at, ends, delays, slews
+    ) -> None:
+        """Fit-evaluate one group's cells into columns ``at`` of the
+        (2, n) side arrays."""
+        state, drive, load, include = group
+        n = idx.size
+        if state == _FS_SINGLE:
+            fits = engine.library.single[(drive, load)]
             lengths = self.fs_stem[idx]
-            n = len(rows_b)
             if n < _SCALAR_GROUP_ROWS:
                 f_delay = fits["wire_delay"].predict
                 f_slew = fits["wire_slew"].predict
                 f_buf = fits["buffer_delay"].predict if include else None
-                lengths_l = lengths.tolist()
-                delays = np.empty(n)
-                slews = np.empty(n)
-                for k in range(n):
-                    rep = rows_b[k] * SLEW_QUANTUM
-                    length = lengths_l[k]
+                l_delays = np.empty(n)
+                l_slews = np.empty(n)
+                for k, (bucket, length) in enumerate(
+                    zip(cell_b.tolist(), lengths.tolist())
+                ):
+                    rep = bucket * SLEW_QUANTUM
                     delay = max(0.0, f_delay(rep, length))
                     if include:
                         delay = delay + max(0.0, f_buf(rep, length))
-                    delays[k] = delay
-                    slews[k] = max(1e-15, f_slew(rep, length))
+                    l_delays[k] = delay
+                    l_slews[k] = max(1e-15, f_slew(rep, length))
             else:
                 x = np.empty((n, 2))
-                x[:, 0] = np.asarray(rows_b, dtype=np.float64) * SLEW_QUANTUM
+                x[:, 0] = cell_b * SLEW_QUANTUM
                 x[:, 1] = lengths
-                delays = np.maximum(0.0, fits["wire_delay"].predict_many(x))
+                l_delays = np.maximum(0.0, fits["wire_delay"].predict_many(x))
                 if include:
-                    delays = delays + np.maximum(
+                    l_delays = l_delays + np.maximum(
                         0.0, fits["buffer_delay"].predict_many(x)
                     )
-                slews = np.maximum(1e-15, fits["wire_slew"].predict_many(x))
-            evaluated.append(
-                (
-                    rows_node,
-                    rows_b,
-                    (self.fs_lend[idx], self.fs_lkind[idx], delays, slews),
-                    None,
+                l_slews = np.maximum(1e-15, fits["wire_slew"].predict_many(x))
+            ends[0, at] = self.fs_lend[idx]
+            delays[0, at] = l_delays
+            slews[0, at] = l_slews
+            return
+        fits = engine.library.branch[drive]
+        stems = self.fs_stem[idx]
+        l_lens = self.fs_llen[idx]
+        r_lens = self.fs_rlen[idx]
+        l_caps = self.fs_lcap[idx]
+        r_caps = self.fs_rcap[idx]
+        if n < _SCALAR_GROUP_ROWS:
+            l_delays = np.empty(n)
+            l_slews = np.empty(n)
+            r_delays = np.empty(n)
+            r_slews = np.empty(n)
+            for k, args in enumerate(
+                zip(
+                    (cell_b * SLEW_QUANTUM).tolist(),
+                    stems.tolist(),
+                    l_lens.tolist(),
+                    r_lens.tolist(),
+                    l_caps.tolist(),
+                    r_caps.tolist(),
                 )
+            ):
+                base = (
+                    max(0.0, fits["buffer_delay"].predict(*args))
+                    if include
+                    else 0.0
+                )
+                l_delays[k] = base + max(0.0, fits["left_delay"].predict(*args))
+                l_slews[k] = max(1e-15, fits["left_slew"].predict(*args))
+                r_delays[k] = base + max(0.0, fits["right_delay"].predict(*args))
+                r_slews[k] = max(1e-15, fits["right_slew"].predict(*args))
+        else:
+            batch = engine.library.branch_component_many(
+                drive,
+                cell_b * SLEW_QUANTUM,
+                stems,
+                l_lens,
+                r_lens,
+                l_caps,
+                r_caps,
+                include_buffer_delay=include,
             )
-        for (drive, include), (rows_i, rows_b, rows_node) in branches.items():
-            idx = np.asarray(rows_i, dtype=np.intp)
-            fits = engine.library.branch[drive]
-            stems = self.fs_stem[idx]
-            l_lens = self.fs_llen[idx]
-            r_lens = self.fs_rlen[idx]
-            l_caps = self.fs_lcap[idx]
-            r_caps = self.fs_rcap[idx]
-            n = len(rows_b)
-            if n < _SCALAR_GROUP_ROWS:
-                stems_l = stems.tolist()
-                ll_l = l_lens.tolist()
-                rl_l = r_lens.tolist()
-                lc_l = l_caps.tolist()
-                rc_l = r_caps.tolist()
-                l_delays = np.empty(n)
-                l_slews = np.empty(n)
-                r_delays = np.empty(n)
-                r_slews = np.empty(n)
-                for k in range(n):
-                    args = (
-                        rows_b[k] * SLEW_QUANTUM,
-                        stems_l[k],
-                        ll_l[k],
-                        rl_l[k],
-                        lc_l[k],
-                        rc_l[k],
-                    )
-                    base = (
-                        max(0.0, fits["buffer_delay"].predict(*args))
-                        if include
-                        else 0.0
-                    )
-                    l_delays[k] = base + max(
-                        0.0, fits["left_delay"].predict(*args)
-                    )
-                    l_slews[k] = max(1e-15, fits["left_slew"].predict(*args))
-                    r_delays[k] = base + max(
-                        0.0, fits["right_delay"].predict(*args)
-                    )
-                    r_slews[k] = max(1e-15, fits["right_slew"].predict(*args))
+            if include:
+                l_delays = batch.buffer_delay + batch.left_delay
+                r_delays = batch.buffer_delay + batch.right_delay
             else:
-                reps = np.asarray(rows_b, dtype=np.float64) * SLEW_QUANTUM
-                batch = engine.library.branch_component_many(
-                    drive,
-                    reps,
-                    stems,
-                    l_lens,
-                    r_lens,
-                    l_caps,
-                    r_caps,
-                    include_buffer_delay=include,
-                )
-                if include:
-                    l_delays = batch.buffer_delay + batch.left_delay
-                    r_delays = batch.buffer_delay + batch.right_delay
-                else:
-                    l_delays = batch.left_delay
-                    r_delays = batch.right_delay
-                l_slews = batch.left_slew
-                r_slews = batch.right_slew
-            evaluated.append(
-                (
-                    rows_node,
-                    rows_b,
-                    (self.fs_lend[idx], self.fs_lkind[idx], l_delays, l_slews),
-                    (self.fs_rend[idx], self.fs_rkind[idx], r_delays, r_slews),
-                )
-            )
-        # Bucket math (q, truncation, frac) for each side's buffer ends
-        # is computed once here; the driver scans it for the next pass's
-        # wavefront and _finalize_pass interpolates from it on unwind.
-        out: list[tuple] = []
-        for rows_node, rows_b, left, right in evaluated:
-            l_buckets = self._side_buckets(left[0], left[1], left[3])
-            r_buckets = (
-                None
-                if right is None
-                else self._side_buckets(right[0], right[1], right[3])
-            )
-            out.append((rows_node, rows_b, left, right, l_buckets, r_buckets))
-        return out
+                l_delays = batch.left_delay
+                r_delays = batch.right_delay
+            l_slews = batch.left_slew
+            r_slews = batch.right_slew
+        ends[0, at] = self.fs_lend[idx]
+        ends[1, at] = self.fs_rend[idx]
+        delays[0, at] = l_delays
+        delays[1, at] = r_delays
+        slews[0, at] = l_slews
+        slews[1, at] = r_slews
 
-    def _finalize_pass(self, engine, evaluated) -> None:
-        cache = engine._bounds_cache
-        for rows_node, rows_b, left, right, l_buckets, r_buckets in evaluated:
-            __, __k, l_delays, l_slews = left
-            l_bmin, l_bmax, l_bworst = self._below_bounds(
-                engine, len(rows_b), l_buckets
-            )
-            if right is None:
-                lo = l_delays + l_bmin
-                hi = l_delays + l_bmax
-                worst = np.maximum(0.0, np.maximum(l_slews, l_bworst))
-            else:
-                __, __k, r_delays, r_slews = right
-                r_bmin, r_bmax, r_bworst = self._below_bounds(
-                    engine, len(rows_b), r_buckets
-                )
-                lo = np.minimum(l_delays + l_bmin, r_delays + r_bmin)
-                hi = np.maximum(l_delays + l_bmax, r_delays + r_bmax)
-                worst = np.maximum(
-                    0.0,
-                    np.maximum(
-                        np.maximum(l_slews, l_bworst),
-                        np.maximum(r_slews, r_bworst),
-                    ),
-                )
-            # Bulk insert: every bucket value is a pure function of its
-            # key, so a duplicate row carries a bit-identical value and
-            # last-write-wins is indistinguishable from first-write-wins.
-            bounds = map(SubtreeBounds, lo.tolist(), hi.tolist(), worst.tolist())
-            cache.update(zip(zip(rows_node, rows_b), bounds))
-
-    def _side_buckets(self, ends, kinds, slews):
-        """Bucket rows of one evaluated side's buffer ends.
-
-        Returns ``(rows, end nodes, k, frac, slews)`` — compacted to the
-        buffer rows — or None when the side has none. ``slew /
-        SLEW_QUANTUM``, ``int`` truncation and ``q - k`` are evaluated
-        element-wise with the scalar bucket math's float ops (positive
-        slews, so ``astype`` truncation equals ``int()``).
-        """
-        rows = np.nonzero(kinds == _BUFFER)[0]
-        if not rows.size:
-            return None
-        picked = slews[rows]
-        q = picked / SLEW_QUANTUM
-        ks = q.astype(np.int64)
-        frac = q - ks
-        nodes = self._nodes
-        return (
-            rows,
-            [nodes[row] for row in ends[rows].tolist()],
-            ks.tolist(),
-            frac.tolist(),
-            picked.tolist(),
+    def _scan_wavefront(self, table, evaluated):
+        """The next pass's jobs: every bucket a buffer end of this pass
+        interpolates from that the table does not hold yet, as sorted
+        unique (row, bucket) cells."""
+        __, __b, ends, __d, __s, __t, ks, fracs, at = evaluated
+        end_rows = ends.reshape(-1)[at]
+        if not end_rows.size:
+            return end_rows, end_rows
+        k1 = ks + 1
+        table.reserve(int(k1.max()))
+        miss_lo = ~table.filled[end_rows, ks]
+        miss_hi = (fracs != 0.0) & ~table.filled[end_rows, k1]
+        return table.cells(
+            np.concatenate((end_rows[miss_lo], end_rows[miss_hi])),
+            np.concatenate((ks[miss_lo], k1[miss_hi])),
         )
 
-    def _scan_wavefront(self, engine, wavefront, buckets):
-        if buckets is None:
-            return
-        cache = engine._bounds_cache
-        __, ends, ks, fracs, __s = buckets
-        for end, k, frac in zip(ends, ks, fracs):
-            if (end, k) not in cache:
-                wavefront.setdefault(end, set()).add(k)
-            if frac != 0.0 and (end, k + 1) not in cache:
-                wavefront.setdefault(end, set()).add(k + 1)
+    def _finalize_pass(self, engine, evaluated) -> None:
+        """Accumulate one pass's cells over their ends' interpolated
+        bounds and store them with one fancy-indexed write."""
+        rows, buckets, ends, delays, slews, two_sided, ks, fracs, at = evaluated
+        b_min = np.zeros(ends.size)
+        b_max = np.zeros(ends.size)
+        b_worst = np.zeros(ends.size)
+        if at.size:
+            b_min[at], b_max[at], b_worst[at] = self._below_bounds(
+                engine, ends.reshape(-1)[at], ks, fracs
+            )
+        shape = ends.shape
+        lo = delays + b_min.reshape(shape)
+        hi = delays + b_max.reshape(shape)
+        worst = np.maximum(slews, b_worst.reshape(shape))
+        engine._bounds.store(
+            rows,
+            buckets,
+            np.where(two_sided, np.minimum(lo[0], lo[1]), lo[0]),
+            np.where(two_sided, np.maximum(hi[0], hi[1]), hi[0]),
+            np.maximum(
+                0.0, np.where(two_sided, np.maximum(worst[0], worst[1]), worst[0])
+            ),
+        )
 
-    def _below_bounds(self, engine, n, buckets):
-        """Interpolated sub-bounds for buffer ends (zeros elsewhere).
+    def _below_bounds(self, engine, end_rows, ks, fracs):
+        """Interpolated bounds below buffer ends at their slews.
 
-        Per-row float ops are the inlined interpolation of
-        ``buffer_subtree_bounds``; a missing bucket (wavefront raced or
-        scalar-only child) falls back to that very method.
+        Element-wise, the float ops are the scalar reader's
+        interpolation. Every bucket read here was stored by a deeper
+        pass or a deep stage's recursion (the wavefront scan requested
+        each missing one), so a missing bucket is a kernel fault and
+        raises rather than being recomputed.
         """
-        b_min = np.zeros(n)
-        b_max = np.zeros(n)
-        b_worst = np.zeros(n)
-        if buckets is not None:
-            rows, ends, ks, fracs, slews = buckets
-            cache = engine._bounds_cache
-            mins: list[float] = []
-            maxes: list[float] = []
-            worsts: list[float] = []
-            for end, k, frac, slew in zip(ends, ks, fracs, slews):
-                lo = cache.get((end, k))
-                if lo is None:
-                    below = engine.buffer_subtree_bounds(end, slew)
-                elif frac == 0.0:
-                    below = lo
-                else:
-                    hi = cache.get((end, k + 1))
-                    if hi is None:
-                        below = engine.buffer_subtree_bounds(end, slew)
-                    else:
-                        below = (
-                            lo[0] + (hi[0] - lo[0]) * frac,
-                            lo[1] + (hi[1] - lo[1]) * frac,
-                            lo[2] + (hi[2] - lo[2]) * frac,
-                        )
-                mins.append(below[0])
-                maxes.append(below[1])
-                worsts.append(below[2])
-            b_min[rows] = mins
-            b_max[rows] = maxes
-            b_worst[rows] = worsts
-        return b_min, b_max, b_worst
+        table = engine._bounds
+        missing = ~table.filled[end_rows, ks] | (
+            (fracs != 0.0) & ~table.filled[end_rows, ks + 1]
+        )
+        if missing.any():
+            raise RuntimeError("bounds prefill read a bucket no pass stored")
+        return table.lerp(end_rows, ks, fracs)
 
     # ------------------------------------------------------------------
     # Kernel 2: batched forced-stage-buffer decisions

@@ -9,15 +9,20 @@ Elmore/moment-based CTS (Sec. 3.1).
 During bottom-up synthesis the driver of a sub-tree does not exist yet, so
 sub-tree delays are computed under the paper's worst-case assumption: the
 (virtual) driver's input slew equals the slew limit (Sec. 4.2.2). These
-sub-tree evaluations are memoized per (node, slew-quantization bucket):
-once a sub-tree is merged its geometry never changes, and slew changes are
-damped after a buffer stage, so the cache hit rate during binary search is
-high. Each bucket's value is evaluated at the bucket's *representative*
-slew and a query interpolates linearly between its two neighboring
-buckets — a cached value is then an exact function of its key and a query
-an exact function of (node, raw slew). The lockstep commit scheduler
-interleaves queries across merge pairs, and the seed's first-query-wins
-memoization would have made results depend on the order the cache fills.
+sub-tree evaluations are memoized per (node, slew-quantization bucket) in
+one :class:`BoundsTable` the engine owns: a row per bounded node, a column
+per bucket, ``min``/``max``/``worst`` float64 planes plus a filled flag.
+Once a sub-tree is merged its geometry never changes, and slew changes are
+damped after a buffer stage, so the hit rate during binary search is high.
+Each bucket's value is evaluated at the bucket's *representative* slew and
+a query interpolates linearly between its two neighboring buckets — a
+stored value is then an exact function of its key and a query an exact
+function of (node, raw slew). The lockstep commit scheduler interleaves
+queries across merge pairs, and a first-query-wins memo would have made
+results depend on the order the table fills. The batched readers
+(:meth:`LibraryTimingEngine.subtree_bounds_many` and the flat-stage
+kernels of :mod:`repro.core.soa_tree`) gather, mask and store whole
+arrays; the scalar readers read single cells through flat memoryviews.
 
 Stage shapes beyond the characterized single-wire / two-branch components
 (they are rare under aggressive buffer insertion) are composed recursively:
@@ -28,8 +33,12 @@ at the merge point using the slew computed there.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.charlib.library import DelaySlewLibrary
 from repro.tech.technology import Technology
@@ -49,6 +58,8 @@ from repro.tree.stages_map import StagePath, _trace_path, stage_structure
 #: seed's quality envelope while quartering the bucket-miss rate of the
 #: seed's 0.25 ps first-query-wins bins.
 SLEW_QUANTUM = 1.0e-12
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -82,6 +93,177 @@ class SubtreeBounds(NamedTuple):
     @property
     def skew(self) -> float:
         return self.max_delay - self.min_delay
+
+
+def _bad_slew(input_slew) -> ValueError:
+    return ValueError(
+        f"input slew {input_slew!r} is not a finite, non-negative number"
+    )
+
+
+class BoundsTable:
+    """Memoized sub-tree bounds: one row per bounded node, one column per
+    slew bucket.
+
+    Rows exist only for nodes that get bounds (BUFFER, MERGE and STEINER
+    roots; a SINK's bounds are closed-form) and are keyed by node
+    identity (``TreeNode`` is ``eq=False``), so a renumbering leaves them
+    valid. ``min_delay``, ``max_delay`` and ``worst_slew`` are float64
+    planes of shape (row capacity, width) and ``filled`` flags the stored
+    cells. Rows grow on demand by doubling and buckets in steps of
+    ``BUCKET_STEP``, one plane at a time; a bucket is never clamped. The
+    ``*_cells`` memoryviews are flat views of the planes (cell
+    ``row * width + bucket``) whose item reads return Python floats: the
+    scalar readers' hit path.
+    """
+
+    #: Initial row capacity and width. Buckets 0..111 cover slews below
+    #: 112 ps, past the paper's 100 ps limit; a row costs 25 B a bucket.
+    ROWS = 1024
+    BUCKETS = 112
+    #: A wider table grows to the next multiple of this many buckets.
+    BUCKET_STEP = 16
+
+    _PLANES = (
+        ("min_delay", np.float64),
+        ("max_delay", np.float64),
+        ("worst_slew", np.float64),
+        ("filled", np.bool_),
+    )
+
+    def __init__(self) -> None:
+        self.row_of: dict[TreeNode, int] = {}
+        self.nodes: list[TreeNode] = []
+        self.capacity = 0
+        self.width = 0
+        self._maps: dict[str, mmap.mmap] = {}
+        self._resize(self.ROWS, self.BUCKETS)
+
+    def _resize(self, rows: int, buckets: int) -> None:
+        """Grow to ``rows`` x ``buckets`` cells, one plane at a time.
+
+        Each plane lives in an anonymous private memory map: zero-filled,
+        committing a page only when a cell on it is written (numpy's own
+        allocation of a plane this large would be advised onto 2 MiB huge
+        pages). More rows extend a map in place, without a copy; a wider
+        row layout copies the used rows into a new map.
+        """
+        used, width = len(self.nodes), self.width
+        for name, dtype in self._PLANES:
+            size = rows * buckets * np.dtype(dtype).itemsize
+            cells = self._maps.get(name)
+            if cells is not None and buckets == width:
+                # A map cannot move while a view of it exists.
+                setattr(self, name, None)
+                setattr(self, name + "_cells", None)
+                cells.resize(size)
+                plane = np.frombuffer(cells, dtype=dtype).reshape(rows, buckets)
+            else:
+                cells = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+                plane = np.frombuffer(cells, dtype=dtype).reshape(rows, buckets)
+                if used:
+                    plane[:used, :width] = getattr(self, name)[:used]
+            self._maps[name] = cells
+            setattr(self, name, plane)
+            setattr(self, name + "_cells", memoryview(plane.reshape(-1)))
+        self.capacity, self.width = rows, buckets
+
+    def row(self, node: TreeNode) -> int:
+        """Row of ``node``, appended on first use."""
+        row = self.row_of.get(node)
+        if row is None:
+            row = len(self.nodes)
+            if row == self.capacity:
+                self._resize(2 * self.capacity, self.width)
+            self.row_of[node] = row
+            self.nodes.append(node)
+        return row
+
+    def rows_of(self, nodes: list[TreeNode]) -> np.ndarray:
+        """Rows of ``nodes`` (appended on first use); -1 for sinks."""
+        rows = np.fromiter(
+            map(self.row_of.get, nodes, repeat(-1)), np.int64, len(nodes)
+        )
+        for i in np.flatnonzero(rows < 0).tolist():
+            node = nodes[i]
+            if node.kind is not NodeKind.SINK:
+                rows[i] = self.row(node)
+        return rows
+
+    def reserve(self, bucket: int) -> None:
+        """Make ``bucket`` a valid column."""
+        if bucket >= self.width:
+            step = self.BUCKET_STEP
+            self._resize(self.capacity, (bucket // step + 1) * step)
+
+    def get(self, row: int, bucket: int) -> SubtreeBounds | None:
+        if bucket >= self.width:
+            return None
+        i = row * self.width + bucket
+        if not self.filled_cells[i]:
+            return None
+        return SubtreeBounds(
+            self.min_delay_cells[i],
+            self.max_delay_cells[i],
+            self.worst_slew_cells[i],
+        )
+
+    def put(self, row: int, bucket: int, bounds: SubtreeBounds) -> None:
+        self.reserve(bucket)
+        i = row * self.width + bucket
+        self.min_delay_cells[i] = bounds.min_delay
+        self.max_delay_cells[i] = bounds.max_delay
+        self.worst_slew_cells[i] = bounds.worst_slew
+        self.filled_cells[i] = True
+
+    def cells(self, rows: np.ndarray, buckets: np.ndarray):
+        """The distinct (row, bucket) cells among the given ones, sorted
+        by row, then bucket."""
+        keys = np.sort(rows * self.width + buckets)
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        return np.divmod(keys[first], self.width)
+
+    def gather(self, rows: np.ndarray, buckets: np.ndarray):
+        """``(min, max, worst)`` arrays of the given cells (stored or not)."""
+        return (
+            self.min_delay[rows, buckets],
+            self.max_delay[rows, buckets],
+            self.worst_slew[rows, buckets],
+        )
+
+    def lerp(self, rows: np.ndarray, ks: np.ndarray, fracs: np.ndarray):
+        """``(min, max, worst)`` arrays interpolated between buckets ``ks``
+        and ``ks + 1`` at ``fracs``: the scalar reader's float ops
+        element-wise, a zero fraction reading bucket ``ks`` alone."""
+        two = fracs != 0.0
+        return tuple(
+            np.where(two, lo + (hi - lo) * fracs, lo)
+            for lo, hi in zip(self.gather(rows, ks), self.gather(rows, ks + 1))
+        )
+
+    def store(self, rows, buckets, lo, hi, worst) -> None:
+        """Store whole arrays of cells (duplicate cells carry equal values)."""
+        self.min_delay[rows, buckets] = lo
+        self.max_delay[rows, buckets] = hi
+        self.worst_slew[rows, buckets] = worst
+        self.filled[rows, buckets] = True
+
+    def snapshot(self) -> dict[tuple[TreeNode, int], SubtreeBounds]:
+        """Every stored cell as ``{(node, bucket): bounds}`` (a copy)."""
+        rows, buckets = np.nonzero(self.filled[: len(self.nodes)])
+        lo, hi, worst = self.gather(rows, buckets)
+        nodes = self.nodes
+        return {
+            (nodes[row], bucket): SubtreeBounds(a, b, c)
+            for row, bucket, a, b, c in zip(
+                rows.tolist(),
+                buckets.tolist(),
+                lo.tolist(),
+                hi.tolist(),
+                worst.tolist(),
+            )
+        }
 
 
 @dataclass
@@ -123,12 +305,10 @@ class LibraryTimingEngine:
         self.virtual_drive = library.buffer_names[-1]
         #: Sub-tree bounds per (node, quantized slew). BUFFER roots are
         #: input-referenced (buffer delay included); MERGE/STEINER roots
-        #: sit under the virtual driver. Keys are node objects (identity
-        #: hashed, ``TreeNode`` being ``eq=False``), so a renumbering
-        #: leaves them valid. Assumes the structure below a queried node
-        #: never changes (the bottom-up flow only ever builds above
-        #: existing roots).
-        self._bounds_cache: dict[tuple[TreeNode, int], SubtreeBounds] = {}
+        #: sit under the virtual driver. Assumes the structure below a
+        #: queried node never changes (the bottom-up flow only ever
+        #: builds above existing roots).
+        self._bounds = BoundsTable()
         #: Collapsed stage capacitance of MERGE/STEINER roots by node
         #: (the walk is O(sub-tree) and sits inside every bisection probe).
         self._cap_cache: dict[TreeNode, float] = {}
@@ -138,17 +318,22 @@ class LibraryTimingEngine:
         self.bounds_cache_hits = 0
         self.bounds_cache_misses = 0
         #: Optional structure-of-arrays flat-stage cache
-        #: (repro.core.soa_tree). When attached, ``subtree_bounds_many``
-        #: fills its missing buckets from the cache's columns
-        #: (bit-identical to the scalar recursion); without one every miss
-        #: takes the scalar recursion.
+        #: (repro.core.soa_tree), indexed by the bounds table's rows. When
+        #: attached, ``subtree_bounds_many`` fills its missing buckets
+        #: from the cache's columns (bit-identical to the scalar
+        #: recursion); without one every miss takes the scalar recursion.
         self._soa = None
 
     def attach_soa(self, soa) -> None:
         """Install (or clear, with None) the structure-of-arrays
-        flat-stage cache. Its rows are keyed by node identity, so it may
-        be attached before or after the queried trees are built."""
+        flat-stage cache. Its rows are the bounds table's, so it may be
+        attached before or after the queried trees are built."""
         self._soa = soa
+
+    def stored_bounds(self) -> dict[tuple[TreeNode, int], SubtreeBounds]:
+        """Read-only copy of the bounds memo: ``{(node, bucket): bounds}``
+        for every stored bucket."""
+        return self._bounds.snapshot()
 
     # ------------------------------------------------------------------
     # Stage evaluation
@@ -305,15 +490,8 @@ class LibraryTimingEngine:
     # ------------------------------------------------------------------
 
     def clear_cache(self) -> None:
-        self._bounds_cache.clear()
+        self._bounds = BoundsTable()
         self._cap_cache.clear()
-
-    @staticmethod
-    def _buckets_of(slew: float) -> tuple[int, float]:
-        """Bucket index below ``slew`` plus the interpolation fraction."""
-        q = slew / SLEW_QUANTUM
-        k = int(q)  # slews are non-negative, so int() floors
-        return k, q - k
 
     @staticmethod
     def _lerp_bounds(
@@ -325,6 +503,48 @@ class LibraryTimingEngine:
             lo.worst_slew + (hi.worst_slew - lo.worst_slew) * frac,
         )
 
+    def _read(
+        self, node: TreeNode, input_slew: float, buffer: bool
+    ) -> SubtreeBounds:
+        """Interpolated bounds of a non-sink ``node`` at ``input_slew``.
+
+        The hit path (both buckets stored) is inlined — this sits inside
+        every bisection probe of every merge; a miss fills each missing
+        bucket through the scalar recursion.
+        """
+        q = input_slew / SLEW_QUANTUM
+        if not 0.0 <= q < _INF:
+            raise _bad_slew(input_slew)
+        k = int(q)  # q is non-negative, so int() floors
+        frac = q - k
+        table = self._bounds
+        row = table.row_of.get(node)
+        if row is not None and k + 1 < table.width:
+            i = row * table.width + k
+            # No view of the table outlives this branch: a miss below
+            # may grow the table, which needs every view released.
+            filled = table.filled_cells[i] and (
+                frac == 0.0 or table.filled_cells[i + 1]
+            )
+            if filled:
+                mins = table.min_delay_cells
+                maxes = table.max_delay_cells
+                worsts = table.worst_slew_cells
+                lo_min, lo_max, lo_worst = mins[i], maxes[i], worsts[i]
+                if frac == 0.0:
+                    return SubtreeBounds(lo_min, lo_max, lo_worst)
+                i += 1
+                return SubtreeBounds(
+                    lo_min + (mins[i] - lo_min) * frac,
+                    lo_max + (maxes[i] - lo_max) * frac,
+                    lo_worst + (worsts[i] - lo_worst) * frac,
+                )
+        fill = self._buffer_bucket_bounds if buffer else self._virtual_bucket_bounds
+        lo = fill(node, k)
+        if frac == 0.0:
+            return lo
+        return self._lerp_bounds(lo, fill(node, k + 1), frac)
+
     def buffer_subtree_bounds(
         self, buffer_node: TreeNode, input_slew: float
     ) -> SubtreeBounds:
@@ -332,39 +552,24 @@ class LibraryTimingEngine:
 
         Interpolated between the two neighboring quantization buckets,
         each evaluated (and memoized) at its representative slew, so the
-        result does not depend on which query filled the cache first
-        (see the module docstring). The cache-hit path is inlined — this
-        sits inside every bisection probe of every merge.
+        result does not depend on which query filled the table first
+        (see the module docstring). A negative, NaN or infinite
+        ``input_slew`` raises ``ValueError``.
         """
         if buffer_node.kind is not NodeKind.BUFFER:
             raise ValueError(f"{buffer_node} is not a buffer")
-        q = input_slew / SLEW_QUANTUM
-        k = int(q)  # slews are non-negative, so int() floors
-        cache = self._bounds_cache
-        lo = cache.get((buffer_node, k))
-        if lo is None:
-            lo = self._buffer_bucket_bounds(buffer_node, k)
-        frac = q - k
-        if frac == 0.0:
-            return lo
-        hi = cache.get((buffer_node, k + 1))
-        if hi is None:
-            hi = self._buffer_bucket_bounds(buffer_node, k + 1)
-        return SubtreeBounds(
-            lo[0] + (hi[0] - lo[0]) * frac,
-            lo[1] + (hi[1] - lo[1]) * frac,
-            lo[2] + (hi[2] - lo[2]) * frac,
-        )
+        return self._read(buffer_node, input_slew, True)
 
     def _buffer_bucket_bounds(
         self, buffer_node: TreeNode, bucket: int
     ) -> SubtreeBounds:
-        key = (buffer_node, bucket)
-        cached = self._bounds_cache.get(key)
+        table = self._bounds
+        row = table.row(buffer_node)
+        cached = table.get(row, bucket)
         if cached is None:
             timing = self.stage_timing(buffer_node, bucket * SLEW_QUANTUM)
             cached = self._accumulate(timing)
-            self._bounds_cache[key] = cached
+            table.put(row, bucket, cached)
         return cached
 
     def _accumulate(self, timing: StageTiming) -> SubtreeBounds:
@@ -396,25 +601,22 @@ class LibraryTimingEngine:
         delay included). For MERGE/STEINER/SINK roots, a *virtual* driver
         of type ``virtual_drive`` is assumed at the node with the given
         input slew, and its intrinsic delay is excluded — matching how
-        merge-routing reasons about not-yet-driven sub-trees.
+        merge-routing reasons about not-yet-driven sub-trees. A negative,
+        NaN or infinite ``input_slew`` raises ``ValueError``.
         """
-        if node.kind is NodeKind.BUFFER:
-            return self.buffer_subtree_bounds(node, input_slew)
-        if node.kind is NodeKind.SINK:
+        kind = node.kind
+        if kind is NodeKind.SINK:
+            if not 0.0 <= input_slew < _INF:
+                raise _bad_slew(input_slew)
             return SubtreeBounds(0.0, 0.0, input_slew)
-        k, frac = self._buckets_of(input_slew)
-        lo = self._virtual_bucket_bounds(node, k)
-        if frac == 0.0:
-            return lo
-        return self._lerp_bounds(
-            lo, self._virtual_bucket_bounds(node, k + 1), frac
-        )
+        return self._read(node, input_slew, kind is NodeKind.BUFFER)
 
     def _virtual_bucket_bounds(
         self, node: TreeNode, bucket: int
     ) -> SubtreeBounds:
-        key = (node, bucket)
-        cached = self._bounds_cache.get(key)
+        table = self._bounds
+        row = table.row(node)
+        cached = table.get(row, bucket)
         if cached is not None:
             return cached
         if not node.children:
@@ -433,47 +635,75 @@ class LibraryTimingEngine:
                 self.virtual_drive, bucket * SLEW_QUANTUM, structure, False
             )
             bounds = self._accumulate(StageTiming(tuple(rows)))
-        self._bounds_cache[key] = bounds
+        table.put(row, bucket, bounds)
         return bounds
 
     def subtree_bounds_many(
-        self, items: list[tuple[TreeNode, float]]
-    ) -> list[SubtreeBounds]:
-        """Batched :meth:`subtree_bounds` over (node, input slew) items.
+        self, nodes: list[TreeNode], input_slews
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`subtree_bounds` over parallel ``nodes`` and
+        ``input_slews``: ``(min_delay, max_delay, worst_slew)`` arrays.
 
-        Counts cache hits and misses per bucket. With a structure-of-arrays
+        Counts table hits and misses per bucket. With a structure-of-arrays
         flat-stage cache attached, every bucket any item misses is handed
         to :meth:`~repro.core.soa_tree.SoaTree.prefill_bounds` as one job
-        list; without one, the per-item :meth:`subtree_bounds` calls fill
-        the misses through the scalar recursion. Either way each answer is
-        bit for bit what a per-item scalar call would return, because
-        cached bucket values are functions of their key alone.
+        array; without one, each missing bucket takes the scalar
+        recursion. The answers then interpolate with the scalar reader's
+        float ops element-wise, so each is bit for bit what a per-item
+        :meth:`subtree_bounds` call would return (stored bucket values
+        are functions of their key alone). A negative, NaN or infinite
+        slew raises ``ValueError`` before anything is counted or stored.
         """
-        cache = self._bounds_cache
-        needed: dict[TreeNode, set[int]] = {}
-        for node, slew in items:
-            if node.kind is NodeKind.SINK:
-                continue
-            k, frac = self._buckets_of(slew)
-            buckets = (k,) if frac == 0.0 else (k, k + 1)
-            missing = None
-            for b in buckets:
-                if (node, b) in cache:
-                    self.bounds_cache_hits += 1
-                    continue
-                self.bounds_cache_misses += 1
-                if missing is None:
-                    missing = needed.setdefault(node, set())
-                # A node's missing buckets resolve as one job, so the
-                # stage walk amortizes over the interpolation pair (and
-                # over every pair probing this node in the same round).
-                missing.add(b)
-        if needed and self._soa is not None:
-            self._soa.prefill_bounds(
-                self,
-                [(node, sorted(buckets)) for node, buckets in needed.items()],
+        slews = np.asarray(input_slews, dtype=np.float64)
+        q = slews / SLEW_QUANTUM
+        bad = ~((q >= 0.0) & (q < _INF))
+        if bad.any():
+            raise _bad_slew(float(slews[bad][0]))
+        table = self._bounds
+        rows = table.rows_of(nodes)
+        mins = np.zeros(len(rows))
+        maxes = np.zeros(len(rows))
+        worsts = slews.copy()  # a sink's worst slew is its input slew
+        sel = np.flatnonzero(rows >= 0)
+        if not sel.size:
+            return mins, maxes, worsts
+        rows = rows[sel]
+        q = q[sel]
+        k = q.astype(np.int64)  # q is non-negative, so truncation floors
+        frac = q - k
+        k1 = k + 1
+        table.reserve(int(k1.max()))
+        two = frac != 0.0
+        have_lo = table.filled[rows, k]
+        have_hi = table.filled[rows, k1]
+        hits = int(np.count_nonzero(have_lo)) + int(
+            np.count_nonzero(have_hi & two)
+        )
+        self.bounds_cache_hits += hits
+        self.bounds_cache_misses += rows.size + int(np.count_nonzero(two)) - hits
+        miss_lo = ~have_lo
+        miss_hi = two & ~have_hi
+        if miss_lo.any() or miss_hi.any():
+            self._fill(
+                np.concatenate((rows[miss_lo], rows[miss_hi])),
+                np.concatenate((k[miss_lo], k1[miss_hi])),
             )
-        return [self.subtree_bounds(node, slew) for node, slew in items]
+        mins[sel], maxes[sel], worsts[sel] = table.lerp(rows, k, frac)
+        return mins, maxes, worsts
+
+    def _fill(self, rows: np.ndarray, buckets: np.ndarray) -> None:
+        """Store every (row, bucket) cell a batched query missed."""
+        rows, buckets = self._bounds.cells(rows, buckets)
+        if self._soa is not None:
+            self._soa.prefill_bounds(self, rows, buckets)
+            return
+        nodes = self._bounds.nodes
+        for row, bucket in zip(rows.tolist(), buckets.tolist()):
+            node = nodes[row]
+            if node.kind is NodeKind.BUFFER:
+                self._buffer_bucket_bounds(node, bucket)
+            else:
+                self._virtual_bucket_bounds(node, bucket)
 
     # ------------------------------------------------------------------
     # Full-tree analysis

@@ -17,7 +17,7 @@ from repro.evalx.perfstats import (
 )
 from repro.geom import Point
 from repro.tech import cts_buffer_library, default_technology
-from repro.timing.analysis import LibraryTimingEngine
+from repro.timing.analysis import LibraryTimingEngine, SubtreeBounds
 from repro.tree.export import tree_signature
 from repro.tree.nodes import NodeKind, peek_node_id
 
@@ -59,6 +59,18 @@ def make_sink_pairs(n: int, area: float, seed: int = 0) -> list[tuple[Point, flo
             gen.uniform(4e-15, 12e-15, n),
         )
     ]
+
+
+def batched_bounds(engine, items):
+    """``engine.subtree_bounds_many`` over ``(node, slew)`` items, as the
+    list of ``SubtreeBounds`` per-item scalar calls would return."""
+    if not items:
+        return []
+    nodes, slews = zip(*items)
+    mins, maxes, worsts = engine.subtree_bounds_many(list(nodes), slews)
+    return list(
+        map(SubtreeBounds, mins.tolist(), maxes.tolist(), worsts.tolist())
+    )
 
 
 def scalar_bucket_bounds(engine, node, bucket):

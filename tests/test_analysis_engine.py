@@ -99,9 +99,9 @@ class TestSubtreeBounds:
         # Queries between the same two buckets add no cache entries and
         # interpolate deterministically (exact function of the raw slew).
         b2 = engine.buffer_subtree_bounds(buf, 80e-12 + 0.01e-12)
-        n_entries = len(engine._bounds_cache)
+        n_entries = len(engine.stored_bounds())
         b3 = engine.buffer_subtree_bounds(buf, 80e-12 + 0.01e-12)
-        assert len(engine._bounds_cache) == n_entries
+        assert len(engine.stored_bounds()) == n_entries
         assert b2 == b3
         assert abs(b2.max_delay - b1.max_delay) <= 0.25e-12
 

@@ -32,6 +32,7 @@ from repro.tree.nodes import (
 )
 
 from tests.conftest import (
+    batched_bounds,
     make_sink_pairs,
     scalar_bucket_bounds,
     synthesize_signature,
@@ -198,7 +199,7 @@ class TestBatchedQueryAPIs:
 
         ``before``: the flat-stage cache is attached to the engine that
         builds the trees, which then answers the batched query with its
-        build-time bounds caches warm. ``after``: the cache is attached
+        build-time bounds table warm. ``after``: the cache is attached
         to a fresh engine once the trees exist. Either way the flat
         stages take the column kernel and the deep stage the scalar
         recursion.
@@ -222,19 +223,19 @@ class TestBatchedQueryAPIs:
             probe = LibraryTimingEngine(library, tech)
             probe.attach_soa(soa)
         items = [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
-        batched = probe.subtree_bounds_many(items)
-        # The misses went through the kernel, which gave their nodes rows.
-        assert soa._row_of
+        batched = batched_bounds(probe, items)
+        # The misses went through the kernel, which traced their stages.
+        assert np.any(soa.fs_state != 0)
         fresh = LibraryTimingEngine(library, tech)
         scalar = [fresh.subtree_bounds(node, slew) for node, slew in items]
         assert batched == scalar
         # Every stored bucket (prefetched ones included) is the scalar
         # value of its key.
-        for (node, bucket), value in probe._bounds_cache.items():
+        for (node, bucket), value in probe.stored_bounds().items():
             assert scalar_bucket_bounds(fresh, node, bucket) == value
         # A second batched call is all hits: no new misses counted.
         misses = probe.bounds_cache_misses
-        again = probe.subtree_bounds_many(items)
+        again = batched_bounds(probe, items)
         assert again == batched
         assert probe.bounds_cache_misses == misses
 
@@ -254,7 +255,7 @@ class TestBatchedQueryAPIs:
         assert engine._cap_cache[merge] == cap
         assert engine._load_cap_of(merge) == cap
         engine.clear_cache()
-        assert not engine._cap_cache and not engine._bounds_cache
+        assert not engine._cap_cache and not engine.stored_bounds()
 
 
 class TestIterationAccounting:

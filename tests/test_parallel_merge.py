@@ -41,7 +41,7 @@ class TestRenumberSubtrees:
         low.attach(old, 0.0)
         caps = {node: engine._load_cap_of(node) for node in (top, mid, low)}
         bounds = {node: engine.subtree_bounds(node, 80e-12) for node in caps}
-        cached = dict(engine._bounds_cache)
+        cached = engine.stored_bounds()
         mapping = {base + 1: base + 2, base + 2: base + 1}
         renumber_subtrees([top], mapping, base)
         assert (top.id, mid.id, low.id) == (base, base + 2, base + 1)
@@ -50,11 +50,11 @@ class TestRenumberSubtrees:
         # The engine's memos are keyed by node: untouched, and still
         # serve each node its own entries.
         assert engine._cap_cache == caps
-        assert engine._bounds_cache == cached
+        assert engine.stored_bounds() == cached
         for node in caps:
             assert engine._load_cap_of(node) == caps[node]
             assert engine.subtree_bounds(node, 80e-12) == bounds[node]
-        assert engine._bounds_cache == cached
+        assert engine.stored_bounds() == cached
 
 
 class TestTieBreaks:

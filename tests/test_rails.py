@@ -345,6 +345,15 @@ TORN_FRAME_SMOKE = (
 )
 
 
+#: The lines of the serial leg's traced benchmark smoke.
+BENCH_SMOKE = (
+    "python3 perfbench/run.py --workload open-4000 --seed 1 --seconds 1"
+    " --trace 1 | tail -n 1 > /tmp/perfbench_smoke.json",
+    """python3 -c "import json, sys; r = json.load(open('/tmp/perfbench_smoke.json'));"""
+    """ sys.exit(not (r['correct'] is True and r['failed'] == 0))\"""",
+)
+
+
 class TestCI:
     def test_lint_job_gates_tier1(self):
         jobs = ci_jobs()
@@ -364,6 +373,11 @@ class TestCI:
         """The CLI resumes a checkpoint directory whose middle frame is
         torn from the frame before it, and writes the clean run's tree."""
         assert serial_step_index(*TORN_FRAME_SMOKE) is not None
+
+    def test_serial_leg_runs_the_traced_benchmark(self):
+        """The benchmark's traced run, whose last line must report every
+        measured process correct and none failed."""
+        assert serial_step_index(*BENCH_SMOKE) is not None
 
     def test_serial_leg_checks_results_unchanged(self):
         """After every bench smoke, the tracked bench results must still

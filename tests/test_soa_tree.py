@@ -42,6 +42,7 @@ from repro.tree.nodes import (
 )
 
 from tests.conftest import (
+    batched_bounds,
     make_sink_pairs,
     scalar_bucket_bounds,
     synthesize_signature,
@@ -197,9 +198,10 @@ class TestIdentityKeyedRows:
         engine = LibraryTimingEngine(library, tech)
         engine.attach_soa(soa)
         items = [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
-        first = engine.subtree_bounds_many(items)
-        rows = len(soa._row_of)
-        assert rows
+        first = batched_bounds(engine, items)
+        bounded = {node for node, __ in engine.stored_bounds()}
+        traced = np.count_nonzero(soa.fs_state)
+        assert bounded and traced
         # Reverse the subtree's ids: every old id becomes another node's.
         ids = sorted(node.id for node in top.walk())
         mapping = {
@@ -208,17 +210,19 @@ class TestIdentityKeyedRows:
         renumber_subtrees([top], mapping, ids[0])
         # The same queries are all hits: each entry stayed with its node.
         misses = engine.bounds_cache_misses
-        assert engine.subtree_bounds_many(items) == first
+        assert batched_bounds(engine, items) == first
         assert engine.bounds_cache_misses == misses
         items = [(node, 97e-12 + 0.53e-12 * i) for i, node in enumerate(nodes)]
-        got = engine.subtree_bounds_many(items)
+        got = batched_bounds(engine, items)
         assert engine.bounds_cache_misses > misses
         fresh = LibraryTimingEngine(library, tech)
         assert got == [fresh.subtree_bounds(node, slew) for node, slew in items]
         # The new buckets were filled from the rows traced before the
         # renumbering, and every stored bucket is its node's scalar value.
-        assert len(soa._row_of) == rows
-        for (node, bucket), value in engine._bounds_cache.items():
+        stored = engine.stored_bounds()
+        assert {node for node, __ in stored} == bounded
+        assert np.count_nonzero(soa.fs_state) == traced
+        for (node, bucket), value in stored.items():
             assert scalar_bucket_bounds(fresh, node, bucket) == value
 
     def test_equal_ids_get_separate_rows(self, library, tech, buffers):
@@ -238,7 +242,7 @@ class TestIdentityKeyedRows:
                 (node, 80e-12 + 0.37e-12 * i)
                 for i, node in enumerate(tree_nodes)
             ]
-            got = engine.subtree_bounds_many(items)
+            got = batched_bounds(engine, items)
             fresh = LibraryTimingEngine(library, tech)
             assert got == [
                 fresh.subtree_bounds(node, slew) for node, slew in items
@@ -247,8 +251,9 @@ class TestIdentityKeyedRows:
         # A row or memo entry shared by id would have served one tree the
         # other's stages, whose answers differ.
         assert answers[0] != answers[1]
-        rows = {soa._row_of[node] for node in nodes + copies}
-        assert len(rows) == 2 * len(nodes)
+        bounded = {node for node, __ in engine.stored_bounds()}
+        assert set(nodes) <= bounded and set(copies) <= bounded
+        assert len(set(nodes) | set(copies)) == 2 * len(nodes)
 
 
 class TestKernelEquality:
@@ -270,8 +275,8 @@ class TestKernelEquality:
             assert len(rebased) == len(cache)
             return rebased
 
-        soa_bounds = rebase(cts_soa.engine._bounds_cache, base_soa)
-        obj_bounds = rebase(cts_obj.engine._bounds_cache, base_obj)
+        soa_bounds = rebase(cts_soa.engine.stored_bounds(), base_soa)
+        obj_bounds = rebase(cts_obj.engine.stored_bounds(), base_obj)
         # The cache may prefetch extra buckets (pure functions of the
         # key); everything the object walk computed must be present and
         # bit-identical.
@@ -331,13 +336,12 @@ class TestLevelBoundsPass:
         original = MergeRouter.subtree_bounds
 
         def recording(self, roots):
-            cache = self.engine._bounds_cache
-            before = set(cache)
+            before = set(self.engine.stored_bounds())
             answers = original(self, roots)
             fresh = LibraryTimingEngine(self.engine.library, self.engine.tech)
             stored = {
                 key: (value, scalar_bucket_bounds(fresh, *key))
-                for key, value in cache.items()
+                for key, value in self.engine.stored_bounds().items()
                 if key not in before
             }
             target = self.options.target_slew
@@ -400,8 +404,8 @@ class TestQuantumBoundary:
                 slew = k * SLEW_QUANTUM
                 # The quantizer lands exactly on the bucket: no
                 # interpolation fraction survives the float round-trip.
-                kk, frac = engine._buckets_of(slew)
-                assert (kk, frac) == (k, 0.0)
+                q = slew / SLEW_QUANTUM
+                assert (int(q), q - int(q)) == (k, 0.0)
                 # Element-wise twin used by the SoA prefill kernel.
                 q = np.asarray([slew]) / SLEW_QUANTUM
                 ks = q.astype(np.int64)
