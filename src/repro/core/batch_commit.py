@@ -25,12 +25,16 @@ Bit-identity with the scalar flow rests on three facts:
   creation order afterwards (the PR 2 machinery, now with as many spans
   per pair as the pair had node-creating steps).
 
-``PairCommitState`` is the single implementation of the commit loop:
-the single-pair path (``MergeRouter.commit``, which tests and the
-pair-by-pair reference engine take) drives it probe by probe, every
-batch of a topology level (``MergeRouter.merge_batch``, H-structure
-candidate sweeps included) drives its machines through
-``BatchCommitScheduler``.
+``PairCommitState`` is the single implementation of the commit loop,
+and every machine, a coincident pair's included, ends parked in phase
+``"stage"`` on its forced-stage-buffer decision
+(``MergeRouter.stage_drivers``). The single-pair path
+(``MergeRouter.commit``, which tests and the pair-by-pair reference
+engine take) drives it probe by probe and resolves its merge as a batch
+of one; every batch of a topology level (``MergeRouter.merge_batch``,
+H-structure candidate sweeps included) drives its machines through
+``BatchCommitScheduler``, which resolves each round's parked merges
+with one ``stage_drivers`` call.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 
 from repro.core.binary_search import MergeSearchState, evaluate_probe
 from repro.geom.segment import PathPolyline
-from repro.tree.nodes import TreeNode, make_merge, peek_node_id
+from repro.tree.nodes import TreeNode, make_buffer, make_merge, peek_node_id
 
 #: Search/repair/re-balance rounds per merge (the seed's fixed loop sizes).
 MAX_COMMIT_ROUNDS = 5
@@ -95,6 +99,24 @@ class CommitQueryStats:
         }
 
 
+def merge_span(
+    left: PathPolyline, arc1: float, right: PathPolyline, arc2: float
+) -> PathPolyline:
+    """The span between a pair's two last fixed nodes: ``left`` from arc
+    ``arc1`` to its end, then ``right`` from its end back to ``arc2``.
+
+    The points of ``left.subpath(arc1, ...).concat(right.subpath(arc2,
+    ...).reversed())`` (the seam point kept once), built as one list:
+    one polyline sums their lengths, in the same order.
+    """
+    head = left.subpath_points(arc1, left.length)
+    tail = right.subpath_points(arc2, right.length)
+    tail.reverse()
+    if head[-1] == tail[0]:
+        del tail[0]
+    return PathPolyline(head + tail)
+
+
 class CommitProbe(NamedTuple):
     """One pending library evaluation of a commit state machine.
 
@@ -113,7 +135,7 @@ class CommitProbe(NamedTuple):
 
 
 class PairCommitState:
-    """Resumable commit of one merge pair: search -> repair -> finalize.
+    """Resumable commit of one merge pair: search -> repair -> stage.
 
     Reproduces the serial commit loop exactly — corrective insertion
     (slew repair) changes one side's delay after the balance was found,
@@ -121,7 +143,9 @@ class PairCommitState:
     :data:`MAX_COMMIT_ROUNDS` times; residual imbalance that the span
     cannot absorb (search pinned at an extreme) is wire-snaked away.
     Construction materializes the routed buffer chains (node-creating);
-    every subsequent node-creating step happens inside :meth:`advance`.
+    every subsequent node-creating step happens inside :meth:`advance`
+    or, for the stage buffer, :meth:`finish_stage`. In phase ``"stage"``
+    the finished merge waits in :attr:`merge` for its driver decision.
     """
 
     def __init__(self, router, plan, route) -> None:
@@ -136,26 +160,14 @@ class PairCommitState:
         self._n_snaked = plan.n_snaked
         self._snaked_delay = plan.snaked_delay
         self._finished = False
-        #: Set by the lockstep scheduler when a SoA cache is attached:
-        #: park in phase "stage" instead of forcing the stage buffer
-        #: inline, so a whole round's forced-stage decisions batch
-        #: through the SoA kernel. The pair's node-creating order is
-        #: unchanged — the stage buffer is always its last created node —
-        #: so the serial renumbering sees identical per-pair span
-        #: sequences.
-        self.defer_stage = False
-        self._pending_stage_merge: TreeNode | None = None
         if plan.coincident:
-            self.root = router._merge_coincident(plan.root1, plan.root2)
+            self.merge = router._merge_coincident(plan.root1, plan.root2)
+            self.phase = "stage"
             return
         self.v1, arc1 = router._materialize_chain(route.left)
         self.v2, arc2 = router._materialize_chain(route.right)
-        self.span = route.left.polyline.subpath(
-            arc1, route.left.polyline.length
-        ).concat(
-            route.right.polyline.subpath(
-                arc2, route.right.polyline.length
-            ).reversed()
+        self.span = merge_span(
+            route.left.polyline, arc1, route.right.polyline, arc2
         )
         self.round_idx = 0
         self._repair_inserted = 0
@@ -320,16 +332,8 @@ class PairCommitState:
         self._finish_repair()
 
     def _finish_repair(self) -> None:
-        router = self.router
         if not self._repair_inserted or self.round_idx == MAX_COMMIT_ROUNDS - 1:
-            if self.defer_stage:
-                self._pending_stage_merge = self.merge
-                self.merge = None
-                self.phase = "stage"
-                return
-            self.root = router._maybe_force_stage_buffer(self.merge)
-            self.merge = None
-            self.phase = "done"
+            self.phase = "stage"
             return
         # Re-balance between the new fixed nodes (corrective buffers or
         # the originals); the old merge node is discarded.
@@ -363,10 +367,27 @@ class PairCommitState:
             (probe.cap_left, probe.cap_right),
         )
 
+    def finish_stage(self, driver) -> None:
+        """Apply a :meth:`MergeRouter.stage_drivers` answer to the parked
+        merge (None keeps it bare, a buffer type goes directly above
+        it); the machine is then done."""
+        root = self.merge
+        if driver is not None:
+            root = make_buffer(root.location, driver)
+            root.attach(self.merge, 0.0)
+            self.router.stats.n_forced_stage_buffers += 1
+        self.root = root
+        self.merge = None
+        self.phase = "done"
+
     def run_scalar(self) -> None:
-        """Drive this machine to completion with scalar probes."""
+        """Drive this machine to completion with scalar probes; its stage
+        decision is a batch of one."""
         while not self.done:
-            self.advance([self._evaluate_scalar(p) for p in self.requests()])
+            if self.phase == "stage":
+                self.finish_stage(self.router.stage_drivers([self.merge])[0])
+            else:
+                self.advance([self._evaluate_scalar(p) for p in self.requests()])
 
     def finish(self) -> TreeNode:
         if not self.done:
@@ -385,8 +406,9 @@ class BatchCommitScheduler:
     "diff" rows with one vectorized branch-component evaluation plus one
     grouped subtree-bounds lookup, all "slews" rows with one vectorized
     branch-slews evaluation (rounds under :data:`SCALAR_ROUND_ROWS` rows
-    answer scalar), then advance the machines in pair order.
-    Node-creating advances record the id span they consumed into
+    answer scalar), then advance the machines in pair order and resolve
+    the stage decisions of every machine parked in phase ``"stage"``.
+    Node-creating steps record the id span they consumed into
     ``spans`` so the caller can renumber the level into serial creation
     order. A kernel exception propagates: there is no fallback path.
     """
@@ -403,14 +425,6 @@ class BatchCommitScheduler:
         stats = router.commit_queries
         drive = router._virtual
         input_slew = router.options.target_slew
-        soa = router.engine._soa
-        if soa is not None:
-            # Stage-buffer forcing parks in phase "stage" and resolves
-            # level-wide through the SoA kernel after each advance round.
-            # The deferral regroups actual creation order across pairs,
-            # which the serial renumbering undoes.
-            for state in states:
-                state.defer_stage = True
         active = [i for i, state in enumerate(states) if not state.done]
         while active:
             gathered: list[tuple[int, list[CommitProbe]]] = []
@@ -449,26 +463,22 @@ class BatchCommitScheduler:
             active = [i for i, __ in gathered if not states[i].done]
 
     def _finish_stage_states(self, states, staged, spans) -> None:
-        """Resolve a round's parked stage-buffer decisions level-wide.
+        """Resolve a round's parked stage-buffer decisions batch-wide.
 
-        One batched :meth:`~repro.core.soa_tree.SoaTree.stage_drivers`
+        One :meth:`~repro.core.merge_routing.MergeRouter.stage_drivers`
         call decides every parked merge; application (node creation,
-        stats, span recording) stays in pair order, so the per-pair
-        creation sequence — and therefore the serial renumbering —
-        is exactly the inline flow's.
+        stats, span recording) stays in pair order. The stage buffer is
+        always its pair's last created node, so the per-pair creation
+        sequence — and therefore the serial renumbering — is the
+        pair-by-pair flow's.
         """
-        router = self.router
-        merges = [states[i]._pending_stage_merge for i in staged]
-        drivers = router.engine._soa.stage_drivers(router, merges)
-        for pos, i in enumerate(staged):
-            state = states[i]
-            state._pending_stage_merge = None
+        drivers = self.router.stage_drivers([states[i].merge for i in staged])
+        for i, driver in zip(staged, drivers):
             start = peek_node_id()
-            state.root = router._apply_stage_driver(merges[pos], drivers[pos])
+            states[i].finish_stage(driver)
             end = peek_node_id()
             if end > start:
                 spans[i].append((start, end))
-            state.phase = "done"
 
     # ------------------------------------------------------------------
 

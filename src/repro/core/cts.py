@@ -10,9 +10,11 @@ clock SOURCE.
 Every level runs one pipeline (:meth:`AggressiveBufferedCTS._merge_level`)
 in batches (:meth:`repro.core.merge_routing.MergeRouter.merge_batch`):
 prepare in pair order, route the batch at once, commit it in lockstep
-through :class:`repro.core.batch_commit.BatchCommitScheduler` with the
-structure-of-arrays flat-stage cache (:mod:`repro.core.soa_tree`)
-attached.
+through :class:`repro.core.batch_commit.BatchCommitScheduler`. The
+timing engine fills its bounds misses through its flat-stage columns
+(:mod:`repro.timing.flat_stages`), and each scheduler round's
+forced-stage-buffer decisions resolve in one
+:meth:`~repro.core.merge_routing.MergeRouter.stage_drivers` call.
 H-structure pairs run their re-pairing batches first (two candidate
 sweeps over the alternative pairings under correction, one batch of the
 flipped pairs under re-estimation; a pair keeping its original pairing
@@ -35,7 +37,6 @@ from repro.charlib.library import DelaySlewLibrary
 from repro.core.hstructure import correct_pairing, reestimate_pairing
 from repro.core.merge_routing import MergeRouter, MergeStats
 from repro.core.options import CTSOptions
-from repro.core.soa_tree import SoaTree
 from repro.core.topology import EdgeCost, SubTree, greedy_matching
 from repro.geom.bbox import BBox
 from repro.geom.point import Point, centroid
@@ -119,25 +120,7 @@ class AggressiveBufferedCTS:
         sinks: list[tuple[Point, float]],
         source_location: Point | None = None,
     ) -> SynthesisResult:
-        """Synthesize a clock tree over ``(location, capacitance)`` sinks.
-
-        The run executes with a structure-of-arrays flat-stage cache
-        attached to the engine (:class:`repro.core.soa_tree.SoaTree`):
-        the commit phase's bounds-bucket prefill, collapsed stage caps
-        and forced-stage-buffer decisions read its numpy columns instead
-        of re-walking node objects.
-        """
-        self.engine.attach_soa(SoaTree())
-        try:
-            return self._synthesize(sinks, source_location)
-        finally:
-            self.engine.attach_soa(None)
-
-    def _synthesize(
-        self,
-        sinks: list[tuple[Point, float]],
-        source_location: Point | None = None,
-    ) -> SynthesisResult:
+        """Synthesize a clock tree over ``(location, capacitance)`` sinks."""
         if len(sinks) < 1:
             raise ValueError("need at least one sink")
         t0 = time.perf_counter()

@@ -16,7 +16,9 @@ This module orchestrates one merge of two sub-trees:
    buffer immediately above them (keeping stages library-shaped).
 
 Stages 3 and 4 are implemented as a resumable per-pair state machine
-(:class:`repro.core.batch_commit.PairCommitState`).
+(:class:`repro.core.batch_commit.PairCommitState`). Every machine ends
+parked on its stage decision, which :meth:`MergeRouter.stage_drivers`
+answers for a whole batch of merges at once.
 :meth:`MergeRouter.merge_batch` is the path synthesis takes, for plain
 and H-structure pairs alike: it prepares a batch of pairs in order,
 routes them at once (:meth:`MergeRouter.route_level`) and advances all
@@ -77,6 +79,12 @@ BALANCE_HEADROOM = 0.9
 #: buffer's input cap gets a buffer above it, so every stage load stays
 #: within the library's characterized range.
 MAX_UNBUFFERED_CAP_RATIO = 2.0
+
+#: Below this many merges needing a stage driver (and in tail rounds of
+#: fewer than four times as many), :meth:`MergeRouter.stage_drivers`
+#: answers with the scalar ``branch_slews`` evaluator — numpy dispatch
+#: on tiny batches costs more (results are bit-identical either way).
+_SCALAR_DRIVER_ROWS = 4
 
 
 @dataclass
@@ -358,7 +366,7 @@ class MergeRouter:
         )
 
     def commit(self, plan: MergePlan, route: RouteResult | None) -> TreeNode:
-        """Stateful post-route phase: materialize, search, repair.
+        """Stateful post-route phase: materialize, search, repair, stage.
 
         This scalar driver (the single-pair path of :meth:`merge`) and
         the lockstep batched scheduler walk the same state machine, so
@@ -386,10 +394,12 @@ class MergeRouter:
         return state.finish()
 
     def _merge_coincident(self, root1: TreeNode, root2: TreeNode) -> TreeNode:
+        """The bare merge of two coincident roots (its stage decision is
+        :meth:`stage_drivers`', as for every merge)."""
         merge = make_merge(root1.location)
         merge.attach(root1, 0.0)
         merge.attach(root2, 0.0)
-        return self._maybe_force_stage_buffer(merge)
+        return merge
 
     def _balance(
         self, root1: TreeNode, root2: TreeNode
@@ -615,37 +625,80 @@ class MergeRouter:
                 point = min(candidates, key=lambda c: c.manhattan_to(point))
         return point
 
-    def _maybe_force_stage_buffer(self, merge: TreeNode) -> TreeNode:
+    def stage_drivers(self, merges: list[TreeNode]) -> list[BufferType | None]:
         """Keep merges library-shaped by buffering large collapsed stages.
 
         The characterized library models loads as buffer-gate-sized
         capacitances; a merge whose collapsed unbuffered capacitance
-        exceeds :data:`MAX_UNBUFFERED_CAP_RATIO` times the largest buffer's
-        input cap would be invisible to those fits, so it gets a buffer
-        directly above it (sized via the branch fits).
-        """
-        cap = self.root_stage_cap(merge)
-        if cap <= self.max_stage_cap:
-            return merge
-        buf = make_buffer(merge.location, self._choose_stage_driver(merge))
-        buf.attach(merge, 0.0)
-        self.stats.n_forced_stage_buffers += 1
-        return buf
+        exceeds :data:`MAX_UNBUFFERED_CAP_RATIO` times the largest
+        buffer's input cap would be invisible to those fits, so it gets
+        a buffer directly above it. Returns, per merge, that buffer
+        (:meth:`_choose_stage_driver`'s choice) or None.
 
-    def _apply_stage_driver(
-        self, merge: TreeNode, driver: BufferType | None
-    ) -> TreeNode:
-        """Apply a batched stage-driver decision (see
-        :meth:`repro.core.soa_tree.SoaTree.stage_drivers`): None keeps
-        the merge bare, otherwise the chosen buffer goes directly above
-        it — the same surgery and stats ``_maybe_force_stage_buffer``
-        performs inline."""
-        if driver is None:
-            return merge
-        buf = make_buffer(merge.location, driver)
-        buf.attach(merge, 0.0)
-        self.stats.n_forced_stage_buffers += 1
-        return buf
+        Fewer than :data:`_SCALAR_DRIVER_ROWS` such merges take
+        :meth:`_choose_stage_driver` itself; more resolve in lockstep
+        ``branch_slews_many`` rounds, one per buffer name over the
+        still-unresolved merges, which evaluates exactly the (name,
+        merge) pairs the scalar loop would.
+        """
+        engine = self.engine
+        drivers: list[BufferType | None] = [None] * len(merges)
+        need = [
+            k
+            for k, merge in enumerate(merges)
+            if engine._load_cap_of(merge) > self.max_stage_cap
+        ]
+        if len(need) < _SCALAR_DRIVER_ROWS:
+            for k in need:
+                drivers[k] = self._choose_stage_driver(merges[k])
+            return drivers
+        target = self.options.target_slew
+        n = len(need)
+        l_lens = np.empty(n)
+        r_lens = np.empty(n)
+        l_caps = np.empty(n)
+        r_caps = np.empty(n)
+        for j, k in enumerate(need):
+            left, right = merges[k].children
+            l_lens[j] = left.wire_to_parent
+            r_lens[j] = right.wire_to_parent
+            l_caps[j] = engine._load_cap_of(left)
+            r_caps[j] = engine._load_cap_of(right)
+        names = self.library.buffer_names
+        remaining = np.arange(n)
+        for name in names:
+            if not remaining.size:
+                break
+            if remaining.size < _SCALAR_DRIVER_ROWS * 4:
+                # Tail subsets (merges the earlier names rejected) are a
+                # handful of rows; the compiled scalar fits beat numpy
+                # dispatch there with bit-identical values.
+                ok_rows = []
+                for j in remaining.tolist():
+                    l_slew, r_slew = self.library.branch_slews(
+                        name, target, 0.0,
+                        l_lens[j], r_lens[j], l_caps[j], r_caps[j],
+                    )
+                    ok_rows.append(l_slew <= target and r_slew <= target)
+                ok = np.asarray(ok_rows, dtype=bool)
+            else:
+                l_slews, r_slews = self.library.branch_slews_many(
+                    name,
+                    target,
+                    0.0,
+                    l_lens[remaining],
+                    r_lens[remaining],
+                    l_caps[remaining],
+                    r_caps[remaining],
+                )
+                ok = (l_slews <= target) & (r_slews <= target)
+            for j in remaining[ok].tolist():
+                drivers[need[j]] = self.buffers[name]
+            remaining = remaining[~ok]
+        fallback = self.buffers[names[-1]]
+        for j in remaining.tolist():
+            drivers[need[j]] = fallback
+        return drivers
 
     def _choose_stage_driver(self, merge: TreeNode) -> BufferType:
         """Smallest buffer that keeps both branch slews within target."""

@@ -7,8 +7,8 @@ pair would (prepare+commit per pair), and that order would leak into
 auto-generated node ids and names. The flow therefore records the id
 ranges each pair's merges consumed and renumbers the level's nodes
 afterwards into the pair-by-pair creation order — a bijection on the
-level's id block. The timing engine and the flat-stage cache key their
-memos by node identity, so nothing but the nodes themselves follows.
+level's id block. The timing engine's memos and flat-stage columns are
+keyed by node identity, so nothing but the nodes themselves follows.
 The synthesized tree (including node names) is then the one a
 pair-by-pair merge would build.
 """

@@ -8,9 +8,8 @@ full synthesis runs with two engines:
   blocking, bucketed matching, compiled fit evaluators);
 - ``reference``: the retained seed implementations (cell-by-cell
   ``block``, queue BFS, O(n^2) matching, interpreted fit evaluation,
-  every merge routed and committed on its own, node objects walked
-  without the structure-of-arrays flat-stage cache) running inside the
-  same flow.
+  every merge routed and committed on its own with scalar probes)
+  running inside the same flow.
 
 ``collect_scaling`` produces a JSON-ready payload with per-scenario
 seconds and reference/vectorized speedups; ``write_scaling_json`` emits
@@ -155,13 +154,6 @@ def commit_pair_by_pair(scheduler, states, spans):
             pair_spans.append((start, end))
 
 
-def synthesize_without_mirror(cts, sinks, source_location=None):
-    """``AggressiveBufferedCTS.synthesize`` with no structure-of-arrays
-    flat-stage cache attached, so the commit phase walks node objects as
-    the seed did."""
-    return cts._synthesize(sinks, source_location)
-
-
 @contextmanager
 def reference_engine():
     """Swap in the retained seed implementations for baseline timing.
@@ -172,9 +164,9 @@ def reference_engine():
     and the level committer (the seed routed and committed pair by pair,
     so every batch of every level, H-structure candidate sweeps
     included, goes through the single-pair ``route_plan`` and
-    ``run_scalar``) and ``synthesize`` (the seed had no flat-stage cache);
-    the caller must construct its CTS (and hence its library) inside
-    this context so the interpreted evaluators take effect.
+    ``run_scalar``, whose bounds probes take the scalar recursion); the
+    caller must construct its CTS (and hence its library) inside this
+    context so the interpreted evaluators take effect.
     """
     builder_mods = (maze_router_mod, merge_routing_mod, profile_router_mod)
     lib_partials = (
@@ -195,7 +187,6 @@ def reference_engine():
     saved_covering = routing_common_mod.covering_blockages
     saved_route_level = merge_routing_mod.MergeRouter.route_level
     saved_commit = BatchCommitScheduler.run
-    saved_synthesize = AggressiveBufferedCTS.synthesize
     saved_lib_cache = dict(charlib_build._DEFAULT_CACHE)
     MazeGrid.bfs = MazeGrid.bfs_reference
     MazeGrid.bfs_many = lambda self, starts: [self.bfs(s) for s in starts]
@@ -207,7 +198,6 @@ def reference_engine():
     cts_mod.greedy_matching = topology.greedy_matching_reference
     merge_routing_mod.MergeRouter.route_level = route_pair_by_pair
     BatchCommitScheduler.run = commit_pair_by_pair
-    AggressiveBufferedCTS.synthesize = synthesize_without_mirror
     fitting.COMPILE_SCALAR = False
     # The default-library cache holds fits built with compiled evaluators;
     # drop it so the baseline constructs interpreted ones.
@@ -234,7 +224,6 @@ def reference_engine():
         routing_common_mod.covering_blockages = saved_covering
         merge_routing_mod.MergeRouter.route_level = saved_route_level
         BatchCommitScheduler.run = saved_commit
-        AggressiveBufferedCTS.synthesize = saved_synthesize
         for mod, (pb, st) in zip(builder_mods, builders):
             mod.PathBuilder = pb
             mod.SegmentTables = st

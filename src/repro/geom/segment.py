@@ -86,6 +86,10 @@ class PathPolyline:
 
     def subpath(self, s0: float, s1: float) -> "PathPolyline":
         """Sub-polyline between arc lengths ``s0 <= s1`` (clamped)."""
+        return PathPolyline(self.subpath_points(s0, s1))
+
+    def subpath_points(self, s0: float, s1: float) -> list[Point]:
+        """Vertices of :meth:`subpath` ``(s0, s1)``, as a new list."""
         s0 = max(0.0, min(s0, self.length))
         s1 = max(s0, min(s1, self.length))
         points = [self.point_at_length(s0)]
@@ -95,7 +99,7 @@ class PathPolyline:
         end = self.point_at_length(s1)
         if points[-1] != end or len(points) == 1:
             points.append(end)
-        return PathPolyline(points)
+        return points
 
     def concat(self, other: "PathPolyline") -> "PathPolyline":
         """Join two polylines; the seam point is kept once."""

@@ -19,10 +19,12 @@ a query interpolates linearly between its two neighboring buckets — a
 stored value is then an exact function of its key and a query an exact
 function of (node, raw slew). The lockstep commit scheduler interleaves
 queries across merge pairs, and a first-query-wins memo would have made
-results depend on the order the table fills. The batched readers
-(:meth:`LibraryTimingEngine.subtree_bounds_many` and the flat-stage
-kernels of :mod:`repro.core.soa_tree`) gather, mask and store whole
-arrays; the scalar readers read single cells through flat memoryviews.
+results depend on the order the table fills. The batched reader
+(:meth:`LibraryTimingEngine.subtree_bounds_many`) gathers, masks and
+stores whole arrays, and fills its misses through the prefill kernel of
+:mod:`repro.timing.flat_stages`, whose flat-stage columns the engine
+builds with each table; the scalar readers read single cells through
+flat memoryviews and fill a miss through the scalar recursion.
 
 Stage shapes beyond the characterized single-wire / two-branch components
 (they are rare under aggressive buffer insertion) are composed recursively:
@@ -42,6 +44,7 @@ import numpy as np
 
 from repro.charlib.library import DelaySlewLibrary
 from repro.tech.technology import Technology
+from repro.timing.flat_stages import FlatStages
 from repro.timing.moments import (
     d2m_delay,
     elmore_slew_peri,
@@ -123,6 +126,8 @@ class BoundsTable:
     BUCKETS = 112
     #: A wider table grows to the next multiple of this many buckets.
     BUCKET_STEP = 16
+    #: Slew width of one bucket column.
+    QUANTUM = SLEW_QUANTUM
 
     _PLANES = (
         ("min_delay", np.float64),
@@ -307,8 +312,10 @@ class LibraryTimingEngine:
         #: input-referenced (buffer delay included); MERGE/STEINER roots
         #: sit under the virtual driver. Assumes the structure below a
         #: queried node never changes (the bottom-up flow only ever
-        #: builds above existing roots).
+        #: builds above existing roots). ``_flat`` holds the flat-stage
+        #: columns of the table's rows that fill its batched misses.
         self._bounds = BoundsTable()
+        self._flat = FlatStages(self._bounds)
         #: Collapsed stage capacitance of MERGE/STEINER roots by node
         #: (the walk is O(sub-tree) and sits inside every bisection probe).
         self._cap_cache: dict[TreeNode, float] = {}
@@ -317,18 +324,6 @@ class LibraryTimingEngine:
         #: subtree_bounds_many diagnostics (batched commit phase).
         self.bounds_cache_hits = 0
         self.bounds_cache_misses = 0
-        #: Optional structure-of-arrays flat-stage cache
-        #: (repro.core.soa_tree), indexed by the bounds table's rows. When
-        #: attached, ``subtree_bounds_many`` fills its missing buckets
-        #: from the cache's columns (bit-identical to the scalar
-        #: recursion); without one every miss takes the scalar recursion.
-        self._soa = None
-
-    def attach_soa(self, soa) -> None:
-        """Install (or clear, with None) the structure-of-arrays
-        flat-stage cache. Its rows are the bounds table's, so it may be
-        attached before or after the queried trees are built."""
-        self._soa = soa
 
     def stored_bounds(self) -> dict[tuple[TreeNode, int], SubtreeBounds]:
         """Read-only copy of the bounds memo: ``{(node, bucket): bounds}``
@@ -353,11 +348,15 @@ class LibraryTimingEngine:
         cached = self._cap_cache.get(node)
         if cached is not None:
             return cached
-        # Collapsed nested structure: wire + loads below this node.
+        # Collapsed nested structure: wire + loads below this node, then
+        # the input cap of every buffer below it in ``node.walk()`` order.
         cap = node.unbuffered_cap(self.tech.wire.capacitance_per_unit)
-        for n in node.walk():
-            if n is not node and n.kind is NodeKind.BUFFER:
-                cap += self._buffer_input_cap(n.buffer.name, n.buffer)
+        stack = list(node.children)
+        while stack:
+            below = stack.pop()
+            if below.kind is NodeKind.BUFFER:
+                cap += self._buffer_input_cap(below.buffer.name, below.buffer)
+            stack.extend(below.children)
         self._cap_cache[node] = cap
         return cap
 
@@ -491,6 +490,7 @@ class LibraryTimingEngine:
 
     def clear_cache(self) -> None:
         self._bounds = BoundsTable()
+        self._flat = FlatStages(self._bounds)
         self._cap_cache.clear()
 
     @staticmethod
@@ -644,11 +644,10 @@ class LibraryTimingEngine:
         """Batched :meth:`subtree_bounds` over parallel ``nodes`` and
         ``input_slews``: ``(min_delay, max_delay, worst_slew)`` arrays.
 
-        Counts table hits and misses per bucket. With a structure-of-arrays
-        flat-stage cache attached, every bucket any item misses is handed
-        to :meth:`~repro.core.soa_tree.SoaTree.prefill_bounds` as one job
-        array; without one, each missing bucket takes the scalar
-        recursion. The answers then interpolate with the scalar reader's
+        Counts table hits and misses per bucket. Every bucket any item
+        misses is handed to
+        :meth:`~repro.timing.flat_stages.FlatStages.prefill_bounds` as
+        one job array. The answers then interpolate with the scalar reader's
         float ops element-wise, so each is bit for bit what a per-item
         :meth:`subtree_bounds` call would return (stored bucket values
         are functions of their key alone). A negative, NaN or infinite
@@ -684,26 +683,15 @@ class LibraryTimingEngine:
         miss_lo = ~have_lo
         miss_hi = two & ~have_hi
         if miss_lo.any() or miss_hi.any():
-            self._fill(
-                np.concatenate((rows[miss_lo], rows[miss_hi])),
-                np.concatenate((k[miss_lo], k1[miss_hi])),
+            self._flat.prefill_bounds(
+                self,
+                *table.cells(
+                    np.concatenate((rows[miss_lo], rows[miss_hi])),
+                    np.concatenate((k[miss_lo], k1[miss_hi])),
+                ),
             )
         mins[sel], maxes[sel], worsts[sel] = table.lerp(rows, k, frac)
         return mins, maxes, worsts
-
-    def _fill(self, rows: np.ndarray, buckets: np.ndarray) -> None:
-        """Store every (row, bucket) cell a batched query missed."""
-        rows, buckets = self._bounds.cells(rows, buckets)
-        if self._soa is not None:
-            self._soa.prefill_bounds(self, rows, buckets)
-            return
-        nodes = self._bounds.nodes
-        for row, bucket in zip(rows.tolist(), buckets.tolist()):
-            node = nodes[row]
-            if node.kind is NodeKind.BUFFER:
-                self._buffer_bucket_bounds(node, bucket)
-            else:
-                self._virtual_bucket_bounds(node, bucket)
 
     # ------------------------------------------------------------------
     # Full-tree analysis

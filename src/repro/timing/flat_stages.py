@@ -1,67 +1,47 @@
-"""Structure-of-arrays flat-stage cache of the in-flight clock tree.
+"""Flat-stage columns of the bounds table and the bounds prefill kernel.
 
-The commit phase is Python-bookkeeping-bound, not fit-bound
-(PERFORMANCE.md): the probe math was batched in PR 3, and what remains
-is object-graph traversal — ``stage_structure`` walks re-tracing the
-same frozen stage paths for every new bounds bucket, ``_load_cap_of``
-re-walking collapsed stages, and ``_maybe_force_stage_buffer`` choosing
-stage drivers one scalar ``branch_slews`` call at a time.
+The engine's bounds memo (:class:`repro.timing.analysis.BoundsTable`)
+has a row per bounded node. Under aggressive buffer insertion almost
+every stage below such a node is a single wire or a two-branch split, so
+this module gives every row a set of numpy columns describing that *flat
+stage*. Once a node's bounds are first queried, the stage below it is
+frozen (the bottom-up flow only builds above existing roots — the same
+invariant the engine's bounds and cap memos already rely on), so its
+traced shape (single load path or two-branch split), fit group, stem
+lengths, end caps and the rows of its buffer ends are written into its
+row once, and every later bounds-bucket evaluation becomes a numpy
+gather + one batched fit round per group + a vectorized accumulate.
 
-Under aggressive buffer insertion almost every stage is a single wire
-or a two-branch split. This module gives every node that gets bounds a
-row of numpy columns describing that *flat stage*. Once a node's bounds
-are first queried, the stage below it is frozen (the bottom-up flow
-only builds above existing roots — the same invariant the engine's
-bounds and cap memos already rely on), so its traced shape (single load
-path or two-branch split), fit group, stem lengths, end caps and the
-rows of its buffer ends are written into its row once, and every later
-bounds-bucket evaluation becomes a numpy gather + one batched fit round
-per group + a vectorized accumulate.
+The engine builds one :class:`FlatStages` with each bounds table and
+replaces both together (``LibraryTimingEngine.clear_cache``). Rows are
+keyed by node identity, so node ids never reach the columns and a
+renumbering between two queries needs nothing from this module. Sinks
+get no row: a stage end that is not a buffer contributes its wire delay
+and slew only.
 
-The rows are the engine's bounds-table rows
-(:class:`repro.timing.analysis.BoundsTable`): a node's flat stage and
-its memoized buckets share one index, keyed by node identity, so node
-ids never reach either and a renumbering between two queries needs
-nothing from this module or the engine. Sinks get no row: a stage end
-that is not a buffer contributes its wire delay and slew only.
+:meth:`FlatStages.prefill_bounds` is the miss path of
+``subtree_bounds_many``. Jobs are arrays of (row, bucket) cells; each
+pass masks them into windows, groups the flat stages by fit, evaluates
+each group batched and stores every pass with one fancy-indexed write.
+Deep stages take the engine's scalar recursion
+(``_buffer_bucket_bounds`` / ``_virtual_bucket_bounds``) bucket by
+bucket.
 
-Two commit-phase kernels read the rows:
-
-- :meth:`SoaTree.prefill_bounds` — the level-wide bounds-bucket prefill
-  behind ``subtree_bounds_many``'s miss path. Jobs are arrays of
-  (row, bucket) cells; each pass masks them into windows, groups the
-  flat stages by fit, evaluates each group batched and stores every
-  pass with one fancy-indexed write. Deep stages take the engine's
-  scalar recursion (``_buffer_bucket_bounds`` /
-  ``_virtual_bucket_bounds``) bucket by bucket;
-- :meth:`SoaTree.stage_drivers` — batched forced-stage-buffer decisions
-  for a whole scheduler round (collapsed caps folded from per-node
-  buffer-code byte sequences, drivers chosen by lockstep
-  ``branch_slews_many`` rounds over the still-unresolved merges).
-
-Bit-identity with the scalar recursion and the object walks rests on
-the established facts: ``predict_many``/``branch_component_many``/
-``branch_slews_many`` perform the scalar evaluators' float ops
-element-wise; memoized bounds and caps are exact functions of their
-key, so fill *order* is irrelevant; min/max folds are exact under
-regrouping; and the collapsed cap fold replays the object walk's
-buffer-code sequence in its exact order (cached per node as ``bytes`` —
-DFS-last-child-first sequences compose by concatenation), so the float
-sum is the object walk's sum. Which buckets get stored does depend on
+Bit-identity with the scalar recursion rests on the established facts:
+``predict_many``/``branch_component_many`` perform the scalar
+evaluators' float ops element-wise; memoized bounds and caps are exact
+functions of their key, so fill *order* is irrelevant; and min/max folds
+are exact under regrouping. Which buckets get stored does depend on
 *when* each miss is checked, so the prefill keeps the scalar-era order:
-a pass checks its windows before its deep stages recurse, and scans
-its wavefront after.
-
-The cache has no fallback of its own: an exception in a kernel
-propagates out of the synthesis. Engines with no cache attached take
-the scalar recursion and the object walks.
+a pass checks its windows before its deep stages recurse, and scans its
+wavefront after. An exception in the kernel propagates: there is no
+fallback.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.timing.analysis import SLEW_QUANTUM
 from repro.tree.nodes import NodeKind
 
 #: Flat-stage classification of the structure below a node.
@@ -73,7 +53,7 @@ _FS_DEEP = 4  # nested merges / >2-way splits — scalar recursion
 
 #: Columns of the cache: (attribute, dtype, fill value). ``fs_lend`` /
 #: ``fs_rend`` hold the bounds-table row of each branch's end when it is
-#: a buffer, -1 otherwise; ``fs_group`` indexes ``SoaTree._groups``.
+#: a buffer, -1 otherwise; ``fs_group`` indexes ``FlatStages._groups``.
 _COLUMNS = (
     ("fs_state", np.int8, _FS_UNKNOWN),
     ("fs_group", np.int32, -1),
@@ -90,11 +70,6 @@ _COLUMNS = (
 #: evaluators — numpy dispatch on tiny batches costs more than the
 #: handful of scalar calls. Results are bit-identical either way.
 _SCALAR_GROUP_ROWS = 16
-
-#: Below this many unresolved merges a stage-driver round answers with
-#: the scalar ``branch_slews`` evaluator — numpy dispatch on tiny
-#: batches costs more (results are bit-identical either way).
-_SCALAR_DRIVER_ROWS = 4
 
 #: Bucket-window prefetch of the prefill kernel: a job requesting
 #: buckets [k, k+1] evaluates [k - BELOW, k+1 + ABOVE] in the same
@@ -118,61 +93,38 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, counts) + np.arange(total)
 
 
-class SoaTree:
-    """Flat-stage rows of the bounded nodes plus the commit kernels.
+class FlatStages:
+    """Flat-stage columns of one bounds table's rows plus the prefill
+    kernel.
 
-    Attach to one engine for the duration of one synthesis run
-    (:meth:`repro.timing.analysis.LibraryTimingEngine.attach_soa`).
     A row's flat stage is traced the first time the prefill evaluates
-    it; the columns follow the engine's bounds table (a fresh table,
-    e.g. after ``clear_cache``, starts them over).
+    it; the columns grow with the table's row capacity.
     """
 
-    def __init__(self) -> None:
-        self._capacity = 0
+    def __init__(self, table) -> None:
         #: The bounds table whose rows index the columns.
-        self._table = None
-        #: Buffer-type interning: code <-> (name, BufferType).
-        self._buffer_names: list[str] = []
-        self._buffer_types: list = []
-        self._buffer_code_of: dict[str, int] = {}
-        self._buffer_caps: list[float] = []
+        self.table = table
+        self._capacity = 0
         #: Fit groups: (state, drive, load name or None, include buffer
         #: delay) <-> group code.
         self._groups: list[tuple] = []
         self._group_of: dict[tuple, int] = {}
-        #: node -> ordered buffer-code byte sequence of its subtree
-        #: (DFS-last-child-first, i.e. ``TreeNode.walk`` order).
-        self._bufseq: dict = {}
+        self._grow()
 
     # ------------------------------------------------------------------
     # Storage
     # ------------------------------------------------------------------
 
-    def _bind(self, table) -> None:
-        """Index the columns by ``table``'s rows, sized to its capacity."""
-        if table is not self._table:
-            self._table = table
-            self._capacity = 0
-        if self._capacity < table.capacity:
-            old = self._capacity
+    def _grow(self) -> None:
+        """Size the columns to the table's row capacity."""
+        old, new = self._capacity, self.table.capacity
+        if old < new:
             for name, dtype, fill in _COLUMNS:
-                col = np.full(table.capacity, fill, dtype=dtype)
+                col = np.full(new, fill, dtype=dtype)
                 if old:
                     col[:old] = getattr(self, name)[:old]
                 setattr(self, name, col)
-            self._capacity = table.capacity
-
-    def _buffer_code(self, buffer) -> int:
-        code = self._buffer_code_of.get(buffer.name)
-        if code is None:
-            code = len(self._buffer_names)
-            if code > 255:
-                raise OverflowError("buffer library too large for byte codes")
-            self._buffer_code_of[buffer.name] = code
-            self._buffer_names.append(buffer.name)
-            self._buffer_types.append(buffer)
-        return code
+            self._capacity = new
 
     def _group(self, key: tuple) -> int:
         code = self._group_of.get(key)
@@ -210,12 +162,12 @@ class SoaTree:
 
     def _end_row(self, end) -> int:
         """Bounds-table row of a stage end that needs bounds, else -1."""
-        return self._table.row(end) if end.kind is NodeKind.BUFFER else -1
+        return self.table.row(end) if end.kind is NodeKind.BUFFER else -1
 
     def _build_flat(self, i: int, node, engine) -> int:
         """Trace and cache the flat stage below ``node`` (row ``i``);
         returns its state. Can append table rows (buffer ends), so the
-        caller rebinds before reading an end's row."""
+        caller grows the columns before reading an end's row."""
         children = node.children
         include = node.kind is NodeKind.BUFFER
         drive = node.buffer.name if include else engine.virtual_drive
@@ -265,14 +217,13 @@ class SoaTree:
                     state = _FS_DEEP
         except ValueError:
             # Malformed stage (e.g. a SOURCE inside): classify deep so
-            # the scalar recursion raises the error at evaluation time,
-            # exactly as an engine with no cache would.
+            # the scalar recursion raises the error at evaluation time.
             state = _FS_DEEP
         self.fs_state[i] = state
         return state
 
     # ------------------------------------------------------------------
-    # Kernel 1: level-wide bounds-bucket prefill
+    # The bounds-bucket prefill
     # ------------------------------------------------------------------
 
     def prefill_bounds(self, engine, rows: np.ndarray, buckets: np.ndarray) -> None:
@@ -297,9 +248,9 @@ class SoaTree:
             if evaluated is None:
                 break
             passes.append(evaluated)
-            rows, buckets = self._scan_wavefront(engine._bounds, evaluated)
+            rows, buckets = self._scan_wavefront(evaluated)
         for evaluated in reversed(passes):
-            self._finalize_pass(engine, evaluated)
+            self._finalize_pass(evaluated)
 
     def _evaluate_jobs(self, engine, rows, buckets):
         """One pass: fit-evaluate the flat jobs' bucket windows.
@@ -311,8 +262,8 @@ class SoaTree:
         buffer ends at flat positions ``at`` of the (2, n) stack; or
         None when no job is flat.
         """
-        table = engine._bounds
-        self._bind(table)
+        table = self.table
+        self._grow()
         starts = _runs(rows)
         stops = np.append(starts[1:], rows.size)
         job_rows = rows[starts]
@@ -323,7 +274,7 @@ class SoaTree:
             for j in unknown.tolist():
                 row = int(job_rows[j])
                 state[j] = self._build_flat(row, nodes[row], engine)
-            self._bind(table)
+            self._grow()
         cell_state = np.repeat(state, stops - starts)
         empty = cell_state == _FS_EMPTY
         if empty.any():
@@ -384,11 +335,11 @@ class SoaTree:
         two_sided = self.fs_state[cell_rows] == _FS_BRANCH
         # Bucket math (q, truncation, frac) for the buffer ends is
         # computed once here; the wavefront scan and _finalize_pass
-        # both read it. ``slew / SLEW_QUANTUM``, truncation and ``q - k``
+        # both read it. ``slew / QUANTUM``, truncation and ``q - k``
         # are the scalar bucket math's float ops element-wise (positive
         # slews, so ``astype`` truncation equals ``int()``).
         at = np.flatnonzero(ends.reshape(-1) >= 0)
-        q = slews.reshape(-1)[at] / SLEW_QUANTUM
+        q = slews.reshape(-1)[at] / table.QUANTUM
         ks = q.astype(np.int64)
         return (
             cell_rows,
@@ -409,6 +360,7 @@ class SoaTree:
         (2, n) side arrays."""
         state, drive, load, include = group
         n = idx.size
+        quantum = self.table.QUANTUM
         if state == _FS_SINGLE:
             fits = engine.library.single[(drive, load)]
             lengths = self.fs_stem[idx]
@@ -421,7 +373,7 @@ class SoaTree:
                 for k, (bucket, length) in enumerate(
                     zip(cell_b.tolist(), lengths.tolist())
                 ):
-                    rep = bucket * SLEW_QUANTUM
+                    rep = bucket * quantum
                     delay = max(0.0, f_delay(rep, length))
                     if include:
                         delay = delay + max(0.0, f_buf(rep, length))
@@ -429,7 +381,7 @@ class SoaTree:
                     l_slews[k] = max(1e-15, f_slew(rep, length))
             else:
                 x = np.empty((n, 2))
-                x[:, 0] = cell_b * SLEW_QUANTUM
+                x[:, 0] = cell_b * quantum
                 x[:, 1] = lengths
                 l_delays = np.maximum(0.0, fits["wire_delay"].predict_many(x))
                 if include:
@@ -454,7 +406,7 @@ class SoaTree:
             r_slews = np.empty(n)
             for k, args in enumerate(
                 zip(
-                    (cell_b * SLEW_QUANTUM).tolist(),
+                    (cell_b * quantum).tolist(),
                     stems.tolist(),
                     l_lens.tolist(),
                     r_lens.tolist(),
@@ -474,7 +426,7 @@ class SoaTree:
         else:
             batch = engine.library.branch_component_many(
                 drive,
-                cell_b * SLEW_QUANTUM,
+                cell_b * quantum,
                 stems,
                 l_lens,
                 r_lens,
@@ -497,7 +449,7 @@ class SoaTree:
         slews[0, at] = l_slews
         slews[1, at] = r_slews
 
-    def _scan_wavefront(self, table, evaluated):
+    def _scan_wavefront(self, evaluated):
         """The next pass's jobs: every bucket a buffer end of this pass
         interpolates from that the table does not hold yet, as sorted
         unique (row, bucket) cells."""
@@ -505,6 +457,7 @@ class SoaTree:
         end_rows = ends.reshape(-1)[at]
         if not end_rows.size:
             return end_rows, end_rows
+        table = self.table
         k1 = ks + 1
         table.reserve(int(k1.max()))
         miss_lo = ~table.filled[end_rows, ks]
@@ -514,7 +467,7 @@ class SoaTree:
             np.concatenate((ks[miss_lo], k1[miss_hi])),
         )
 
-    def _finalize_pass(self, engine, evaluated) -> None:
+    def _finalize_pass(self, evaluated) -> None:
         """Accumulate one pass's cells over their ends' interpolated
         bounds and store them with one fancy-indexed write."""
         rows, buckets, ends, delays, slews, two_sided, ks, fracs, at = evaluated
@@ -523,13 +476,13 @@ class SoaTree:
         b_worst = np.zeros(ends.size)
         if at.size:
             b_min[at], b_max[at], b_worst[at] = self._below_bounds(
-                engine, ends.reshape(-1)[at], ks, fracs
+                ends.reshape(-1)[at], ks, fracs
             )
         shape = ends.shape
         lo = delays + b_min.reshape(shape)
         hi = delays + b_max.reshape(shape)
         worst = np.maximum(slews, b_worst.reshape(shape))
-        engine._bounds.store(
+        self.table.store(
             rows,
             buckets,
             np.where(two_sided, np.minimum(lo[0], lo[1]), lo[0]),
@@ -539,7 +492,7 @@ class SoaTree:
             ),
         )
 
-    def _below_bounds(self, engine, end_rows, ks, fracs):
+    def _below_bounds(self, end_rows, ks, fracs):
         """Interpolated bounds below buffer ends at their slews.
 
         Element-wise, the float ops are the scalar reader's
@@ -548,148 +501,10 @@ class SoaTree:
         each missing one), so a missing bucket is a kernel fault and
         raises rather than being recomputed.
         """
-        table = engine._bounds
+        table = self.table
         missing = ~table.filled[end_rows, ks] | (
             (fracs != 0.0) & ~table.filled[end_rows, ks + 1]
         )
         if missing.any():
             raise RuntimeError("bounds prefill read a bucket no pass stored")
         return table.lerp(end_rows, ks, fracs)
-
-    # ------------------------------------------------------------------
-    # Kernel 2: batched forced-stage-buffer decisions
-    # ------------------------------------------------------------------
-
-    def stage_drivers(self, router, merges) -> list:
-        """Choose the stage driver (or None) for each finished merge.
-
-        Batched twin of the decision half of
-        ``MergeRouter._maybe_force_stage_buffer`` +
-        ``_choose_stage_driver`` for every pair that reached the stage
-        phase in the same scheduler round: collapsed caps fold from the
-        byte-cached buffer-code sequences, drivers resolve in lockstep
-        ``branch_slews_many`` rounds — one per buffer name over the
-        still-unresolved merges, which evaluates exactly the (name,
-        merge) pairs the scalar loop would.
-        """
-        engine = router.engine
-        cap_cache = engine._cap_cache
-        max_cap = router.max_stage_cap
-        drivers: list = [None] * len(merges)
-        need: list[int] = []
-        for k, merge in enumerate(merges):
-            cap = cap_cache.get(merge)
-            if cap is None:
-                cap = self._collapsed_cap(merge, engine)
-                cap_cache[merge] = cap
-            if cap > max_cap:
-                need.append(k)
-        if not need:
-            return drivers
-        if len(need) < _SCALAR_DRIVER_ROWS:
-            for k in need:
-                drivers[k] = router._choose_stage_driver(merges[k])
-            return drivers
-        target = router.options.target_slew
-        n = len(need)
-        l_lens = np.empty(n)
-        r_lens = np.empty(n)
-        l_caps = np.empty(n)
-        r_caps = np.empty(n)
-        for j, k in enumerate(need):
-            left, right = merges[k].children
-            l_lens[j] = left.wire_to_parent
-            r_lens[j] = right.wire_to_parent
-            l_caps[j] = engine._load_cap_of(left)
-            r_caps[j] = engine._load_cap_of(right)
-        names = router.library.buffer_names
-        remaining = np.arange(n)
-        for name in names:
-            if not remaining.size:
-                break
-            if remaining.size < _SCALAR_DRIVER_ROWS * 4:
-                # Tail subsets (merges the earlier names rejected) are a
-                # handful of rows; the compiled scalar fits beat numpy
-                # dispatch there with bit-identical values.
-                ok_rows = []
-                for j in remaining.tolist():
-                    l_slew, r_slew = router.library.branch_slews(
-                        name, target, 0.0,
-                        l_lens[j], r_lens[j], l_caps[j], r_caps[j],
-                    )
-                    ok_rows.append(l_slew <= target and r_slew <= target)
-                ok = np.asarray(ok_rows, dtype=bool)
-            else:
-                l_slews, r_slews = router.library.branch_slews_many(
-                    name,
-                    target,
-                    0.0,
-                    l_lens[remaining],
-                    r_lens[remaining],
-                    l_caps[remaining],
-                    r_caps[remaining],
-                )
-                ok = (l_slews <= target) & (r_slews <= target)
-            for j in remaining[ok].tolist():
-                drivers[need[j]] = router.buffers[name]
-            remaining = remaining[~ok]
-        fallback = router.buffers[names[-1]]
-        for j in remaining.tolist():
-            drivers[need[j]] = fallback
-        return drivers
-
-    def _buffer_codes_below(self, node) -> bytes:
-        """Ordered buffer-code sequence of ``node.walk()`` below ``node``.
-
-        ``walk`` is DFS last-child-first, so a node's sequence is (own
-        code if buffer) ++ seq(last child) ++ ... ++ seq(first child):
-        sequences compose by concatenation and cache bottom-up. Valid
-        under the frozen-below invariant — surgery only ever happens
-        above nodes whose collapsed cap was already cached.
-        """
-        seq = self._bufseq
-        cached = seq.get(node)
-        if cached is not None:
-            return cached
-        stack = [(node, False)]
-        while stack:
-            current, ready = stack.pop()
-            if current in seq:
-                continue
-            if not ready:
-                stack.append((current, True))
-                for child in current.children:
-                    if child not in seq:
-                        stack.append((child, False))
-            else:
-                parts = []
-                if current.kind is NodeKind.BUFFER:
-                    parts.append(
-                        bytes((self._buffer_code(current.buffer),))
-                    )
-                for child in reversed(current.children):
-                    parts.append(seq[child])
-                seq[current] = b"".join(parts)
-        return seq[node]
-
-    def _collapsed_cap(self, node, engine) -> float:
-        """Bit-exact twin of the ``_load_cap_of`` miss path for a
-        MERGE/STEINER root: the shallow unbuffered region walks objects
-        (it stops at buffer inputs), then the buffer input caps fold in
-        the exact ``walk()`` order replayed from the byte sequence."""
-        total = node.unbuffered_cap(engine.tech.wire.capacitance_per_unit)
-        codes = self._buffer_codes_below(node)
-        if codes:
-            caps = self._buffer_caps
-            if len(caps) != len(self._buffer_names):
-                caps = [
-                    engine._buffer_input_cap(name, buf)
-                    for name, buf in zip(
-                        self._buffer_names, self._buffer_types
-                    )
-                ]
-                self._buffer_caps = caps
-            for code in codes:
-                total += caps[code]
-        return total
-

@@ -10,11 +10,7 @@ import pytest
 from repro.charlib import load_default_library
 from repro.core.cts import AggressiveBufferedCTS
 from repro.core.options import CTSOptions
-from repro.evalx.perfstats import (
-    commit_pair_by_pair,
-    route_pair_by_pair,
-    synthesize_without_mirror,
-)
+from repro.evalx.perfstats import commit_pair_by_pair, route_pair_by_pair
 from repro.geom import Point
 from repro.tech import cts_buffer_library, default_technology
 from repro.timing.analysis import LibraryTimingEngine, SubtreeBounds
@@ -92,7 +88,6 @@ def synthesize_signature(
     blockages,
     pair_by_pair=False,
     scalar_commit=False,
-    without_mirror=False,
     **option_kwargs,
 ):
     """One synthesis run plus the rebased signature of its tree.
@@ -100,10 +95,8 @@ def synthesize_signature(
     The flags install the reference engine's swaps on this run only, so
     a test can compare the level kernels against the retained
     single-pair path in the same process: ``pair_by_pair`` replaces the
-    level router with :func:`route_pair_by_pair`, ``scalar_commit`` the
-    lockstep commit scheduler with :func:`commit_pair_by_pair`, and
-    ``without_mirror`` runs :func:`synthesize_without_mirror`, so the
-    commit phase walks node objects instead of the SoA columns.
+    level router with :func:`route_pair_by_pair` and ``scalar_commit``
+    the lockstep commit scheduler with :func:`commit_pair_by_pair`.
     """
     option_kwargs.setdefault("fault_plan", "")
     cts = AggressiveBufferedCTS(
@@ -115,11 +108,8 @@ def synthesize_signature(
     if scalar_commit:
         scheduler = cts.router.scheduler
         scheduler.run = types.MethodType(commit_pair_by_pair, scheduler)
-    synthesize = cts.synthesize
-    if without_mirror:
-        synthesize = types.MethodType(synthesize_without_mirror, cts)
     base = peek_node_id()
-    result = synthesize(sinks, source)
+    result = cts.synthesize(sinks, source)
     return tree_signature(result.tree, base), result
 
 

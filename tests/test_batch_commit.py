@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import CTSOptions
 from repro.core.binary_search import MergeSearchState, binary_search_merge
-from repro.core.soa_tree import SoaTree
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.timing.analysis import SLEW_QUANTUM, LibraryTimingEngine
@@ -197,19 +196,15 @@ class TestBatchedQueryAPIs:
     ):
         """The batched fill stores the scalar recursion's values, bit for bit.
 
-        ``before``: the flat-stage cache is attached to the engine that
-        builds the trees, which then answers the batched query with its
-        build-time bounds table warm. ``after``: the cache is attached
-        to a fresh engine once the trees exist. Either way the flat
-        stages take the column kernel and the deep stage the scalar
-        recursion.
+        ``before``: the engine that builds the trees answers the batched
+        query with its build-time bounds table and flat-stage columns
+        warm. ``after``: a fresh engine answers it once the trees exist.
+        Either way the flat stages take the column kernel and the deep
+        stage the scalar recursion.
         """
         from repro.core.merge_routing import MergeRouter
 
-        soa = SoaTree()
         engine = LibraryTimingEngine(library, tech)
-        if cache == "before":
-            engine.attach_soa(soa)
         router = MergeRouter(tech, library, buffers, engine, CTSOptions())
         root = router.merge(
             router.merge(make_sink(Point(0, 0), 8e-15), make_sink(Point(7000, 0), 8e-15)),
@@ -221,11 +216,10 @@ class TestBatchedQueryAPIs:
             probe = engine
         else:
             probe = LibraryTimingEngine(library, tech)
-            probe.attach_soa(soa)
         items = [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
         batched = batched_bounds(probe, items)
         # The misses went through the kernel, which traced their stages.
-        assert np.any(soa.fs_state != 0)
+        assert np.any(probe._flat.fs_state != 0)
         fresh = LibraryTimingEngine(library, tech)
         scalar = [fresh.subtree_bounds(node, slew) for node, slew in items]
         assert batched == scalar

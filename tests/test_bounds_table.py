@@ -10,8 +10,9 @@ share. Its contract:
   what a fresh scalar engine answers, and cells stored before a growth
   keep their values;
 - a negative, NaN or infinite input slew raises ``ValueError`` on the
-  scalar and the batched path alike, before anything is stored or
-  counted;
+  scalar and the batched path alike, before anything is stored, counted
+  or traced into the flat-stage columns — on a fresh engine and on one
+  whose table and columns already hold the same stages;
 - the batched readers' hit/miss accounting on a fixed 200-sink synthesis
   is pinned.
 """
@@ -21,7 +22,6 @@ import pytest
 
 from repro.core.cts import AggressiveBufferedCTS
 from repro.core.options import CTSOptions
-from repro.core.soa_tree import SoaTree
 from repro.geom.point import Point
 from repro.timing.analysis import BoundsTable, LibraryTimingEngine
 from repro.tree.nodes import make_buffer, make_merge, make_sink
@@ -62,7 +62,6 @@ class TestGrowth:
     ):
         tops = forest(buffers, BoundsTable.ROWS // 2 + 100)
         engine = LibraryTimingEngine(library, tech)
-        engine.attach_soa(SoaTree())
         fresh = LibraryTimingEngine(library, tech)
         before = None
         for base in (80e-12, 250e-12):
@@ -123,20 +122,27 @@ class TestBadSlews:
             engine.buffer_subtree_bounds(top, slew)
         assert not engine.stored_bounds()
 
-    @pytest.mark.parametrize("soa", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("slew", BAD_SLEWS)
-    def test_batched_reader_raises(self, library, tech, stage, slew, soa):
+    def test_batched_reader_raises(self, library, tech, stage, slew, warm):
         engine = LibraryTimingEngine(library, tech)
-        if soa:
-            engine.attach_soa(SoaTree())
         top, merge, sink = stage
+        if warm:
+            # The same stages answered once at other slews: the table
+            # holds their buckets and the columns their traced stages.
+            engine.subtree_bounds_many([top, merge, sink], np.full(3, 60e-12))
+        stored = engine.stored_bounds()
+        counts = (engine.bounds_cache_hits, engine.bounds_cache_misses)
+        traced = engine._flat.fs_state.copy()
+        assert bool(stored) == bool(np.count_nonzero(traced)) == warm
         for bad in (0, 1, 2):
             slews = np.full(3, 80e-12)
             slews[bad] = slew
             with pytest.raises(ValueError, match="input slew"):
                 engine.subtree_bounds_many([top, merge, sink], slews)
-        assert not engine.stored_bounds()
-        assert engine.bounds_cache_hits == engine.bounds_cache_misses == 0
+        assert engine.stored_bounds() == stored
+        assert (engine.bounds_cache_hits, engine.bounds_cache_misses) == counts
+        assert np.array_equal(engine._flat.fs_state, traced)
 
 
 def test_hit_and_miss_counts_are_pinned():

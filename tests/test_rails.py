@@ -306,6 +306,33 @@ class TestLazyPackage:
         assert record == {"jobs": 3, "heavy": []}
 
 
+#: Imports the timing engine alone and reports the router-layer modules
+#: that came with it.
+TIMING_PROBE = """
+import json, sys
+import repro.timing.analysis
+core = sorted(m for m in sys.modules if m == "repro.core" or m.startswith("repro.core."))
+print(json.dumps({"core": core, "flat": "repro.timing.flat_stages" in sys.modules}))
+"""
+
+
+class TestLayering:
+    def test_timing_engine_loads_no_router_layer(self):
+        """The timing engine, its bounds table and the flat-stage prefill
+        that fills it depend on no ``repro.core`` module: the router
+        layer builds on the timing layer, never the other way round."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", TIMING_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        record = json.loads(out.stdout.splitlines()[-1])
+        assert record == {"core": [], "flat": True}
+
+
 def ci_jobs() -> dict[str, list[str]]:
     """``{job id: its stripped lines}`` from the workflow's ``jobs:`` map."""
     jobs: dict[str, list[str]] = {}

@@ -41,8 +41,8 @@ from repro.evalx.faultinject import (
     SynthesisHalted,
     reset_plans,
 )
-from repro.core.soa_tree import SoaTree
 from repro.geom.bbox import BBox
+from repro.timing.flat_stages import FlatStages
 from repro.tree.export import tree_signature
 from repro.tree.nodes import NodeKind, peek_node_id
 
@@ -170,15 +170,16 @@ class TestRouteFailuresAreLoud:
 
 class TestCommitFailuresAreLoud:
     """The commit phase has one path and no fallback: an exception in
-    the lockstep scheduler or the SoA mirror's kernels propagates out of
-    ``synthesize()`` instead of being recorded as a ``Degradation``."""
+    the lockstep scheduler, the engine's flat-stage prefill or the
+    router's batched stage decisions propagates out of ``synthesize()``
+    instead of being recorded as a ``Degradation``."""
 
     @pytest.mark.parametrize(
         "owner, kernel",
         [
             (batch_commit.BatchCommitScheduler, "_answer_diff_rows"),
-            (SoaTree, "prefill_bounds"),
-            (SoaTree, "stage_drivers"),
+            (FlatStages, "prefill_bounds"),
+            (merge_routing.MergeRouter, "stage_drivers"),
         ],
         ids=lambda v: getattr(v, "__name__", v),
     )

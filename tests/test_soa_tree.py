@@ -1,15 +1,16 @@
-"""Structure-of-arrays flat-stage cache: identity-keyed rows, kernels,
-end to end.
+"""The engine's flat-stage columns and the batched stage decisions:
+identity-keyed rows, kernels, end to end.
 
-The cache (:mod:`repro.core.soa_tree`) gives every node the commit
-kernels query a row of numpy columns, keyed by node identity, and
-answers the commit phase's bounds-bucket prefill, collapsed caps and
-forced-stage-buffer decisions from them. Its contract is bit-identity
-with the object walks it replaces — compared in the same run against a
-synthesis with no cache attached
-(:func:`repro.evalx.perfstats.synthesize_without_mirror`) or against a
-fresh scalar engine — so every test here reduces to exact equality —
-signatures, cache values, rows — never approx.
+Every timing engine builds flat-stage columns
+(:mod:`repro.timing.flat_stages`) with its bounds table: a row of numpy
+columns per bounded node, keyed by node identity, from which
+``subtree_bounds_many`` fills its misses. The router's
+:meth:`~repro.core.merge_routing.MergeRouter.stage_drivers` decides the
+forced stage buffers of a batch of merges at once. Their contract is
+bit-identity with the scalar paths — a fresh engine's scalar recursion,
+``_choose_stage_driver``, and the pair-by-pair scalar reference run —
+so every test here reduces to exact equality — signatures, cache
+values, rows, drivers — never approx.
 """
 
 import numpy as np
@@ -20,13 +21,8 @@ from repro.core.cts import AggressiveBufferedCTS
 from repro.core.merge_routing import MergeRouter
 from repro.core.options import CTSOptions
 from repro.core.parallel_merge import renumber_subtrees
-from repro.core.soa_tree import SoaTree
 from repro.evalx.faultinject import reset_plans
-from repro.evalx.perfstats import (
-    checkpoint_resume_equivalence,
-    scaling_scenario,
-    synthesize_without_mirror,
-)
+from repro.evalx.perfstats import checkpoint_resume_equivalence, scaling_scenario
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.tech import cts_buffer_library
@@ -58,19 +54,13 @@ def _fresh_fault_plans():
     reset_plans()
 
 
-def synth(sinks, blockages=None, without_mirror=False, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree.
-
-    ``without_mirror`` runs the reference engine's
-    :func:`synthesize_without_mirror`, so the commit phase walks node
-    objects: the comparison side of the kernel-equality tests.
-    """
+def synth(sinks, blockages=None, **option_overrides):
+    """One synthesis run plus the rebased signature of its tree."""
     cts = AggressiveBufferedCTS(
         options=CTSOptions(**option_overrides), blockages=blockages
     )
-    run = synthesize_without_mirror if without_mirror else type(cts).synthesize
     base = peek_node_id()
-    result = run(cts, sinks)
+    result = cts.synthesize(sinks)
     return tree_signature(result.tree, base), result, cts
 
 
@@ -194,13 +184,11 @@ class TestIdentityKeyedRows:
 
     def test_renumbered_nodes_served_from_earlier_rows(self, library, tech):
         top, nodes = self._stage_roots()
-        soa = SoaTree()
         engine = LibraryTimingEngine(library, tech)
-        engine.attach_soa(soa)
         items = [(node, 80e-12 + 0.37e-12 * i) for i, node in enumerate(nodes)]
         first = batched_bounds(engine, items)
         bounded = {node for node, __ in engine.stored_bounds()}
-        traced = np.count_nonzero(soa.fs_state)
+        traced = np.count_nonzero(engine._flat.fs_state)
         assert bounded and traced
         # Reverse the subtree's ids: every old id becomes another node's.
         ids = sorted(node.id for node in top.walk())
@@ -221,7 +209,7 @@ class TestIdentityKeyedRows:
         # renumbering, and every stored bucket is its node's scalar value.
         stored = engine.stored_bounds()
         assert {node for node, __ in stored} == bounded
-        assert np.count_nonzero(soa.fs_state) == traced
+        assert np.count_nonzero(engine._flat.fs_state) == traced
         for (node, bucket), value in stored.items():
             assert scalar_bucket_bounds(fresh, node, bucket) == value
 
@@ -232,10 +220,9 @@ class TestIdentityKeyedRows:
         copy = rebuild(_encode_rows([top], 0), buffers, wire_scale=1.25)
         copies = [n for n in copy.walk() if n.kind is not NodeKind.SINK]
         assert [n.id for n in copies] == [n.id for n in nodes]
-        soa = SoaTree()
-        # One engine and one flat-stage cache serve both trees.
+        # One engine, with one table and its flat-stage columns, serves
+        # both trees.
         engine = LibraryTimingEngine(library, tech)
-        engine.attach_soa(soa)
         answers = []
         for tree_nodes in (nodes, copies):
             items = [
@@ -257,61 +244,127 @@ class TestIdentityKeyedRows:
 
 
 class TestKernelEquality:
-    """Kernel outputs equal the object walks they shadow, bit for bit."""
+    """The batched kernels equal the scalar paths they stand for, bit
+    for bit."""
 
-    def test_prefill_fills_object_cache_superset(self):
-        sinks = blocked_sinks(18, seed=22)
-        base_soa = peek_node_id()
-        __, __r, cts_soa = synth(sinks, blockages=BLOCKAGES)
-        base_obj = peek_node_id()
-        __, __r, cts_obj = synth(sinks, blockages=BLOCKAGES, without_mirror=True)
+    CASES = {
+        "open": (make_sink_pairs(60, 30000.0, seed=22), None, {}),
+        "blocked": (blocked_sinks(18, seed=22), BLOCKAGES, {}),
+        "hstructure": (
+            make_sink_pairs(16, 26000.0, seed=14),
+            None,
+            {"hstructure": "correct"},
+        ),
+    }
 
-        def rebase(cache, base):
-            rebased = {
-                (node.id - base, bucket): val
-                for (node, bucket), val in cache.items()
-            }
-            # Every cached node has an id of its own, so nothing merges.
-            assert len(rebased) == len(cache)
-            return rebased
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stored_buckets_equal_scalar_recursion(self, monkeypatch, case):
+        # Every bucket a synthesis stores through a batched query — the
+        # level passes and the commit's probe rounds, prefetched windows
+        # included — is its key's value under a fresh engine's scalar
+        # recursion. Each is checked right after the call that stored
+        # it: H-structure correction later discards candidate merges,
+        # whose detached children change what a fresh engine computes.
+        checked = []
+        original = LibraryTimingEngine.subtree_bounds_many
 
-        soa_bounds = rebase(cts_soa.engine.stored_bounds(), base_soa)
-        obj_bounds = rebase(cts_obj.engine.stored_bounds(), base_obj)
-        # The cache may prefetch extra buckets (pure functions of the
-        # key); everything the object walk computed must be present and
-        # bit-identical.
-        assert set(obj_bounds) <= set(soa_bounds)
-        assert all(soa_bounds[k] == v for k, v in obj_bounds.items())
+        def recording(self, nodes, slews):
+            before = set(self.stored_bounds())
+            answers = original(self, nodes, slews)
+            fresh = LibraryTimingEngine(self.library, self.tech)
+            for key, value in self.stored_bounds().items():
+                if key not in before:
+                    assert scalar_bucket_bounds(fresh, *key) == value, key
+                    checked.append(key)
+            return answers
 
-    def test_collapsed_cap_bit_exact(self, engine):
-        buffers = cts_buffer_library()
-        rng = np.random.default_rng(5)
-        sinks = [
-            make_sink(
-                Point(float(rng.uniform(0, 4000)), float(rng.uniform(0, 4000))),
-                float(rng.uniform(4e-15, 12e-15)),
-            )
-            for __ in range(6)
+        monkeypatch.setattr(LibraryTimingEngine, "subtree_bounds_many", recording)
+        sinks, blockages, overrides = self.CASES[case]
+        __, __r, cts = synth(sinks, blockages=blockages, **overrides)
+        assert np.count_nonzero(cts.engine._flat.fs_state)
+        assert len(checked) == len(set(checked)) > 0
+
+    @staticmethod
+    def _heavy_merges(buffers):
+        """24 merges whose collapsed stage caps force a stage buffer, over
+        sinks, buffers and a nested merge, plus three light ones. Each
+        merge's nodes share one location, so any wire length is legal."""
+        rng = np.random.default_rng(3)
+        merges = []
+        for i in range(27):
+            at = Point(1000.0 * i, 0.0)
+            left = make_sink(at, float(rng.uniform(4e-15, 12e-15)))
+            if i % 5 == 1:
+                inner = make_buffer(at, buffers["BUF20X"])
+                inner.attach(left, 40.0)
+                left = inner
+            elif i % 5 == 3:
+                inner = make_merge(at)
+                inner.attach(left, 60.0)
+                inner.attach(make_sink(at, 6e-15), 50.0)
+                left = inner
+            right = make_sink(at, float(rng.uniform(4e-15, 12e-15)))
+            merge = make_merge(at)
+            if i < 24:
+                wires = rng.uniform(20.0, 2500.0, size=2)
+            else:
+                wires = rng.uniform(1.0, 5.0, size=2)
+            merge.attach(left, float(wires[0]))
+            merge.attach(right, float(wires[1]))
+            merges.append(merge)
+        return merges
+
+    def test_stage_drivers_match_choose_stage_driver(
+        self, library, tech, buffers, monkeypatch
+    ):
+        router = MergeRouter(
+            tech, library, buffers, LibraryTimingEngine(library, tech), CTSOptions()
+        )
+        merges = self._heavy_merges(buffers)
+        batched = []
+        original = library.branch_slews_many
+
+        def counted(*args, **kwargs):
+            batched.append(len(args[3]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(library, "branch_slews_many", counted)
+        drivers = router.stage_drivers(merges)
+        # Enough merges needed a driver for the vectorized rounds to run.
+        assert batched and batched[0] >= 16
+        expected = [
+            router._choose_stage_driver(merge)
+            if router.engine._load_cap_of(merge) > router.max_stage_cap
+            else None
+            for merge in merges
         ]
-        b0 = make_buffer(Point(10.0, 10.0), buffers["BUF10X"])
-        b0.attach(sinks[0])
-        m0 = make_merge(Point(500.0, 500.0))
-        m0.attach(b0)
-        m0.attach(sinks[1])
-        b1 = make_buffer(Point(900.0, 900.0), buffers["BUF30X"])
-        b1.attach(m0)
-        m1 = make_merge(Point(1500.0, 1500.0))
-        m1.attach(b1)
-        m1.attach(sinks[2])
-        m2 = make_merge(Point(2500.0, 2500.0))
-        m2.attach(m1)
-        m2.attach(sinks[3])
-        soa = SoaTree()
-        for node in (m0, m1, m2):
-            fast = soa._collapsed_cap(node, engine)
-            engine._cap_cache.pop(node, None)
-            slow = engine._load_cap_of(node)
-            assert fast == slow
+        assert drivers == expected
+        assert expected[-3:] == [None] * 3
+        assert len({d.name for d in expected[:-3]}) == len(buffers.names)
+
+    def test_coincident_stage_buffer_same_in_merge_and_batch(
+        self, library, tech, buffers
+    ):
+        def pair():
+            at = Point(500.0, 500.0)
+            return make_sink(at, 14e-15), make_sink(at, 13e-15)
+
+        router = MergeRouter(
+            tech, library, buffers, LibraryTimingEngine(library, tech), CTSOptions()
+        )
+        a, b = pair()
+        single = router.merge(a, b)
+        assert router.stats.n_forced_stage_buffers == 1
+        (batched,) = router.merge_batch([pair()])
+        root = router.commit_finish(batched.state)
+        assert router.stats.n_forced_stage_buffers == 2
+        for top in (single, root):
+            assert top.kind is NodeKind.BUFFER
+            (merge,) = top.children
+            assert merge.kind is NodeKind.MERGE
+            assert router.engine._load_cap_of(merge) > router.max_stage_cap
+        assert root.buffer == single.buffer
+        assert single.buffer == router._choose_stage_driver(single.children[0])
 
 
 class TestLevelBoundsPass:
@@ -387,7 +440,7 @@ class TestQuantumBoundary:
 
     def _buffer_nodes(self):
         sinks = blocked_sinks(14, seed=31)
-        __, result, cts = synth(sinks, blockages=BLOCKAGES, without_mirror=True)
+        __, result, cts = synth(sinks, blockages=BLOCKAGES)
         nodes = [
             n
             for n in result.tree.root.walk()
@@ -406,7 +459,7 @@ class TestQuantumBoundary:
                 # interpolation fraction survives the float round-trip.
                 q = slew / SLEW_QUANTUM
                 assert (int(q), q - int(q)) == (k, 0.0)
-                # Element-wise twin used by the SoA prefill kernel.
+                # Element-wise twin used by the flat-stage prefill.
                 q = np.asarray([slew]) / SLEW_QUANTUM
                 ks = q.astype(np.int64)
                 assert (int(ks[0]), float((q - ks)[0])) == (k, 0.0)
@@ -419,19 +472,26 @@ class TestQuantumBoundary:
 
 
 class TestEndToEnd:
-    """Cache attached / not attached / resumed: identical trees, stats
-    and queries."""
+    """Level pipeline / pair-by-pair scalar reference / resumed:
+    identical trees, stats and probes."""
+
+    PROBES = ("search_probes", "clamp_probes", "repair_probes", "reused_checks")
 
     def test_serial_identical(self):
+        # The reference run routes and commits pair by pair with scalar
+        # probes and bounds, and decides each stage buffer on its own.
         sinks, source, blockages = scaling_scenario(80, True, seed=7)
-        soa_sig, soa = synthesize_signature(sinks, source, blockages)
-        obj_sig, obj = synthesize_signature(
-            sinks, source, blockages, without_mirror=True
+        sig, result = synthesize_signature(sinks, source, blockages)
+        ref_sig, ref = synthesize_signature(
+            sinks, source, blockages, pair_by_pair=True, scalar_commit=True
         )
-        assert soa_sig == obj_sig
-        assert soa.merge_stats == obj.merge_stats
-        assert soa.levels == obj.levels
-        assert soa.commit_queries == obj.commit_queries
+        assert sig == ref_sig
+        assert result.merge_stats == ref.merge_stats
+        assert result.merge_stats.n_forced_stage_buffers > 0
+        assert result.levels == ref.levels
+        for key in self.PROBES:
+            assert result.commit_queries[key] == ref.commit_queries[key]
+        assert ref.commit_queries["batched_rounds"] == 0
 
     def test_resumed_identical(self):
         # Resume decodes the checkpoint's nodes with explicit ids; a
