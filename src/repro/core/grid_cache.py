@@ -7,7 +7,10 @@ pair. This module routes the level's pairs together where batching pays:
 - :func:`route_level` is the **cross-pair batcher**: each maze pair's
   window search runs through
   :func:`~repro.core.maze_router.search_maze_pair`, the same search as
-  the single-pair :func:`~repro.core.maze_router.route_maze`; then every
+  the single-pair :func:`~repro.core.maze_router.route_maze`. A window
+  no blockage covers is *open*: it is planned (bbox, pitch, cell
+  counts, the two snapped cells), not rasterized, and carries no
+  blocked mask, distance fields or co-reached mask. Then every
   pair's delay profiles expand through the lockstep scheduler
   (:func:`repro.core.batch_expand.expand_level`), whose grouped curve
   rounds evaluate the (drive, load, fn) fit curves over the
@@ -18,13 +21,17 @@ pair. This module routes the level's pairs together where batching pays:
   the same scheduler and ranks the pairs' closed-form step fields with
   the same segmented ranking pass.
 
-- :func:`_finish_level` is the **route-finishing kernel**: every pair's
-  co-reached candidate set goes into structure-of-arrays buffers, the
-  level's merge cells are picked by one segmented ranking pass
-  (:func:`~repro.core.routing_common.rank_level_cells`, scalar-identical
-  tie order), and all winning paths on blocked grids materialize through
-  one lockstep batched distance-field descent
-  (:func:`~repro.core.maze_router.descend_many`).
+- :func:`_finish_level` is the **route-finishing kernel**: the level's
+  merge cells are picked by segmented ranking passes over chunks of
+  pairs (:func:`~repro.core.routing_common.rank_pairs`, the chunked
+  ranking the profile kernel uses too, scalar-identical tie order).
+  Each chunk's candidate step counts are built for that chunk only
+  (:func:`_window_steps`): an open window's as the closed-form
+  ``|i - i0| + |j - j0|`` over all its cells, a searched grid's read off
+  its distance fields at its co-reached cells. All winning paths on
+  blocked grids then materialize through one lockstep batched
+  distance-field descent (:func:`~repro.core.maze_router.descend_many`),
+  the others as analytic staircases.
 
 Counters of both kernels are kept in :class:`SharingStats`.
 
@@ -40,6 +47,8 @@ of :meth:`~repro.core.merge_routing.MergeRouter.route_plan`:
 
 - the window search is the same function, and the profile lattice runs
   through the exact same arithmetic;
+- an open window's step counts are the integers the closed-form BFS
+  field holds, in the same ravel order;
 - path geometry is a deterministic descent of the distance field;
 - the batched curve rounds evaluate the same contracted polynomial
   element-wise over a concatenation, so each pair's slice equals its
@@ -56,6 +65,7 @@ working set without changing any result.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -75,8 +85,7 @@ from repro.core.routing_common import (
     RoutedPath,
     RouteResult,
     RouteTerminal,
-    rank_profile_rows,
-    row_chunks,
+    rank_pairs,
     uses_maze_router,
 )
 from repro.core.segment_builder import PathBuilder, SegmentTables
@@ -89,12 +98,13 @@ class SharingStats:
     """Counters of the merge routers (diagnostics only).
 
     Maze searches feed ``windows_served`` and ``cells_rasterized`` (one
-    count per window built, whichever path searched it); maze levels
-    feed every other counter too. Obstacle-free levels feed the
-    expansion scheduler's (``curve_*``, ``expansion_*``) and the
-    profile kernel's ``pairs_routed``, ``cells_ranked`` (every lattice
-    cell of every pair) and ``finish_batches``; they serve no windows
-    and descend no paths.
+    count per window searched, whichever path searched it, and its
+    cells; an open window is planned, not rasterized, but counts the
+    same); maze levels feed every other counter too. Obstacle-free
+    levels feed the expansion scheduler's (``curve_*``,
+    ``expansion_*``) and the profile kernel's ``pairs_routed``,
+    ``cells_ranked`` (every lattice cell of every pair) and
+    ``finish_batches``; they serve no windows and descend no paths.
 
     ``search_rounds`` counts the maze pairs the level router searched.
     The per-pair counters (``windows_served``, ``cells_rasterized``,
@@ -133,11 +143,11 @@ class SharingStats:
 # ----------------------------------------------------------------------
 
 #: Most pairs :func:`route_level` carries through search, expansion and
-#: finishing at once. A slice's windows, distance fields, expanded
-#: profiles and candidate buffers are live together, so an unsliced
-#: 4000-sink level holds them all (peak RSS 217 MiB on the six-macro
-#: 4000-sink workload vs 112 MiB at 256). Results do not depend on the
-#: split (see the module docstring).
+#: finishing at once. A slice's blocked windows, distance fields and
+#: expanded profiles are live together, so an unsliced 4000-sink level
+#: holds them all (peak RSS 88 MiB on the six-macro 4000-sink workload
+#: vs 72 MiB at 256). Results do not depend on the split (see the
+#: module docstring).
 ROUTE_SLICE_PAIRS = 256
 
 
@@ -149,7 +159,66 @@ class _PairSearch:
     term1: RouteTerminal
     term2: RouteTerminal
     search: MazeSearch
-    both: np.ndarray  # co-reached mask
+    both: np.ndarray | None  # co-reached mask; None for an open window
+
+    @property
+    def rows(self) -> int:
+        """Candidate rows: every cell of an open window, else the
+        co-reached cells."""
+        if self.search.is_open:
+            return self.search.grid.nx * self.search.grid.ny
+        return int(np.count_nonzero(self.both))
+
+
+def _open_steps(searches: list[MazeSearch]) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' step counts over every cell of consecutive open
+    windows, each window in ravel order, concatenated.
+
+    Cell ``(i, j)`` holds ``|i - i0| + |j - j0|`` from the side's cell
+    ``(i0, j0)``: the BFS field of a window without blocked cells
+    (:meth:`~repro.core.maze_router.BfsEngine.closed_form`), built from
+    per-row and per-cell index ramps of the whole run at once.
+    """
+    nx = np.array([s.grid.nx for s in searches], dtype=np.int64)
+    ny = np.array([s.grid.ny for s in searches], dtype=np.int64)
+    row_cells = np.repeat(ny, nx)  # one grid row per x index
+    i = np.arange(row_cells.size) - np.repeat(np.cumsum(nx) - nx, nx)
+    j = np.arange(int(row_cells.sum())) - np.repeat(
+        np.cumsum(row_cells) - row_cells, row_cells
+    )
+    fields = []
+    for side in (0, 1):
+        i0 = np.repeat([s.cells[side][0] for s in searches], nx)
+        j0 = np.repeat([s.cells[side][1] for s in searches], nx * ny)
+        steps = np.repeat(np.abs(i - i0), row_cells)
+        steps += np.abs(j - j0)
+        fields.append(steps)
+    return fields[0], fields[1]
+
+
+def _window_steps(jobs: list[_PairSearch]) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' step counts of a ranking chunk's candidate rows,
+    concatenated in pair order.
+
+    A searched grid's rows are its co-reached cells in ravel order, read
+    off its distance fields; an open window's rows are all its cells in
+    ravel order (:func:`_open_steps`, one call per run of consecutive
+    open windows).
+    """
+    pieces: list[tuple[np.ndarray, np.ndarray]] = []
+    for is_open, group in groupby(jobs, key=lambda job: job.search.is_open):
+        if is_open:
+            pieces.append(_open_steps([job.search for job in group]))
+            continue
+        for job in group:
+            cand = np.flatnonzero(job.both)
+            dist1, dist2 = job.search.dists
+            pieces.append((dist1.ravel()[cand], dist2.ravel()[cand]))
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate([k1 for k1, __ in pieces]), np.concatenate(
+        [k2 for __, k2 in pieces]
+    )
 
 
 def _finish_level(
@@ -161,18 +230,17 @@ def _finish_level(
     """The level-wide route-finishing kernel (one ranking pass, batched
     descent).
 
-    The batched twin of per-pair :func:`finish_maze_route` calls: every
-    pair's co-reached candidate cells are collected into
-    structure-of-arrays buffers (candidate flat index, both sides' step
-    counts, pair segment boundaries), the profile costs are gathered with
-    one fancy index over the concatenation of all pairs' distance
-    profiles, and the merge cells of the whole level are picked by one
-    segmented ranking pass
-    (:func:`~repro.core.routing_common.rank_level_cells`, scalar-identical
-    tie order). Winning paths on blocked grids then materialize through
+    The batched twin of per-pair :func:`finish_maze_route` calls: the
+    merge cells of the whole slice are picked by segmented ranking
+    passes over chunks of pairs' candidate rows
+    (:func:`~repro.core.routing_common.rank_pairs`, scalar-identical tie
+    order), each chunk's step counts built only for that chunk
+    (:func:`_window_steps`) and its profile costs gathered with one
+    fancy index over the concatenation of the chunk's distance
+    profiles. Winning paths on blocked grids then materialize through
     one lockstep batched descent
-    (:func:`repro.core.maze_router.descend_many`); obstacle-free windows
-    keep the analytic staircase.
+    (:func:`repro.core.maze_router.descend_many`); windows without a
+    blocked cell keep the analytic staircase.
 
     ``builders_by_pair`` (from the lockstep expansion scheduler,
     :func:`repro.core.batch_expand.expand_level`) supplies each pair's
@@ -180,65 +248,44 @@ def _finish_level(
 
     Bit-identity with per-pair finishing: profile evaluation runs the
     same :class:`PathBuilder` state machines over the same primed tables;
-    the ranking keys are gathers and element-wise maps of the same
-    floats; the refinement compares (never combines) them; the descent
-    replicates the scalar neighbor priority on the same distance fields.
-    Batching only regroups element-wise work, so results are also
-    invariant to how pairs are split into batches.
+    an open window's step counts are the closed-form field's integers in
+    the same ravel order; the ranking keys are gathers and element-wise
+    maps of the same floats; the refinement compares (never combines)
+    them; the descent replicates the scalar neighbor priority on the
+    same distance fields. Batching only regroups element-wise work, so
+    results are also invariant to how pairs are split into batches.
     """
     if not primed:
         return
-    cand_list: list[np.ndarray] = []
-    k1_list: list[np.ndarray] = []
-    k2_list: list[np.ndarray] = []
-    prof1_list: list[np.ndarray] = []
-    prof2_list: list[np.ndarray] = []
-    for pos, (job, tables) in enumerate(primed):
-        dist1, dist2 = job.search.dists
-        pair_builders = builders_by_pair[pos]
-        max_k = tables.n_steps - 1
-        prof1_list.append(pair_builders[0].delays_view(max_k))
-        prof2_list.append(pair_builders[1].delays_view(max_k))
-        cand = np.flatnonzero(job.both.ravel())
-        cand_list.append(cand)
-        k1_list.append(dist1.ravel()[cand])
-        k2_list.append(dist2.ravel()[cand])
-
-    # The ranking pass, in pair-group chunks of at most RANK_ROW_BUDGET
-    # candidate rows (see row_chunks).
-    n_pairs = len(primed)
-    kk1 = np.empty(n_pairs, dtype=np.int64)
-    kk2 = np.empty(n_pairs, dtype=np.int64)
-    best = np.empty(n_pairs, dtype=np.int64)
-    est1 = np.empty(n_pairs)
-    est2 = np.empty(n_pairs)
-    for lo, hi in row_chunks([c.size for c in cand_list]):
-        counts = np.array([c.size for c in cand_list[lo:hi]], dtype=np.int64)
-        k1 = np.concatenate(k1_list[lo:hi])
-        k2 = np.concatenate(k2_list[lo:hi])
-        winners, est1[lo:hi], est2[lo:hi] = rank_profile_rows(
-            counts, k1, k2, prof1_list[lo:hi], prof2_list[lo:hi]
-        )
-        best[lo:hi] = np.concatenate(cand_list[lo:hi])[winners]
-        kk1[lo:hi] = k1[winners]
-        kk2[lo:hi] = k2[winners]
-        stats.cells_ranked += int(counts.sum())
+    jobs = [job for job, _ in primed]
+    sizes = [job.rows for job in jobs]
+    winners, kk1, kk2, est1, est2 = rank_pairs(
+        sizes,
+        builders_by_pair,
+        [tables.n_steps for __, tables in primed],
+        lambda lo, hi: _window_steps(jobs[lo:hi]),
+    )
+    stats.cells_ranked += sum(sizes)
     stats.finish_batches += 1
 
-    nys = np.array([job.search.grid.ny for job, _ in primed], dtype=np.int64)
-    bi = best // nys
-    bj = best % nys
+    # A winner's position among its pair's rows is the ravel index of
+    # its cell in an open window, and indexes the co-reached cells of a
+    # searched grid.
+    cells: list[tuple[int, int]] = []
+    for job, row in zip(jobs, winners.tolist()):
+        if not job.search.is_open:
+            row = int(np.flatnonzero(job.both)[row])
+        cells.append(divmod(row, job.search.grid.ny))
 
-    # Blocked sides join the lockstep batched descent, obstacle-free
-    # sides the batched analytic staircase (two per pair, in pair order).
-    cells = list(zip(bi.tolist(), bj.tolist()))
+    # Blocked sides join the lockstep batched descent, the others the
+    # batched analytic staircase (two per pair, in pair order).
     slot: dict[int, int] = {}
     stair_slot: dict[int, int] = {}
     descent_sides: list[tuple[np.ndarray, tuple[int, int]]] = []
     stair_starts: list[tuple[int, int]] = []
     stair_cells: list[tuple[int, int]] = []
-    for pos, (job, _) in enumerate(primed):
-        if job.search.grid._any_blocked:
+    for pos, job in enumerate(jobs):
+        if job.search.blocked:
             slot[pos] = len(descent_sides)
             descent_sides.append((job.search.dists[0], cells[pos]))
             descent_sides.append((job.search.dists[1], cells[pos]))
@@ -257,9 +304,9 @@ def _finish_level(
     side_ci: list[np.ndarray] = []
     side_cj: list[np.ndarray] = []
     side_grids: list = []
-    for pos, (job, _) in enumerate(primed):
+    for pos, job in enumerate(jobs):
         grid = job.search.grid
-        blocked = grid._any_blocked
+        blocked = job.search.blocked
         for side, term in enumerate((job.term1, job.term2)):
             if blocked:
                 ci, cj = paths[slot[pos] + side]
@@ -377,9 +424,18 @@ def _route_slice(
             term1, term2, options, stage_length, blockages, stats
         )
         stats.search_rounds += 1
-        dist1, dist2 = search.dists
-        both = (dist1 != _UNREACHED) & (dist2 != _UNREACHED)
-        max_k = int(max(dist1[both].max(), dist2[both].max()))
+        if search.is_open:
+            # The farthest cell from a side's cell is a window corner.
+            both = None
+            nx, ny = search.grid.nx, search.grid.ny
+            max_k = max(
+                max(i0, nx - 1 - i0) + max(j0, ny - 1 - j0)
+                for i0, j0 in search.cells
+            )
+        else:
+            dist1, dist2 = search.dists
+            both = (dist1 != _UNREACHED) & (dist2 != _UNREACHED)
+            max_k = int(max(dist1[both].max(), dist2[both].max()))
         tables = SegmentTables(library, search.pitch, max_k + 1, options.target_slew)
         primed.append((_PairSearch(i, term1, term2, search, both), tables))
 

@@ -24,7 +24,9 @@ method merges it again. Both batch a topology level's H pairs through
 pairs. A grandchild leaves a structure through its *socket* (parent,
 position among the parent's children, wire) and plugs back into the
 kept one, which returns node for node; nothing below a grandchild
-changes, so cached bounds stay valid.
+changes, so cached bounds stay valid. The structures a pair discards
+(the losing pairings above the grandchildren, P and Q included when an
+alternative wins) are released from the timing engine's memos.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ def _plug(parts: list[TreeNode], sockets: list[tuple]) -> None:
         parent.children.insert(position, part)
 
 
+def _release(router: MergeRouter, roots: list[TreeNode]) -> None:
+    """Release a discarded structure from the timing engine's memos.
+
+    Its grandchildren are unplugged, so ``roots`` reach exactly the
+    nodes the structure built above them, which no tree reaches again.
+    """
+    router.engine.release([node for root in roots for node in root.walk()])
+
+
 def _pairing_sides(parts, pairing) -> list[tuple[TreeNode, TreeNode]]:
     """The two merges of one pairing of one pair's grandchildren."""
     (i, j), (k, l) = pairing
@@ -95,7 +106,8 @@ def reestimate_pairing(
     """Method 1: choose each pair's pairing by cost, then route the flips.
 
     Only the flipped pairs' chosen pairings are merge-routed, as one
-    batch; a pair that keeps the original pairing returns P and Q.
+    batch; a pair that keeps the original pairing returns P and Q. A
+    flipped pair's P and Q are released before the batch.
     """
     quads = [[*p.parts, *q.parts] for p, q in pairs]
     target = router.options.target_slew
@@ -112,9 +124,10 @@ def reestimate_pairing(
 
         chosen.append(min(PAIRINGS, key=pairing_cost))
     sides = []
-    for parts, pairing in zip(quads, chosen):
+    for (p, q), parts, pairing in zip(pairs, quads, chosen):
         if pairing != PAIRINGS[0]:
             _unplug(parts)
+            _release(router, [p.root, q.root])
             sides += _pairing_sides(parts, pairing)
     merged = iter(router.merge_batch(sides))
     outcomes = []
@@ -161,7 +174,7 @@ def correct_pairing(
     before the next sweep, leaving the candidate's structure whole.
     Ties keep the earlier pairing. Finally every pair's grandchildren
     plug back into the winner's sockets, so each surviving tree is the
-    one that was measured.
+    one that was measured, and the two losing pairings are released.
     """
     best_roots = [(p.root, q.root) for p, q in pairs]
     best_key = _skew_keys(router, best_roots)
@@ -182,6 +195,10 @@ def correct_pairing(
                 best_roots[n], best_sockets[n] = roots[n], sockets
     for parts, sockets in zip(quads, best_sockets):
         _plug(parts, sockets)
+    for (p, q), idx, pair_merges in zip(pairs, best_idx, merges):
+        roots = [p.root, q.root] + [merge.root for merge in pair_merges]
+        del roots[2 * idx : 2 * idx + 2]
+        _release(router, roots)
     return [
         HStructureOutcome(left, right, idx != 0, tuple(pair_merges))
         for (left, right), idx, pair_merges in zip(best_roots, best_idx, merges)

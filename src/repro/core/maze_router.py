@@ -16,7 +16,11 @@ BFS is consolidated behind one engine (:class:`BfsEngine`): the contract
 is the *distance field only*, and path geometry is derived from it by a
 deterministic descent (:meth:`MazeGrid.descend`), so both strategies —
 closed-form on unblocked grids, and the numpy run-sweep on blocked ones —
-produce byte-identical routing results. The original cell-by-cell
+produce byte-identical routing results. A window no blockage covers is
+*open*: the search plans it without a grid or fields
+(:class:`~repro.core.routing_common.MazeSearch`), the level router ranks
+it from closed-form step counts, and the single-pair paths here build
+its grid and fields on demand. The original cell-by-cell
 implementations are retained as ``block_reference`` / ``bfs_reference``:
 they define the semantics, the equivalence tests compare against them,
 and the perf harness times them as the seed baseline.
@@ -34,6 +38,7 @@ from repro.core.options import CTSOptions
 from repro.core.routing_common import (
     ROUTING_MARGIN_RATIO,
     MazeSearch,
+    MazeWindow,
     RoutedPath,
     RouteResult,
     RouteTerminal,
@@ -55,14 +60,11 @@ _UNREACHED = -1
 _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-class MazeGrid:
+class MazeGrid(MazeWindow):
     """A square-pitch routing grid with blocked cells."""
 
     def __init__(self, bbox: BBox, pitch: float):
-        self.bbox = bbox
-        self.pitch = pitch
-        self.nx = int(np.ceil(bbox.width / pitch)) + 1
-        self.ny = int(np.ceil(bbox.height / pitch)) + 1
+        super().__init__(bbox, pitch)
         self.blocked = np.zeros((self.nx, self.ny), dtype=bool)
         self._xs = None  # cached cell-center coordinate axes
         self._ys = None
@@ -86,14 +88,6 @@ class MazeGrid:
                 if region.contains(self.center(i, j)):
                     self.blocked[i, j] = True
                     self._any_blocked = True
-
-    def center(self, i: int, j: int) -> Point:
-        return Point(self.bbox.xmin + i * self.pitch, self.bbox.ymin + j * self.pitch)
-
-    def nearest(self, p: Point) -> tuple[int, int]:
-        i = int(round((p.x - self.bbox.xmin) / self.pitch))
-        j = int(round((p.y - self.bbox.ymin) / self.pitch))
-        return (min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1))
 
     def nearest_free(self, cell: tuple[int, int]) -> tuple[int, int]:
         """Closest unblocked cell to ``cell`` (Manhattan distance).
@@ -323,7 +317,7 @@ def blocked_path(
         target_reached,
         what="trunk terminal",
         n_sources=1,
-    )
+    ).with_fields(1)
     grid = search.grid
     cells = grid.descend(search.dists[0], search.cells[1])
     points = [a] + [grid.center(i, j) for i, j in cells[1:-1]] + [b]
@@ -392,7 +386,7 @@ def cells_polylines_many(
     firsts: list[Point],
     cis: list[np.ndarray],
     cjs: list[np.ndarray],
-    grids: list["MazeGrid"],
+    grids: list[MazeWindow],
 ) -> list[list[Point]]:
     """Batched :func:`_cells_polyline` over many routed sides.
 
@@ -657,8 +651,10 @@ def finish_maze_route(
     delay profiles expand lazily through :class:`PathBuilder`, the merge
     cell is ranked, and both paths descend the distance fields. The
     level batcher (:mod:`repro.core.grid_cache`) computes the same
-    result for a whole level at once.
+    result for a whole level at once. An open window's grid and fields
+    are built here (:meth:`~repro.core.routing_common.MazeSearch.with_fields`).
     """
+    search = search.with_fields(2)
     grid, pitch = search.grid, search.pitch
     dist1, dist2 = search.dists
     both = (dist1 != _UNREACHED) & (dist2 != _UNREACHED)
@@ -746,7 +742,9 @@ def search_maze_pair(
     stats: SharingStats | None = None,
 ) -> MazeSearch:
     """The window search of one maze merge: both fronts' distance fields
-    on the first window (grown around blockages) where they meet.
+    on the first window (grown around blockages) where they meet, or
+    just the window and the two snapped cells when no blockage covers
+    the first window (an open search).
 
     The one search of :func:`route_maze` and of the level router
     (:func:`repro.core.grid_cache.route_level`).

@@ -20,9 +20,9 @@ terminal. The router therefore:
 obstacle-free level: the pairs' lattices come from the same
 :func:`profile_lattice`, their profiles expand through the lockstep
 scheduler (:func:`repro.core.batch_expand.expand_level`), and their
-meeting cells are picked by segmented ranking passes
-(:func:`~repro.core.routing_common.rank_profile_rows`) in the same tie
-order as the per-pair ``lexsort``. A level routed by the kernel is
+meeting cells are picked by the chunked ranking of the maze level
+router too (:func:`~repro.core.routing_common.rank_pairs`), in the same
+tie order as the per-pair ``lexsort``. A level routed by the kernel is
 bit-identical to routing its pairs one at a time.
 
 A dedicated test asserts this router and the general maze router choose
@@ -43,8 +43,7 @@ from repro.core.routing_common import (
     RouteTerminal,
     choose_pitch,
     l_path,
-    rank_profile_rows,
-    row_chunks,
+    rank_pairs,
 )
 from repro.core.segment_builder import PathBuilder, SegmentTables
 from repro.geom.point import Point
@@ -185,8 +184,8 @@ def route_profile_level(
     Each pair's lattice, step fields and tables are exactly
     :func:`route_profile`'s. All profiles expand through one lockstep
     scheduler run, and the meeting cells are ranked in pair-group
-    chunks (:func:`row_chunks`) whose step fields are built only for
-    the chunk. ``rank_profile_rows`` keeps the ``lexsort`` tie order
+    chunks (:func:`rank_pairs`) whose step fields are built only for
+    the chunk. The ranking keeps the ``lexsort`` tie order
     (rounded skew, max delay, hops, ravel index), so every result equals
     the single-pair router's. ``stats`` is the level's
     :class:`~repro.core.grid_cache.SharingStats`.
@@ -204,36 +203,18 @@ def route_profile_level(
         primed.append((t1, t2, tables))
     builders_by_pair = expand_level(primed, library, options, stats)
 
-    n_pairs = len(pairs)
-    best = np.empty(n_pairs, dtype=np.int64)
-    kk1 = np.empty(n_pairs, dtype=np.int64)
-    kk2 = np.empty(n_pairs, dtype=np.int64)
-    est1 = np.empty(n_pairs)
-    est2 = np.empty(n_pairs)
     sizes = [xs.size * ys.size for _, xs, ys in lattices]
-    for lo, hi in row_chunks(sizes):
-        prof1_list, prof2_list = [], []
-        for (__, __t, tables), (b1, b2) in zip(
-            primed[lo:hi], builders_by_pair[lo:hi]
-        ):
-            prof1_list.append(b1.delays_view(tables.n_steps - 1))
-            prof2_list.append(b2.delays_view(tables.n_steps - 1))
-        k1, k2 = _step_fields(
-            [t1.point for t1, __, __t in primed[lo:hi]],
-            [t2.point for __, t2, __t in primed[lo:hi]],
-            lattices[lo:hi],
-        )
-        counts = np.array(sizes[lo:hi], dtype=np.int64)
-        winners, est1[lo:hi], est2[lo:hi] = rank_profile_rows(
-            counts, k1, k2, prof1_list, prof2_list
-        )
-        starts = np.cumsum(counts) - counts
-        best[lo:hi] = winners - starts
-        kk1[lo:hi] = k1[winners]
-        kk2[lo:hi] = k2[winners]
+    firsts = [t1.point for t1, _ in pairs]
+    seconds = [t2.point for _, t2 in pairs]
+    best, kk1, kk2, est1, est2 = rank_pairs(
+        sizes,
+        builders_by_pair,
+        [tables.n_steps for __, __t, tables in primed],
+        lambda lo, hi: _step_fields(firsts[lo:hi], seconds[lo:hi], lattices[lo:hi]),
+    )
     stats.cells_ranked += sum(sizes)
     stats.finish_batches += 1
-    stats.pairs_routed += n_pairs
+    stats.pairs_routed += len(pairs)
 
     results: list[RouteResult] = []
     for (t1, t2, _), (pitch, xs, ys), (b1, b2), cell, k1s, k2s, e1, e2 in zip(

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.charlib.library import DelaySlewLibrary
 from repro.core.options import CTSOptions
-from repro.core.segment_builder import PathState
+from repro.core.segment_builder import PathBuilder, PathState
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.geom.segment import PathPolyline
@@ -150,14 +150,71 @@ def grow_window(bbox: BBox, blockages: list[BBox], margin: float) -> BBox | None
     return expanded
 
 
+class MazeWindow:
+    """The cell lattice of one routing window.
+
+    ``nx`` x ``ny`` cells, ceil-sized over ``bbox``; cell ``(i, j)`` is
+    centered at ``(bbox.xmin + i * pitch, bbox.ymin + j * pitch)``. An
+    open window (no blockage covers a cell center) is routed from this
+    geometry alone; :class:`~repro.core.maze_router.MazeGrid` adds the
+    blocked mask and the BFS.
+    """
+
+    def __init__(self, bbox: BBox, pitch: float):
+        self.bbox = bbox
+        self.pitch = pitch
+        self.nx = int(np.ceil(bbox.width / pitch)) + 1
+        self.ny = int(np.ceil(bbox.height / pitch)) + 1
+
+    def center(self, i: int, j: int) -> Point:
+        return Point(self.bbox.xmin + i * self.pitch, self.bbox.ymin + j * self.pitch)
+
+    def nearest(self, p: Point) -> tuple[int, int]:
+        i = int(round((p.x - self.bbox.xmin) / self.pitch))
+        j = int(round((p.y - self.bbox.ymin) / self.pitch))
+        return (min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1))
+
+
 @dataclass
 class MazeSearch:
-    """Result of a windowed maze search: the final grid plus per-source BFS."""
+    """Result of a windowed maze search: the accepted window, the grid
+    cells of the input points (in order) and one BFS step-distance field
+    per source.
 
-    grid: "MazeGrid"
+    An *open* window has ``dists`` ``None`` and ``grid`` a bare
+    :class:`MazeWindow`: every cell is reachable, and a cell's step
+    count from a source cell is their Manhattan distance in cells, so
+    the level router builds step counts a ranking chunk at a time
+    instead. :meth:`with_fields` materializes the grid and the fields.
+    """
+
+    grid: MazeWindow  # a MazeGrid unless the window is open
     pitch: float
-    cells: list[tuple[int, int]]  # grid cells of the input points, in order
-    dists: list[np.ndarray]  # BFS step distances, one per source
+    cells: list[tuple[int, int]]
+    dists: list[np.ndarray] | None
+
+    @property
+    def is_open(self) -> bool:
+        return self.dists is None
+
+    @property
+    def blocked(self) -> bool:
+        """Whether a cell of the window is blocked, so that paths descend
+        the distance fields instead of taking the analytic staircase."""
+        return not self.is_open and self.grid._any_blocked
+
+    def with_fields(self, n_sources: int) -> "MazeSearch":
+        """This search with a :class:`MazeGrid` and the distance fields
+        of its first ``n_sources`` cells (built here for an open window,
+        exactly as the search builds them for a covered one)."""
+        if not self.is_open:
+            return self
+        from repro.core.maze_router import MazeGrid  # deferred: import cycle
+
+        grid = MazeGrid(self.grid.bbox, self.pitch)
+        return MazeSearch(
+            grid, self.pitch, self.cells, grid.bfs_many(self.cells[:n_sources])
+        )
 
 
 def coarsen_pitch(bbox: BBox, pitch: float, cell_cap: int = MAX_WINDOW_CELLS) -> float:
@@ -176,8 +233,8 @@ def coarsen_pitch(bbox: BBox, pitch: float, cell_cap: int = MAX_WINDOW_CELLS) ->
     return pitch
 
 
-def covering_blockages(grid: "MazeGrid", blockages: list[BBox]) -> list[BBox]:
-    """The blockages that can mark at least one cell center of ``grid``.
+def covering_blockages(window: MazeWindow, blockages: list[BBox]) -> list[BBox]:
+    """The blockages that can mark at least one cell center of ``window``.
 
     Cell centers span ``[xmin, xmin + (nx-1)*pitch] x [ymin, ...]`` (the
     ceil-sized grid overhangs its bbox by up to one pitch); a region
@@ -185,14 +242,14 @@ def covering_blockages(grid: "MazeGrid", blockages: list[BBox]) -> list[BBox]:
     filtering it out leaves the blocked mask byte-identical. Order is
     preserved.
     """
-    x_hi = grid.bbox.xmin + (grid.nx - 1) * grid.pitch
-    y_hi = grid.bbox.ymin + (grid.ny - 1) * grid.pitch
+    x_hi = window.bbox.xmin + (window.nx - 1) * window.pitch
+    y_hi = window.bbox.ymin + (window.ny - 1) * window.pitch
     return [
         region
         for region in blockages
-        if region.xmax >= grid.bbox.xmin
+        if region.xmax >= window.bbox.xmin
         and region.xmin <= x_hi
-        and region.ymax >= grid.bbox.ymin
+        and region.ymax >= window.bbox.ymin
         and region.ymin <= y_hi
     ]
 
@@ -252,28 +309,41 @@ def run_maze_search(
     what: str = "terminal",
     n_sources: int | None = None,
     max_attempts: int = MAX_SEARCH_ATTEMPTS,
-    cell_cap: int = MAX_WINDOW_CELLS,
+    cell_cap: int | None = None,
     stats: "SharingStats | None" = None,
 ) -> MazeSearch:
     """The window-expansion / pitch-coarsening loop shared by maze routes.
 
-    Builds a grid over ``bbox`` (coarsening the pitch while the cell count
-    exceeds ``cell_cap``), blocks the blockage regions, runs one BFS from
-    each of the first ``n_sources`` points, and accepts the result when
-    ``reachable`` says so; otherwise the window grows around intersecting
-    blockages (:func:`grow_window`) and the search retries. When no growth
-    is possible the points are genuinely disconnected.
+    Plans a window over ``bbox`` (coarsening the pitch while the cell
+    count exceeds ``cell_cap``, :data:`MAX_WINDOW_CELLS` by default).
+    An open window — no blockage covers a cell center — connects every
+    cell to every other, so it is accepted as planned: the result has
+    the snapped cells but no grid and no fields (see
+    :class:`MazeSearch`). Otherwise the window is rasterized, its
+    blockage regions blocked, one BFS runs from each of the first
+    ``n_sources`` points, and the result is accepted when ``reachable``
+    says so; if not, the window grows around intersecting blockages
+    (:func:`grow_window`) and the search retries. When no growth is
+    possible the points are genuinely disconnected.
 
-    ``stats``, when given, counts every window built
-    (``windows_served``) and its cells (``cells_rasterized``).
+    ``stats``, when given, counts every window planned
+    (``windows_served``) and its cells (``cells_rasterized``), open or
+    not.
     """
     if n_sources is None:
         n_sources = len(points)
+    if cell_cap is None:
+        cell_cap = MAX_WINDOW_CELLS
     for _ in range(max_attempts):
-        grid, pitch = build_window(bbox, pitch, blockages, cell_cap)
+        pitch = coarsen_pitch(bbox, pitch, cell_cap)
+        window = MazeWindow(bbox, pitch)
+        covering = covering_blockages(window, blockages)
         if stats is not None:
             stats.windows_served += 1
-            stats.cells_rasterized += grid.nx * grid.ny
+            stats.cells_rasterized += window.nx * window.ny
+        if not covering:
+            return MazeSearch(window, pitch, [window.nearest(p) for p in points], None)
+        grid, pitch = build_window(bbox, pitch, covering, cell_cap)
         cells = snap_cells(grid, points, blockages, what)
         dists = grid.bfs_many(cells[:n_sources])
         search = MazeSearch(grid, pitch, cells, dists)
@@ -395,6 +465,46 @@ def rank_profile_rows(
     total = np.maximum(d1, d2)
     winners = rank_level_cells(counts, np.round(skew, 15), total, k1 + k2)
     return winners, d1[winners], d2[winners]
+
+
+def rank_pairs(
+    sizes: list[int],
+    builders: list[list[PathBuilder]],
+    n_steps: list[int],
+    fields: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pick every pair's merge row, one ranking chunk at a time.
+
+    Pair ``p`` has ``sizes[p]`` candidate rows and ``builders[p]``, its
+    two expanded profile builders, read to ``n_steps[p]`` steps. The
+    pairs are ranked in the chunks of :func:`row_chunks`, and
+    ``fields(lo, hi)`` builds the step counts of pairs ``lo..hi-1``'s
+    rows per side, concatenated in pair order, so only one chunk's rows
+    and profile views are live at a time. Returns, per pair, the
+    winning row's position among the pair's own rows, both sides' step
+    counts there and both sides' delays (:func:`rank_profile_rows`).
+    """
+    n_pairs = len(sizes)
+    pos = np.empty(n_pairs, dtype=np.int64)
+    kk1 = np.empty(n_pairs, dtype=np.int64)
+    kk2 = np.empty(n_pairs, dtype=np.int64)
+    est1 = np.empty(n_pairs)
+    est2 = np.empty(n_pairs)
+    for lo, hi in row_chunks(sizes):
+        k1, k2 = fields(lo, hi)
+        counts = np.array(sizes[lo:hi], dtype=np.int64)
+        chunk = list(zip(builders[lo:hi], n_steps[lo:hi]))
+        winners, est1[lo:hi], est2[lo:hi] = rank_profile_rows(
+            counts,
+            k1,
+            k2,
+            [b1.delays_view(n - 1) for (b1, __), n in chunk],
+            [b2.delays_view(n - 1) for (__, b2), n in chunk],
+        )
+        pos[lo:hi] = winners - (np.cumsum(counts) - counts)
+        kk1[lo:hi] = k1[winners]
+        kk2[lo:hi] = k2[winners]
+    return pos, kk1, kk2, est1, est2
 
 
 def l_path(a: Point, b: Point) -> PathPolyline:

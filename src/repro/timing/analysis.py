@@ -111,10 +111,12 @@ class BoundsTable:
     Rows exist only for nodes that get bounds (BUFFER, MERGE and STEINER
     roots; a SINK's bounds are closed-form) and are keyed by node
     identity (``TreeNode`` is ``eq=False``), so a renumbering leaves them
-    valid. ``min_delay``, ``max_delay`` and ``worst_slew`` are float64
-    planes of shape (row capacity, width) and ``filled`` flags the stored
-    cells. Rows grow on demand by doubling and buckets in steps of
-    ``BUCKET_STEP``, one plane at a time; a bucket is never clamped. The
+    valid. A released node's row (:meth:`release`) loses its cells and
+    is the next row :meth:`row` hands out. ``min_delay``, ``max_delay``
+    and ``worst_slew`` are float64 planes of shape (row capacity, width)
+    and ``filled`` flags the stored cells. Rows grow on demand by
+    doubling and buckets in steps of ``BUCKET_STEP``, one plane at a
+    time; a bucket is never clamped. The
     ``*_cells`` memoryviews are flat views of the planes (cell
     ``row * width + bucket``) whose item reads return Python floats: the
     scalar readers' hit path.
@@ -138,7 +140,10 @@ class BoundsTable:
 
     def __init__(self) -> None:
         self.row_of: dict[TreeNode, int] = {}
-        self.nodes: list[TreeNode] = []
+        #: The node of each row; ``None`` for a released row.
+        self.nodes: list[TreeNode | None] = []
+        #: Released rows, reused before the table appends a row.
+        self.free: list[int] = []
         self.capacity = 0
         self.width = 0
         self._maps: dict[str, mmap.mmap] = {}
@@ -174,18 +179,35 @@ class BoundsTable:
         self.capacity, self.width = rows, buckets
 
     def row(self, node: TreeNode) -> int:
-        """Row of ``node``, appended on first use."""
+        """Row of ``node``, taken on first use: a released row if there
+        is one, else a new row."""
         row = self.row_of.get(node)
         if row is None:
-            row = len(self.nodes)
-            if row == self.capacity:
-                self._resize(2 * self.capacity, self.width)
+            if self.free:
+                row = self.free.pop()
+                self.nodes[row] = node
+            else:
+                row = len(self.nodes)
+                if row == self.capacity:
+                    self._resize(2 * self.capacity, self.width)
+                self.nodes.append(node)
             self.row_of[node] = row
-            self.nodes.append(node)
         return row
 
+    def release(self, nodes: list[TreeNode]) -> np.ndarray:
+        """Forget ``nodes``: their rows lose every stored cell and go on
+        the free list. Returns those rows (nodes without one are
+        skipped)."""
+        rows = [self.row_of.pop(node) for node in nodes if node in self.row_of]
+        for row in rows:
+            self.nodes[row] = None
+        self.free.extend(rows)
+        rows = np.array(rows, dtype=np.int64)
+        self.filled[rows] = False
+        return rows
+
     def rows_of(self, nodes: list[TreeNode]) -> np.ndarray:
-        """Rows of ``nodes`` (appended on first use); -1 for sinks."""
+        """Rows of ``nodes`` (taken on first use); -1 for sinks."""
         rows = np.fromiter(
             map(self.row_of.get, nodes, repeat(-1)), np.int64, len(nodes)
         )
@@ -324,6 +346,16 @@ class LibraryTimingEngine:
         #: subtree_bounds_many diagnostics (batched commit phase).
         self.bounds_cache_hits = 0
         self.bounds_cache_misses = 0
+
+    def release(self, nodes: list[TreeNode]) -> None:
+        """Forget the memos of ``nodes``, which no tree reaches any more
+        (e.g. the structures H-structure correction discards): their
+        collapsed caps, their bounds rows and those rows' flat stages.
+        The rows are reused by later nodes. Every memo is a function of
+        its key alone, so releasing a node changes no later answer."""
+        for node in nodes:
+            self._cap_cache.pop(node, None)
+        self._flat.reset(self._bounds.release(nodes))
 
     def stored_bounds(self) -> dict[tuple[TreeNode, int], SubtreeBounds]:
         """Read-only copy of the bounds memo: ``{(node, bucket): bounds}``

@@ -126,6 +126,12 @@ class FlatStages:
                 setattr(self, name, col)
             self._capacity = new
 
+    def reset(self, rows: np.ndarray) -> None:
+        """Return ``rows`` (released table rows) to the untraced state."""
+        rows = rows[rows < self._capacity]
+        for name, __, fill in _COLUMNS:
+            getattr(self, name)[rows] = fill
+
     def _group(self, key: tuple) -> int:
         code = self._group_of.get(key)
         if code is None:

@@ -14,7 +14,11 @@ share. Its contract:
   or traced into the flat-stage columns — on a fresh engine and on one
   whose table and columns already hold the same stages;
 - the batched readers' hit/miss accounting on a fixed 200-sink synthesis
-  is pinned.
+  is pinned;
+- released nodes leave no trace: their rows and caps are forgotten and
+  their rows reused, and after an H-structure synthesis every stored
+  node is in the final tree and every stored bucket is its key's scalar
+  value on that tree.
 """
 
 import numpy as np
@@ -153,3 +157,57 @@ def test_hit_and_miss_counts_are_pinned():
         1284,
         1222,
     )
+
+
+class TestRelease:
+    def test_released_rows_are_reused_and_refilled(self, library, tech, buffers):
+        tops = forest(buffers, 6)
+        engine = LibraryTimingEngine(library, tech)
+        items = items_at(tops, 80e-12)
+        batched_bounds(engine, items)
+        table = engine._bounds
+        gone = list(tops[1].walk())
+        rows = sorted(table.row_of[node] for node in gone if node in table.row_of)
+        engine.release(gone)
+        assert not any(node in table.row_of for node in gone)
+        assert not any(node in engine._cap_cache for node in gone)
+        assert sorted(table.free) == rows
+        assert not table.filled[rows].any()
+        assert (engine._flat.fs_state[rows] == 0).all()
+        # New trees take the released rows first and answer fresh values.
+        high_water = len(table.nodes)
+        new = forest(buffers, 1)
+        fresh = LibraryTimingEngine(library, tech)
+        new_items = items_at(new, 90e-12)
+        assert batched_bounds(engine, new_items) == [
+            fresh.subtree_bounds(node, slew) for node, slew in new_items
+        ]
+        assert len(table.nodes) == high_water
+        assert not table.free
+        oracle = LibraryTimingEngine(library, tech)
+        for (node, bucket), value in engine.stored_bounds().items():
+            assert node not in gone
+            assert scalar_bucket_bounds(oracle, node, bucket) == value
+
+    @pytest.mark.parametrize("hstructure", ["correct", "reestimate"])
+    @pytest.mark.parametrize(
+        "sinks",
+        [(16, 26000.0, 14), (200, 30000.0, 6)],
+        ids=["16-sinks", "200-sinks"],
+    )
+    def test_hstructure_memos_describe_the_final_tree(
+        self, library, tech, sinks, hstructure
+    ):
+        """Correction and re-estimation release the structures they
+        discard, so no memo outlives its tree."""
+        n, span, seed = sinks
+        cts = AggressiveBufferedCTS(options=CTSOptions(hstructure=hstructure))
+        result = cts.synthesize(make_sink_pairs(n, span, seed=seed))
+        in_tree = set(result.tree.root.walk())
+        stored = cts.engine.stored_bounds()
+        assert stored
+        assert {node for node, __ in stored} <= in_tree
+        assert set(cts.engine._cap_cache) <= in_tree
+        fresh = LibraryTimingEngine(library, tech)
+        for (node, bucket), value in stored.items():
+            assert scalar_bucket_bounds(fresh, node, bucket) == value

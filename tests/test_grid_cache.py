@@ -8,6 +8,10 @@ The contract of :mod:`repro.core.grid_cache`:
   test run, on blockage, H-structure and snaking scenarios;
 - routing results are invariant to how a level is split into batches,
   and a batch of one equals :func:`repro.core.maze_router.route_maze`;
+- an open window (no blockage covers a cell center) routes without a
+  grid or distance fields, and equals the single-pair route whether it
+  sits alone, next to blocked windows in one ranking chunk or across a
+  chunk boundary, or at a coarsened pitch;
 - the documented ``nearest_free`` fallback scan is deterministic, and
   the BFS engine matches its reference on windows as
   :func:`~repro.core.routing_common.build_window` builds them.
@@ -17,12 +21,20 @@ import numpy as np
 import pytest
 
 import repro.core.grid_cache as grid_cache
+import repro.core.routing_common as routing_common
 from repro.core.grid_cache import SharingStats, route_level
-from repro.core.maze_router import MazeGrid, route_maze
+from repro.core.maze_router import (
+    BfsEngine,
+    MazeGrid,
+    plan_maze_window,
+    route_maze,
+    search_maze_pair,
+)
 from repro.core.options import CTSOptions
 from repro.core.routing_common import (
     RouteTerminal,
     build_window,
+    row_chunks,
     slew_limited_length,
 )
 from repro.evalx.perfstats import scaling_scenario
@@ -145,6 +157,161 @@ class TestBatchInvariance:
                 assert a.right.polyline.points == other.right.polyline.points
                 assert a.left.state == other.left.state
                 assert a.right.state == other.right.state
+
+
+def assert_same_routes(got, want):
+    """Route results equal field for field (geometry, plan, estimates)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.meeting_point == b.meeting_point
+        assert a.est_left_delay == b.est_left_delay
+        assert a.est_right_delay == b.est_right_delay
+        assert a.grid_cells == b.grid_cells
+        for side_a, side_b in ((a.left, b.left), (a.right, b.right)):
+            assert side_a.polyline.points == side_b.polyline.points
+            assert side_a.state == side_b.state
+            assert side_a.step == side_b.step
+
+
+class TestOpenWindows:
+    """A window no blockage covers is planned, not rasterized: the level
+    router ranks it from closed-form step counts, and a batch of one
+    equals the single-pair route, which builds the grid and fields."""
+
+    FAR = [BBox(90000.0, 90000.0, 91000.0, 91000.0)]
+
+    @pytest.fixture(scope="class")
+    def setting(self, library):
+        options = CTSOptions(router="maze")
+        return library, options, slew_limited_length(library, options.target_slew)
+
+    @staticmethod
+    def pair(x1, y1, x2, y2, skew=0.0):
+        return (
+            RouteTerminal(None, Point(x1, y1), skew, 0.0, "BUF20X"),
+            RouteTerminal(None, Point(x2, y2), 0.0, 0.0, "BUF20X"),
+        )
+
+    @staticmethod
+    def search(pair, setting, blockages):
+        library, options, stage_length = setting
+        return search_maze_pair(*pair, options, stage_length, blockages)
+
+    @staticmethod
+    def check(pairs, setting, blockages):
+        library, options, stage_length = setting
+        stats = SharingStats()
+        batched = route_level(pairs, library, options, stage_length, blockages, stats)
+        single = [
+            route_maze(t1, t2, library, options, stage_length, blockages)
+            for t1, t2 in pairs
+        ]
+        assert_same_routes(batched, single)
+        assert stats.pairs_routed == stats.search_rounds == len(pairs)
+
+    def test_open_window(self, setting):
+        pair = self.pair(1000.0, 2000.0, 7300.0, 5100.0, skew=12e-12)
+        search = self.search(pair, setting, self.FAR)
+        assert search.is_open and search.dists is None
+        assert not isinstance(search.grid, MazeGrid)
+        self.check([pair], setting, self.FAR)
+        # Without blockages the maze router plans the same open window.
+        self.check([pair], setting, [])
+
+    def test_covering_blockage_between_cell_centers(self, setting):
+        """A blockage inside the window that holds no cell center: the
+        window is rasterized, but no cell is blocked."""
+        library, options, stage_length = setting
+        pair = self.pair(1000.0, 2000.0, 7300.0, 5100.0, skew=12e-12)
+        bbox, pitch, __ = plan_maze_window(
+            pair[0].point, pair[1].point, options, stage_length
+        )
+        x = bbox.xmin + 3.3 * pitch
+        y = bbox.ymin + 4.3 * pitch
+        between = [BBox(x, y, x + 0.4 * pitch, y + 0.4 * pitch)]
+        search = self.search(pair, setting, between)
+        assert not search.is_open
+        assert not search.blocked
+        self.check([pair], setting, between)
+
+    def test_coarsened_open_window(self, setting, monkeypatch):
+        library, options, stage_length = setting
+        pair = self.pair(1000.0, 2000.0, 7300.0, 5100.0, skew=12e-12)
+        __, pitch, __ = plan_maze_window(
+            pair[0].point, pair[1].point, options, stage_length
+        )
+        monkeypatch.setattr(routing_common, "MAX_WINDOW_CELLS", 600)
+        search = self.search(pair, setting, self.FAR)
+        assert search.is_open
+        assert search.pitch > pitch
+        assert search.grid.nx * search.grid.ny <= 600
+        self.check([pair], setting, self.FAR)
+
+    @pytest.fixture(scope="class")
+    def mixed(self, setting):
+        """Short pairs on both sides of a blockage: some windows open,
+        some blocked, interleaved in pair order."""
+        blockages = [BBox(5000.0, 0.0, 5600.0, 6000.0)]
+        pairs = []
+        for k in range(10):
+            y = 500.0 * k
+            if k % 3 == 0:
+                pairs.append(self.pair(4000.0, y, 6800.0, y + 900.0, 3e-12 * k))
+            else:
+                x = 7000.0 if k % 3 == 1 else 0.0
+                pairs.append(self.pair(x, y, x + 2600.0, y + 1300.0, 3e-12 * k))
+        searches = [self.search(pair, setting, blockages) for pair in pairs]
+        sizes = []
+        for search in searches:
+            if search.is_open:
+                sizes.append(search.grid.nx * search.grid.ny)
+            else:
+                d1, d2 = search.dists
+                sizes.append(int(np.count_nonzero((d1 >= 0) & (d2 >= 0))))
+        is_open = [search.is_open for search in searches]
+        assert any(is_open) and not all(is_open)
+        assert any(search.blocked for search in searches)
+        return pairs, blockages, sizes, is_open
+
+    @pytest.mark.parametrize("budget", ["default", "small"])
+    def test_mixed_slice(self, setting, mixed, budget, monkeypatch):
+        pairs, blockages, sizes, is_open = mixed
+        if budget == "small":
+            monkeypatch.setattr(
+                routing_common, "RANK_ROW_BUDGET", sizes[0] + sizes[1] + sizes[2]
+            )
+        chunks = list(row_chunks(sizes))
+        mixed_chunks = [
+            (lo, hi) for lo, hi in chunks if len(set(is_open[lo:hi])) == 2
+        ]
+        assert mixed_chunks, "some chunk must rank open and blocked windows"
+        if budget == "small":
+            assert len(chunks) > 2
+            # Some chunk boundary separates an open from a blocked window.
+            assert any(is_open[hi - 1] != is_open[hi] for __, hi in chunks[:-1])
+        self.check(pairs, setting, blockages)
+
+    def test_open_level_builds_no_grid(self, setting, monkeypatch):
+        """Routing an all-open level runs no BFS and builds no grid."""
+        library, options, stage_length = setting
+        pairs = [
+            self.pair(1000.0 * k, 2000.0, 1000.0 * k + 4000.0, 6100.0, 2e-12 * k)
+            for k in range(6)
+        ]
+        want = [
+            route_maze(t1, t2, library, options, stage_length, self.FAR)
+            for t1, t2 in pairs
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an open window built a grid or a field")
+
+        monkeypatch.setattr(BfsEngine, "closed_form", forbidden)
+        monkeypatch.setattr(MazeGrid, "__init__", forbidden)
+        got = route_level(
+            pairs, library, options, stage_length, self.FAR, SharingStats()
+        )
+        assert_same_routes(got, want)
 
 
 class TestRouteSlices:

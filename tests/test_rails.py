@@ -380,6 +380,15 @@ BENCH_SMOKE = (
     """ sys.exit(not (r['correct'] is True and r['failed'] == 0))\"""",
 )
 
+#: The lines of the serial leg's traced benchmark smoke on the maze
+#: router's workload, with the same correctness check.
+MACRO_BENCH_SMOKE = (
+    "python3 perfbench/run.py --workload macro-4000 --seed 1 --seconds 1"
+    " --trace 1 | tail -n 1 > /tmp/perfbench_macro_smoke.json",
+    """python3 -c "import json, sys; r = json.load(open('/tmp/perfbench_macro_smoke.json'));"""
+    """ sys.exit(not (r['correct'] is True and r['failed'] == 0))\"""",
+)
+
 
 class TestCI:
     def test_lint_job_gates_tier1(self):
@@ -405,6 +414,11 @@ class TestCI:
         """The benchmark's traced run, whose last line must report every
         measured process correct and none failed."""
         assert serial_step_index(*BENCH_SMOKE) is not None
+
+    def test_serial_leg_runs_the_traced_maze_benchmark(self):
+        """The same traced run and check on ``macro-4000``, the workload
+        that routes through the level-batched maze router."""
+        assert serial_step_index(*MACRO_BENCH_SMOKE) is not None
 
     def test_serial_leg_checks_results_unchanged(self):
         """After every bench smoke, the tracked bench results must still

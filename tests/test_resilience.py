@@ -124,6 +124,8 @@ class TestRouteFailuresAreLoud:
             (grid_cache, "search_maze_pair"),
             (grid_cache, "expand_level"),
             (grid_cache, "_finish_level"),
+            (grid_cache, "_window_steps"),
+            (grid_cache, "_open_steps"),
         ],
         ids=lambda v: getattr(v, "__name__", v),
     )
