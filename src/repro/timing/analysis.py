@@ -11,7 +11,9 @@ sub-tree delays are computed under the paper's worst-case assumption: the
 (virtual) driver's input slew equals the slew limit (Sec. 4.2.2). These
 sub-tree evaluations are memoized per (node, slew-quantization bucket) in
 one :class:`BoundsTable` the engine owns: a row per bounded node, a column
-per bucket, ``min``/``max``/``worst`` float64 planes plus a filled flag.
+per bucket, an int32 slot per cell (0 when empty) that indexes the stored
+bucket's ``min``/``max``/``worst`` in three packed float64 value columns,
+so the memo's memory tracks the buckets it stores.
 Once a sub-tree is merged its geometry never changes, and slew changes are
 damped after a buffer stage, so the hit rate during binary search is high.
 Each bucket's value is evaluated at the bucket's *representative* slew and
@@ -106,37 +108,38 @@ def _bad_slew(input_slew) -> ValueError:
 
 class BoundsTable:
     """Memoized sub-tree bounds: one row per bounded node, one column per
-    slew bucket.
+    slew bucket, the stored cells' values packed in columns.
 
     Rows exist only for nodes that get bounds (BUFFER, MERGE and STEINER
     roots; a SINK's bounds are closed-form) and are keyed by node
     identity (``TreeNode`` is ``eq=False``), so a renumbering leaves them
-    valid. A released node's row (:meth:`release`) loses its cells and
-    is the next row :meth:`row` hands out. ``min_delay``, ``max_delay``
-    and ``worst_slew`` are float64 planes of shape (row capacity, width)
-    and ``filled`` flags the stored cells. Rows grow on demand by
-    doubling and buckets in steps of ``BUCKET_STEP``, one plane at a
-    time; a bucket is never clamped. The
-    ``*_cells`` memoryviews are flat views of the planes (cell
-    ``row * width + bucket``) whose item reads return Python floats: the
-    scalar readers' hit path.
+    valid. ``slot`` is an int32 plane of shape (row capacity, width):
+    0 marks an empty cell, and a stored cell's slot indexes its
+    ``min_delay``, ``max_delay`` and ``worst_slew`` in three float64
+    value columns. Value cell 0 is never handed out and stays 0.0, so a
+    gather through an empty slot reads zeros. A released node's row
+    (:meth:`release`) loses its cells, which go on a free list the next
+    stores take from first, and the row is the next one :meth:`row`
+    hands out. Rows grow on demand by doubling, buckets in steps of
+    ``BUCKET_STEP`` and value cells by doubling; a bucket is never
+    clamped. The ``*_cells`` memoryviews are flat views (slot cell
+    ``row * width + bucket``) whose item reads return Python ints and
+    floats: the scalar readers' hit path.
     """
 
     #: Initial row capacity and width. Buckets 0..111 cover slews below
-    #: 112 ps, past the paper's 100 ps limit; a row costs 25 B a bucket.
+    #: 112 ps, past the paper's 100 ps limit. A row costs 4 B a bucket in
+    #: the slot plane, and a stored bucket 24 B in the value columns.
     ROWS = 1024
     BUCKETS = 112
     #: A wider table grows to the next multiple of this many buckets.
     BUCKET_STEP = 16
+    #: Initial value-cell capacity.
+    CELLS = 16 * ROWS
     #: Slew width of one bucket column.
     QUANTUM = SLEW_QUANTUM
 
-    _PLANES = (
-        ("min_delay", np.float64),
-        ("max_delay", np.float64),
-        ("worst_slew", np.float64),
-        ("filled", np.bool_),
-    )
+    _COLUMNS = ("min_delay", "max_delay", "worst_slew")
 
     def __init__(self) -> None:
         self.row_of: dict[TreeNode, int] = {}
@@ -146,37 +149,91 @@ class BoundsTable:
         self.free: list[int] = []
         self.capacity = 0
         self.width = 0
+        #: Value cells handed out so far, cell 0 included.
+        self.used = 1
+        #: Released value cells, reused before the columns grow.
+        self.free_cells = np.empty(0, dtype=np.int32)
+        self.cell_capacity = 0
         self._maps: dict[str, mmap.mmap] = {}
         self._resize(self.ROWS, self.BUCKETS)
+        self._grow_cells(self.CELLS)
+
+    def _view(self, name: str, cells: mmap.mmap, dtype, shape) -> np.ndarray:
+        plane = np.frombuffer(cells, dtype=dtype).reshape(shape)
+        self._maps[name] = cells
+        setattr(self, name, plane)
+        setattr(self, name + "_cells", memoryview(plane.reshape(-1)))
+        return plane
+
+    def _grow_map(self, name: str, dtype, shape) -> None:
+        """Grow ``name``'s map in place to ``shape``, without a copy."""
+        # A map cannot move while a view of it exists.
+        setattr(self, name, None)
+        setattr(self, name + "_cells", None)
+        cells = self._maps[name]
+        cells.resize(int(np.prod(shape)) * np.dtype(dtype).itemsize)
+        self._view(name, cells, dtype, shape)
 
     def _resize(self, rows: int, buckets: int) -> None:
-        """Grow to ``rows`` x ``buckets`` cells, one plane at a time.
+        """Grow the slot plane to ``rows`` x ``buckets`` cells.
 
-        Each plane lives in an anonymous private memory map: zero-filled,
-        committing a page only when a cell on it is written (numpy's own
-        allocation of a plane this large would be advised onto 2 MiB huge
-        pages). More rows extend a map in place, without a copy; a wider
-        row layout copies the used rows into a new map.
+        Each plane and column lives in an anonymous private memory map:
+        zero-filled, committing a page only when a cell on it is written
+        (numpy's own allocation of a plane this large would be advised
+        onto 2 MiB huge pages). More rows extend the map in place; a
+        wider row layout copies the used rows into a new map.
         """
-        used, width = len(self.nodes), self.width
-        for name, dtype in self._PLANES:
-            size = rows * buckets * np.dtype(dtype).itemsize
-            cells = self._maps.get(name)
-            if cells is not None and buckets == width:
-                # A map cannot move while a view of it exists.
-                setattr(self, name, None)
-                setattr(self, name + "_cells", None)
-                cells.resize(size)
-                plane = np.frombuffer(cells, dtype=dtype).reshape(rows, buckets)
-            else:
-                cells = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-                plane = np.frombuffer(cells, dtype=dtype).reshape(rows, buckets)
-                if used:
-                    plane[:used, :width] = getattr(self, name)[:used]
-            self._maps[name] = cells
-            setattr(self, name, plane)
-            setattr(self, name + "_cells", memoryview(plane.reshape(-1)))
+        if buckets == self.width:
+            self._grow_map("slot", np.int32, (rows, buckets))
+        else:
+            used, old = len(self.nodes), getattr(self, "slot", None)
+            cells = mmap.mmap(-1, rows * buckets * 4, flags=mmap.MAP_PRIVATE)
+            plane = self._view("slot", cells, np.int32, (rows, buckets))
+            if used:
+                plane[:used, : self.width] = old[:used]
         self.capacity, self.width = rows, buckets
+
+    def _grow_cells(self, cells: int) -> None:
+        """Grow the value columns to ``cells`` cells, each in place."""
+        for name in self._COLUMNS:
+            if name in self._maps:
+                self._grow_map(name, np.float64, (cells,))
+            else:
+                self._view(
+                    name,
+                    mmap.mmap(-1, cells * 8, flags=mmap.MAP_PRIVATE),
+                    np.float64,
+                    (cells,),
+                )
+        self.cell_capacity = cells
+
+    def _take(self, n: int) -> np.ndarray:
+        """``n`` value cells for new stores: released cells first."""
+        free = self.free_cells
+        keep = max(free.size - n, 0)
+        self.free_cells = free[:keep]
+        start = self.used
+        self.used = stop = start + n - (free.size - keep)
+        if stop > self.cell_capacity:
+            self._grow_cells(max(2 * self.cell_capacity, stop))
+        return np.concatenate((free[keep:], np.arange(start, stop, dtype=np.int32)))
+
+    def _take_one(self) -> int:
+        """``_take(1)`` for the scalar store, without the array ops."""
+        free = self.free_cells
+        if free.size:
+            self.free_cells = free[:-1]
+            return int(free[-1])
+        cell = self.used
+        self.used += 1
+        if self.used > self.cell_capacity:
+            self._grow_cells(2 * self.cell_capacity)
+        return cell
+
+    @property
+    def live_cells(self) -> int:
+        """Value cells that hold a stored bucket."""
+        return self.used - 1 - self.free_cells.size
 
     def row(self, node: TreeNode) -> int:
         """Row of ``node``, taken on first use: a released row if there
@@ -196,14 +253,16 @@ class BoundsTable:
 
     def release(self, nodes: list[TreeNode]) -> np.ndarray:
         """Forget ``nodes``: their rows lose every stored cell and go on
-        the free list. Returns those rows (nodes without one are
-        skipped)."""
+        the free list, and the cells' value slots on theirs. Returns
+        those rows (nodes without one are skipped)."""
         rows = [self.row_of.pop(node) for node in nodes if node in self.row_of]
         for row in rows:
             self.nodes[row] = None
         self.free.extend(rows)
         rows = np.array(rows, dtype=np.int64)
-        self.filled[rows] = False
+        slots = self.slot[rows]
+        self.free_cells = np.concatenate((self.free_cells, slots[slots != 0]))
+        self.slot[rows] = 0
         return rows
 
     def rows_of(self, nodes: list[TreeNode]) -> np.ndarray:
@@ -226,22 +285,28 @@ class BoundsTable:
     def get(self, row: int, bucket: int) -> SubtreeBounds | None:
         if bucket >= self.width:
             return None
-        i = row * self.width + bucket
-        if not self.filled_cells[i]:
+        slot = self.slot_cells[row * self.width + bucket]
+        if not slot:
             return None
         return SubtreeBounds(
-            self.min_delay_cells[i],
-            self.max_delay_cells[i],
-            self.worst_slew_cells[i],
+            self.min_delay_cells[slot],
+            self.max_delay_cells[slot],
+            self.worst_slew_cells[slot],
         )
 
     def put(self, row: int, bucket: int, bounds: SubtreeBounds) -> None:
         self.reserve(bucket)
         i = row * self.width + bucket
-        self.min_delay_cells[i] = bounds.min_delay
-        self.max_delay_cells[i] = bounds.max_delay
-        self.worst_slew_cells[i] = bounds.worst_slew
-        self.filled_cells[i] = True
+        slot = self.slot_cells[i]
+        if not slot:
+            slot = self.slot_cells[i] = self._take_one()
+        self.min_delay_cells[slot] = bounds.min_delay
+        self.max_delay_cells[slot] = bounds.max_delay
+        self.worst_slew_cells[slot] = bounds.worst_slew
+
+    def stored(self, rows: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+        """Whether each of the given cells holds a stored bucket."""
+        return self.slot[rows, buckets] != 0
 
     def cells(self, rows: np.ndarray, buckets: np.ndarray):
         """The distinct (row, bucket) cells among the given ones, sorted
@@ -252,12 +317,10 @@ class BoundsTable:
         return np.divmod(keys[first], self.width)
 
     def gather(self, rows: np.ndarray, buckets: np.ndarray):
-        """``(min, max, worst)`` arrays of the given cells (stored or not)."""
-        return (
-            self.min_delay[rows, buckets],
-            self.max_delay[rows, buckets],
-            self.worst_slew[rows, buckets],
-        )
+        """``(min, max, worst)`` arrays of the given cells (zeros for an
+        empty cell)."""
+        slots = self.slot[rows, buckets]
+        return (self.min_delay[slots], self.max_delay[slots], self.worst_slew[slots])
 
     def lerp(self, rows: np.ndarray, ks: np.ndarray, fracs: np.ndarray):
         """``(min, max, worst)`` arrays interpolated between buckets ``ks``
@@ -270,15 +333,22 @@ class BoundsTable:
         )
 
     def store(self, rows, buckets, lo, hi, worst) -> None:
-        """Store whole arrays of cells (duplicate cells carry equal values)."""
-        self.min_delay[rows, buckets] = lo
-        self.max_delay[rows, buckets] = hi
-        self.worst_slew[rows, buckets] = worst
-        self.filled[rows, buckets] = True
+        """Store whole arrays of cells (duplicate cells carry equal
+        values). An empty cell takes a value slot; a stored one is
+        overwritten in place."""
+        slots = self.slot[rows, buckets]
+        empty = slots == 0
+        if empty.any():
+            new_rows, new_buckets = self.cells(rows[empty], buckets[empty])
+            self.slot[new_rows, new_buckets] = self._take(new_rows.size)
+            slots = self.slot[rows, buckets]
+        self.min_delay[slots] = lo
+        self.max_delay[slots] = hi
+        self.worst_slew[slots] = worst
 
     def snapshot(self) -> dict[tuple[TreeNode, int], SubtreeBounds]:
         """Every stored cell as ``{(node, bucket): bounds}`` (a copy)."""
-        rows, buckets = np.nonzero(self.filled[: len(self.nodes)])
+        rows, buckets = np.nonzero(self.slot[: len(self.nodes)])
         lo, hi, worst = self.gather(rows, buckets)
         nodes = self.nodes
         return {
@@ -339,10 +409,18 @@ class LibraryTimingEngine:
         self._bounds = BoundsTable()
         self._flat = FlatStages(self._bounds)
         #: Collapsed stage capacitance of MERGE/STEINER roots by node
-        #: (the walk is O(sub-tree) and sits inside every bisection probe).
+        #: (it sits inside every bisection probe).
         self._cap_cache: dict[TreeNode, float] = {}
-        #: Buffer input capacitance by type name (pure per technology).
+        #: The buffer-type codes a cap in ``_cap_cache`` sums, one byte
+        #: per buffer below the node in the order the sum adds them: a
+        #: later cap walk splices them in rather than walking that
+        #: sub-tree again.
+        self._codes_below: dict[TreeNode, bytes] = {}
+        #: Buffer input capacitance by type name (pure per technology),
+        #: and by buffer-type code.
         self._buffer_cap_cache: dict[str, float] = {}
+        self._buffer_codes: dict[str, int] = {}
+        self._code_caps = np.empty(0)
         #: subtree_bounds_many diagnostics (batched commit phase).
         self.bounds_cache_hits = 0
         self.bounds_cache_misses = 0
@@ -350,11 +428,13 @@ class LibraryTimingEngine:
     def release(self, nodes: list[TreeNode]) -> None:
         """Forget the memos of ``nodes``, which no tree reaches any more
         (e.g. the structures H-structure correction discards): their
-        collapsed caps, their bounds rows and those rows' flat stages.
+        collapsed caps and buffer codes, their bounds rows and those
+        rows' flat stages.
         The rows are reused by later nodes. Every memo is a function of
         its key alone, so releasing a node changes no later answer."""
         for node in nodes:
             self._cap_cache.pop(node, None)
+            self._codes_below.pop(node, None)
         self._flat.reset(self._bounds.release(nodes))
 
     def stored_bounds(self) -> dict[tuple[TreeNode, int], SubtreeBounds]:
@@ -382,15 +462,37 @@ class LibraryTimingEngine:
             return cached
         # Collapsed nested structure: wire + loads below this node, then
         # the input cap of every buffer below it in ``node.walk()`` order.
-        cap = node.unbuffered_cap(self.tech.wire.capacitance_per_unit)
+        # A node below with a memo stands for its whole sub-tree: a
+        # sub-tree pops contiguously, in its own walk's order.
+        codes_below = self._codes_below
+        codes = bytearray()
         stack = list(node.children)
         while stack:
             below = stack.pop()
+            known = codes_below.get(below)
+            if known is not None:
+                codes += known
+                continue
             if below.kind is NodeKind.BUFFER:
-                cap += self._buffer_input_cap(below.buffer.name, below.buffer)
+                codes.append(self._buffer_code(below.buffer))
             stack.extend(below.children)
-        self._cap_cache[node] = cap
+        codes = codes_below[node] = bytes(codes)
+        terms = np.empty(len(codes) + 1)
+        terms[0] = node.unbuffered_cap(self.tech.wire.capacitance_per_unit)
+        terms[1:] = self._code_caps[np.frombuffer(codes, dtype=np.uint8)]
+        # accumulate adds in sequence, as a scalar loop would (reduce
+        # sums pairwise and can differ in the last bit).
+        cap = self._cap_cache[node] = float(np.add.accumulate(terms)[-1])
         return cap
+
+    def _buffer_code(self, buffer) -> int:
+        code = self._buffer_codes.get(buffer.name)
+        if code is None:
+            code = self._buffer_codes[buffer.name] = len(self._buffer_codes)
+            self._code_caps = np.append(
+                self._code_caps, self._buffer_input_cap(buffer.name, buffer)
+            )
+        return code
 
     def _eval_structure(
         self,
@@ -524,6 +626,7 @@ class LibraryTimingEngine:
         self._bounds = BoundsTable()
         self._flat = FlatStages(self._bounds)
         self._cap_cache.clear()
+        self._codes_below.clear()
 
     @staticmethod
     def _lerp_bounds(
@@ -555,21 +658,19 @@ class LibraryTimingEngine:
             i = row * table.width + k
             # No view of the table outlives this branch: a miss below
             # may grow the table, which needs every view released.
-            filled = table.filled_cells[i] and (
-                frac == 0.0 or table.filled_cells[i + 1]
-            )
-            if filled:
+            lo = table.slot_cells[i]
+            hi = lo and (frac == 0.0 or table.slot_cells[i + 1])
+            if hi:
                 mins = table.min_delay_cells
                 maxes = table.max_delay_cells
                 worsts = table.worst_slew_cells
-                lo_min, lo_max, lo_worst = mins[i], maxes[i], worsts[i]
+                lo_min, lo_max, lo_worst = mins[lo], maxes[lo], worsts[lo]
                 if frac == 0.0:
                     return SubtreeBounds(lo_min, lo_max, lo_worst)
-                i += 1
                 return SubtreeBounds(
-                    lo_min + (mins[i] - lo_min) * frac,
-                    lo_max + (maxes[i] - lo_max) * frac,
-                    lo_worst + (worsts[i] - lo_worst) * frac,
+                    lo_min + (mins[hi] - lo_min) * frac,
+                    lo_max + (maxes[hi] - lo_max) * frac,
+                    lo_worst + (worsts[hi] - lo_worst) * frac,
                 )
         fill = self._buffer_bucket_bounds if buffer else self._virtual_bucket_bounds
         lo = fill(node, k)
@@ -705,8 +806,8 @@ class LibraryTimingEngine:
         k1 = k + 1
         table.reserve(int(k1.max()))
         two = frac != 0.0
-        have_lo = table.filled[rows, k]
-        have_hi = table.filled[rows, k1]
+        have_lo = table.stored(rows, k)
+        have_hi = table.stored(rows, k1)
         hits = int(np.count_nonzero(have_lo)) + int(
             np.count_nonzero(have_hi & two)
         )

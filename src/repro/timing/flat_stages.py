@@ -22,7 +22,10 @@ and slew only.
 :meth:`FlatStages.prefill_bounds` is the miss path of
 ``subtree_bounds_many``. Jobs are arrays of (row, bucket) cells; each
 pass masks them into windows, groups the flat stages by fit, evaluates
-each group batched and stores every pass with one fancy-indexed write.
+each group batched and stores every pass with one batched
+``BoundsTable.store``. Whether a cell is stored is read through the
+table's slot plane (``BoundsTable.stored``), never through its value
+columns.
 Deep stages take the engine's scalar recursion
 (``_buffer_bucket_bounds`` / ``_virtual_bucket_bounds``) bucket by
 bucket.
@@ -303,7 +306,7 @@ class FlatStages:
             counts = hi_b - lo_b + 1
             cell_rows = np.repeat(job_rows[flat], counts)
             cell_b = _spans(lo_b, counts)
-            keep = ~table.filled[cell_rows, cell_b]
+            keep = ~table.stored(cell_rows, cell_b)
             cell_rows = cell_rows[keep]
             cell_b = cell_b[keep]
         # Deep stages take the scalar recursion, which fills (and
@@ -466,8 +469,8 @@ class FlatStages:
         table = self.table
         k1 = ks + 1
         table.reserve(int(k1.max()))
-        miss_lo = ~table.filled[end_rows, ks]
-        miss_hi = (fracs != 0.0) & ~table.filled[end_rows, k1]
+        miss_lo = ~table.stored(end_rows, ks)
+        miss_hi = (fracs != 0.0) & ~table.stored(end_rows, k1)
         return table.cells(
             np.concatenate((end_rows[miss_lo], end_rows[miss_hi])),
             np.concatenate((ks[miss_lo], k1[miss_hi])),
@@ -508,8 +511,8 @@ class FlatStages:
         raises rather than being recomputed.
         """
         table = self.table
-        missing = ~table.filled[end_rows, ks] | (
-            (fracs != 0.0) & ~table.filled[end_rows, ks + 1]
+        missing = ~table.stored(end_rows, ks) | (
+            (fracs != 0.0) & ~table.stored(end_rows, ks + 1)
         )
         if missing.any():
             raise RuntimeError("bounds prefill read a bucket no pass stored")

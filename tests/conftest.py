@@ -77,6 +77,21 @@ def scalar_bucket_bounds(engine, node, bucket):
     return engine._virtual_bucket_bounds(node, bucket)
 
 
+def walked_load_cap(engine, node):
+    """Collapsed cap of a MERGE/STEINER ``node`` from a walk of its whole
+    sub-tree: wire and loads down to the buffer inputs, then the input
+    cap of every buffer below it, added in DFS-pop order. The reference
+    for ``LibraryTimingEngine._load_cap_of``, which memoizes the sum."""
+    cap = node.unbuffered_cap(engine.tech.wire.capacitance_per_unit)
+    stack = list(node.children)
+    while stack:
+        below = stack.pop()
+        if below.kind is NodeKind.BUFFER:
+            cap += below.buffer.input_cap(engine.tech)
+        stack.extend(below.children)
+    return cap
+
+
 @pytest.fixture()
 def small_sinks():
     return make_sink_pairs(8, 18000.0, seed=3)

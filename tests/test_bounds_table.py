@@ -18,7 +18,12 @@ share. Its contract:
 - released nodes leave no trace: their rows and caps are forgotten and
   their rows reused, and after an H-structure synthesis every stored
   node is in the final tree and every stored bucket is its key's scalar
-  value on that tree.
+  value on that tree;
+- the table's memory tracks the buckets it stores: after a synthesis,
+  with or without H-structure correction, its live value cells are the
+  stored buckets (released cells are reused, none leak), and its used
+  bytes stay within 4 B per (row, bucket) plus twice 24 B per stored
+  bucket.
 """
 
 import numpy as np
@@ -172,7 +177,9 @@ class TestRelease:
         assert not any(node in table.row_of for node in gone)
         assert not any(node in engine._cap_cache for node in gone)
         assert sorted(table.free) == rows
-        assert not table.filled[rows].any()
+        every_bucket = np.arange(table.width)
+        assert not table.stored(np.array(rows)[:, None], every_bucket).any()
+        assert table.live_cells == len(engine.stored_bounds())
         assert (engine._flat.fs_state[rows] == 0).all()
         # New trees take the released rows first and answer fresh values.
         high_water = len(table.nodes)
@@ -189,7 +196,7 @@ class TestRelease:
             assert node not in gone
             assert scalar_bucket_bounds(oracle, node, bucket) == value
 
-    @pytest.mark.parametrize("hstructure", ["correct", "reestimate"])
+    @pytest.mark.parametrize("hstructure", [None, "correct", "reestimate"])
     @pytest.mark.parametrize(
         "sinks",
         [(16, 26000.0, 14), (200, 30000.0, 6)],
@@ -199,7 +206,8 @@ class TestRelease:
         self, library, tech, sinks, hstructure
     ):
         """Correction and re-estimation release the structures they
-        discard, so no memo outlives its tree."""
+        discard, so no memo outlives its tree, and no value cell outlives
+        its bucket."""
         n, span, seed = sinks
         cts = AggressiveBufferedCTS(options=CTSOptions(hstructure=hstructure))
         result = cts.synthesize(make_sink_pairs(n, span, seed=seed))
@@ -208,6 +216,35 @@ class TestRelease:
         assert stored
         assert {node for node, __ in stored} <= in_tree
         assert set(cts.engine._cap_cache) <= in_tree
+        assert set(cts.engine._codes_below) <= in_tree
+        assert cts.engine._bounds.live_cells == len(stored)
         fresh = LibraryTimingEngine(library, tech)
         for (node, bucket), value in stored.items():
             assert scalar_bucket_bounds(fresh, node, bucket) == value
+
+
+def used_bytes(table):
+    """Bytes of the table's mapped planes that back handed-out rows (a
+    plane of shape (rows, width)) or handed-out value cells (a column)."""
+    total = 0
+    for name in table._maps:
+        plane = getattr(table, name)
+        if plane.ndim == 2:
+            total += len(table.nodes) * plane.shape[1] * plane.itemsize
+        else:
+            total += table.used * plane.itemsize
+    return total
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("hstructure", [None, "correct"])
+    def test_used_bytes_track_stored_buckets(self, hstructure):
+        """4 B per (row, bucket) for the slot plane, 24 B per stored
+        bucket for the value columns, with 2x slack for their growth."""
+        cts = AggressiveBufferedCTS(options=CTSOptions(hstructure=hstructure))
+        cts.synthesize(make_sink_pairs(200, 30000.0, seed=6))
+        table = cts.engine._bounds
+        stored = len(cts.engine.stored_bounds())
+        used = used_bytes(table)
+        assert used <= 4 * len(table.nodes) * table.width + 24 * stored * 2
+        assert table.live_cells == stored

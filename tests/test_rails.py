@@ -389,6 +389,23 @@ MACRO_BENCH_SMOKE = (
     """ sys.exit(not (r['correct'] is True and r['failed'] == 0))\"""",
 )
 
+#: The lines of the serial leg's traced benchmark smoke on the
+#: H-structure workload, whose correction releases and reuses bounds
+#: rows, with the same correctness check.
+HSTRUCTURE_BENCH_SMOKE = (
+    "python3 perfbench/run.py --workload hstructure-1000 --seed 1 --seconds 1"
+    " --trace 1 | tail -n 1 > /tmp/perfbench_hstructure_smoke.json",
+    """python3 -c "import json, sys; r = json.load(open('/tmp/perfbench_hstructure_smoke.json'));"""
+    """ sys.exit(not (r['correct'] is True and r['failed'] == 0))\"""",
+)
+
+#: The result JSON each traced benchmark smoke writes.
+SMOKE_JSONS = (
+    "/tmp/perfbench_smoke.json",
+    "/tmp/perfbench_macro_smoke.json",
+    "/tmp/perfbench_hstructure_smoke.json",
+)
+
 
 class TestCI:
     def test_lint_job_gates_tier1(self):
@@ -420,6 +437,24 @@ class TestCI:
         that routes through the level-batched maze router."""
         assert serial_step_index(*MACRO_BENCH_SMOKE) is not None
 
+    def test_serial_leg_runs_the_traced_hstructure_benchmark(self):
+        """The same traced run and check on ``hstructure-1000``, whose
+        correction releases most bounds rows and reuses their cells."""
+        assert serial_step_index(*HSTRUCTURE_BENCH_SMOKE) is not None
+
+    def test_serial_leg_uploads_the_smoke_results(self):
+        """The scaling smoke's JSON and the three traced smokes' result
+        lines (``peak_rss_mb`` and every counter) are uploaded, after
+        the steps that write them."""
+        scaling = serial_step_index(
+            "path: benchmarks/results/BENCH_cts_scaling_smoke.json"
+        )
+        smokes = serial_step_index(*SMOKE_JSONS)
+        assert None not in (scaling, smokes)
+        for writer in (BENCH_SMOKE, MACRO_BENCH_SMOKE, HSTRUCTURE_BENCH_SMOKE):
+            assert serial_step_index(*writer) < smokes
+        assert "uses: actions/upload-artifact@v4" in tier1_steps()[smokes]
+
     def test_serial_leg_checks_results_unchanged(self):
         """After every bench smoke, the tracked bench results must still
         read as committed (a partial bench session stitches no report,
@@ -433,16 +468,21 @@ class TestCI:
         assert table < check and perf < check
 
 
-def serial_step_index(*lines: str) -> int | None:
-    """Position of the first ``serial``-leg step of the ``tier1`` job
-    that has every one of ``lines`` among its lines, or ``None``."""
+def tier1_steps() -> list[list[str]]:
+    """The lines of each step (and matrix entry) of the ``tier1`` job."""
     steps: list[list[str]] = []
     for line in ci_jobs()["tier1"]:
         if line.startswith("- "):
             steps.append([])
         if steps:
             steps[-1].append(line.removeprefix("- "))
-    for index, step in enumerate(steps):
+    return steps
+
+
+def serial_step_index(*lines: str) -> int | None:
+    """Position of the first ``serial``-leg step of the ``tier1`` job
+    that has every one of ``lines`` among its lines, or ``None``."""
+    for index, step in enumerate(tier1_steps()):
         if all(line in step for line in ("if: matrix.name == 'serial'", *lines)):
             return index
     return None
